@@ -34,9 +34,11 @@ from .quantum import (
     ObservableSet,
     collapse,
     measurement_distribution,
+    pure_state_distributions,
     random_basis,
     random_observable_set,
     random_pure_state,
+    random_pure_states,
 )
 from .rng import RandomStream
 from .sequences import (
@@ -58,6 +60,7 @@ from .tomography import (
     estimate_k_quantum,
     estimate_k_urn,
     exhaustive_fiducial_rank,
+    fiducial_matrix_quantum,
     fiducial_vector_cardbox,
     fiducial_vector_quantum,
     k_sweep,

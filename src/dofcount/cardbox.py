@@ -32,6 +32,7 @@ from .errors import (
     EmptySpecError,
     EmptySubdeckError,
     IncompleteAssignmentError,
+    InvariantError,
     UnknownValueError,
     UnknownVariableError,
     ValidationError,
@@ -319,7 +320,8 @@ def observe(
         if pick < running:
             drawn = card
             break
-    assert drawn is not None
+    if drawn is None:
+        raise InvariantError(f"draw {pick} lies past the subdeck total {running}")
     value = drawn.value(variable)
     outcome = Outcome(variable=variable, value=value)
     new_state = BoxState(deck=state.deck, subdeck=filter_deck(state.deck, variable, value))

@@ -39,6 +39,18 @@ COLLAPSE_MIN_PROBABILITY = 1e-12
 RANK_TOL = 1e-9              # relative singular value threshold
 
 
+def _check_density_matrices(m: np.ndarray) -> None:
+    """Hermitian, unit-trace and eigenvalue-floor checks on one (n, n) matrix
+    or a stack of them (..., n, n)."""
+    if np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) > HERMITICITY_TOL:
+        raise ValidationError("density matrix is not Hermitian")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    if np.max(np.abs(trace.real - 1.0)) > TRACE_TOL or np.max(np.abs(trace.imag)) > TRACE_TOL:
+        raise ValidationError("density matrix trace is not 1")
+    if np.min(np.linalg.eigvalsh(m)) < EIGENVALUE_FLOOR:
+        raise ValidationError("density matrix has a negative eigenvalue")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityState:
     """Hermitian, unit-trace, positive-semidefinite matrix."""
@@ -49,12 +61,7 @@ class DensityState:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValidationError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise ValidationError("density matrix trace is not 1")
-        if np.min(np.linalg.eigvalsh(m)) < EIGENVALUE_FLOOR:
-            raise ValidationError("density matrix has a negative eigenvalue")
+        _check_density_matrices(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -110,50 +117,60 @@ class ObservableSet:
         return len(self.bases)
 
 
-def random_pure_state(n: int, rng: RandomStream) -> DensityState:
-    """Rank-one projector of a normalized complex Gaussian vector."""
+# States validated per chunk: bounds the (chunk, n, n) density stack at large n.
+_DENSITY_CHECK_CHUNK = 512
+
+
+def random_pure_states(n: int, count: int, rng: RandomStream) -> np.ndarray:
+    """``count`` normalized complex Gaussian vectors, one per row.
+
+    The single ``(count, 2, n)`` draw yields the same numbers as ``count``
+    draws of n real parts followed by n imaginary parts, so a batch equals
+    that many ``random_pure_state`` calls made in sequence.  Each state's
+    density matrix gets the ``DensityState`` checks, a chunk at a time.
+    """
     if n < 2:
         raise BadDimensionError(f"dimension must be at least 2, got {n}")
-    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    psi = psi / np.linalg.norm(psi)
+    if count < 1:
+        raise ValidationError(f"state count must be at least 1, got {count}")
+    parts = rng.standard_normal((count, 2, n))
+    psi = parts[:, 0] + 1j * parts[:, 1]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    for start in range(0, count, _DENSITY_CHECK_CHUNK):
+        chunk = psi[start : start + _DENSITY_CHECK_CHUNK]
+        _check_density_matrices(chunk[:, :, None] * chunk[:, None, :].conj())
+    return psi
+
+
+def random_pure_state(n: int, rng: RandomStream) -> DensityState:
+    """Rank-one projector of a normalized complex Gaussian vector."""
+    psi = random_pure_states(n, 1, rng)[0]
     return DensityState(np.outer(psi, psi.conj()))
 
 
-_MGS_PIVOT_TOL = 1e-8
+_PIVOT_TOL = 1e-8
 _MAX_BASIS_ATTEMPTS = 8
 
 
 def random_basis(n: int, rng: RandomStream) -> MeasurementBasis:
-    """Orthonormalized complex Gaussian matrix.
+    """Orthonormalized complex Gaussian matrix, Haar-distributed.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; a draw whose
-    columns are (numerically) dependent is thrown away and redrawn.
+    QR of the draw, with each column's phase fixed so that R has a positive
+    diagonal (Mezzadri 2007, math-ph/0609050): the unique such Q is the one
+    Gram-Schmidt gives.  A draw with a pivot ``|r_jj|`` below ``_PIVOT_TOL``
+    has (numerically) dependent columns and is thrown away and redrawn.
     """
     if n < 2:
         raise BadDimensionError(f"dimension must be at least 2, got {n}")
     for _ in range(_MAX_BASIS_ATTEMPTS):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rows = _gram_schmidt(a)
-        if rows is not None:
-            return MeasurementBasis(np.array(rows))
+        q, r = np.linalg.qr(a)
+        d = np.diagonal(r)
+        if np.min(np.abs(d)) >= _PIVOT_TOL:
+            return MeasurementBasis((q * (d / np.abs(d))).T)
     raise DegenerateDrawError(
         f"no nondegenerate basis draw in {_MAX_BASIS_ATTEMPTS} attempts"
     )
-
-
-def _gram_schmidt(a: np.ndarray) -> list[np.ndarray] | None:
-    n = a.shape[0]
-    rows: list[np.ndarray] = []
-    for j in range(n):
-        v = a[:, j].astype(complex)
-        for _ in range(2):  # second pass restores orthogonality lost to roundoff
-            for q in rows:
-                v = v - np.vdot(q, v) * q
-        norm = np.linalg.norm(v)
-        if norm < _MGS_PIVOT_TOL:
-            return None
-        rows.append(v / norm)
-    return rows
 
 
 def random_observable_set(
@@ -181,12 +198,36 @@ def measurement_distribution(
             f"state dimension {state.dimension} != basis dimension {basis.dimension}"
         )
     raw = np.einsum("ki,ij,kj->k", basis.vectors.conj(), state.matrix, basis.vectors)
-    probs = raw.real
-    if np.min(probs) < PROBABILITY_FLOOR:
-        raise InvariantError(f"negative Born probability {np.min(probs)}")
-    probs = np.clip(probs, 0.0, 1.0)
-    if abs(float(np.sum(probs)) - 1.0) > PROBABILITY_SUM_TOL:
-        raise InvariantError(f"Born probabilities sum to {np.sum(probs)}")
+    return _checked_probabilities(raw.real)
+
+
+def pure_state_distributions(psi: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
+    """Born probabilities |<b_k|psi_e>|^2 of a stack of state vectors.
+
+    Row e holds the outcome distribution of the state in row e of ``psi``:
+    ``measurement_distribution`` for pure states, without density matrices.
+    """
+    if psi.shape[-1] != basis.dimension:
+        raise DimensionMismatchError(
+            f"state dimension {psi.shape[-1]} != basis dimension {basis.dimension}"
+        )
+    amplitudes = psi @ basis.vectors.conj().T
+    return _checked_probabilities(amplitudes.real**2 + amplitudes.imag**2)
+
+
+def _checked_probabilities(raw: np.ndarray) -> np.ndarray:
+    """Clamp raw Born probabilities (outcomes on the last axis) to [0, 1].
+
+    Raises ``InvariantError`` if any is below the floor, or if any
+    distribution's sum is off 1 by more than the tolerance.
+    """
+    if np.min(raw) < PROBABILITY_FLOOR:
+        raise InvariantError(f"negative Born probability {np.min(raw)}")
+    probs = np.clip(raw, 0.0, 1.0)
+    sums = np.sum(probs, axis=-1)
+    error = np.abs(sums - 1.0)
+    if np.max(error) > PROBABILITY_SUM_TOL:
+        raise InvariantError(f"Born probabilities sum to {sums.flat[np.argmax(error)]}")
     return probs
 
 

@@ -35,7 +35,12 @@ from .cardbox import (
     observe,
     outcome_distribution,
 )
-from .errors import EmptyDeckError, SameVariableError, SingleVariableError
+from .errors import (
+    EmptyDeckError,
+    InvariantError,
+    SameVariableError,
+    SingleVariableError,
+)
 from .rng import RandomStream
 
 # A measurement plan is just an ordered tuple of variable names.
@@ -113,7 +118,9 @@ def sequence_distribution(
             )
 
     expand(initial_state(deck), (), Fraction(1))
-    assert sum(probabilities.values()) == 1
+    total = sum(probabilities.values())
+    if total != 1:
+        raise InvariantError(f"sequence probabilities sum to {total}, not 1")
     return SequenceDistribution(steps, probabilities)
 
 

@@ -52,8 +52,9 @@ from .quantum import (
     DensityState,
     ObservableSet,
     measurement_distribution,
+    pure_state_distributions,
     random_observable_set,
-    random_pure_state,
+    random_pure_states,
 )
 from .rng import RandomStream
 
@@ -107,6 +108,19 @@ def fiducial_vector_quantum(
     return np.concatenate(
         [measurement_distribution(state, basis) for basis in observables.bases]
     )
+
+
+def fiducial_matrix_quantum(psi: np.ndarray, observables: ObservableSet) -> np.ndarray:
+    """Fiducial vectors of a stack of pure states: row e is state ``psi[e]``'s.
+
+    Equal, up to rounding, to stacking ``fiducial_vector_quantum`` of each
+    state's density matrix; filled one basis block at a time.
+    """
+    n = observables.dimension
+    rows = np.empty((len(psi), n * observables.num_bases))
+    for m, basis in enumerate(observables.bases):
+        rows[:, m * n : (m + 1) * n] = pure_state_distributions(psi, basis)
+    return rows
 
 
 def random_deck_ensemble(
@@ -197,13 +211,16 @@ def matrix_rank_numeric(rows, tol: float = RANK_TOL) -> int:
     """Numeric rank: singular values above ``tol`` times the largest."""
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
-    rows = list(rows)
-    if not rows:
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == float:
+        matrix = rows  # no row list, no copy
+    else:
+        rows = list(rows)
+        widths = {len(r) for r in rows}
+        if len(widths) > 1:
+            raise RaggedMatrixError(f"rows have mixed lengths {sorted(widths)}")
+        matrix = np.asarray(rows, dtype=float)
+    if len(matrix) == 0:
         raise ValidationError("matrix must have at least one row")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise RaggedMatrixError(f"rows have mixed lengths {sorted(widths)}")
-    matrix = np.asarray(rows, dtype=float)
     if not np.isfinite(matrix).all():
         raise NonFiniteError("matrix contains NaN or infinity")
     singular = np.linalg.svd(matrix, compute_uv=False)
@@ -363,15 +380,8 @@ def estimate_k_quantum(
     base = 10 * fiducials if ensemble is None else ensemble
     if base < 1:
         raise ValidationError("ensemble size must be at least 1")
-    rows = [
-        fiducial_vector_quantum(random_pure_state(n, rng), observables)
-        for _ in range(base)
-    ]
-    first_rank = matrix_rank_numeric(rows, tol)
-    rows.extend(
-        fiducial_vector_quantum(random_pure_state(n, rng), observables)
-        for _ in range(base)
-    )
+    rows = fiducial_matrix_quantum(random_pure_states(n, 2 * base, rng), observables)
+    first_rank = matrix_rank_numeric(rows[:base], tol)
     rank = matrix_rank_numeric(rows, tol)
     return KReport(
         kind="quantum",
@@ -417,11 +427,19 @@ def estimate_k(
 
 
 _KIND_CODES = {"cardbox": 0, "quantum": 1, "urn": 2}
+_STREAM_FIELD_BITS = 20
 
 
 def _stream_id(kind: str, n: int, v: int) -> int:
     # One independent stream per table cell, derived from the master seed.
-    return (_KIND_CODES[kind] << 40) | (n << 20) | v
+    # N and V (or M) each get a 20-bit field; a wider value would collide.
+    limit = 1 << _STREAM_FIELD_BITS
+    if not (0 <= n < limit and 0 <= v < limit):
+        raise ValidationError(
+            f"N and V_or_M must be below 2**{_STREAM_FIELD_BITS} = {limit} "
+            f"to get distinct random streams, got N={n}, V_or_M={v}"
+        )
+    return (_KIND_CODES[kind] << (2 * _STREAM_FIELD_BITS)) | (n << _STREAM_FIELD_BITS) | v
 
 
 def k_sweep(
@@ -453,35 +471,37 @@ def k_sweep(
     if min(v_list) < 1:
         raise ValidationError("V must be at least 1")
 
-    reports = []
+    cells = []
     for kind in kind_list:
         for n in n_list:
             if kind == "cardbox":
-                for v in v_list:
-                    rng = RandomStream(seed, _stream_id(kind, n, v))
-                    reports.append(
-                        estimate_k_cardbox(
-                            cardbox_spec(n, v),
-                            ensemble=ensemble,
-                            max_multiplicity=max_multiplicity,
-                            rng=rng,
-                        )
-                    )
-            elif kind == "urn":
-                rng = RandomStream(seed, _stream_id(kind, n, 1))
-                reports.append(
-                    estimate_k_urn(
-                        n,
-                        ensemble=ensemble,
-                        max_multiplicity=max_multiplicity,
-                        rng=rng,
-                    )
-                )
+                cells.extend((kind, n, v) for v in v_list)
             else:
-                m = n + 1
-                rng = RandomStream(seed, _stream_id(kind, n, m))
-                reports.append(
-                    estimate_k_quantum(n, m, ensemble=ensemble, tol=tol, rng=rng)
+                cells.append((kind, n, 1 if kind == "urn" else n + 1))
+    stream_ids = [_stream_id(*cell) for cell in cells]  # every cell checked before any work
+
+    reports = []
+    for (kind, n, v), stream_id in zip(cells, stream_ids):
+        rng = RandomStream(seed, stream_id)
+        if kind == "cardbox":
+            reports.append(
+                estimate_k_cardbox(
+                    cardbox_spec(n, v),
+                    ensemble=ensemble,
+                    max_multiplicity=max_multiplicity,
+                    rng=rng,
                 )
+            )
+        elif kind == "urn":
+            reports.append(
+                estimate_k_urn(
+                    n,
+                    ensemble=ensemble,
+                    max_multiplicity=max_multiplicity,
+                    rng=rng,
+                )
+            )
+        else:
+            reports.append(estimate_k_quantum(n, v, ensemble=ensemble, tol=tol, rng=rng))
     reports.sort(key=lambda r: (r.kind, r.n, r.v_or_m))
     return reports

@@ -26,6 +26,7 @@ from dofcount.errors import (
     EmptyDeckError,
     EmptySpecError,
     EmptySubdeckError,
+    InvariantError,
     UnknownValueError,
     UnknownVariableError,
     ValidationError,
@@ -182,6 +183,14 @@ class TestObserve:
         broken = BoxState(deck, filter_deck(deck, "Suit", "H"))
         with pytest.raises(EmptySubdeckError):
             observe(broken, "Face", RandomStream(0))
+
+    def test_draw_past_subdeck_total(self, four_card_deck):
+        class OverflowStream:
+            def randint_below(self, upper):
+                return upper
+
+        with pytest.raises(InvariantError):
+            observe(initial_state(four_card_deck), "Face", OverflowStream())
 
     @given(deck=deck_strategy(), data=st.data())
     def test_update_law(self, deck, data):

@@ -1,8 +1,11 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from dofcount import Deck, serialize_deck_file, urn_as_cardbox, urn_deck
+import dofcount
+from dofcount import Deck, Outcome, serialize_deck_file, urn_as_cardbox, urn_deck
 from dofcount.cli import CSV_HEADER, cli_main
 
 
@@ -115,6 +118,30 @@ class TestSimulateCommand:
         assert cli_main(
             ["simulate", "--deck", deck_file, "--plan", "Suit", "--trials", "0"]
         ) == 1
+
+    def test_impossible_run_is_internal_error(self, deck_file, capsys, monkeypatch):
+        # a sampler that reports a sequence the exact law gives probability 0
+        impossible = (Outcome("Suit", "S"), Outcome("Suit", "H"))
+        monkeypatch.setattr(
+            "dofcount.cli.simulate_plan",
+            lambda deck, plan, trials, rng: {impossible: trials},
+        )
+        argv = ["simulate", "--deck", deck_file, "--plan", "Suit,Suit", "--trials", "5"]
+        assert cli_main(argv) == 3
+        captured = capsys.readouterr()
+        assert "impossible" in captured.err
+        assert captured.out == ""
+
+
+def test_package_has_no_assert_statements():
+    # invariants must raise InvariantError, which `python -O` cannot strip
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(dofcount.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 class TestSweepCommand:

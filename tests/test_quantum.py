@@ -8,20 +8,45 @@ from dofcount import (
     RandomStream,
     collapse,
     measurement_distribution,
+    pure_state_distributions,
     random_basis,
     random_observable_set,
     random_pure_state,
+    random_pure_states,
 )
 from dofcount.errors import (
     BadDimensionError,
     DegenerateDrawError,
     DimensionMismatchError,
+    InvariantError,
     ValidationError,
     ZeroProbabilityOutcomeError,
 )
+from dofcount.quantum import _PIVOT_TOL
+
+# Entries of unit vectors and probabilities are at most 1, so a few ulps of
+# float64 bound any rounding difference between two summation orders.
+ROUNDING_TOL = 8 * np.finfo(float).eps
 
 STANDARD_2 = MeasurementBasis(np.eye(2))
 UNBIASED_2 = MeasurementBasis(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+
+
+def _gram_schmidt(a: np.ndarray) -> list[np.ndarray] | None:
+    """Reference orthonormalization: modified Gram-Schmidt on the columns of
+    ``a``, with one re-orthogonalization pass; None for a degenerate draw."""
+    n = a.shape[0]
+    rows: list[np.ndarray] = []
+    for j in range(n):
+        v = a[:, j].astype(complex)
+        for _ in range(2):  # second pass restores orthogonality lost to roundoff
+            for q in rows:
+                v = v - np.vdot(q, v) * q
+        norm = np.linalg.norm(v)
+        if norm < _PIVOT_TOL:
+            return None
+        rows.append(v / norm)
+    return rows
 
 
 def ket0_state():
@@ -95,6 +120,37 @@ class TestRandomPureState:
             random_pure_state(1, RandomStream(0))
 
 
+class TestRandomPureStates:
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_batch_equals_sequential_draws(self, n):
+        batch = random_pure_states(n, 600, RandomStream(11, n))
+        rng = RandomStream(11, n)
+        for psi in batch:
+            rho = random_pure_state(n, rng).matrix
+            assert np.array_equal(rho, np.outer(psi, psi.conj()))
+
+    def test_batch_matches_literal_vector_draws(self):
+        # the per-state formula the batch replaces: n real parts, then n
+        # imaginary parts, then normalization, one state at a time
+        batch = random_pure_states(5, 40, RandomStream(3))
+        rng = RandomStream(3)
+        for psi in batch:
+            expected = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            expected /= np.linalg.norm(expected)
+            assert np.max(np.abs(psi - expected)) <= ROUNDING_TOL
+
+    def test_rows_are_unit_vectors(self):
+        batch = random_pure_states(4, 1100, RandomStream(8))
+        assert batch.shape == (1100, 4)
+        assert np.max(np.abs(np.linalg.norm(batch, axis=1) - 1.0)) <= ROUNDING_TOL
+
+    def test_bad_arguments(self):
+        with pytest.raises(BadDimensionError):
+            random_pure_states(1, 3, RandomStream(0))
+        with pytest.raises(ValidationError):
+            random_pure_states(3, 0, RandomStream(0))
+
+
 class TestRandomBasis:
     def test_gram_matrix_is_identity(self):
         basis = random_basis(2, RandomStream(1))
@@ -119,6 +175,15 @@ class TestRandomBasis:
 
         with pytest.raises(DegenerateDrawError):
             random_basis(2, ZeroStream())
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_qr_basis_equals_gram_schmidt_on_same_draw(self, n):
+        for seed in range(3):
+            basis = random_basis(n, RandomStream(seed, n))
+            rng = RandomStream(seed, n)
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            expected = np.array(_gram_schmidt(a))
+            assert np.max(np.abs(basis.vectors - expected)) < 1e-12
 
     def test_default_observable_count_is_dimension_plus_one(self):
         obs = random_observable_set(3, rng=RandomStream(0))
@@ -151,6 +216,30 @@ class TestMeasurementDistribution:
             probs = measurement_distribution(state, basis)
             assert abs(float(np.sum(probs)) - 1.0) < 1e-10
             assert np.min(probs) >= 0.0
+
+
+class TestPureStateDistributions:
+    def test_rows_match_density_matrix_born_rule(self):
+        rng = RandomStream(21)
+        basis = random_basis(4, rng)
+        psi = random_pure_states(4, 50, rng)
+        probs = pure_state_distributions(psi, basis)
+        assert probs.shape == (50, 4)
+        for row, vector in zip(probs, psi):
+            state = DensityState(np.outer(vector, vector.conj()))
+            expected = measurement_distribution(state, basis)
+            assert np.max(np.abs(row - expected)) < 1e-12
+
+    def test_unnormalized_states_fail_the_sum_check(self):
+        psi = random_pure_states(3, 5, RandomStream(4))
+        psi[2] *= 1.01
+        with pytest.raises(InvariantError):
+            pure_state_distributions(psi, random_basis(3, RandomStream(5)))
+
+    def test_dimension_mismatch(self):
+        psi = random_pure_states(3, 2, RandomStream(0))
+        with pytest.raises(DimensionMismatchError):
+            pure_state_distributions(psi, STANDARD_2)
 
 
 class TestCollapse:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dofcount import (
     estimate_k_quantum,
     estimate_k_urn,
     exhaustive_fiducial_rank,
+    fiducial_matrix_quantum,
     fiducial_vector_cardbox,
     fiducial_vector_quantum,
     k_sweep,
@@ -28,15 +30,20 @@ from dofcount import (
     random_deck_ensemble,
     random_observable_set,
     random_pure_state,
+    random_pure_states,
+    tomography,
     urn_as_cardbox,
 )
+from dofcount.cli import cli_main
 from dofcount.errors import (
     DimensionMismatchError,
     NonFiniteError,
     RaggedMatrixError,
     ValidationError,
 )
-from dofcount.quantum import MeasurementBasis, ObservableSet
+from dofcount.quantum import RANK_TOL, DensityState, MeasurementBasis, ObservableSet
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestFiducialSet:
@@ -123,6 +130,28 @@ class TestFiducialVectorQuantum:
             vector = fiducial_vector_quantum(random_pure_state(3, rng), obs)
             for m in range(obs.num_bases):
                 assert abs(float(np.sum(vector[m * 3 : (m + 1) * 3])) - 1.0) < 1e-10
+
+
+class TestFiducialMatrixQuantum:
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (5, 6), (8, 9)])
+    def test_rows_equal_stacked_fiducial_vectors(self, n, m):
+        rng = RandomStream(n, m)
+        obs = random_observable_set(n, m, rng=rng)
+        psi = random_pure_states(n, 30, rng)
+        matrix = fiducial_matrix_quantum(psi, obs)
+        expected = np.array(
+            [
+                fiducial_vector_quantum(DensityState(np.outer(v, v.conj())), obs)
+                for v in psi
+            ]
+        )
+        assert matrix.shape == (30, n * m)
+        assert np.max(np.abs(matrix - expected)) < 1e-12
+
+    def test_dimension_mismatch(self):
+        obs = random_observable_set(2, rng=RandomStream(0))
+        with pytest.raises(DimensionMismatchError):
+            fiducial_matrix_quantum(random_pure_states(3, 4, RandomStream(1)), obs)
 
 
 class TestRandomDeckEnsemble:
@@ -250,6 +279,17 @@ class TestMatrixRankNumeric:
         with pytest.raises(ValidationError):
             matrix_rank_numeric([[1.0]], tol=0.0)
 
+    def test_float_array_matches_row_list(self):
+        gen = np.random.Generator(np.random.PCG64(5))
+        matrix = gen.standard_normal((9, 3)) @ gen.standard_normal((3, 6))
+        assert matrix_rank_numeric(matrix) == matrix_rank_numeric(matrix.tolist()) == 3
+
+    def test_float_array_checks(self):
+        with pytest.raises(ValidationError):
+            matrix_rank_numeric(np.empty((0, 4)))
+        with pytest.raises(NonFiniteError):
+            matrix_rank_numeric(np.array([[1.0, np.inf]]))
+
 
 class TestExhaustiveRank:
     def test_literal_and_reduced_paths_agree(self):
@@ -322,6 +362,31 @@ class TestEstimates:
         with pytest.raises(ValidationError):
             estimate_k("abacus", 3, rng=RandomStream(1))
 
+    def test_quantum_rank_margin(self, monkeypatch):
+        # sigma_K / sigma_1 shrinks with n (about 3e-4 at n=12): fail well
+        # before it nears RANK_TOL, and before noise nears it from below
+        ranked = []
+
+        def capture(rows, tol):
+            ranked.append(rows)
+            return matrix_rank_numeric(rows, tol)
+
+        monkeypatch.setattr(tomography, "matrix_rank_numeric", capture)
+        for n in range(2, 13):
+            for seed in range(3):
+                report = estimate_k_quantum(n, rng=RandomStream(seed, n))
+                singular = np.linalg.svd(ranked[-1], compute_uv=False)
+                k = n * n
+                k_ratio = singular[k - 1] / singular[0]
+                k1_ratio = singular[k] / singular[0]
+                message = (
+                    f"n={n} seed={seed}: sigma_K/sigma_1={k_ratio:.3g}, "
+                    f"sigma_K+1/sigma_1={k1_ratio:.3g}, RANK_TOL={RANK_TOL:g}"
+                )
+                assert report.k_rank == k, message
+                assert k_ratio > 100 * RANK_TOL, message
+                assert k1_ratio < RANK_TOL / 100, message
+
     def test_quantum_restricted_observables_reduce_rank(self):
         # two bases instead of three: only 1 + 2*(n-1) = 3 independent
         # probabilities survive for n=2, the superselection-style restriction
@@ -353,6 +418,32 @@ class TestKSweep:
         assert a == b
         keys = [(r.kind, r.n, r.v_or_m) for r in a]
         assert keys == sorted(keys)
+
+    def test_quantum_sweep_matches_golden_csv(self, capsys):
+        argv = ["sweep", "--systems", "quantum", "--n-range", "2..6",
+                "--v-range", "1..1", "--seed", "42"]
+        assert cli_main(argv) == 0
+        expected = (DATA / "sweep_quantum_n2-6_seed42.csv").read_text()
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "n_values, v_values, kind",
+        [([2**20], [1], "urn"), ([2], [2**20], "cardbox"), ([2**20 - 1], [1], "quantum")],
+    )
+    def test_stream_id_fields_fail_fast(self, n_values, v_values, kind):
+        # each would collide with another cell's stream; none may start work
+        with pytest.raises(ValidationError, match=r"2\*\*20"):
+            k_sweep(n_values, v_values, [kind], 0)
+
+    def test_stream_ids_distinct_up_to_the_limit(self):
+        top = 2**20 - 1
+        ids = {
+            tomography._stream_id(kind, n, v)
+            for kind in ("cardbox", "quantum", "urn")
+            for n in (0, 1, top)
+            for v in (0, 1, top)
+        }
+        assert len(ids) == 27
 
     def test_range_validation(self):
         with pytest.raises(ValidationError):
