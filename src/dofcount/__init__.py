@@ -20,7 +20,6 @@ from .cardbox import (
     filter_deck,
     initial_state,
     observe,
-    observe_sequence,
     outcome_distribution,
     uniform_deck,
     urn_as_cardbox,

@@ -23,7 +23,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     BadArityError,
@@ -203,6 +205,20 @@ class Deck:
     def is_empty(self) -> bool:
         return not self.entries
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Integer view: ``(E, V)`` value indices and ``(E,)`` multiplicities.
+
+        Row ``e`` is ``entries[e]``, so rows keep the canonical deck order.
+        Both arrays are read-only.  Multiplicities must fit in int64.
+        """
+        values = np.array(
+            [_card_sort_key(self.spec, card) for card, _ in self.entries], dtype=np.int64
+        ).reshape(len(self.entries), self.spec.num_variables)
+        counts = np.array([count for _, count in self.entries], dtype=np.int64)
+        values.flags.writeable = counts.flags.writeable = False
+        return values, counts
+
     def multiplicity(self, card: Card) -> int:
         for c, count in self.entries:
             if c == card:
@@ -365,18 +381,6 @@ def cardbox_spec(num_values: int, num_variables: int) -> SystemSpec:
     return SystemSpec(
         tuple((f"var{i + 1}", values) for i in range(num_variables))
     )
-
-
-def observe_sequence(
-    deck: Deck, plan: Iterable[str], rng: RandomStream
-) -> tuple[Outcome, ...]:
-    """Run one seeded pass of the device over a plan of switch presses."""
-    state = initial_state(deck)
-    outcomes = []
-    for variable in plan:
-        outcome, state = observe(state, variable, rng)
-        outcomes.append(outcome)
-    return tuple(outcomes)
 
 
 def enumerate_decks(spec: SystemSpec, max_multiplicity: int) -> Iterator[Deck]:

@@ -17,6 +17,7 @@ arguments and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -264,10 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built once: a parser is a web of reference cycles, and one per call
+    # piles up as garbage between the collector's rare full passes.
+    return build_parser()
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code) if exc.code else 0

@@ -38,11 +38,15 @@ class RandomStream:
             raise ValueError("upper must be positive")
         return int(self._gen.integers(upper))
 
-    def integers_below(self, upper: int, size: int) -> np.ndarray:
-        """Array of independent uniform integers in [0, upper)."""
-        if upper <= 0:
+    def integers_below(self, upper, size=None) -> np.ndarray:
+        """Array of independent uniform integers in [0, upper).
+
+        ``upper`` is one bound drawn ``size`` times, or an int array of
+        bounds with one draw below each.
+        """
+        if np.any(np.asarray(upper) <= 0):
             raise ValueError("upper must be positive")
-        return self._gen.integers(upper, size=size)
+        return self._gen.integers(0, upper, size=size)
 
     def standard_normal(self, size) -> np.ndarray:
         return self._gen.standard_normal(size)

@@ -26,13 +26,14 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .cardbox import (
     BoxState,
     Deck,
     Outcome,
     filter_deck,
     initial_state,
-    observe,
     outcome_distribution,
 )
 from .errors import (
@@ -40,8 +41,15 @@ from .errors import (
     InvariantError,
     SameVariableError,
     SingleVariableError,
+    ValidationError,
 )
 from .rng import RandomStream
+
+# Trials sampled at once; memory stays O(chunk * plan length) for any count.
+SIMULATE_CHUNK = 65_536
+# Largest trial count ``simulate_plan`` accepts; more fails before any draw.
+MAX_TRIALS = 10**8
+_INT64_MAX = np.iinfo(np.int64).max
 
 # A measurement plan is just an ordered tuple of variable names.
 MeasurementPlan = tuple[str, ...]
@@ -243,20 +251,81 @@ def pair_order_statistics(
     )
 
 
+def _chain_table(deck: Deck) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running card counts of every chain state, laid end to end.
+
+    State 0 is the full deck; state ``1 + a*N + x`` is the subdeck kept
+    after variable ``a`` showed value ``x``.  Row ``s`` holds that subdeck's
+    running multiplicities in canonical deck order, shifted up by the totals
+    of the rows before it, so one sorted array serves every state.  Returns
+    ``(flat, starts, totals)``: the rows end to end, each row's shift and
+    each state's subdeck total.
+    """
+    values, counts = deck.arrays
+    n = deck.spec.values_per_variable
+    keep = values.T[:, None, :] == np.arange(n)[:, None]  # (V, N, E)
+    weights = np.vstack([counts, (keep * counts).reshape(-1, len(counts))])
+    totals = weights.sum(axis=1)
+    starts = np.cumsum(totals) - totals
+    flat = (np.cumsum(weights, axis=1) + starts[:, None]).ravel()
+    return flat, starts, totals
+
+
 def simulate_plan(
     deck: Deck, plan: Sequence[str], trials: int, rng: RandomStream
 ) -> dict[tuple[Outcome, ...], int]:
-    """Seeded Monte Carlo runs of a plan; returns sequence counts."""
+    """Seeded Monte Carlo runs of a plan; returns sequence counts.
+
+    The subdeck is rebuilt from the full deck on every press, so the device
+    is a Markov chain on the last outcome (see :func:`_chain_table`).  Trials
+    run in chunks of at most ``SIMULATE_CHUNK``; each step makes one draw for
+    every trial of a chunk.  A trial picks uniformly below its state's
+    subdeck total and is shown the card whose running count first exceeds
+    the pick -- :func:`~dofcount.cardbox.observe`'s rule, in canonical deck
+    order.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"trials must be at most {MAX_TRIALS:,}, got {trials:,}")
+    if deck.is_empty:
+        raise EmptyDeckError("cannot simulate an empty deck")
     steps = _validate_plan(deck, plan)
-    counts: dict[tuple[Outcome, ...], int] = {}
-    for _ in range(trials):
-        state = initial_state(deck)
-        outcomes = []
-        for variable in steps:
-            outcome, state = observe(state, variable, rng)
-            outcomes.append(outcome)
-        key = tuple(outcomes)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    spec = deck.spec
+    if (1 + spec.num_variables) * deck.total > _INT64_MAX:
+        raise ValidationError(
+            f"deck total {deck.total} is too large to sample: "
+            f"(V+1) * total must stay below 2**63"
+        )
+    flat, starts, totals = _chain_table(deck)
+    values = deck.arrays[0]
+    n, width = spec.values_per_variable, len(deck.entries)
+    pressed = [spec.variable_index(variable) for variable in steps]
+    radix = n ** np.arange(len(steps)) if n ** len(steps) <= _INT64_MAX else None
+    runs: dict[tuple[int, ...], int] = {}
+    for done in range(0, trials, SIMULATE_CHUNK):
+        size = min(SIMULATE_CHUNK, trials - done)
+        state = np.zeros(size, dtype=np.int64)
+        shown = np.empty((size, len(steps)), dtype=np.int64)
+        for i, a in enumerate(pressed):
+            highs = totals[state]
+            picks = rng.integers_below(highs)
+            if np.any(picks >= highs):
+                raise InvariantError("a draw lies at or past its subdeck total")
+            cards = np.searchsorted(flat, starts[state] + picks, side="right") - state * width
+            shown[:, i] = values[cards, a]
+            state = 1 + a * n + shown[:, i]
+        if radix is None:
+            rows, hits = np.unique(shown, axis=0, return_counts=True)
+        else:  # one int64 code per run sorts far faster than rows
+            _, first, hits = np.unique(shown @ radix, return_index=True, return_counts=True)
+            rows = shown[first]
+        for row, hit in zip(map(tuple, rows.tolist()), hits.tolist()):
+            runs[row] = runs.get(row, 0) + hit
+    if sum(runs.values()) != trials:
+        raise InvariantError(f"simulated counts sum to {sum(runs.values())}, not {trials}")
+    labels = [spec.values_of(variable) for variable in steps]
+    return {
+        tuple(Outcome(v, labels[i][x]) for i, (v, x) in enumerate(zip(steps, row))): count
+        for row, count in runs.items()
+    }

@@ -208,9 +208,16 @@ def matrix_rank_exact(rows: Iterable[Sequence]) -> int:
 
 
 def matrix_rank_numeric(rows, tol: float = RANK_TOL) -> int:
-    """Numeric rank: singular values above ``tol`` times the largest."""
+    """Numeric rank: singular values above ``tol`` times the largest.
+
+    A float ndarray must be float64: at lower precision rounding noise
+    alone clears the default threshold.  List input is read at float64
+    precision.
+    """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "fc" and rows.real.dtype.itemsize < 8:
+        raise ValidationError(f"matrix dtype {rows.dtype} is narrower than float64")
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == float:
         matrix = rows  # no row list, no copy
     else:

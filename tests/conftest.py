@@ -4,7 +4,15 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from dofcount import Deck, SystemSpec, all_cards, cardbox_spec, uniform_deck
+from dofcount import (
+    Deck,
+    SystemSpec,
+    all_cards,
+    cardbox_spec,
+    initial_state,
+    observe,
+    uniform_deck,
+)
 
 settings.register_profile("default", max_examples=40, deadline=None)
 settings.register_profile("thorough", max_examples=200, deadline=None)
@@ -63,3 +71,22 @@ def joint_card_frequency(deck, a: str, x: str, b: str, y: str) -> Fraction:
         if card.value(a) == x and card.value(b) == y
     )
     return Fraction(matching, deck.total)
+
+
+def observe_sequence(deck, plan, rng):
+    """One seeded pass of the device over a plan, one ``observe`` per press."""
+    state = initial_state(deck)
+    outcomes = []
+    for variable in plan:
+        outcome, state = observe(state, variable, rng)
+        outcomes.append(outcome)
+    return tuple(outcomes)
+
+
+def simulate_by_presses(deck, plan, trials, rng):
+    """Independent sampler oracle: the literal per-trial ``observe`` loop."""
+    counts = {}
+    for _ in range(trials):
+        key = observe_sequence(deck, plan, rng)
+        counts[key] = counts.get(key, 0) + 1
+    return counts

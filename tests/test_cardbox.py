@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import deck_strategy, spec_strategy
+from conftest import deck_strategy, observe_sequence, spec_strategy
 from dofcount import (
     BoxState,
     Deck,
@@ -13,7 +14,6 @@ from dofcount import (
     filter_deck,
     initial_state,
     observe,
-    observe_sequence,
     outcome_distribution,
     uniform_deck,
     urn_as_cardbox,
@@ -91,6 +91,17 @@ class TestDeck:
         card = weighted_deck.entries[-1][0]
         assert card.values == ("Q", "S")
         assert weighted_deck.multiplicity(card) == 2
+
+    @given(deck=deck_strategy())
+    def test_integer_view_follows_entries(self, deck):
+        values, counts = deck.arrays
+        spec = deck.spec
+        assert values.shape == (len(deck.entries), spec.num_variables)
+        for row, count, (card, m) in zip(values.tolist(), counts.tolist(), deck.entries):
+            assert row == [spec.value_index(name, value) for name, value in card.items]
+            assert count == m
+        with pytest.raises(ValueError):
+            counts[0] = 0  # the cached view is read-only
 
 
 class TestFilterDeck:
@@ -288,6 +299,24 @@ class TestRandomStream:
         assert [a.randint_below(10**9) for _ in range(10)] != [
             b.randint_below(10**9) for _ in range(10)
         ]
+
+    def test_integers_below_scalar_bound_is_generator_draw(self):
+        expected = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=5, spawn_key=(2,)))
+        ).integers(7, size=20)
+        assert RandomStream(5, 2).integers_below(7, size=20).tolist() == expected.tolist()
+
+    def test_integers_below_array_bounds(self):
+        highs = np.array([1, 2, 3, 1000] * 50)
+        draws = RandomStream(9).integers_below(highs)
+        assert draws.shape == highs.shape
+        assert ((draws >= 0) & (draws < highs)).all()
+        assert (draws[highs == 1] == 0).all()
+
+    @pytest.mark.parametrize("upper", [0, -3, np.array([2, 0, 4])])
+    def test_integers_below_rejects_nonpositive_bounds(self, upper):
+        with pytest.raises(ValueError):
+            RandomStream(0).integers_below(upper, size=None if np.ndim(upper) else 3)
 
     def test_substream_matches_direct_construction(self):
         base = RandomStream(77)

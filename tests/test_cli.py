@@ -114,10 +114,29 @@ class TestSimulateCommand:
         assert len(lines) == 9
         assert all(line.endswith(" ok") for line in lines[1:])
 
+    def test_rerun_is_byte_identical(self, deck_file, capsys):
+        argv = ["simulate", "--deck", deck_file, "--plan", "Face,Suit,Face", "--seed", "11"]
+        outputs = []
+        for _ in range(2):
+            assert cli_main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_bad_trials(self, deck_file, capsys):
         assert cli_main(
             ["simulate", "--deck", deck_file, "--plan", "Suit", "--trials", "0"]
         ) == 1
+
+    def test_trials_above_cap_is_validation_error(self, deck_file, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew despite the trial cap")
+
+        monkeypatch.setattr("dofcount.rng.RandomStream.integers_below", no_draws)
+        argv = ["simulate", "--deck", deck_file, "--plan", "Suit", "--trials", str(10**8 + 1)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert "100,000,000" in captured.err
+        assert captured.out == ""
 
     def test_impossible_run_is_internal_error(self, deck_file, capsys, monkeypatch):
         # a sampler that reports a sequence the exact law gives probability 0

@@ -1,16 +1,19 @@
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import deck_strategy, joint_card_frequency
+from conftest import deck_strategy, joint_card_frequency, simulate_by_presses
 from dofcount import (
     BoxState,
     Deck,
     Outcome,
     RandomStream,
+    SystemSpec,
+    cardbox_spec,
     check_repeatability,
     filter_deck,
     find_classicality_witness,
@@ -21,10 +24,14 @@ from dofcount import (
 )
 from dofcount.errors import (
     EmptyDeckError,
+    InvariantError,
     SameVariableError,
     SingleVariableError,
     UnknownVariableError,
+    ValidationError,
 )
+from dofcount.sequences import MAX_TRIALS, SIMULATE_CHUNK
+from dofcount.tomography import random_deck_ensemble
 
 
 def outcomes(*pairs):
@@ -209,3 +216,97 @@ class TestSimulatePlan:
         a = simulate_plan(weighted_deck, ("Face", "Suit"), 200, RandomStream(6, 2))
         b = simulate_plan(weighted_deck, ("Face", "Suit"), 200, RandomStream(6, 2))
         assert a == b
+
+    def test_trial_cap_fails_before_any_draw(self, four_card_deck):
+        class NoDraws:
+            def integers_below(self, upper, size=None):
+                raise AssertionError("drew despite the trial cap")
+
+        with pytest.raises(ValidationError, match="100,000,000"):
+            simulate_plan(four_card_deck, ("Suit",), MAX_TRIALS + 1, NoDraws())
+
+    def test_draw_past_state_total(self, four_card_deck):
+        class OverflowStream:
+            def integers_below(self, upper, size=None):
+                return upper
+
+        with pytest.raises(InvariantError):
+            simulate_plan(four_card_deck, ("Face", "Suit"), 10, OverflowStream())
+
+    def test_deck_total_too_large_to_sample(self, four_card_spec):
+        deck = Deck.from_counts(four_card_spec, {("K", "S"): 2**62})
+        with pytest.raises(ValidationError, match="too large"):
+            simulate_plan(deck, ("Face",), 1, RandomStream(0))
+
+    @given(deck=deck_strategy(), data=st.data())
+    def test_support_and_total(self, deck, data):
+        names = deck.spec.variable_names
+        plan = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=5))
+        plan += data.draw(st.lists(st.sampled_from(plan), max_size=2))  # repeat switches
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        counts = simulate_plan(deck, plan, 300, RandomStream(seed))
+        assert sum(counts.values()) == 300
+        assert set(counts) <= set(sequence_distribution(deck, plan).probabilities)
+
+    @given(deck=deck_strategy(), data=st.data())
+    def test_immediate_repress_repeats(self, deck, data):
+        names = deck.spec.variable_names
+        plan = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
+        at = data.draw(st.integers(0, len(plan) - 1))
+        plan.insert(at, plan[at])
+        counts = simulate_plan(deck, plan, 200, RandomStream(data.draw(st.integers(0, 99))))
+        for run in counts:
+            assert run[at] == run[at + 1]
+
+    @pytest.mark.parametrize("trials", [SIMULATE_CHUNK - 1, SIMULATE_CHUNK, SIMULATE_CHUNK + 1])
+    def test_chunk_boundary_sums_and_reruns(self, weighted_deck, trials):
+        plan = ("Face", "Suit", "Face")
+        first = simulate_plan(weighted_deck, plan, trials, RandomStream(21, 3))
+        again = simulate_plan(weighted_deck, plan, trials, RandomStream(21, 3))
+        assert sum(first.values()) == trials
+        assert repr(list(first.items())) == repr(list(again.items()))
+
+    def test_plan_too_long_for_an_int64_run_code(self):
+        # 2**70 possible runs: counted by rows, not by one int64 code per run
+        deck = urn_deck([1, 3])
+        counts = simulate_plan(deck, ("Pos",) * 70, 4000, RandomStream(17))
+        assert sum(counts.values()) == 4000
+        assert {len({o.value for o in run}) for run in counts} == {1}
+        assert len(counts) == 2
+
+
+def _family_wise_within_bound(counts, exact, trials, alpha=1e-6):
+    """Every run's count within a Bonferroni-split two-sided normal bound.
+
+    One count of slack covers the rounding of a discrete count, as in the
+    benchmark's simulate oracle.
+    """
+    z = NormalDist().inv_cdf(1 - alpha / (2 * len(exact)))
+    assert set(counts) <= set(exact.probabilities)
+    for sequence, p in exact.items():
+        spread = z * math.sqrt(trials * float(p) * (1 - float(p)))
+        assert abs(counts.get(sequence, 0) - trials * float(p)) <= spread + 1
+
+
+def _bound_decks():
+    spec = SystemSpec.from_mapping({"Face": ["K", "Q"], "Suit": ["S", "H"]})
+    weighted = Deck.from_counts(spec, {("K", "S"): 1, ("K", "H"): 1, ("Q", "S"): 2})
+    three_by_three = random_deck_ensemble(cardbox_spec(3, 3), 1, 3, RandomStream(8))[0]
+    return [
+        (urn_deck([1, 2, 5]), ("Pos", "Pos")),
+        (weighted, ("Suit", "Face", "Suit")),
+        (three_by_three, ("var1", "var2", "var1")),
+        (three_by_three, ("var3", "var1", "var2")),
+    ]
+
+
+@pytest.mark.parametrize(
+    "sampler, trials, seed",
+    [(simulate_plan, 20_000, 31), (simulate_by_presses, 3_000, 32)],
+    ids=["chain", "press_loop"],
+)
+@pytest.mark.parametrize("index", range(4))
+def test_sampler_within_family_wise_bound(sampler, trials, seed, index):
+    deck, plan = _bound_decks()[index]
+    counts = sampler(deck, plan, trials, RandomStream(seed, index))
+    _family_wise_within_bound(counts, sequence_distribution(deck, plan), trials)

@@ -279,6 +279,14 @@ class TestMatrixRankNumeric:
         with pytest.raises(ValidationError):
             matrix_rank_numeric([[1.0]], tol=0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64])
+    def test_narrow_float_array_rejected(self, dtype):
+        # at float32 a rank-3 9x6 product reads as rank 6 against RANK_TOL
+        gen = np.random.Generator(np.random.PCG64(5))
+        matrix = gen.standard_normal((9, 3)) @ gen.standard_normal((3, 6))
+        with pytest.raises(ValidationError, match="narrower than float64"):
+            matrix_rank_numeric(matrix.astype(dtype))
+
     def test_float_array_matches_row_list(self):
         gen = np.random.Generator(np.random.PCG64(5))
         matrix = gen.standard_normal((9, 3)) @ gen.standard_normal((3, 6))
