@@ -16,7 +16,6 @@ from .cardbox import (
     SystemSpec,
     all_cards,
     cardbox_spec,
-    enumerate_decks,
     filter_deck,
     initial_state,
     observe,
@@ -52,7 +51,6 @@ from .sequences import (
 )
 from .tomography import (
     ExactRowBasis,
-    FiducialSet,
     KReport,
     estimate_k,
     estimate_k_cardbox,

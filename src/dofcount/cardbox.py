@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -210,26 +210,15 @@ class Deck:
         """Integer view: ``(E, V)`` value indices and ``(E,)`` multiplicities.
 
         Row ``e`` is ``entries[e]``, so rows keep the canonical deck order.
-        Both arrays are read-only.  Multiplicities must fit in int64.
+        Multiplicities stay exact Python ints (an object array) whatever
+        their size.  Both arrays are read-only.
         """
         values = np.array(
             [_card_sort_key(self.spec, card) for card, _ in self.entries], dtype=np.int64
         ).reshape(len(self.entries), self.spec.num_variables)
-        counts = np.array([count for _, count in self.entries], dtype=np.int64)
+        counts = np.array([count for _, count in self.entries], dtype=object)
         values.flags.writeable = counts.flags.writeable = False
         return values, counts
-
-    def multiplicity(self, card: Card) -> int:
-        for c, count in self.entries:
-            if c == card:
-                return count
-        return 0
-
-    def scaled(self, factor: int) -> "Deck":
-        """Deck with every multiplicity multiplied by a positive integer."""
-        if factor < 1:
-            raise ValidationError("scale factor must be a positive integer")
-        return Deck(self.spec, tuple((c, m * factor) for c, m in self.entries))
 
 
 def _check_card(spec: SystemSpec, card: Card) -> None:
@@ -381,21 +370,3 @@ def cardbox_spec(num_values: int, num_variables: int) -> SystemSpec:
     return SystemSpec(
         tuple((f"var{i + 1}", values) for i in range(num_variables))
     )
-
-
-def enumerate_decks(spec: SystemSpec, max_multiplicity: int) -> Iterator[Deck]:
-    """All decks whose per-card multiplicities lie in {0..max_multiplicity}.
-
-    Skips the empty deck.  There are (max_multiplicity+1)**(N**V) - 1 of
-    them, so only call this at desk scale.
-    """
-    if max_multiplicity < 1:
-        raise ValidationError("max_multiplicity must be at least 1")
-    cards = all_cards(spec)
-    for mults in itertools.product(range(max_multiplicity + 1), repeat=len(cards)):
-        if not any(mults):
-            continue
-        entries = tuple(
-            (card, mult) for card, mult in zip(cards, mults) if mult
-        )
-        yield Deck(spec, entries)

@@ -4,14 +4,15 @@ Subcommands:
 
 * ``simulate`` -- seeded Monte Carlo runs of a plan vs the exact law
 * ``sequence`` -- exact outcome-sequence distribution as fractions
-* ``witness``  -- search a deck for a static-value-model refutation
+* ``witness``  -- the first static-value-model refutation of a deck
 * ``rank``     -- one K measurement for an urn / card-box / quantum system
 * ``sweep``    -- K table over (N, V) ranges, written as CSV or JSON
 
 Exit codes: 0 success, 1 usage error, 2 input-validation error, 3 internal
-invariant failure.  ``--seed`` falls back to the ``DOFCOUNT_SEED``
-environment variable, then to 0; output is byte-identical for identical
-arguments and seed.
+invariant failure; the console entry exits 141 without a traceback when
+the reader closes stdout early.  ``--seed`` falls back to the
+``DOFCOUNT_SEED`` environment variable, then to 0; output is byte-identical
+for identical arguments and seed.
 """
 
 from __future__ import annotations
@@ -290,4 +291,12 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): stop quietly, and point
+        # stdout at devnull so the interpreter's final flush fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # what a shell reports for a process ended by SIGPIPE
+    raise SystemExit(code)

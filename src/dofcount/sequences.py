@@ -14,8 +14,12 @@ each machine-checkable:
   one positive-probability run of that shape refutes all static-value joint
   models (``find_classicality_witness``).
 
-Ground truth is computed by exact recursive expansion of the outcome tree
-with rational arithmetic; Monte Carlo enters only through
+The subdeck is rebuilt from the full deck on every press, so the device is
+a Markov chain on the last (variable, value) shown.  Every result here
+comes from one statement of that chain, the per-card weights of each chain
+state (:func:`_chain_weights`) and the pair counts built from them
+(:func:`_pair_counts`).  Ground truth is the exact chain product in integer
+arithmetic, one ``Fraction`` per run; Monte Carlo enters only through
 ``simulate_plan``, which is there to be checked against the exact values.
 """
 
@@ -23,19 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Mapping, Sequence
+from itertools import permutations, product
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cardbox import (
-    BoxState,
-    Deck,
-    Outcome,
-    filter_deck,
-    initial_state,
-    outcome_distribution,
-)
+from .cardbox import Deck, Outcome
 from .errors import (
     EmptyDeckError,
     InvariantError,
@@ -49,18 +46,12 @@ from .rng import RandomStream
 SIMULATE_CHUNK = 65_536
 # Largest trial count ``simulate_plan`` accepts; more fails before any draw.
 MAX_TRIALS = 10**8
+# Most positive-probability runs ``sequence_distribution`` will expand.
+MAX_SEQUENCES = 2**18
 _INT64_MAX = np.iinfo(np.int64).max
 
 # A measurement plan is just an ordered tuple of variable names.
 MeasurementPlan = tuple[str, ...]
-
-# Maps (state, variable, observed value) to the next state.  The default is
-# the device's own law; tests inject broken laws as negative controls.
-UpdateRule = Callable[[BoxState, str, str], BoxState]
-
-
-def _rebuild_from_full_deck(state: BoxState, variable: str, value: str) -> BoxState:
-    return BoxState(state.deck, filter_deck(state.deck, variable, value))
 
 
 @dataclass(frozen=True)
@@ -93,39 +84,91 @@ def _validate_plan(deck: Deck, plan: Sequence[str]) -> MeasurementPlan:
     return steps
 
 
-def sequence_distribution(
-    deck: Deck,
-    plan: Sequence[str],
-    *,
-    update_rule: UpdateRule | None = None,
-) -> SequenceDistribution:
+def _chain_weights(deck: Deck) -> np.ndarray:
+    """Per-card multiplicities of every chain state, exact Python ints.
+
+    State 0 is the full deck; state ``1 + a*N + x`` is the subdeck kept
+    after variable ``a`` showed value ``x``.  Row ``s`` of the
+    ``(1 + V*N, E)`` object array gives each card's multiplicity in that
+    state's subdeck, in canonical deck order (0 for cards it leaves out).
+    """
+    values, counts = deck.arrays
+    n = deck.spec.values_per_variable
+    keep = values.T[:, None, :] == np.arange(n)[:, None]  # (V, N, E)
+    return np.vstack([counts, (keep * counts).reshape(-1, len(counts))])
+
+
+def _pair_counts(deck: Deck) -> list[list[int]]:
+    """``C[a*N + x][b*N + y]``: multiplicity of the cards showing a=x and b=y.
+
+    Row ``a*N + x`` is state ``1 + a*N + x``'s weights summed over the cards
+    of each value of each variable, so diagonal blocks hold the single
+    counts: ``C[a*N + x][a*N + x] = n_a(x)``.  Pressing ``b`` in that state
+    shows ``y`` with probability ``C[a*N + x][b*N + y] / n_a(x)``.
+    """
+    weights = _chain_weights(deck)[1:]
+    return (weights @ (weights > 0).T).tolist()
+
+
+def _support_size(pairs: list[list[int]], rows: list[int], n: int) -> int:
+    """Number of positive-probability runs, one integer pass over ``C > 0``."""
+    first = rows[0]
+    live = [int(pairs[first + x][first + x] > 0) for x in range(n)]
+    for prev, cur in zip(rows, rows[1:]):
+        live = [
+            sum(live[x] for x in range(n) if pairs[prev + x][cur + y]) for y in range(n)
+        ]
+    return sum(live)
+
+
+def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistribution:
     """Exact distribution of the outcome sequence for ``plan``.
 
-    Expands the outcome tree: the probability of a sequence is the product
-    of each step's exact outcome probability given the state evolved
-    through the preceding steps.
+    With ``C`` the pair counts of :func:`_pair_counts`, a run has the chain
+    product ``n_a1(x1)/total * prod C[a_i x_i, a_(i+1) x_(i+1)] / n_(a_i)(x_i)``.
+    Runs are expanded depth first in value order, carrying the product's
+    integer numerator and denominator down the path, and each leaf makes
+    one ``Fraction``.  More than ``MAX_SEQUENCES`` positive-probability runs
+    raise ``ValidationError`` before any expansion.
     """
     if deck.is_empty:
         raise EmptyDeckError("cannot compute sequence statistics for an empty deck")
     steps = _validate_plan(deck, plan)
-    evolve = update_rule if update_rule is not None else _rebuild_from_full_deck
+    spec = deck.spec
+    n = spec.values_per_variable
+    pairs = _pair_counts(deck)
+    rows = [spec.variable_index(variable) * n for variable in steps]
+    size = _support_size(pairs, rows, n)
+    if size > MAX_SEQUENCES:
+        raise ValidationError(
+            f"plan has {size:,} possible outcome sequences, more than the "
+            f"limit of {MAX_SEQUENCES:,}"
+        )
+    shown = [[Outcome(variable, label) for label in spec.values_of(variable)] for variable in steps]
+    last = len(steps) - 1
+    first = rows[0]
+    # (step, value, numerator, denominator); popped in value order
+    stack = [
+        (0, x, pairs[first + x][first + x], deck.total)
+        for x in reversed(range(n))
+        if pairs[first + x][first + x]
+    ]
+    path: list[Outcome] = []
     probabilities: dict[tuple[Outcome, ...], Fraction] = {}
-
-    def expand(state: BoxState, prefix: tuple[Outcome, ...], weight: Fraction) -> None:
-        if len(prefix) == len(steps):
-            probabilities[prefix] = probabilities.get(prefix, Fraction(0)) + weight
-            return
-        variable = steps[len(prefix)]
-        for value, p in outcome_distribution(state, variable).items():
-            if p == 0:
-                continue
-            expand(
-                evolve(state, variable, value),
-                prefix + (Outcome(variable, value),),
-                weight * p,
-            )
-
-    expand(initial_state(deck), (), Fraction(1))
+    while stack:
+        i, x, numerator, denominator = stack.pop()
+        del path[i:]
+        path.append(shown[i][x])
+        if i == last:
+            probabilities[tuple(path)] = Fraction(numerator, denominator)
+            continue
+        row, ahead = pairs[rows[i] + x], rows[i + 1]
+        denominator *= row[rows[i] + x]
+        for y in reversed(range(n)):
+            if row[ahead + y]:
+                stack.append((i + 1, y, numerator * row[ahead + y], denominator))
+    if len(probabilities) != size:
+        raise InvariantError(f"expanded {len(probabilities)} sequences, expected {size}")
     total = sum(probabilities.values())
     if total != 1:
         raise InvariantError(f"sequence probabilities sum to {total}, not 1")
@@ -145,9 +188,7 @@ class RepeatabilityResult:
         return self.passed
 
 
-def check_repeatability(
-    deck: Deck, *, update_rule: UpdateRule | None = None
-) -> RepeatabilityResult:
+def check_repeatability(deck: Deck) -> RepeatabilityResult:
     """Audit every variable: an immediate re-press must repeat the value.
 
     Passes iff for each variable v the exact [v, v] distribution puts zero
@@ -156,7 +197,7 @@ def check_repeatability(
     if deck.is_empty:
         raise EmptyDeckError("cannot audit an empty deck")
     for variable in deck.spec.variable_names:
-        dist = sequence_distribution(deck, (variable, variable), update_rule=update_rule)
+        dist = sequence_distribution(deck, (variable, variable))
         for (first, second), p in dist.items():
             if first.value != second.value:
                 return RepeatabilityResult(
@@ -182,55 +223,50 @@ class ClassicalityWitness:
     violated_constraint: str
 
 
-def _contradictory_repeat(
-    sequence: tuple[Outcome, ...]
-) -> tuple[int, int] | None:
-    last_seen: dict[str, int] = {}
-    for j, outcome in enumerate(sequence):
-        i = last_seen.get(outcome.variable)
-        if i is not None and sequence[i].value != outcome.value:
-            return i, j
-        last_seen[outcome.variable] = j
-    return None
+def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
+    """First run ``a=x, b=y, a=z`` with ``z != x`` and positive probability.
 
-
-def find_classicality_witness(
-    deck: Deck, max_length: int = 3
-) -> ClassicalityWitness | None:
-    """Search short plans for a contradictory repeat.
-
-    The subdeck is rebuilt from the full deck on every press, so any
-    refutation the device can exhibit already shows up by length 3
-    (variable, other variable, variable again); longer plans add nothing.
-    Returns None when the deck genuinely admits no witness.
+    Closed form on the pair counts ``C`` of :func:`_pair_counts`: scan the
+    pairs ``a != b`` in variable order, then ``(x, y, z)`` in value order,
+    and return the first with ``C_ab[x, y] * C_ba[y, z] > 0``.  Its
+    probability is ``C_ab[x, y] * C_ba[y, z] / (total * n_b(y))``.  A
+    witness exists iff some value of some ``b`` occurs on cards with two
+    different values of some ``a``.  Longer plans add nothing: without such
+    a value, every value shown fixes the value of every other variable on
+    all cards of the next subdeck, so no later press can contradict an
+    earlier one (the tests check this against all plans up to length 4).
+    Returns None when the deck admits none.
     """
     if deck.is_empty:
         raise EmptyDeckError("cannot search an empty deck")
-    if deck.spec.num_variables < 2:
+    spec = deck.spec
+    if spec.num_variables < 2:
         raise SingleVariableError(
             "a single-variable (urn) system cannot produce a contradictory repeat"
         )
-    if not 2 <= max_length <= 3:
-        raise ValueError("witness search depth must be 2 or 3")
-    names = deck.spec.variable_names
-    for length in range(2, max_length + 1):
-        for plan in product(names, repeat=length):
-            if len(set(plan)) == len(plan):
-                continue  # no variable repeats, nothing to contradict
-            dist = sequence_distribution(deck, plan)
-            for sequence, p in dist.items():
-                hit = _contradictory_repeat(sequence)
-                if hit is None:
-                    continue
-                i, j = hit
-                description = (
-                    f"variable {sequence[i].variable!r} observed as "
-                    f"{sequence[i].value!r} at step {i + 1} and "
-                    f"{sequence[j].value!r} at step {j + 1}"
-                )
-                return ClassicalityWitness(
-                    sequence=sequence, probability=p, violated_constraint=description
-                )
+    n = spec.values_per_variable
+    pairs = _pair_counts(deck)
+    for a, b in permutations(range(spec.num_variables), 2):
+        for x, y, z in product(range(n), repeat=3):
+            if z == x:
+                continue
+            hits = pairs[a * n + x][b * n + y] * pairs[b * n + y][a * n + z]
+            if not hits:
+                continue
+            (name_a, labels_a), (name_b, labels_b) = spec.variables[a], spec.variables[b]
+            description = (
+                f"variable {name_a!r} observed as {labels_a[x]!r} at step 1 and "
+                f"{labels_a[z]!r} at step 3"
+            )
+            return ClassicalityWitness(
+                sequence=(
+                    Outcome(name_a, labels_a[x]),
+                    Outcome(name_b, labels_b[y]),
+                    Outcome(name_a, labels_a[z]),
+                ),
+                probability=Fraction(hits, deck.total * pairs[b * n + y][b * n + y]),
+                violated_constraint=description,
+            )
     return None
 
 
@@ -254,17 +290,13 @@ def pair_order_statistics(
 def _chain_table(deck: Deck) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Running card counts of every chain state, laid end to end.
 
-    State 0 is the full deck; state ``1 + a*N + x`` is the subdeck kept
-    after variable ``a`` showed value ``x``.  Row ``s`` holds that subdeck's
+    Row ``s`` holds chain state ``s``'s (see :func:`_chain_weights`)
     running multiplicities in canonical deck order, shifted up by the totals
     of the rows before it, so one sorted array serves every state.  Returns
     ``(flat, starts, totals)``: the rows end to end, each row's shift and
     each state's subdeck total.
     """
-    values, counts = deck.arrays
-    n = deck.spec.values_per_variable
-    keep = values.T[:, None, :] == np.arange(n)[:, None]  # (V, N, E)
-    weights = np.vstack([counts, (keep * counts).reshape(-1, len(counts))])
+    weights = _chain_weights(deck).astype(np.int64)
     totals = weights.sum(axis=1)
     starts = np.cumsum(totals) - totals
     flat = (np.cumsum(weights, axis=1) + starts[:, None]).ravel()

@@ -59,33 +59,6 @@ from .quantum import (
 from .rng import RandomStream
 
 
-@dataclass(frozen=True)
-class FiducialSet:
-    """Column labels of a probability matrix: (variable/basis idx, value idx)."""
-
-    labels: tuple[tuple[int, int], ...]
-    block_size: int
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @classmethod
-    def for_cardbox(cls, spec: SystemSpec) -> "FiducialSet":
-        n = spec.values_per_variable
-        labels = tuple(
-            (i, j) for i in range(spec.num_variables) for j in range(n)
-        )
-        return cls(labels, n)
-
-    @classmethod
-    def for_quantum(cls, dimension: int, num_bases: int) -> "FiducialSet":
-        labels = tuple(
-            (m, k) for m in range(num_bases) for k in range(dimension)
-        )
-        return cls(labels, dimension)
-
-
 def fiducial_vector_cardbox(deck: Deck) -> tuple[Fraction, ...]:
     """Exact probabilities of every value of every variable, spec order."""
     state = initial_state(deck)
@@ -164,19 +137,15 @@ class ExactRowBasis:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def _reduce(self, row: Sequence) -> list[Fraction]:
-        if len(row) != self.width:
-            raise RaggedMatrixError(f"row has {len(row)} entries, expected {self.width}")
-        out = [Fraction(x) for x in row]
-        for col, pivot_row in self._pivots:
-            factor = out[col]
-            if factor:
-                out = [a - factor * b for a, b in zip(out, pivot_row)]
-        return out
-
     def add(self, row: Sequence) -> bool:
         """Insert a row; returns True iff it enlarged the span."""
-        reduced = self._reduce(row)
+        if len(row) != self.width:
+            raise RaggedMatrixError(f"row has {len(row)} entries, expected {self.width}")
+        reduced = [Fraction(x) for x in row]
+        for col, pivot_row in self._pivots:
+            factor = reduced[col]
+            if factor:
+                reduced = [a - factor * b for a, b in zip(reduced, pivot_row)]
         for col, x in enumerate(reduced):
             if x:
                 normalized = [a / x for a in reduced]
@@ -190,10 +159,6 @@ class ExactRowBasis:
                 self._pivots.sort(key=lambda p: p[0])
                 return True
         return False
-
-    def contains(self, row: Sequence) -> bool:
-        """True iff the row already lies in the span."""
-        return not any(self._reduce(row))
 
 
 def matrix_rank_exact(rows: Iterable[Sequence]) -> int:

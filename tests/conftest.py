@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,12 +6,16 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from dofcount import (
+    BoxState,
     Deck,
+    Outcome,
     SystemSpec,
     all_cards,
     cardbox_spec,
+    filter_deck,
     initial_state,
     observe,
+    outcome_distribution,
     uniform_deck,
 )
 
@@ -35,6 +40,14 @@ def weighted_deck(four_card_spec):
     """KS:1, KH:1, QS:2 -- unequal marginals, a duplicated card type."""
     return Deck.from_counts(
         four_card_spec, {("K", "S"): 1, ("K", "H"): 1, ("Q", "S"): 2}
+    )
+
+
+@pytest.fixture
+def huge_deck(four_card_spec):
+    """Multiplicities past int64, with a missing card so a witness has odd odds."""
+    return Deck.from_counts(
+        four_card_spec, {("K", "S"): 2**70, ("K", "H"): 3, ("Q", "S"): 2**70 + 5}
     )
 
 
@@ -90,3 +103,71 @@ def simulate_by_presses(deck, plan, trials, rng):
         key = observe_sequence(deck, plan, rng)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def enumerate_decks(spec, max_multiplicity):
+    """Literal-enumeration oracle: every nonempty deck with multiplicities <= max."""
+    cards = all_cards(spec)
+    for mults in itertools.product(range(max_multiplicity + 1), repeat=len(cards)):
+        if any(mults):
+            yield Deck(spec, tuple((card, m) for card, m in zip(cards, mults) if m))
+
+
+def rebuild_from_full_deck(state, variable, value):
+    """The device's own update: the next subdeck comes from the full deck."""
+    return BoxState(state.deck, filter_deck(state.deck, variable, value))
+
+
+def tree_sequence_distribution(deck, plan, update_rule=rebuild_from_full_deck):
+    """Independent oracle: the literal outcome tree, one state per node.
+
+    Each node presses the next switch on its own ``BoxState`` and moves to
+    ``update_rule(state, variable, value)``; negative controls inject broken
+    rules.  Returns the positive-probability runs, depth first in value order.
+    """
+    probabilities = {}
+
+    def expand(state, prefix, weight):
+        if len(prefix) == len(plan):
+            probabilities[prefix] = probabilities.get(prefix, Fraction(0)) + weight
+            return
+        variable = plan[len(prefix)]
+        for value, p in outcome_distribution(state, variable).items():
+            if p:
+                expand(
+                    update_rule(state, variable, value),
+                    prefix + (Outcome(variable, value),),
+                    weight * p,
+                )
+
+    expand(initial_state(deck), (), Fraction(1))
+    return probabilities
+
+
+def contradictory_repeat(run):
+    """Steps ``(i, j)`` where a variable is shown twice with different values."""
+    last_seen = {}
+    for j, outcome in enumerate(run):
+        i = last_seen.get(outcome.variable)
+        if i is not None and run[i].value != outcome.value:
+            return i, j
+        last_seen[outcome.variable] = j
+    return None
+
+
+def brute_force_witness(deck, max_length):
+    """Independent oracle: the first contradictory run of any plan up to a length.
+
+    Plans go by length, then in variable order; runs in the tree oracle's
+    order.  Returns ``(run, probability, (i, j))`` or None.
+    """
+    names = deck.spec.variable_names
+    for length in range(2, max_length + 1):
+        for plan in itertools.product(names, repeat=length):
+            if len(set(plan)) == len(plan):
+                continue  # no variable repeats, nothing to contradict
+            for run, p in tree_sequence_distribution(deck, plan).items():
+                hit = contradictory_repeat(run)
+                if hit is not None:
+                    return run, p, hit
+    return None

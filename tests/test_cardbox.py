@@ -90,7 +90,7 @@ class TestDeck:
     def test_multiplicity_lookup(self, weighted_deck):
         card = weighted_deck.entries[-1][0]
         assert card.values == ("Q", "S")
-        assert weighted_deck.multiplicity(card) == 2
+        assert dict(weighted_deck.entries)[card] == 2
 
     @given(deck=deck_strategy())
     def test_integer_view_follows_entries(self, deck):

@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,6 +153,38 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert "impossible" in captured.err
         assert captured.out == ""
+
+
+# 2**20 possible runs on the four-card deck, past the support limit
+LONG_PLAN = ",".join(["Suit", "Face"] * 10)
+
+
+@pytest.mark.parametrize("command", ["sequence", "simulate"])
+def test_support_limit_is_validation_error(deck_file, capsys, command):
+    assert cli_main([command, "--deck", deck_file, "--plan", LONG_PLAN]) == 2
+    captured = capsys.readouterr()
+    assert "262,144" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["sequence"], ["simulate", "--trials", "100"]])
+def test_closed_pipe_exits_quietly(deck_file, command):
+    # 16,384 output lines outgrow the pipe buffer, so the writer meets the closed end
+    plan = ",".join(["Suit", "Face"] * 7)
+    src = str(Path(dofcount.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dofcount", *command, "--deck", deck_file, "--plan", plan],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in stderr
 
 
 def test_package_has_no_assert_statements():

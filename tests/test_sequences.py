@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import deck_strategy, joint_card_frequency, simulate_by_presses
+from conftest import (
+    brute_force_witness,
+    deck_strategy,
+    joint_card_frequency,
+    simulate_by_presses,
+    tree_sequence_distribution,
+)
 from dofcount import (
     BoxState,
     Deck,
@@ -30,7 +36,13 @@ from dofcount.errors import (
     UnknownVariableError,
     ValidationError,
 )
-from dofcount.sequences import MAX_TRIALS, SIMULATE_CHUNK
+from dofcount.sequences import (
+    MAX_SEQUENCES,
+    MAX_TRIALS,
+    SIMULATE_CHUNK,
+    _pair_counts,
+    _support_size,
+)
 from dofcount.tomography import random_deck_ensemble
 
 
@@ -84,6 +96,36 @@ class TestSequenceDistribution:
         assert sum(p for _, p in dist.items()) == Fraction(1)
         assert all(p > 0 for _, p in dist.items())
 
+    @given(deck=deck_strategy(), data=st.data())
+    def test_matches_tree_oracle_in_order(self, deck, data):
+        names = deck.spec.variable_names
+        plan = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
+        if data.draw(st.booleans()):  # press some switch twice in a row
+            at = data.draw(st.integers(0, len(plan) - 1))
+            plan.insert(at, plan[at])
+        chain = sequence_distribution(deck, plan)
+        assert list(chain.items()) == list(tree_sequence_distribution(deck, plan).items())
+
+    def test_huge_multiplicities_stay_exact(self, huge_deck):
+        plan = ("Suit", "Face", "Suit", "Suit", "Face")
+        chain = sequence_distribution(huge_deck, plan)
+        assert list(chain.items()) == list(tree_sequence_distribution(huge_deck, plan).items())
+
+    def test_support_limit_fails_before_expansion(self, four_card_deck, monkeypatch):
+        def no_leaves(*args):
+            raise AssertionError("expanded despite the support limit")
+
+        monkeypatch.setattr("dofcount.sequences.Fraction", no_leaves)
+        plan = ("Suit", "Face") * 10  # 2**20 possible runs
+        with pytest.raises(ValidationError, match=f"{MAX_SEQUENCES:,}"):
+            sequence_distribution(four_card_deck, plan)
+
+    def test_support_size_is_exact_at_the_limit(self, four_card_deck, weighted_deck):
+        rows = [2 * (i % 2) for i in range(18)]  # Face, Suit, ... on N=2
+        assert _support_size(_pair_counts(four_card_deck), rows, 2) == MAX_SEQUENCES
+        # weighted: no QH card, so Face=Q forces Suit=S
+        assert _support_size(_pair_counts(weighted_deck), [0, 2], 2) == 3
+
 
 def _narrow_from_subdeck(state, variable, value):
     # broken law A: narrows the current subdeck instead of the full deck;
@@ -94,6 +136,16 @@ def _narrow_from_subdeck(state, variable, value):
 def _skip_update(state, variable, value):
     # broken law B: never filters at all; repeats become random
     return state
+
+
+def _repeat_counterexample(deck, update_rule):
+    """A differing immediate re-press under ``update_rule``, on the tree oracle."""
+    for variable in deck.spec.variable_names:
+        runs = tree_sequence_distribution(deck, (variable, variable), update_rule)
+        for (first, second), p in runs.items():
+            if first.value != second.value:
+                return first, second, p
+    return None
 
 
 class TestCheckRepeatability:
@@ -107,19 +159,60 @@ class TestCheckRepeatability:
 
     @given(deck=deck_strategy())
     def test_negative_control_narrowing_still_passes(self, deck):
-        assert check_repeatability(deck, update_rule=_narrow_from_subdeck).passed
+        assert _repeat_counterexample(deck, _narrow_from_subdeck) is None
 
     def test_negative_control_skipping_update_fails(self, four_card_deck):
-        result = check_repeatability(four_card_deck, update_rule=_skip_update)
-        assert not result.passed
-        first, second = result.outcomes
-        assert first.variable == second.variable == result.variable
+        first, second, p = _repeat_counterexample(four_card_deck, _skip_update)
+        assert first.variable == second.variable
         assert first.value != second.value
-        assert result.probability > 0
+        assert p > 0
+
+    @pytest.mark.parametrize("broken", [_narrow_from_subdeck, _skip_update])
+    def test_broken_laws_differ_from_the_chain(self, four_card_deck, broken):
+        # the oracle equality above has teeth: each broken law changes the runs
+        plan = ("Suit", "Suit", "Face", "Suit")
+        chain = sequence_distribution(four_card_deck, plan)
+        assert tree_sequence_distribution(four_card_deck, plan) == chain.probabilities
+        assert tree_sequence_distribution(four_card_deck, plan, broken) != chain.probabilities
 
     def test_empty_deck(self, four_card_spec):
         with pytest.raises(EmptyDeckError):
             check_repeatability(Deck.from_counts(four_card_spec, {}))
+
+
+@st.composite
+def witness_free_decks(draw):
+    """Decks on which every value of a variable fixes every other variable.
+
+    Card ``x`` shows ``perm_i[x]`` on variable ``i``, so no value co-occurs
+    with two values of another variable.
+    """
+    n, v = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    spec = cardbox_spec(n, v)
+    perms = [draw(st.permutations(range(n))) for _ in range(v)]
+    mults = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    cards = {
+        tuple(spec.variables[i][1][perms[i][x]] for i in range(v)): m
+        for x, m in enumerate(mults)
+        if m
+    }
+    return Deck.from_counts(spec, cards)
+
+
+def _assert_matches_search(deck):
+    """Closed-form witness equals the first hit of a search up to length 4."""
+    witness = find_classicality_witness(deck)
+    found = brute_force_witness(deck, 4)
+    if found is None:
+        assert witness is None
+        return
+    run, p, (i, j) = found
+    assert witness is not None
+    assert (witness.sequence, witness.probability) == (run, p)
+    assert witness.violated_constraint == (
+        f"variable {run[i].variable!r} observed as {run[i].value!r} at step {i + 1} "
+        f"and {run[j].value!r} at step {j + 1}"
+    )
 
 
 class TestClassicalityWitness:
@@ -142,16 +235,26 @@ class TestClassicalityWitness:
         with pytest.raises(SingleVariableError):
             find_classicality_witness(urn_deck([1, 2]))
 
-    def test_search_depth_is_capped(self, four_card_deck):
-        with pytest.raises(ValueError):
-            find_classicality_witness(four_card_deck, max_length=5)
-
     def test_witness_probability_matches_sequence_distribution(self, weighted_deck):
         witness = find_classicality_witness(weighted_deck)
         assert witness is not None
         plan = tuple(o.variable for o in witness.sequence)
         dist = sequence_distribution(weighted_deck, plan)
         assert dist.probability(witness.sequence) == witness.probability
+
+    @given(deck=deck_strategy(min_variables=2, max_values=3))
+    def test_matches_search_over_plans_up_to_length_four(self, deck):
+        _assert_matches_search(deck)
+
+    @given(deck=witness_free_decks())
+    def test_witness_free_decks_match_the_search(self, deck):
+        assert find_classicality_witness(deck) is None
+        _assert_matches_search(deck)
+
+    def test_huge_multiplicities_stay_exact(self, huge_deck):
+        witness = find_classicality_witness(huge_deck)
+        assert witness.probability.denominator > 2**70
+        _assert_matches_search(huge_deck)
 
 
 class TestPairOrderStatistics:
