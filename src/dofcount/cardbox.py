@@ -236,8 +236,29 @@ def _card_sort_key(spec: SystemSpec, card: Card) -> tuple[int, ...]:
     )
 
 
+MAX_CARD_TYPES = 2**12
+
+
+def card_type_count(num_values: int, num_variables: int) -> int:
+    """``num_values ** num_variables``, the number of possible card types.
+
+    Raises ``ValidationError`` above ``MAX_CARD_TYPES``, before any work
+    that grows with it, and without computing a power it would refuse.
+    """
+    count = 1
+    for _ in range(num_variables):
+        count *= num_values
+        if count > MAX_CARD_TYPES:
+            raise ValidationError(
+                f"N**V = {num_values}**{num_variables} card types exceed the "
+                f"limit MAX_CARD_TYPES = {MAX_CARD_TYPES:,}"
+            )
+    return count
+
+
 def all_cards(spec: SystemSpec) -> list[Card]:
     """Every possible card type, in canonical (lexicographic) order."""
+    card_type_count(spec.values_per_variable, spec.num_variables)
     names = spec.variable_names
     pools = [values for _, values in spec.variables]
     return [

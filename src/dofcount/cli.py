@@ -18,7 +18,9 @@ for identical arguments and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import json
 import math
 import os
 import sys
@@ -31,7 +33,12 @@ from .rng import RandomStream
 from .sequences import find_classicality_witness, sequence_distribution, simulate_plan
 from .tomography import KReport, estimate_k, k_sweep
 
-CSV_HEADER = "kind,N,V_or_M,K_rank,K_naive,K_paper,ensemble,saturated,seed"
+# Report columns: every KReport field, in field order, under its output name.
+_RENAMED = {
+    "n": "N", "v_or_m": "V_or_M", "k_rank": "K_rank", "k_naive": "K_naive", "k_paper": "K_paper"
+}
+_COLUMNS = tuple((f.name, _RENAMED.get(f.name, f.name)) for f in dataclasses.fields(KReport))
+CSV_HEADER = ",".join(label for _, label in _COLUMNS)
 
 
 class UsageError(DofcountError):
@@ -43,40 +50,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def render_csv(reports: list[KReport]) -> str:
     lines = [CSV_HEADER]
     for r in reports:
-        saturated = "true" if r.saturated else "false"
-        lines.append(
-            f"{r.kind},{r.n},{r.v_or_m},{r.k_rank},{r.k_naive},{r.k_paper},"
-            f"{r.ensemble},{saturated},{r.seed}"
-        )
+        lines.append(",".join(_csv_cell(getattr(r, name)) for name, _ in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def render_json(reports: list[KReport]) -> str:
-    import json
-
-    return (
-        json.dumps(
-            [
-                {
-                    "kind": r.kind,
-                    "N": r.n,
-                    "V_or_M": r.v_or_m,
-                    "K_rank": r.k_rank,
-                    "K_naive": r.k_naive,
-                    "K_paper": r.k_paper,
-                    "ensemble": r.ensemble,
-                    "saturated": r.saturated,
-                    "seed": r.seed,
-                }
-                for r in reports
-            ],
-            indent=2,
-        )
-        + "\n"
-    )
+    rows = [{label: getattr(r, name) for name, label in _COLUMNS} for r in reports]
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def _resolve_seed(value: int | None) -> int:

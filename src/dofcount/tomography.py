@@ -19,16 +19,18 @@ Two counts are always reported side by side:
 
 Both counts grow with the number of variables V at fixed N, which is the
 point: K is not a function of N alone.  Classical ranks are computed with
-exact rational Gaussian elimination (no tolerances); quantum ranks use an
-SVD threshold.
+fraction-free integer Gaussian elimination on count rows (no tolerances);
+quantum ranks use an SVD threshold.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .cardbox import (
     Deck,
     SystemSpec,
     all_cards,
+    card_type_count,
     cardbox_spec,
     initial_state,
     outcome_distribution,
@@ -43,6 +46,7 @@ from .cardbox import (
 )
 from .errors import (
     DimensionMismatchError,
+    InvariantError,
     NonFiniteError,
     RaggedMatrixError,
     ValidationError,
@@ -96,6 +100,50 @@ def fiducial_matrix_quantum(psi: np.ndarray, observables: ObservableSet) -> np.n
     return rows
 
 
+_INT64_MAX = 2**63 - 1
+_DRAW_BLOCK = 2**16  # multiplicities drawn per call: bounds memory whatever the ensemble
+
+
+def _check_draw_limits(num_values: int, num_variables: int, max_multiplicity: int) -> int:
+    """Card types of a random-deck draw, once every limit on it is checked.
+
+    A deck's total is at most ``max_multiplicity * N**V``; it must fit in
+    int64, which then bounds every multiplicity, value count and draw bound.
+    """
+    if max_multiplicity < 1:
+        raise ValidationError("max_multiplicity must be at least 1")
+    types = card_type_count(num_values, num_variables)
+    if max_multiplicity * types > _INT64_MAX:
+        raise ValidationError(
+            f"max_multiplicity * N**V = {max_multiplicity} * {types} exceeds the "
+            f"int64 limit 2**63 - 1 on a deck total"
+        )
+    return types
+
+
+def _multiplicity_draws(
+    spec: SystemSpec, count: int, max_multiplicity: int, rng: RandomStream
+) -> Iterator[np.ndarray]:
+    """Per-card-type multiplicities of random decks, one row per deck.
+
+    Columns follow ``all_cards`` order, and each entry is uniform in
+    {0..max}.  All-zero draws are rejected and redrawn, so every deck is
+    nonempty.  Rows come in blocks; a block of k rows holds the same draws
+    as k one-row calls, and no more rows are drawn than decks remain, so the
+    decks do not depend on the block size.
+    """
+    if count < 1:
+        raise ValidationError("ensemble count must be at least 1")
+    types = _check_draw_limits(spec.values_per_variable, spec.num_variables, max_multiplicity)
+    block_rows = max(1, _DRAW_BLOCK // types)
+    remaining = count
+    while remaining:
+        block = rng.integers_below(max_multiplicity + 1, size=(min(remaining, block_rows), types))
+        block = block[block.any(axis=1)]
+        remaining -= len(block)
+        yield block
+
+
 def random_deck_ensemble(
     spec: SystemSpec, count: int, max_multiplicity: int, rng: RandomStream
 ) -> list[Deck]:
@@ -103,35 +151,49 @@ def random_deck_ensemble(
 
     All-zero draws are rejected and redrawn, so every deck is nonempty.
     """
-    if count < 1:
-        raise ValidationError("ensemble count must be at least 1")
-    if max_multiplicity < 1:
-        raise ValidationError("max_multiplicity must be at least 1")
     cards = all_cards(spec)
-    decks = []
-    for _ in range(count):
-        mults = rng.integers_below(max_multiplicity + 1, size=len(cards))
-        while not mults.any():
-            mults = rng.integers_below(max_multiplicity + 1, size=len(cards))
-        entries = tuple(
-            (card, int(m)) for card, m in zip(cards, mults) if m
-        )
-        decks.append(Deck(spec, entries))
-    return decks
+    return [
+        Deck(spec, tuple((card, m) for card, m in zip(cards, mults) if m))
+        for block in _multiplicity_draws(spec, count, max_multiplicity, rng)
+        for mults in block.tolist()
+    ]
+
+
+def _count_rows(
+    spec: SystemSpec, count: int, max_multiplicity: int, rng: RandomStream
+) -> Iterator[list[int]]:
+    """Per-variable value counts of random decks, one row per deck as drawn.
+
+    Row ``e`` is ``deck.total * fiducial_vector_cardbox(deck)`` for the
+    ``e``-th deck ``random_deck_ensemble`` draws from the same stream, so
+    the rows span the same space as the fiducial vectors.
+    """
+    indicator = _indicator_matrix(spec)
+    shape = (-1, spec.num_variables, spec.values_per_variable)
+    for block in _multiplicity_draws(spec, count, max_multiplicity, rng):
+        counts = block @ indicator
+        if (counts.reshape(shape).sum(axis=2) != block.sum(axis=1)[:, None]).any():
+            raise InvariantError("a count row's value blocks do not all sum to the deck total")
+        yield from counts.tolist()
 
 
 class ExactRowBasis:
-    """Incremental reduced row-echelon basis over the rationals.
+    """Incremental row-echelon basis over the integers, fraction-free.
 
     Rows can be fed one at a time (handy for streaming enumerations and
     saturation checks); ``rank`` is exact, with no tolerance anywhere.
+    Rows of Fractions or floats are scaled to integers first, which leaves
+    the span unchanged.  Pivot rows are kept in insertion order; each was
+    reduced by all earlier pivots, so it is zero in their columns.  A new
+    row is reduced by each pivot ``p`` with ``r <- r*p[c] - r[c]*p``
+    (Bareiss 1968) and divided by the gcd of its entries.
     """
 
     def __init__(self, width: int):
         if width < 1:
             raise ValidationError("matrix width must be at least 1")
         self.width = width
-        self._pivots: list[tuple[int, list[Fraction]]] = []  # (column, row), row[column] == 1
+        self._pivots: list[tuple[int, list[int]]] = []  # (column, row), row[column] != 0
 
     @property
     def rank(self) -> int:
@@ -141,28 +203,28 @@ class ExactRowBasis:
         """Insert a row; returns True iff it enlarged the span."""
         if len(row) != self.width:
             raise RaggedMatrixError(f"row has {len(row)} entries, expected {self.width}")
-        reduced = [Fraction(x) for x in row]
+        try:
+            reduced = [operator.index(x) for x in row]
+        except TypeError:  # Fractions or floats: scale by the denominators' LCM
+            fractions = [Fraction(x) for x in row]
+            scale = math.lcm(*(f.denominator for f in fractions))
+            reduced = [f.numerator * (scale // f.denominator) for f in fractions]
         for col, pivot_row in self._pivots:
             factor = reduced[col]
             if factor:
-                reduced = [a - factor * b for a, b in zip(reduced, pivot_row)]
-        for col, x in enumerate(reduced):
-            if x:
-                normalized = [a / x for a in reduced]
-                for _, pivot_row in self._pivots:
-                    factor = pivot_row[col]
-                    if factor:
-                        pivot_row[:] = [
-                            a - factor * b for a, b in zip(pivot_row, normalized)
-                        ]
-                self._pivots.append((col, normalized))
-                self._pivots.sort(key=lambda p: p[0])
-                return True
-        return False
+                lead = pivot_row[col]
+                reduced = [a * lead - factor * b for a, b in zip(reduced, pivot_row)]
+        divisor = math.gcd(*reduced)
+        if not divisor:
+            return False
+        reduced = [a // divisor for a in reduced]
+        col = next(i for i, a in enumerate(reduced) if a)
+        self._pivots.append((col, reduced))
+        return True
 
 
 def matrix_rank_exact(rows: Iterable[Sequence]) -> int:
-    """Exact rank over the rationals of a matrix of Fractions/ints."""
+    """Exact rank of a matrix of ints, Fractions or floats (read exactly)."""
     rows = list(rows)
     if not rows:
         raise ValidationError("matrix must have at least one row")
@@ -205,12 +267,9 @@ def _indicator_matrix(spec: SystemSpec) -> np.ndarray:
     """Rows are the unnormalized fiducial vectors of the single-card decks."""
     n = spec.values_per_variable
     v = spec.num_variables
-    combos = list(itertools.product(range(n), repeat=v))  # all_cards order
-    matrix = np.zeros((len(combos), v * n), dtype=np.int64)
-    for j, combo in enumerate(combos):
-        for i, value_index in enumerate(combo):
-            matrix[j, i * n + value_index] = 1
-    return matrix
+    types = card_type_count(n, v)
+    combos = np.indices((n,) * v).reshape(v, types).T  # all_cards order
+    return np.eye(n, dtype=np.int64)[combos].reshape(types, v * n)
 
 
 def exhaustive_fiducial_rank(
@@ -247,7 +306,7 @@ def exhaustive_fiducial_rank(
         rows = indicator
     basis = ExactRowBasis(indicator.shape[1])
     for row in rows:
-        basis.add([int(x) for x in row])
+        basis.add(row.tolist())
     return basis.rank
 
 
@@ -283,12 +342,13 @@ def _estimate_k_classical(
     base = 10 * fiducials if ensemble is None else ensemble
     if base < 1:
         raise ValidationError("ensemble size must be at least 1")
+    rows = _count_rows(spec, 2 * base, max_multiplicity, rng)
     basis = ExactRowBasis(fiducials)
-    for deck in random_deck_ensemble(spec, base, max_multiplicity, rng):
-        basis.add(fiducial_vector_cardbox(deck))
+    for row in itertools.islice(rows, base):
+        basis.add(row)
     first_rank = basis.rank
-    for deck in random_deck_ensemble(spec, base, max_multiplicity, rng):
-        basis.add(fiducial_vector_cardbox(deck))
+    for row in rows:
+        basis.add(row)
     return KReport(
         kind=kind,
         n=spec.values_per_variable,
@@ -451,6 +511,9 @@ def k_sweep(
             else:
                 cells.append((kind, n, 1 if kind == "urn" else n + 1))
     stream_ids = [_stream_id(*cell) for cell in cells]  # every cell checked before any work
+    for kind, n, v in cells:
+        if kind != "quantum":
+            _check_draw_limits(n, v, max_multiplicity)
 
     reports = []
     for (kind, n, v), stream_id in zip(cells, stream_ids):

@@ -113,6 +113,22 @@ def enumerate_decks(spec, max_multiplicity):
             yield Deck(spec, tuple((card, m) for card, m in zip(cards, mults) if m))
 
 
+def literal_random_decks(spec, count, max_multiplicity, rng):
+    """Draw-rule oracle: one draw per deck, an all-zero draw redrawn at once.
+
+    Returns the decks and the number of all-zero draws that were redrawn.
+    """
+    cards = all_cards(spec)
+    decks, redrawn = [], 0
+    while len(decks) < count:
+        mults = rng.integers_below(max_multiplicity + 1, size=len(cards))
+        if mults.any():
+            decks.append(Deck.from_counts(spec, {c: int(m) for c, m in zip(cards, mults) if m}))
+        else:
+            redrawn += 1
+    return decks, redrawn
+
+
 def rebuild_from_full_deck(state, variable, value):
     """The device's own update: the next subdeck comes from the full deck."""
     return BoxState(state.deck, filter_deck(state.deck, variable, value))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,14 @@ class TestRankCommand:
     def test_bad_n_is_validation_error(self, capsys):
         assert cli_main(["rank", "--system", "urn", "--n", "1"]) == 2
 
+    @pytest.mark.parametrize("max_mult", [2**62, 2**63])
+    def test_deck_total_past_int64_is_validation_error(self, capsys, max_mult):
+        argv = ["rank", "--system", "cardbox", "--n", "2", "--v", "2", "--max-mult", str(max_mult)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert "2**63 - 1" in captured.err
+        assert captured.out == ""
+
     def test_ensemble_flag_is_echoed(self, capsys):
         assert cli_main(
             ["rank", "--system", "urn", "--n", "3", "--ensemble", "12", "--seed", "1"]
@@ -164,6 +173,23 @@ def test_support_limit_is_validation_error(deck_file, capsys, command):
     assert cli_main([command, "--deck", deck_file, "--plan", LONG_PLAN]) == 2
     captured = capsys.readouterr()
     assert "262,144" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--system", "cardbox", "--n", "10", "--v", "8"],
+        ["rank", "--system", "urn", "--n", "5000"],
+        ["sweep", "--systems", "cardbox,urn", "--n-range", "2..10", "--v-range", "8..8"],
+    ],
+)
+def test_card_type_limit_fails_fast(capsys, argv):
+    start = time.perf_counter()
+    assert cli_main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert "MAX_CARD_TYPES = 4,096" in captured.err
     assert captured.out == ""
 
 

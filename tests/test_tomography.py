@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import deck_strategy, enumerate_decks, spec_strategy
+from conftest import deck_strategy, enumerate_decks, literal_random_decks, spec_strategy
 from dofcount import (
     Deck,
     ExactRowBasis,
@@ -30,11 +32,14 @@ from dofcount import (
     random_pure_state,
     random_pure_states,
     tomography,
+    uniform_deck,
     urn_as_cardbox,
 )
+from dofcount.cardbox import MAX_CARD_TYPES
 from dofcount.cli import cli_main
 from dofcount.errors import (
     DimensionMismatchError,
+    InvariantError,
     NonFiniteError,
     RaggedMatrixError,
     ValidationError,
@@ -163,6 +168,134 @@ class TestRandomDeckEnsemble:
             random_deck_ensemble(four_card_spec, 1, 0, RandomStream(0))
 
 
+def count_row(deck):
+    return [deck.total * p for p in fiducial_vector_cardbox(deck)]
+
+
+class TestCountRows:
+    # (N, V, max multiplicity): at N=2, V=1, max 2 one draw in nine is all
+    # zero and redrawn; at N=3, V=6 a draw block holds 89 decks
+    SHAPES = [(2, 1, 2), (2, 1, 1), (2, 2, 2), (3, 2, 3), (3, 6, 2)]
+
+    @pytest.mark.parametrize("n, v, max_mult", SHAPES)
+    def test_rows_are_totals_times_fiducial_vectors(self, n, v, max_mult):
+        spec = cardbox_spec(n, v)
+        redrawn = 0
+        for seed in range(4):
+            literal, skipped = literal_random_decks(spec, 120, max_mult, RandomStream(seed, 5))
+            redrawn += skipped
+            decks = random_deck_ensemble(spec, 120, max_mult, RandomStream(seed, 5))
+            rows = list(tomography._count_rows(spec, 120, max_mult, RandomStream(seed, 5)))
+            assert decks == literal
+            assert rows == [count_row(deck) for deck in decks]
+        if n ** v == 2:
+            assert redrawn > 0  # the redraw rule was exercised
+
+    @pytest.mark.parametrize("block", [1, 7, 2**16])
+    def test_draws_do_not_depend_on_block_size(self, monkeypatch, block):
+        spec = cardbox_spec(2, 1)
+        expected, _ = literal_random_decks(spec, 50, 2, RandomStream(3))
+        monkeypatch.setattr(tomography, "_DRAW_BLOCK", block)
+        assert random_deck_ensemble(spec, 50, 2, RandomStream(3)) == expected
+
+    def test_stream_continues_where_the_draws_stopped(self):
+        # two ensembles drawn one after the other from one stream, as the
+        # K path's base and doubled halves are
+        spec = cardbox_spec(2, 1)
+        rng, oracle = RandomStream(8), RandomStream(8)
+        for _ in range(3):
+            expected, _ = literal_random_decks(spec, 15, 2, oracle)
+            assert random_deck_ensemble(spec, 15, 2, rng) == expected
+
+    @pytest.mark.parametrize("estimate", [
+        lambda rng: estimate_k_urn(2, ensemble=30, rng=rng),
+        lambda rng: estimate_k_cardbox(cardbox_spec(3, 2), ensemble=30, rng=rng),
+    ])
+    def test_k_path_adds_every_drawn_deck_once_in_order(self, monkeypatch, estimate):
+        fed, add = [], ExactRowBasis.add
+
+        def record(basis, row):
+            fed.append(list(row))
+            return add(basis, row)
+
+        monkeypatch.setattr(ExactRowBasis, "add", record)
+        report = estimate(RandomStream(4))
+        spec = cardbox_spec(report.n, report.v_or_m)
+        decks, _ = literal_random_decks(spec, 60, 2, RandomStream(4))
+        assert fed == [count_row(deck) for deck in decks]
+
+    def test_multiplicities_at_the_int64_limit(self):
+        spec = cardbox_spec(2, 2)
+        max_mult = (2**63 - 1) // 4  # a deck total of up to 2**63 - 4
+        decks = random_deck_ensemble(spec, 10, max_mult, RandomStream(2))
+        rows = list(tomography._count_rows(spec, 10, max_mult, RandomStream(2)))
+        assert max(d.total for d in decks) > 2**62
+        assert rows == [count_row(deck) for deck in decks]
+        report = estimate_k_cardbox(spec, max_multiplicity=max_mult, rng=RandomStream(2))
+        assert (report.k_rank, report.saturated) == (3, True)
+
+    def test_unbalanced_row_is_an_invariant_error(self, monkeypatch):
+        # a count row whose value blocks disagree on the deck total
+        broken = tomography._indicator_matrix(cardbox_spec(2, 2)).copy()
+        broken[3, 1] = 0  # card (val2, val2) no longer counts for var1
+        monkeypatch.setattr(tomography, "_indicator_matrix", lambda spec: broken)
+        with pytest.raises(InvariantError, match="deck total"):
+            estimate_k_cardbox(cardbox_spec(2, 2), rng=RandomStream(0))
+
+
+class TestDrawLimits:
+    def test_card_type_limit_admits_its_boundary(self):
+        spec = cardbox_spec(2, 12)
+        assert MAX_CARD_TYPES == 2**12 == len(all_cards(spec))
+        assert tomography._indicator_matrix(spec).shape == (2**12, 24)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda spec: all_cards(spec),
+            lambda spec: uniform_deck(spec),
+            lambda spec: tomography._indicator_matrix(spec),
+            lambda spec: random_deck_ensemble(spec, 1, 2, RandomStream(0)),
+            lambda spec: estimate_k_cardbox(spec, rng=RandomStream(0)),
+        ],
+    )
+    @pytest.mark.parametrize("n, v", [(10, 8), (2, 13), (3, 8)])
+    def test_card_type_limit(self, build, n, v):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="MAX_CARD_TYPES = 4,096"):
+            build(cardbox_spec(n, v))
+        assert time.perf_counter() - start < 0.5
+
+    def test_urn_positions_count_as_card_types(self):
+        with pytest.raises(ValidationError, match="MAX_CARD_TYPES"):
+            estimate_k_urn(MAX_CARD_TYPES + 1, rng=RandomStream(0))
+
+    @pytest.mark.parametrize("max_mult", [2**62, 2**63, (2**63 - 1) // 4 + 1])
+    def test_deck_total_must_fit_int64(self, max_mult):
+        spec = cardbox_spec(2, 2)
+        with pytest.raises(ValidationError, match=r"2\*\*63 - 1"):
+            random_deck_ensemble(spec, 1, max_mult, RandomStream(0))
+        with pytest.raises(ValidationError, match=r"2\*\*63 - 1"):
+            estimate_k_cardbox(spec, max_multiplicity=max_mult, rng=RandomStream(0))
+
+    @pytest.mark.parametrize(
+        "cells, max_mult",
+        [
+            (([2, 10], [8], ["cardbox"]), 2),  # (10, 8) comes after (2, 8)
+            (([2, 5000], [1], ["quantum", "urn"]), 2),  # urn of 5,000 positions
+            (([2], [1], ["quantum", "urn"]), 2**63),  # quantum cells come first
+        ],
+    )
+    def test_sweep_checks_every_cell_before_any_work(self, monkeypatch, cells, max_mult):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a cell ran despite a later cell's limit")
+
+        for name in ("estimate_k_cardbox", "estimate_k_urn", "estimate_k_quantum"):
+            monkeypatch.setattr(tomography, name, no_work)
+        with pytest.raises(ValidationError):
+            k_sweep(*cells, 0, max_multiplicity=max_mult)
+
+
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
@@ -176,6 +309,33 @@ def fraction_matrices(draw, max_rows=6, max_cols=5):
             max_size=max_rows,
         )
     )
+
+
+@st.composite
+def big_integer_matrices(draw, max_rows=7, max_cols=5):
+    # each row is fresh (entries up to 2**80 either sign) or a small integer
+    # combination of earlier rows, so ranks fall short of full
+    cols = draw(st.integers(1, max_cols))
+    entries = st.integers(-(2**80), 2**80) | st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(cols)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
+    return rows
+
+
+def assert_pivot_structure(basis):
+    # each pivot row is primitive, nonzero in its own column and zero in
+    # every earlier pivot's column
+    columns = []
+    for col, row in basis._pivots:
+        assert math.gcd(*row) == 1
+        assert row[col] != 0
+        assert all(row[c] == 0 for c in columns)
+        columns.append(col)
 
 
 class TestMatrixRankExact:
@@ -199,6 +359,31 @@ class TestMatrixRankExact:
             [[sympy.Rational(x) for x in row] for row in rows]
         ).rank()
         assert matrix_rank_exact(rows) == expected
+
+    @given(rows=big_integer_matrices())
+    def test_big_and_negative_integers_match_sympy_rank(self, rows):
+        assert matrix_rank_exact(rows) == sympy.Matrix(rows).rank()
+
+    @given(rows=big_integer_matrices() | fraction_matrices())
+    def test_pivot_rows_stay_primitive_and_reduced(self, rows):
+        basis = ExactRowBasis(len(rows[0]))
+        for row in rows:
+            basis.add(row)
+        assert_pivot_structure(basis)
+
+    def test_count_row_pivots_stay_primitive(self):
+        spec = cardbox_spec(5, 4)
+        basis = ExactRowBasis(20)
+        for row in tomography._count_rows(spec, 200, 2, RandomStream(1)):
+            basis.add(row)
+        assert basis.rank == 17
+        assert_pivot_structure(basis)
+
+    def test_floats_are_read_exactly(self):
+        # 0.6 is exactly twice 0.3 in binary, but 0.3 is not three times 0.1
+        assert matrix_rank_exact([[0.1, 0.3], [0.2, 0.6]]) == 1
+        assert matrix_rank_exact([[0.1, 0.3], [1, 3]]) == 2
+        assert matrix_rank_exact([[0.5, Fraction(1, 3), -2], [3, 2, -12]]) == 1
 
     @given(rows=fraction_matrices())
     def test_rank_monotone_under_appended_rows(self, rows):
@@ -412,6 +597,14 @@ class TestKSweep:
         assert a == b
         keys = [(r.kind, r.n, r.v_or_m) for r in a]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("flags, suffix", [([], "csv"), (["--json"], "json")])
+    def test_classical_sweep_matches_golden_file(self, capsys, flags, suffix):
+        argv = ["sweep", "--systems", "cardbox,urn", "--n-range", "2..5",
+                "--v-range", "1..4", "--seed", "42", *flags]
+        assert cli_main(argv) == 0
+        expected = (DATA / f"sweep_classical_n2-5_v1-4_seed42.{suffix}").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_quantum_sweep_matches_golden_csv(self, capsys):
         argv = ["sweep", "--systems", "quantum", "--n-range", "2..6",
