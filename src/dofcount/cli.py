@@ -197,7 +197,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once: a parser is a web of reference cycles, and one per call
+    # piles up as garbage between the collector's rare full passes.
     parser = _Parser(
         prog="dofcount",
         description="Measure informational degrees of freedom of card-box, urn, "
@@ -255,16 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    # Built once: a parser is a web of reference cycles, and one per call
-    # piles up as garbage between the collector's rare full passes.
-    return build_parser()
-
-
 def cli_main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code) if exc.code else 0

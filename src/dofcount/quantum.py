@@ -39,18 +39,6 @@ COLLAPSE_MIN_PROBABILITY = 1e-12
 RANK_TOL = 1e-9              # relative singular value threshold
 
 
-def _check_density_matrices(m: np.ndarray) -> None:
-    """Hermitian, unit-trace and eigenvalue-floor checks on one (n, n) matrix
-    or a stack of them (..., n, n)."""
-    if np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) > HERMITICITY_TOL:
-        raise ValidationError("density matrix is not Hermitian")
-    trace = np.trace(m, axis1=-2, axis2=-1)
-    if np.max(np.abs(trace.real - 1.0)) > TRACE_TOL or np.max(np.abs(trace.imag)) > TRACE_TOL:
-        raise ValidationError("density matrix trace is not 1")
-    if np.min(np.linalg.eigvalsh(m)) < EIGENVALUE_FLOOR:
-        raise ValidationError("density matrix has a negative eigenvalue")
-
-
 @dataclass(frozen=True, eq=False)
 class DensityState:
     """Hermitian, unit-trace, positive-semidefinite matrix."""
@@ -61,7 +49,15 @@ class DensityState:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
-        _check_density_matrices(m)
+        if not np.isfinite(m).all():
+            raise ValidationError("density matrix contains NaN or infinity")
+        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+            raise ValidationError("density matrix is not Hermitian")
+        trace = np.trace(m)
+        if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
+            raise ValidationError("density matrix trace is not 1")
+        if np.min(np.linalg.eigvalsh(m)) < EIGENVALUE_FLOOR:
+            raise ValidationError("density matrix has a negative eigenvalue")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -80,6 +76,8 @@ class MeasurementBasis:
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValidationError(f"basis must be n x n, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValidationError("basis contains NaN or infinity")
         gram = v @ v.conj().T
         if np.max(np.abs(gram - np.eye(v.shape[0]))) > ORTHONORMALITY_TOL:
             raise ValidationError("basis vectors are not orthonormal")
@@ -117,17 +115,19 @@ class ObservableSet:
         return len(self.bases)
 
 
-# States validated per chunk: bounds the (chunk, n, n) density stack at large n.
-_DENSITY_CHECK_CHUNK = 512
-
-
 def random_pure_states(n: int, count: int, rng: RandomStream) -> np.ndarray:
     """``count`` normalized complex Gaussian vectors, one per row.
 
     The single ``(count, 2, n)`` draw yields the same numbers as ``count``
     draws of n real parts followed by n imaginary parts, so a batch equals
-    that many ``random_pure_state`` calls made in sequence.  Each state's
-    density matrix gets the ``DensityState`` checks, a chunk at a time.
+    that many ``random_pure_state`` calls made in sequence.
+
+    Each row is checked once, as a vector: it must be finite, and its
+    squared norm must be within ``TRACE_TOL`` of 1.  That is the whole
+    ``DensityState`` check on rho = psi psi^dagger, without building rho:
+    rho is Hermitian exactly, tr rho = |psi|^2, and the spectrum of rho is
+    {|psi|^2, 0, ..., 0}, so a unit-norm psi passes the trace and
+    eigenvalue checks by construction.  Raises ``InvariantError`` otherwise.
     """
     if n < 2:
         raise BadDimensionError(f"dimension must be at least 2, got {n}")
@@ -136,9 +136,11 @@ def random_pure_states(n: int, count: int, rng: RandomStream) -> np.ndarray:
     parts = rng.standard_normal((count, 2, n))
     psi = parts[:, 0] + 1j * parts[:, 1]
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    for start in range(0, count, _DENSITY_CHECK_CHUNK):
-        chunk = psi[start : start + _DENSITY_CHECK_CHUNK]
-        _check_density_matrices(chunk[:, :, None] * chunk[:, None, :].conj())
+    if not np.isfinite(psi).all():
+        raise InvariantError("a drawn state contains NaN or infinity")
+    norms = np.sum(psi.real**2 + psi.imag**2, axis=1)
+    if np.max(np.abs(norms - 1.0)) > TRACE_TOL:
+        raise InvariantError("a drawn state does not have unit norm")
     return psi
 
 
@@ -221,6 +223,8 @@ def _checked_probabilities(raw: np.ndarray) -> np.ndarray:
     Raises ``InvariantError`` if any is below the floor, or if any
     distribution's sum is off 1 by more than the tolerance.
     """
+    if not np.isfinite(raw).all():
+        raise InvariantError("Born probabilities contain NaN or infinity")
     if np.min(raw) < PROBABILITY_FLOOR:
         raise InvariantError(f"negative Born probability {np.min(raw)}")
     probs = np.clip(raw, 0.0, 1.0)

@@ -234,6 +234,13 @@ def matrix_rank_exact(rows: Iterable[Sequence]) -> int:
     return basis.rank
 
 
+def _check_tolerance(tol: float) -> None:
+    # a relative threshold of 1 or more counts no singular value, not even
+    # the largest; the chained comparison is False for NaN
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"tolerance must be finite and in (0, 1), got {tol}")
+
+
 def matrix_rank_numeric(rows, tol: float = RANK_TOL) -> int:
     """Numeric rank: singular values above ``tol`` times the largest.
 
@@ -241,8 +248,7 @@ def matrix_rank_numeric(rows, tol: float = RANK_TOL) -> int:
     alone clears the default threshold.  List input is read at float64
     precision.
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    _check_tolerance(tol)
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "fc" and rows.real.dtype.itemsize < 8:
         raise ValidationError(f"matrix dtype {rows.dtype} is narrower than float64")
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == float:
@@ -314,9 +320,11 @@ def exhaustive_fiducial_rank(
 class KReport:
     """Degrees-of-freedom measurement for one system configuration.
 
-    ``ensemble`` is the configured base ensemble size; the measurement
-    internally doubles it once and sets ``saturated`` iff the rank did not
-    move.  ``k_rank`` is the rank after doubling.
+    ``ensemble`` is the base ensemble size, by default ten members per
+    fiducial probability (``10 * k_naive``); the measurement internally
+    doubles it once and sets ``saturated`` iff the rank did not move.
+    ``k_rank`` is the rank after doubling.  ``k_paper`` is the fiducial
+    count N*V for the urn and the card box, and n**2 for quantum systems.
     """
 
     kind: str
@@ -330,18 +338,22 @@ class KReport:
     seed: int
 
 
+def _base_ensemble(fiducials: int, ensemble: int | None) -> int:
+    base = 10 * fiducials if ensemble is None else ensemble
+    if base < 1:
+        raise ValidationError("ensemble size must be at least 1")
+    return base
+
+
 def _estimate_k_classical(
     spec: SystemSpec,
     kind: str,
-    k_paper: int,
     ensemble: int | None,
     max_multiplicity: int,
     rng: RandomStream,
 ) -> KReport:
     fiducials = spec.num_variables * spec.values_per_variable
-    base = 10 * fiducials if ensemble is None else ensemble
-    if base < 1:
-        raise ValidationError("ensemble size must be at least 1")
+    base = _base_ensemble(fiducials, ensemble)
     rows = _count_rows(spec, 2 * base, max_multiplicity, rng)
     basis = ExactRowBasis(fiducials)
     for row in itertools.islice(rows, base):
@@ -355,7 +367,7 @@ def _estimate_k_classical(
         v_or_m=spec.num_variables,
         k_rank=basis.rank,
         k_naive=fiducials,
-        k_paper=k_paper,
+        k_paper=fiducials,
         ensemble=base,
         saturated=basis.rank == first_rank,
         seed=rng.seed,
@@ -370,8 +382,7 @@ def estimate_k_urn(
     rng: RandomStream,
 ) -> KReport:
     """K for the single-variable urn; the classical reference point K=N."""
-    spec = urn_as_cardbox(n)
-    return _estimate_k_classical(spec, "urn", n, ensemble, max_multiplicity, rng)
+    return _estimate_k_classical(urn_as_cardbox(n), "urn", ensemble, max_multiplicity, rng)
 
 
 def estimate_k_cardbox(
@@ -382,14 +393,7 @@ def estimate_k_cardbox(
     rng: RandomStream,
 ) -> KReport:
     """K for a card-box system; the raw fiducial count N*V is the naive K."""
-    return _estimate_k_classical(
-        spec,
-        "cardbox",
-        spec.values_per_variable * spec.num_variables,
-        ensemble,
-        max_multiplicity,
-        rng,
-    )
+    return _estimate_k_classical(spec, "cardbox", ensemble, max_multiplicity, rng)
 
 
 def estimate_k_quantum(
@@ -406,12 +410,11 @@ def estimate_k_quantum(
     random pure states.  With the default n+1 bases the rank saturates at
     n**2, the quantum reference value.
     """
+    _check_tolerance(tol)
     observables = random_observable_set(n, num_bases, rng=rng)
     m = observables.num_bases
     fiducials = n * m
-    base = 10 * fiducials if ensemble is None else ensemble
-    if base < 1:
-        raise ValidationError("ensemble size must be at least 1")
+    base = _base_ensemble(fiducials, ensemble)
     rows = fiducial_matrix_quantum(random_pure_states(n, 2 * base, rng), observables)
     first_rank = matrix_rank_numeric(rows[:base], tol)
     rank = matrix_rank_numeric(rows, tol)
@@ -512,31 +515,13 @@ def k_sweep(
                 cells.append((kind, n, 1 if kind == "urn" else n + 1))
     stream_ids = [_stream_id(*cell) for cell in cells]  # every cell checked before any work
     for kind, n, v in cells:
-        if kind != "quantum":
+        if kind == "quantum":
+            _check_tolerance(tol)
+        else:
             _check_draw_limits(n, v, max_multiplicity)
 
-    reports = []
-    for (kind, n, v), stream_id in zip(cells, stream_ids):
-        rng = RandomStream(seed, stream_id)
-        if kind == "cardbox":
-            reports.append(
-                estimate_k_cardbox(
-                    cardbox_spec(n, v),
-                    ensemble=ensemble,
-                    max_multiplicity=max_multiplicity,
-                    rng=rng,
-                )
-            )
-        elif kind == "urn":
-            reports.append(
-                estimate_k_urn(
-                    n,
-                    ensemble=ensemble,
-                    max_multiplicity=max_multiplicity,
-                    rng=rng,
-                )
-            )
-        else:
-            reports.append(estimate_k_quantum(n, v, ensemble=ensemble, tol=tol, rng=rng))
-    reports.sort(key=lambda r: (r.kind, r.n, r.v_or_m))
-    return reports
+    return [
+        estimate_k(kind, n, v=v, m=v, ensemble=ensemble, max_multiplicity=max_multiplicity,
+                   tol=tol, rng=RandomStream(seed, stream_id))
+        for (kind, n, v), stream_id in zip(cells, stream_ids)
+    ]

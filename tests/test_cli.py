@@ -98,6 +98,16 @@ class TestRankCommand:
         assert "2**63 - 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1", "2.5", "0"])
+    def test_bad_tolerance_is_validation_error(self, capsys, tol):
+        # a threshold that is not finite, or not below 1, would count no
+        # singular value and print K_rank 0
+        argv = ["rank", "--system", "quantum", "--n", "3", "--tol", tol]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert "tolerance" in captured.err
+        assert captured.out == ""
+
     def test_ensemble_flag_is_echoed(self, capsys):
         assert cli_main(
             ["rank", "--system", "urn", "--n", "3", "--ensemble", "12", "--seed", "1"]
@@ -288,6 +298,14 @@ class TestSweepCommand:
         ) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("quantum,2,3,4,6,4,")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1"])
+    def test_bad_tolerance_is_validation_error(self, capsys, tol):
+        argv = ["sweep", "--n-range", "2..3", "--v-range", "1", "--tol", tol]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert "tolerance" in captured.err
+        assert captured.out == ""
 
     def test_reversed_range_is_usage_error(self, capsys):
         assert cli_main(["sweep", "--n-range", "4..2", "--v-range", "1"]) == 1

@@ -22,7 +22,7 @@ from dofcount.errors import (
     ValidationError,
     ZeroProbabilityOutcomeError,
 )
-from dofcount.quantum import _PIVOT_TOL
+from dofcount.quantum import _PIVOT_TOL, _checked_probabilities
 
 # Entries of unit vectors and probabilities are at most 1, so a few ulps of
 # float64 bound any rounding difference between two summation orders.
@@ -70,6 +70,13 @@ class TestDensityState:
         with pytest.raises(ValidationError):
             DensityState(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize(
+        "matrix", [np.full((2, 2), np.nan), [[0.5, np.inf], [np.inf, 0.5]]]
+    )
+    def test_rejects_non_finite(self, matrix):
+        with pytest.raises(ValidationError, match="NaN or infinity"):
+            DensityState(matrix)
+
     def test_matrix_is_frozen(self):
         state = maximally_mixed(2)
         with pytest.raises(ValueError):
@@ -80,6 +87,11 @@ class TestMeasurementBasis:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValidationError):
             MeasurementBasis(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="NaN or infinity"):
+            MeasurementBasis([[bad, 0], [0, 1]])
 
     def test_observable_set_needs_matching_dimensions(self):
         with pytest.raises(DimensionMismatchError):
@@ -143,6 +155,34 @@ class TestRandomPureStates:
         batch = random_pure_states(4, 1100, RandomStream(8))
         assert batch.shape == (1100, 4)
         assert np.max(np.abs(np.linalg.norm(batch, axis=1) - 1.0)) <= ROUNDING_TOL
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (7, 2), (12, 3)])
+    def test_vector_check_accepts_what_the_density_check_accepts(self, n, seed):
+        for psi in random_pure_states(n, 200, RandomStream(seed, n)):
+            DensityState(np.outer(psi, psi.conj()))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "entries, value",
+        [((1, 1), np.nan), ((0, 2), np.inf), (slice(None), 0.0), (slice(None), 1e200)],
+    )
+    def test_vector_check_rejects_what_the_density_check_rejects(
+        self, monkeypatch, entries, value
+    ):
+        # state 2 of the draw is injected: one NaN or inf entry, all zeros
+        # (no direction to normalize), or entries whose squared norm
+        # overflows (normalized to the zero vector)
+        parts = RandomStream(6).standard_normal((4, 2, 3))
+        parts[2][entries] = value
+        monkeypatch.setattr(RandomStream, "standard_normal", lambda self, size: parts.copy())
+        with pytest.raises(InvariantError):
+            random_pure_states(3, 4, RandomStream(0))
+        psi = parts[:, 0] + 1j * parts[:, 1]
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        for row in (0, 1, 3):
+            DensityState(np.outer(psi[row], psi[row].conj()))
+        with pytest.raises(ValidationError):
+            DensityState(np.outer(psi[2], psi[2].conj()))
 
     def test_bad_arguments(self):
         with pytest.raises(BadDimensionError):
@@ -235,6 +275,17 @@ class TestPureStateDistributions:
         psi[2] *= 1.01
         with pytest.raises(InvariantError):
             pure_state_distributions(psi, random_basis(3, RandomStream(5)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_states_are_invariant_errors(self, bad):
+        with pytest.raises(InvariantError, match="NaN or infinity"):
+            pure_state_distributions(np.array([[bad, 1.0]]), STANDARD_2)
+
+    @pytest.mark.parametrize("raw", [[np.nan, 1.0], [np.inf, 0.0], [0.5, -np.inf]])
+    def test_non_finite_probabilities_are_invariant_errors(self, raw):
+        with pytest.raises(InvariantError, match="NaN or infinity"):
+            _checked_probabilities(np.array(raw))
 
     def test_dimension_mismatch(self):
         psi = random_pure_states(3, 2, RandomStream(0))

@@ -447,8 +447,9 @@ class TestMatrixRankNumeric:
             matrix_rank_numeric([[1.0], [1.0, 2.0]])
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValidationError):
-            matrix_rank_numeric([[1.0]], tol=0.0)
+        for tol in (0.0, -1e-9, float("nan"), float("inf"), -float("inf"), 1.0, 2.0):
+            with pytest.raises(ValidationError):
+                matrix_rank_numeric([[1.0]], tol=tol)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64])
     def test_narrow_float_array_rejected(self, dtype):
@@ -551,20 +552,29 @@ class TestEstimates:
             return matrix_rank_numeric(rows, tol)
 
         monkeypatch.setattr(tomography, "matrix_rank_numeric", capture)
-        for n in range(2, 13):
-            for seed in range(3):
-                report = estimate_k_quantum(n, rng=RandomStream(seed, n))
-                singular = np.linalg.svd(ranked[-1], compute_uv=False)
-                k = n * n
-                k_ratio = singular[k - 1] / singular[0]
-                k1_ratio = singular[k] / singular[0]
-                message = (
-                    f"n={n} seed={seed}: sigma_K/sigma_1={k_ratio:.3g}, "
-                    f"sigma_K+1/sigma_1={k1_ratio:.3g}, RANK_TOL={RANK_TOL:g}"
-                )
-                assert report.k_rank == k, message
-                assert k_ratio > 100 * RANK_TOL, message
-                assert k1_ratio < RANK_TOL / 100, message
+        cases = [(n, seed) for n in range(2, 13) for seed in range(3)] + [(16, 0)]
+        for n, seed in cases:
+            report = estimate_k_quantum(n, rng=RandomStream(seed, n))
+            singular = np.linalg.svd(ranked[-1], compute_uv=False)
+            k = n * n
+            k_ratio = singular[k - 1] / singular[0]
+            k1_ratio = singular[k] / singular[0]
+            message = (
+                f"n={n} seed={seed}: sigma_K/sigma_1={k_ratio:.3g}, "
+                f"sigma_K+1/sigma_1={k1_ratio:.3g}, RANK_TOL={RANK_TOL:g}"
+            )
+            assert report.k_rank == k, message
+            assert k_ratio > 100 * RANK_TOL, message
+            assert k1_ratio < RANK_TOL / 100, message
+
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf"), 1.0])
+    def test_quantum_tolerance_checked_before_any_draw(self, monkeypatch, tol):
+        def no_draw(self, size):
+            raise AssertionError("drew states under an unusable tolerance")
+
+        monkeypatch.setattr(RandomStream, "standard_normal", no_draw)
+        with pytest.raises(ValidationError, match="tolerance"):
+            estimate_k_quantum(3, tol=tol, rng=RandomStream(0))
 
     def test_quantum_restricted_observables_reduce_rank(self):
         # two bases instead of three: only 1 + 2*(n-1) = 3 independent
@@ -575,6 +585,40 @@ class TestEstimates:
 
 
 class TestKSweep:
+    def test_cells_are_estimate_k_on_their_own_streams(self, monkeypatch):
+        # one estimate_k call per cell, in sorted cell order, each on the
+        # stream its (kind, N, V_or_M) names
+        cells = [
+            ("cardbox", 2, 1), ("cardbox", 2, 3), ("cardbox", 3, 1), ("cardbox", 3, 3),
+            ("quantum", 2, 3), ("quantum", 3, 4), ("urn", 2, 1), ("urn", 3, 1),
+        ]
+        expected = [
+            estimate_k(kind, n, v=v, m=v, ensemble=7,
+                       rng=RandomStream(5, tomography._stream_id(kind, n, v)))
+            for kind, n, v in cells
+        ]
+        calls = []
+
+        def record(kind, n, *, v, m, rng, **kwargs):
+            calls.append((kind, n, v, m, rng.seed, rng.stream_id))
+            return estimate_k(kind, n, v=v, m=m, rng=rng, **kwargs)
+
+        monkeypatch.setattr(tomography, "estimate_k", record)
+        reports = k_sweep([3, 2], [3, 1], ["urn", "quantum", "cardbox"], 5, ensemble=7)
+        assert reports == expected
+        assert calls == [
+            (kind, n, v, v, 5, tomography._stream_id(kind, n, v)) for kind, n, v in cells
+        ]
+
+    def test_quantum_tolerance_checked_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a cell ran despite an unusable tolerance")
+
+        for name in ("estimate_k_cardbox", "estimate_k_urn", "estimate_k_quantum"):
+            monkeypatch.setattr(tomography, name, no_work)
+        with pytest.raises(ValidationError, match="tolerance"):
+            k_sweep([2], [1], ["cardbox", "quantum"], 0, tol=float("nan"))
+
     def test_v_dependence_at_n3(self):
         reports = k_sweep([3], [1, 2, 3], ["cardbox"], 42)
         assert [r.k_rank for r in reports] == [3, 5, 7]
