@@ -159,19 +159,29 @@ def _cmd_witness(args) -> int:
     return 0
 
 
+# rank flags that only some systems read: (flag, estimate_k keyword, systems)
+_RANK_ONLY_FOR = (
+    ("--v", "v", ("cardbox",)),
+    ("--m", "m", ("quantum",)),
+    ("--max-mult", "max_multiplicity", ("urn", "cardbox")),
+    ("--tol", "tol", ("quantum",)),
+)
+
+
 def _cmd_rank(args) -> int:
     seed = _resolve_seed(args.seed)
+    options = {}
+    for flag, keyword, systems in _RANK_ONLY_FOR:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue  # estimate_k's default
+        if args.system not in systems:
+            raise UsageError(f"{flag} does not apply to {args.system} systems")
+        options[keyword] = value
     if args.system == "cardbox" and args.v is None:
         raise UsageError("--v is required for cardbox systems")
     report = estimate_k(
-        args.system,
-        args.n,
-        v=args.v,
-        m=args.m,
-        ensemble=args.ensemble,
-        max_multiplicity=args.max_mult,
-        tol=args.tol,
-        rng=RandomStream(seed),
+        args.system, args.n, ensemble=args.ensemble, rng=RandomStream(seed), **options
     )
     sys.stdout.write(render_csv([report]))
     return 0
@@ -238,8 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, default=None, help="variable count (cardbox)")
     p.add_argument("--m", type=int, default=None, help="basis count (quantum; default n+1)")
     p.add_argument("--ensemble", type=int, default=None, help="base ensemble size (default 10*F)")
-    p.add_argument("--max-mult", type=int, default=2, help="max per-card multiplicity")
-    p.add_argument("--tol", type=float, default=RANK_TOL, help="numeric rank threshold")
+    p.add_argument(
+        "--max-mult", type=int, default=None, help="max per-card multiplicity (urn, cardbox; default 2)"
+    )
+    p.add_argument(
+        "--tol", type=float, default=None, help=f"numeric rank threshold (quantum; default {RANK_TOL:g})"
+    )
     add_seed(p)
     p.set_defaults(func=_cmd_rank)
 

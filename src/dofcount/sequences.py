@@ -129,7 +129,10 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
     Runs are expanded depth first in value order, carrying the product's
     integer numerator and denominator down the path, and each leaf makes
     one ``Fraction``.  More than ``MAX_SEQUENCES`` positive-probability runs
-    raise ``ValidationError`` before any expansion.
+    raise ``ValidationError`` before any expansion.  The first step's
+    numerators must sum to the deck total, and every expanded run's
+    children must carry its probability exactly, checked in integers; by
+    telescoping, the leaves sum to 1.
     """
     if deck.is_empty:
         raise EmptyDeckError("cannot compute sequence statistics for an empty deck")
@@ -153,6 +156,8 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
         for x in reversed(range(n))
         if pairs[first + x][first + x]
     ]
+    if sum(numerator for _, _, numerator, _ in stack) != deck.total:
+        raise InvariantError("first-step probabilities do not sum to 1")
     path: list[Outcome] = []
     probabilities: dict[tuple[Outcome, ...], Fraction] = {}
     while stack:
@@ -163,15 +168,18 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
             probabilities[tuple(path)] = Fraction(numerator, denominator)
             continue
         row, ahead = pairs[rows[i] + x], rows[i + 1]
-        denominator *= row[rows[i] + x]
-        for y in reversed(range(n)):
-            if row[ahead + y]:
-                stack.append((i + 1, y, numerator * row[ahead + y], denominator))
+        below = denominator * row[rows[i] + x]
+        children = [
+            (i + 1, y, numerator * row[ahead + y], below)
+            for y in reversed(range(n))
+            if row[ahead + y]
+        ]
+        # the children's probabilities sum to this run's: integers only
+        if sum(child[2] for child in children) * denominator != numerator * below:
+            raise InvariantError(f"the runs after {path} do not carry its probability")
+        stack.extend(children)
     if len(probabilities) != size:
         raise InvariantError(f"expanded {len(probabilities)} sequences, expected {size}")
-    total = sum(probabilities.values())
-    if total != 1:
-        raise InvariantError(f"sequence probabilities sum to {total}, not 1")
     return SequenceDistribution(steps, probabilities)
 
 

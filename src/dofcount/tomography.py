@@ -19,8 +19,10 @@ Two counts are always reported side by side:
 
 Both counts grow with the number of variables V at fixed N, which is the
 point: K is not a function of N alone.  Classical ranks are computed with
-fraction-free integer Gaussian elimination on count rows (no tolerances);
-quantum ranks use an SVD threshold.
+fraction-free integer Gaussian elimination on count rows (no tolerances).
+Every count row is checked to satisfy the V-1 normalization equations, which
+proves the ceiling V*(N-1)+1, so a classical ensemble stops drawing once its
+rank reaches it.  Quantum ranks use an SVD threshold.
 """
 
 from __future__ import annotations
@@ -323,8 +325,12 @@ class KReport:
     ``ensemble`` is the base ensemble size, by default ten members per
     fiducial probability (``10 * k_naive``); the measurement internally
     doubles it once and sets ``saturated`` iff the rank did not move.
-    ``k_rank`` is the rank after doubling.  ``k_paper`` is the fiducial
-    count N*V for the urn and the card box, and n**2 for quantum systems.
+    ``k_rank`` is the rank after doubling.  A classical ensemble stops
+    early once its rank reaches the ceiling V*(N-1)+1 that the per-row sum
+    check proves, since no later row could raise it; ``k_rank`` and
+    ``saturated`` are those of the full doubled ensemble.  ``k_paper`` is
+    the fiducial count N*V for the urn and the card box, and n**2 for
+    quantum systems.
     """
 
     kind: str
@@ -353,14 +359,23 @@ def _estimate_k_classical(
     rng: RandomStream,
 ) -> KReport:
     fiducials = spec.num_variables * spec.values_per_variable
+    # _count_rows checks that every row's V value blocks sum to the deck
+    # total: V - 1 independent equations, so no row raises the rank past
+    # this ceiling, and the draws stop once it is reached
+    ceiling = fiducials - (spec.num_variables - 1)
     base = _base_ensemble(fiducials, ensemble)
     rows = _count_rows(spec, 2 * base, max_multiplicity, rng)
     basis = ExactRowBasis(fiducials)
-    for row in itertools.islice(rows, base):
-        basis.add(row)
+
+    def feed(count: int) -> None:
+        for row in itertools.islice(rows, count):
+            if basis.add(row) and basis.rank == ceiling:
+                return
+
+    feed(base)
     first_rank = basis.rank
-    for row in rows:
-        basis.add(row)
+    if first_rank < ceiling:
+        feed(base)
     return KReport(
         kind=kind,
         n=spec.values_per_variable,

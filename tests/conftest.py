@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from dofcount import (
     BoxState,
     Deck,
+    ExactRowBasis,
     Outcome,
     SystemSpec,
     all_cards,
     cardbox_spec,
+    fiducial_vector_cardbox,
     filter_deck,
     initial_state,
     observe,
@@ -127,6 +129,31 @@ def literal_random_decks(spec, count, max_multiplicity, rng):
         else:
             redrawn += 1
     return decks, redrawn
+
+
+def count_row(deck):
+    """A deck's per-variable value counts: its total times its fiducial vector."""
+    return [deck.total * p for p in fiducial_vector_cardbox(deck)]
+
+
+def rank_growth(spec, count, max_multiplicity, rng):
+    """Rank after each of ``count`` literal decks' count rows, all of them fed."""
+    decks, _ = literal_random_decks(spec, count, max_multiplicity, rng)
+    basis = ExactRowBasis(spec.num_variables * spec.values_per_variable)
+    ranks = []
+    for deck in decks:
+        basis.add(count_row(deck))
+        ranks.append(basis.rank)
+    return ranks
+
+
+def full_ensemble_k(spec, ensemble, max_multiplicity, rng):
+    """Early-stop oracle: ``(k_rank, saturated, ensemble)`` from every drawn row.
+
+    Ranks all ``2 * ensemble`` rows, with no ceiling and no early stop.
+    """
+    ranks = rank_growth(spec, 2 * ensemble, max_multiplicity, rng)
+    return ranks[-1], ranks[ensemble - 1] == ranks[-1], ensemble
 
 
 def rebuild_from_full_deck(state, variable, value):

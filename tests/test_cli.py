@@ -10,7 +10,9 @@ import pytest
 
 import dofcount
 from dofcount import Deck, Outcome, serialize_deck_file, urn_as_cardbox, urn_deck
+from dofcount import cli
 from dofcount.cli import CSV_HEADER, cli_main
+from dofcount.tomography import estimate_k
 
 
 @pytest.fixture
@@ -107,6 +109,63 @@ class TestRankCommand:
         captured = capsys.readouterr()
         assert "tolerance" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "system, flag, value",
+        [
+            ("urn", "--v", "5"),  # --v is read by cardbox only
+            ("quantum", "--v", "2"),
+            ("urn", "--m", "3"),  # --m is read by quantum only
+            ("cardbox", "--m", "3"),
+            ("quantum", "--max-mult", "3"),
+            ("urn", "--tol", "1e-6"),  # --tol is read by quantum only
+            ("cardbox", "--tol", "1e-6"),
+        ],
+    )
+    def test_flag_for_another_system_is_usage_error(self, capsys, system, flag, value):
+        argv = ["rank", "--system", system, "--n", "3", flag, value, "--seed", "1"]
+        if system == "cardbox":
+            argv += ["--v", "2"]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"{flag} does not apply to {system} systems" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "bare, explicit",
+        [
+            (["--system", "urn", "--n", "3"], ["--max-mult", "2"]),
+            (["--system", "cardbox", "--n", "2", "--v", "2"], ["--max-mult", "2"]),
+            (["--system", "quantum", "--n", "2"], ["--m", "3", "--tol", "1e-9"]),
+        ],
+    )
+    def test_spelled_out_defaults_print_the_bare_output(self, capsys, bare, explicit):
+        assert cli_main(["rank", *bare, "--seed", "1"]) == 0
+        expected = capsys.readouterr().out
+        assert cli_main(["rank", *bare, *explicit, "--seed", "1"]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "argv, options",
+        [
+            (["--system", "urn", "--n", "3", "--max-mult", "5"], {"max_multiplicity": 5}),
+            (["--system", "cardbox", "--n", "2", "--v", "3", "--max-mult", "4"],
+             {"v": 3, "max_multiplicity": 4}),
+            (["--system", "quantum", "--n", "2", "--m", "2", "--tol", "1e-6"],
+             {"m": 2, "tol": 1e-6}),
+            (["--system", "quantum", "--n", "2"], {}),
+        ],
+    )
+    def test_flags_for_the_chosen_system_reach_estimate_k(self, monkeypatch, argv, options):
+        calls = []
+
+        def record(kind, n, *, ensemble, rng, **kwargs):
+            calls.append(kwargs)
+            return estimate_k(kind, n, ensemble=ensemble, rng=rng, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_k", record)
+        assert cli_main(["rank", *argv]) == 0
+        assert calls == [options]
 
     def test_ensemble_flag_is_echoed(self, capsys):
         assert cli_main(

@@ -120,6 +120,24 @@ class TestSequenceDistribution:
         with pytest.raises(ValidationError, match=f"{MAX_SEQUENCES:,}"):
             sequence_distribution(four_card_deck, plan)
 
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            ((0, 0), "first-step probabilities"),  # n_Face(K) off by one
+            ((0, 2), "do not carry its probability"),  # C[Face=K, Suit=S] off by one
+            ((3, 1), "do not carry its probability"),  # C[Suit=H, Face=Q], deeper in
+        ],
+    )
+    def test_wrong_pair_count_is_an_invariant_error(self, weighted_deck, monkeypatch, entry, match):
+        # the integer checks at the first step and at every expanded run
+        # stand in for summing the leaves; a wrong entry must trip them
+        pairs = _pair_counts(weighted_deck)
+        row, col = entry
+        pairs[row][col] += 1
+        monkeypatch.setattr("dofcount.sequences._pair_counts", lambda deck: pairs)
+        with pytest.raises(InvariantError, match=match):
+            sequence_distribution(weighted_deck, ("Face", "Suit", "Face"))
+
     def test_support_size_is_exact_at_the_limit(self, four_card_deck, weighted_deck):
         rows = [2 * (i % 2) for i in range(18)]  # Face, Suit, ... on N=2
         assert _support_size(_pair_counts(four_card_deck), rows, 2) == MAX_SEQUENCES

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 from fractions import Fraction
@@ -9,7 +10,15 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import deck_strategy, enumerate_decks, literal_random_decks, spec_strategy
+from conftest import (
+    count_row,
+    deck_strategy,
+    enumerate_decks,
+    full_ensemble_k,
+    literal_random_decks,
+    rank_growth,
+    spec_strategy,
+)
 from dofcount import (
     Deck,
     ExactRowBasis,
@@ -47,6 +56,7 @@ from dofcount.errors import (
 from dofcount.quantum import RANK_TOL, DensityState, MeasurementBasis, ObservableSet
 
 DATA = Path(__file__).parent / "data"
+cached_exhaustive_rank = functools.cache(exhaustive_fiducial_rank)
 
 
 class TestFiducialVectorCardbox:
@@ -168,10 +178,6 @@ class TestRandomDeckEnsemble:
             random_deck_ensemble(four_card_spec, 1, 0, RandomStream(0))
 
 
-def count_row(deck):
-    return [deck.total * p for p in fiducial_vector_cardbox(deck)]
-
-
 class TestCountRows:
     # (N, V, max multiplicity): at N=2, V=1, max 2 one draw in nine is all
     # zero and redrawn; at N=3, V=6 a draw block holds 89 decks
@@ -207,11 +213,25 @@ class TestCountRows:
             expected, _ = literal_random_decks(spec, 15, 2, oracle)
             assert random_deck_ensemble(spec, 15, 2, rng) == expected
 
-    @pytest.mark.parametrize("estimate", [
-        lambda rng: estimate_k_urn(2, ensemble=30, rng=rng),
-        lambda rng: estimate_k_cardbox(cardbox_spec(3, 2), ensemble=30, rng=rng),
+    @pytest.mark.parametrize("kind, n, v, ensemble, seed, reached", [
+        ("urn", 2, 1, 30, 4, "first"),
+        ("cardbox", 3, 2, 30, 4, "first"),
+        ("cardbox", 5, 4, 10, 0, "second"),
+        ("cardbox", 5, 4, 2, 0, "never"),  # every drawn row is fed
     ])
-    def test_k_path_adds_every_drawn_deck_once_in_order(self, monkeypatch, estimate):
+    def test_k_path_feeds_rows_to_exhaustion(self, monkeypatch, kind, n, v, ensemble, seed, reached):
+        # the rows fed are the literal decks' count rows in draw order, up to
+        # the first at which a separate basis reaches the exhaustive rank
+        spec = cardbox_spec(n, v)
+        decks, _ = literal_random_decks(spec, 2 * ensemble, 2, RandomStream(seed))
+        drawn = [count_row(deck) for deck in decks]
+        exhausted = exhaustive_fiducial_rank(spec)
+        oracle, expected = ExactRowBasis(n * v), []
+        for row in drawn:
+            expected.append(row)
+            oracle.add(row)
+            if oracle.rank == exhausted:
+                break
         fed, add = [], ExactRowBasis.add
 
         def record(basis, row):
@@ -219,10 +239,14 @@ class TestCountRows:
             return add(basis, row)
 
         monkeypatch.setattr(ExactRowBasis, "add", record)
-        report = estimate(RandomStream(4))
-        spec = cardbox_spec(report.n, report.v_or_m)
-        decks, _ = literal_random_decks(spec, 60, 2, RandomStream(4))
-        assert fed == [count_row(deck) for deck in decks]
+        estimate_k(kind, n, v=v, ensemble=ensemble, rng=RandomStream(seed))
+        assert fed == expected
+        stop = len(expected)
+        if reached == "never":
+            assert oracle.rank < exhausted and stop == 2 * ensemble
+        else:
+            assert oracle.rank == exhausted
+            assert (stop <= ensemble) == (reached == "first")
 
     def test_multiplicities_at_the_int64_limit(self):
         spec = cardbox_spec(2, 2)
@@ -533,6 +557,63 @@ class TestEstimates:
         assert first.saturated
         doubled = estimate_k_cardbox(cardbox_spec(2, 2), ensemble=80, rng=RandomStream(5))
         assert doubled.k_rank == first.k_rank
+
+    @staticmethod
+    def early_stop_matches_full_ensemble(spec, kind, ensemble, max_mult, seed):
+        """Check one cell; returns (saturated, whether the exhaustive rank was reached)."""
+        # the report must equal the full ensemble's, and the rows reduced
+        # must end at the first one that reaches the exhaustive rank
+        ranks = rank_growth(spec, 2 * ensemble, max_mult, RandomStream(seed))
+        oracle = full_ensemble_k(spec, ensemble, max_mult, RandomStream(seed))
+        exhausted = cached_exhaustive_rank(spec)
+        needed = ranks.index(exhausted) + 1 if exhausted in ranks else len(ranks)
+        calls, add = [], ExactRowBasis.add
+
+        def count(basis, row):
+            calls.append(None)
+            return add(basis, row)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ExactRowBasis, "add", count)
+            report = estimate_k(kind, spec.values_per_variable, v=spec.num_variables,
+                                ensemble=ensemble, max_multiplicity=max_mult,
+                                rng=RandomStream(seed))
+        assert (report.k_rank, report.saturated, report.ensemble) == oracle
+        assert len(calls) == needed
+        return report.saturated, report.k_rank == exhausted
+
+    @given(
+        kind=st.sampled_from(["urn", "cardbox"]),
+        n=st.integers(2, 5),
+        v=st.integers(1, 4),
+        max_mult=st.integers(1, 3),
+        ensemble=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_early_stop_equals_the_full_ensemble(self, kind, n, v, max_mult, ensemble, seed):
+        spec = urn_as_cardbox(n) if kind == "urn" else cardbox_spec(n, v)
+        self.early_stop_matches_full_ensemble(spec, kind, ensemble, max_mult, seed)
+
+    def test_early_stop_equals_the_full_ensemble_on_every_branch(self):
+        # small ensembles reach the exhaustive rank in the first half, in
+        # the doubled half, or never; the unsaturated outcomes must occur
+        outcomes = {
+            self.early_stop_matches_full_ensemble(cardbox_spec(n, v), "cardbox", ensemble, 2, seed)
+            for n, v in [(2, 1), (3, 2), (2, 4), (5, 4)]
+            for ensemble in range(1, 5)
+            for seed in range(3)
+        }
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_wide_urn_stops_at_its_ceiling(self):
+        # 1,280 count rows of width 64: about 0.06 s when the draws stop at
+        # rank 64, 1.3 s when every row is reduced (2-core Xeon VM); the
+        # bound leaves 8x headroom and still fails the full run by 2.6x
+        start = time.perf_counter()
+        report = estimate_k_urn(64, rng=RandomStream(1))
+        elapsed = time.perf_counter() - start
+        assert (report.k_rank, report.saturated) == (64, True)
+        assert elapsed < 0.5, f"estimate_k_urn(64) took {elapsed:.2f} s"
 
     def test_dispatcher(self):
         report = estimate_k("urn", 3, rng=RandomStream(1))
