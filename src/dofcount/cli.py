@@ -31,7 +31,7 @@ from .errors import DofcountError, InvariantError, ValidationError
 from .quantum import RANK_TOL
 from .rng import RandomStream
 from .sequences import find_classicality_witness, sequence_distribution, simulate_plan
-from .tomography import KReport, estimate_k, k_sweep
+from .tomography import STREAM_FIELD_LIMIT, KReport, estimate_k, k_sweep
 
 # Report columns: every KReport field, in field order, under its output name.
 _RENAMED = {
@@ -108,6 +108,11 @@ def _parse_range(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects A..B or a single integer, got {text!r}")
     if lo > hi:
         raise UsageError(f"{flag} range is empty: {text!r}")
+    if lo < 0 or hi >= STREAM_FIELD_LIMIT:  # checked before the list is built
+        raise ValidationError(
+            f"{flag} bounds must lie in 0..{STREAM_FIELD_LIMIT - 1} to get distinct "
+            f"random streams, got {text!r}"
+        )
     return list(range(lo, hi + 1))
 
 
@@ -200,7 +205,10 @@ def _cmd_sweep(args) -> int:
     )
     text = render_json(reports) if args.json else render_csv(reports)
     if args.out:
-        Path(args.out).write_bytes(text.encode("utf-8"))
+        try:
+            Path(args.out).write_bytes(text.encode("utf-8"))
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file {args.out}: {exc}")
         print(f"wrote {len(reports)} reports to {args.out}")
     else:
         sys.stdout.write(text)

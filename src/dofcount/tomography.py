@@ -22,7 +22,9 @@ point: K is not a function of N alone.  Classical ranks are computed with
 fraction-free integer Gaussian elimination on count rows (no tolerances).
 Every count row is checked to satisfy the V-1 normalization equations, which
 proves the ceiling V*(N-1)+1, so a classical ensemble stops drawing once its
-rank reaches it.  Quantum ranks use an SVD threshold.
+rank reaches it.  Its rows are drawn on demand: a first block of ceiling+1
+rows, then blocks that double up to 65,536 multiplicities each.  Quantum
+ranks use an SVD threshold.
 """
 
 from __future__ import annotations
@@ -124,25 +126,33 @@ def _check_draw_limits(num_values: int, num_variables: int, max_multiplicity: in
 
 
 def _multiplicity_draws(
-    spec: SystemSpec, count: int, max_multiplicity: int, rng: RandomStream
+    spec: SystemSpec,
+    count: int,
+    max_multiplicity: int,
+    rng: RandomStream,
+    first_block: int = _DRAW_BLOCK,
 ) -> Iterator[np.ndarray]:
     """Per-card-type multiplicities of random decks, one row per deck.
 
     Columns follow ``all_cards`` order, and each entry is uniform in
     {0..max}.  All-zero draws are rejected and redrawn, so every deck is
-    nonempty.  Rows come in blocks; a block of k rows holds the same draws
-    as k one-row calls, and no more rows are drawn than decks remain, so the
-    decks do not depend on the block size.
+    nonempty.  Rows come in blocks, each drawn only when the caller asks
+    for it: the first holds ``first_block`` rows and each later one twice
+    as many, all capped at ``_DRAW_BLOCK`` multiplicities, and no more rows
+    are drawn than decks remain.  A block of k rows holds the same draws as
+    k one-row calls, so the decks do not depend on the block sizes.
     """
     if count < 1:
         raise ValidationError("ensemble count must be at least 1")
     types = _check_draw_limits(spec.values_per_variable, spec.num_variables, max_multiplicity)
-    block_rows = max(1, _DRAW_BLOCK // types)
+    cap = max(1, _DRAW_BLOCK // types)
+    block_rows = min(max(1, first_block), cap)
     remaining = count
     while remaining:
         block = rng.integers_below(max_multiplicity + 1, size=(min(remaining, block_rows), types))
         block = block[block.any(axis=1)]
         remaining -= len(block)
+        block_rows = min(2 * block_rows, cap)
         yield block
 
 
@@ -162,17 +172,24 @@ def random_deck_ensemble(
 
 
 def _count_rows(
-    spec: SystemSpec, count: int, max_multiplicity: int, rng: RandomStream
+    spec: SystemSpec,
+    count: int,
+    max_multiplicity: int,
+    rng: RandomStream,
+    first_block: int = _DRAW_BLOCK,
 ) -> Iterator[list[int]]:
     """Per-variable value counts of random decks, one row per deck as drawn.
 
     Row ``e`` is ``deck.total * fiducial_vector_cardbox(deck)`` for the
     ``e``-th deck ``random_deck_ensemble`` draws from the same stream, so
-    the rows span the same space as the fiducial vectors.
+    the rows span the same space as the fiducial vectors.  Rows are drawn,
+    counted and checked one ``_multiplicity_draws`` block at a time (the
+    first ``first_block`` rows, then doubling), so a caller that stops
+    early leaves the later blocks undrawn.
     """
     indicator = _indicator_matrix(spec)
     shape = (-1, spec.num_variables, spec.values_per_variable)
-    for block in _multiplicity_draws(spec, count, max_multiplicity, rng):
+    for block in _multiplicity_draws(spec, count, max_multiplicity, rng, first_block):
         counts = block @ indicator
         if (counts.reshape(shape).sum(axis=2) != block.sum(axis=1)[:, None]).any():
             raise InvariantError("a count row's value blocks do not all sum to the deck total")
@@ -361,10 +378,11 @@ def _estimate_k_classical(
     fiducials = spec.num_variables * spec.values_per_variable
     # _count_rows checks that every row's V value blocks sum to the deck
     # total: V - 1 independent equations, so no row raises the rank past
-    # this ceiling, and the draws stop once it is reached
+    # this ceiling.  The draws stop once it is reached, and the first draw
+    # block is just large enough to reach it.
     ceiling = fiducials - (spec.num_variables - 1)
     base = _base_ensemble(fiducials, ensemble)
-    rows = _count_rows(spec, 2 * base, max_multiplicity, rng)
+    rows = _count_rows(spec, 2 * base, max_multiplicity, rng, first_block=ceiling + 1)
     basis = ExactRowBasis(fiducials)
 
     def feed(count: int) -> None:
@@ -478,15 +496,15 @@ def estimate_k(
 
 _KIND_CODES = {"cardbox": 0, "quantum": 1, "urn": 2}
 _STREAM_FIELD_BITS = 20
+STREAM_FIELD_LIMIT = 1 << _STREAM_FIELD_BITS  # N and V_or_M of a sweep cell stay below it
 
 
 def _stream_id(kind: str, n: int, v: int) -> int:
     # One independent stream per table cell, derived from the master seed.
     # N and V (or M) each get a 20-bit field; a wider value would collide.
-    limit = 1 << _STREAM_FIELD_BITS
-    if not (0 <= n < limit and 0 <= v < limit):
+    if not (0 <= n < STREAM_FIELD_LIMIT and 0 <= v < STREAM_FIELD_LIMIT):
         raise ValidationError(
-            f"N and V_or_M must be below 2**{_STREAM_FIELD_BITS} = {limit} "
+            f"N and V_or_M must be below 2**{_STREAM_FIELD_BITS} = {STREAM_FIELD_LIMIT} "
             f"to get distinct random streams, got N={n}, V_or_M={v}"
         )
     return (_KIND_CODES[kind] << (2 * _STREAM_FIELD_BITS)) | (n << _STREAM_FIELD_BITS) | v
@@ -521,15 +539,17 @@ def k_sweep(
     if min(v_list) < 1:
         raise ValidationError("V must be at least 1")
 
-    cells = []
+    def v_values(kind: str, n: int) -> list[int]:
+        if kind == "cardbox":
+            return v_list
+        return [1 if kind == "urn" else n + 1]
+
+    # A kind's largest cell (max N, max V) is the first to pass any limit,
+    # so checking it checks every cell, before any cell is listed or run.
     for kind in kind_list:
-        for n in n_list:
-            if kind == "cardbox":
-                cells.extend((kind, n, v) for v in v_list)
-            else:
-                cells.append((kind, n, 1 if kind == "urn" else n + 1))
-    stream_ids = [_stream_id(*cell) for cell in cells]  # every cell checked before any work
-    for kind, n, v in cells:
+        n = n_list[-1]
+        v = v_values(kind, n)[-1]
+        _stream_id(kind, n, v)
         if kind == "quantum":
             _check_tolerance(tol)
         else:
@@ -537,6 +557,8 @@ def k_sweep(
 
     return [
         estimate_k(kind, n, v=v, m=v, ensemble=ensemble, max_multiplicity=max_multiplicity,
-                   tol=tol, rng=RandomStream(seed, stream_id))
-        for (kind, n, v), stream_id in zip(cells, stream_ids)
+                   tol=tol, rng=RandomStream(seed, _stream_id(kind, n, v)))
+        for kind in kind_list
+        for n in n_list
+        for v in v_values(kind, n)
     ]

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -262,6 +263,26 @@ def test_card_type_limit_fails_fast(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        (["--n-range", "2..1000000", "--v-range", "1..4"], "MAX_CARD_TYPES"),
+        (["--n-range", "2..1000", "--v-range", "1..1000"], "MAX_CARD_TYPES"),
+        (["--n-range", f"2..{10**9}", "--v-range", "1"], "0..1048575"),
+        (["--n-range", "2", "--v-range", f"1..{2**20}"], "0..1048575"),
+        ([f"--n-range={-10**9}..3", "--v-range", "1"], "0..1048575"),
+        (["--systems", "quantum", "--n-range", f"2..{2**20 - 1}", "--v-range", "1"], r"2\*\*20"),
+    ],
+)
+def test_huge_sweep_ranges_fail_fast(capsys, ranges, message):
+    start = time.perf_counter()
+    assert cli_main(["sweep", *ranges]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert re.search(message, captured.err)
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [["sequence"], ["simulate", "--trials", "100"]])
 def test_closed_pipe_exits_quietly(deck_file, command):
     # 16,384 output lines outgrow the pipe buffer, so the writer meets the closed end
@@ -325,6 +346,13 @@ class TestSweepCommand:
         assert cli_main(self.ARGS + ["--out", str(a)]) == 0
         assert cli_main(self.ARGS + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("target", ["missing/report.csv", "."])
+    def test_unwritable_output_is_validation_error(self, tmp_path, capsys, target):
+        assert cli_main(self.ARGS + ["--out", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write output file" in captured.err
+        assert captured.out == ""
 
     def test_json_output(self, capsys):
         assert cli_main(self.ARGS + ["--json"]) == 0

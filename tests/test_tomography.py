@@ -199,10 +199,57 @@ class TestCountRows:
 
     @pytest.mark.parametrize("block", [1, 7, 2**16])
     def test_draws_do_not_depend_on_block_size(self, monkeypatch, block):
-        spec = cardbox_spec(2, 1)
-        expected, _ = literal_random_decks(spec, 50, 2, RandomStream(3))
+        # urn and card-box shapes; first blocks below, at and past the cap
         monkeypatch.setattr(tomography, "_DRAW_BLOCK", block)
-        assert random_deck_ensemble(spec, 50, 2, RandomStream(3)) == expected
+        for spec in (cardbox_spec(2, 1), urn_as_cardbox(4), cardbox_spec(3, 2), cardbox_spec(2, 3)):
+            expected, _ = literal_random_decks(spec, 50, 2, RandomStream(3))
+            assert random_deck_ensemble(spec, 50, 2, RandomStream(3)) == expected
+            rows = [count_row(deck) for deck in expected]
+            for first_block in (1, 2, 5, 64, 2**16):
+                drawn = tomography._count_rows(spec, 50, 2, RandomStream(3), first_block)
+                assert list(drawn) == rows
+
+    @staticmethod
+    def record_draws(monkeypatch):
+        """Rows per ``integers_below`` call, all-zero rows and rows fed to a basis."""
+        seen = {"blocks": [], "zero": 0, "fed": 0}
+        draw, add = RandomStream.integers_below, ExactRowBasis.add
+
+        def record_draw(rng, upper, size=None):
+            block = draw(rng, upper, size)
+            seen["blocks"].append(len(block))
+            seen["zero"] += int((~block.any(axis=1)).sum())
+            return block
+
+        def record_add(basis, row):
+            seen["fed"] += 1
+            return add(basis, row)
+
+        monkeypatch.setattr(RandomStream, "integers_below", record_draw)
+        monkeypatch.setattr(ExactRowBasis, "add", record_add)
+        return seen
+
+    @pytest.mark.parametrize("kind, n, v, seed", [
+        ("urn", 2, 1, 0), ("urn", 2, 1, 4), ("urn", 9, 1, 1), ("cardbox", 2, 2, 2),
+        ("cardbox", 3, 2, 4), ("cardbox", 4, 4, 0), ("cardbox", 5, 4, 3), ("cardbox", 3, 6, 1),
+    ])
+    def test_draws_follow_the_early_stop(self, monkeypatch, kind, n, v, seed):
+        # the first block is ceiling-sized and each later one doubles, so a
+        # cell that reaches the ceiling draws at most the first block plus
+        # twice the rows it fed or redrew
+        seen = self.record_draws(monkeypatch)
+        report = estimate_k(kind, n, v=v, rng=RandomStream(seed))
+        ceiling = v * (n - 1) + 1
+        first = min(ceiling + 1, 2**16 // n**v, 2 * report.ensemble)
+        assert report.k_rank == ceiling
+        assert seen["blocks"][0] == first
+        assert sum(seen["blocks"]) <= 2 * (seen["fed"] + seen["zero"]) + first
+
+    def test_cell_short_of_the_ceiling_draws_every_row(self, monkeypatch):
+        seen = self.record_draws(monkeypatch)
+        report = estimate_k("cardbox", 5, v=4, ensemble=2, rng=RandomStream(0))
+        assert report.k_rank < 17
+        assert sum(seen["blocks"]) == seen["fed"] == 4
 
     def test_stream_continues_where_the_draws_stopped(self):
         # two ensembles drawn one after the other from one stream, as the
@@ -746,6 +793,15 @@ class TestKSweep:
         # each would collide with another cell's stream; none may start work
         with pytest.raises(ValidationError, match=r"2\*\*20"):
             k_sweep(n_values, v_values, [kind], 0)
+
+    @pytest.mark.parametrize("kind", ["cardbox", "urn"])
+    def test_largest_cell_checked_before_cells_are_listed(self, kind):
+        # ~5 million card-box cells or ~5,000 urn cells; the largest of each
+        # kind is past MAX_CARD_TYPES, so none is listed
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="MAX_CARD_TYPES"):
+            k_sweep(range(2, 5000), range(1, 1000), [kind], 0)
+        assert time.perf_counter() - start < 0.5
 
     def test_stream_ids_distinct_up_to_the_limit(self):
         top = 2**20 - 1
