@@ -24,7 +24,10 @@ Every count row is checked to satisfy the V-1 normalization equations, which
 proves the ceiling V*(N-1)+1, so a classical ensemble stops drawing once its
 rank reaches it.  Its rows are drawn on demand: a first block of ceiling+1
 rows, then blocks that double up to 65,536 multiplicities each.  Quantum
-ranks use an SVD threshold.
+ranks count singular values above a threshold.  Each half of the Born
+matrix is reduced once to the R factor of its QR factorization; the
+stacked factors have the singular values of all rows, so both ranks come
+from one pass over the rows.
 """
 
 from __future__ import annotations
@@ -368,6 +371,19 @@ def _base_ensemble(fiducials: int, ensemble: int | None) -> int:
     return base
 
 
+MAX_BORN_ENTRIES = 2**25  # float64 entries of a quantum K run's Born matrix: 268 MB
+
+
+def _check_born_entries(fiducials: int, ensemble: int | None) -> None:
+    """A quantum run's ``2·ensemble`` rows of ``n·M`` Born probabilities must fit."""
+    base = _base_ensemble(fiducials, ensemble)
+    if 2 * base * fiducials > MAX_BORN_ENTRIES:
+        raise ValidationError(
+            f"2 * ensemble * n * M = 2 * {base} * {fiducials} Born-matrix entries "
+            f"exceed MAX_BORN_ENTRIES = {MAX_BORN_ENTRIES}"
+        )
+
+
 def _estimate_k_classical(
     spec: SystemSpec,
     kind: str,
@@ -444,13 +460,19 @@ def estimate_k_quantum(
     n**2, the quantum reference value.
     """
     _check_tolerance(tol)
-    observables = random_observable_set(n, num_bases, rng=rng)
-    m = observables.num_bases
+    m = n + 1 if num_bases is None else num_bases
     fiducials = n * m
+    if fiducials > 0:  # otherwise random_observable_set names the bad argument
+        _check_born_entries(fiducials, ensemble)
+    observables = random_observable_set(n, num_bases, rng=rng)
     base = _base_ensemble(fiducials, ensemble)
     rows = fiducial_matrix_quantum(random_pure_states(n, 2 * base, rng), observables)
-    first_rank = matrix_rank_numeric(rows[:base], tol)
-    rank = matrix_rank_numeric(rows, tol)
+    # [A; B] = diag(Q1, Q2)·[R1; R2], and diag(Q1, Q2) has orthonormal
+    # columns: the stacked R factors have the singular values of all rows,
+    # and R1 those of the first half, so each half is reduced only once.
+    first = np.linalg.qr(rows[:base], mode="r")
+    first_rank = matrix_rank_numeric(first, tol)
+    rank = matrix_rank_numeric(np.vstack([first, np.linalg.qr(rows[base:], mode="r")]), tol)
     return KReport(
         kind="quantum",
         n=n,
@@ -510,6 +532,14 @@ def _stream_id(kind: str, n: int, v: int) -> int:
     return (_KIND_CODES[kind] << (2 * _STREAM_FIELD_BITS)) | (n << _STREAM_FIELD_BITS) | v
 
 
+def _sorted_distinct(values: Iterable[int]) -> Sequence[int]:
+    # a range with a positive step is sorted and distinct already, and its
+    # bounds are read without listing it
+    if isinstance(values, range) and values.step > 0:
+        return values
+    return sorted(set(values))
+
+
 def k_sweep(
     n_values: Iterable[int],
     v_values: Iterable[int],
@@ -526,20 +556,20 @@ def k_sweep(
     quantum reference always uses the full n+1 tomographic bases, so those
     kinds contribute one row per N.
     """
-    n_list = sorted(set(n_values))
-    v_list = sorted(set(v_values))
+    n_list = _sorted_distinct(n_values)
+    v_list = _sorted_distinct(v_values)
     kind_list = sorted(set(kinds))
     if not n_list or not v_list or not kind_list:
         raise ValidationError("sweep ranges must be nonempty")
     for kind in kind_list:
         if kind not in _KIND_CODES:
             raise ValidationError(f"unknown system kind {kind!r}")
-    if min(n_list) < 2:
+    if n_list[0] < 2:
         raise ValidationError("N must be at least 2")
-    if min(v_list) < 1:
+    if v_list[0] < 1:
         raise ValidationError("V must be at least 1")
 
-    def v_values(kind: str, n: int) -> list[int]:
+    def v_values(kind: str, n: int) -> Sequence[int]:
         if kind == "cardbox":
             return v_list
         return [1 if kind == "urn" else n + 1]
@@ -552,6 +582,7 @@ def k_sweep(
         _stream_id(kind, n, v)
         if kind == "quantum":
             _check_tolerance(tol)
+            _check_born_entries(n * v, ensemble)
         else:
             _check_draw_limits(n, v, max_multiplicity)
 

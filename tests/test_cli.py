@@ -5,12 +5,13 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import dofcount
-from dofcount import Deck, Outcome, serialize_deck_file, urn_as_cardbox, urn_deck
+from dofcount import Deck, Outcome, RandomStream, serialize_deck_file, urn_as_cardbox, urn_deck
 from dofcount import cli
 from dofcount.cli import CSV_HEADER, cli_main
 from dofcount.tomography import estimate_k
@@ -280,6 +281,41 @@ def test_huge_sweep_ranges_fail_fast(capsys, ranges, message):
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert re.search(message, captured.err)
+    assert captured.out == ""
+
+
+def test_huge_sweep_range_is_not_listed(capsys):
+    # the largest cell is checked from the range's bounds: no million-int
+    # list or set is built before the limit rejects it
+    tracemalloc.start()
+    try:
+        assert cli_main(["sweep", "--n-range", "2..1000000", "--v-range", "1..4"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak traced memory {peak:,} bytes"
+    assert "MAX_CARD_TYPES" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--system", "quantum", "--n", "2", "--ensemble", "1000000000"],
+        ["rank", "--system", "quantum", "--n", "64"],
+        ["rank", "--system", "quantum", "--n", "4", "--m", "10000000", "--ensemble", "1"],
+        ["sweep", "--systems", "quantum", "--n-range", "2..64", "--v-range", "1"],
+    ],
+)
+def test_quantum_work_limit_fails_fast(capsys, monkeypatch, argv):
+    def no_draw(self, size):
+        raise AssertionError("drew past the Born-matrix entry limit")
+
+    monkeypatch.setattr(RandomStream, "standard_normal", no_draw)
+    start = time.perf_counter()
+    assert cli_main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert "MAX_BORN_ENTRIES" in captured.err
     assert captured.out == ""
 
 

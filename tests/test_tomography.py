@@ -355,6 +355,7 @@ class TestDrawLimits:
             (([2, 10], [8], ["cardbox"]), 2),  # (10, 8) comes after (2, 8)
             (([2, 5000], [1], ["quantum", "urn"]), 2),  # urn of 5,000 positions
             (([2], [1], ["quantum", "urn"]), 2**63),  # quantum cells come first
+            (([2, 36], [1], ["quantum"]), 2),  # n=36 passes MAX_BORN_ENTRIES
         ],
     )
     def test_sweep_checks_every_cell_before_any_work(self, monkeypatch, cells, max_mult):
@@ -672,18 +673,20 @@ class TestEstimates:
 
     def test_quantum_rank_margin(self, monkeypatch):
         # sigma_K / sigma_1 shrinks with n (about 3e-4 at n=12): fail well
-        # before it nears RANK_TOL, and before noise nears it from below
-        ranked = []
+        # before it nears RANK_TOL, and before noise nears it from below.
+        # The ratios come from the whole Born matrix, not from what the
+        # rank path makes of it.
+        born = []
 
-        def capture(rows, tol):
-            ranked.append(rows)
-            return matrix_rank_numeric(rows, tol)
+        def capture(psi, observables):
+            born.append(fiducial_matrix_quantum(psi, observables))
+            return born[-1]
 
-        monkeypatch.setattr(tomography, "matrix_rank_numeric", capture)
+        monkeypatch.setattr(tomography, "fiducial_matrix_quantum", capture)
         cases = [(n, seed) for n in range(2, 13) for seed in range(3)] + [(16, 0)]
         for n, seed in cases:
             report = estimate_k_quantum(n, rng=RandomStream(seed, n))
-            singular = np.linalg.svd(ranked[-1], compute_uv=False)
+            singular = np.linalg.svd(born[-1], compute_uv=False)
             k = n * n
             k_ratio = singular[k - 1] / singular[0]
             k1_ratio = singular[k] / singular[0]
@@ -710,6 +713,66 @@ class TestEstimates:
         report = estimate_k_quantum(2, 2, rng=RandomStream(4))
         assert report.k_rank == 3
         assert report.k_paper == 4
+
+
+class TestQuantumRankFromRFactors:
+    """The R-factor ranks against ranks of the whole Born matrix."""
+
+    @staticmethod
+    def born_matrix(n, m, ensemble, seed):
+        # the draws estimate_k_quantum makes, in its order, on the same stream
+        rng = RandomStream(seed, n)
+        observables = random_observable_set(n, m, rng=rng)
+        base = 10 * n * observables.num_bases if ensemble is None else ensemble
+        return fiducial_matrix_quantum(random_pure_states(n, 2 * base, rng), observables), base
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_ranks_equal_the_whole_matrix_ranks(self, monkeypatch, n):
+        ranked = []
+
+        def capture(rows, tol):
+            ranked.append(rows)
+            return matrix_rank_numeric(rows, tol)
+
+        monkeypatch.setattr(tomography, "matrix_rank_numeric", capture)
+        # default cells at three seeds, restricted bases, and base ensembles
+        # down to halves shorter than they are wide
+        cases = [(None, None, seed) for seed in range(3)]
+        cases += [(m, None, 0) for m in (1, 2, n)]
+        cases += [(None, ensemble, 1) for ensemble in (1, 3, n * (n + 1) - 1)]
+        for m, ensemble, seed in cases:
+            report = estimate_k_quantum(n, m, ensemble=ensemble, rng=RandomStream(seed, n))
+            rows, base = self.born_matrix(n, m, ensemble, seed)
+            rank = matrix_rank_numeric(rows)
+            assert report.k_rank == rank, (m, ensemble, seed)
+            assert report.saturated == (rank == matrix_rank_numeric(rows[:base])), (m, ensemble, seed)
+            for reduced, whole in ((ranked[-2], rows[:base]), (ranked[-1], rows)):
+                expected = np.linalg.svd(whole, compute_uv=False)
+                np.testing.assert_allclose(
+                    np.linalg.svd(reduced, compute_uv=False), expected,
+                    rtol=0, atol=1e-12 * expected[0],
+                )
+
+
+class TestBornEntryLimit:
+    def test_limit_admits_its_boundary(self, monkeypatch):
+        # 2 * 2**14 rows of 32 * 32 entries are exactly MAX_BORN_ENTRIES
+        class Drew(Exception):
+            pass
+
+        def drew(*args, **kwargs):
+            raise Drew
+
+        monkeypatch.setattr(tomography, "random_observable_set", drew)
+        with pytest.raises(Drew):
+            estimate_k_quantum(32, 32, ensemble=2**14, rng=RandomStream(0))
+        with pytest.raises(ValidationError, match="MAX_BORN_ENTRIES"):
+            estimate_k_quantum(32, 32, ensemble=2**14 + 1, rng=RandomStream(0))
+        for n in (32, 35):  # default ensembles: 22.3M and 31.8M entries
+            with pytest.raises(Drew):
+                estimate_k_quantum(n, rng=RandomStream(0))
+        with pytest.raises(ValidationError, match="MAX_BORN_ENTRIES"):
+            estimate_k_quantum(36, rng=RandomStream(0))
 
 
 class TestKSweep:
@@ -767,6 +830,8 @@ class TestKSweep:
         a = k_sweep([3, 2], [2, 1], ["urn", "cardbox"], 9)
         b = k_sweep([2, 3], [1, 2], ["cardbox", "urn"], 9)
         assert a == b
+        assert k_sweep(range(2, 4), range(1, 3), ("urn", "cardbox"), 9) == a
+        assert k_sweep(range(3, 1, -1), iter([2, 1, 2]), ["urn", "cardbox"], 9) == a
         keys = [(r.kind, r.n, r.v_or_m) for r in a]
         assert keys == sorted(keys)
 
