@@ -26,6 +26,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .deckfile import parse_deck_file
 from .errors import DofcountError, InvariantError, ValidationError
 from .quantum import RANK_TOL
@@ -146,9 +148,16 @@ def _cmd_sequence(args) -> int:
     _spec, deck = _load_deck(args.deck)
     plan = _parse_plan(args.plan)
     dist = sequence_distribution(deck, plan)
-    for sequence, p in dist.items():
-        values = ",".join(o.value for o in sequence)
-        print(f"{values} = {p}")
+    # each level's labels extend its parents' text: no per-run join or Fraction
+    text = np.array([""], dtype=object)
+    for i, (labels, parent, value) in enumerate(zip(dist.labels, dist.parents, dist.values)):
+        shown = np.array([("," if i else "") + label for label in labels], dtype=object)
+        text = text[parent] + shown[value]
+    # line by line: one large write can lose a closed pipe's error (exit 141)
+    sys.stdout.writelines(
+        f"{run} = {a}\n" if b == 1 else f"{run} = {a}/{b}\n"
+        for run, a, b in zip(text.tolist(), dist.numerators.tolist(), dist.denominators.tolist())
+    )
     return 0
 
 

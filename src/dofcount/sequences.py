@@ -18,15 +18,18 @@ The subdeck is rebuilt from the full deck on every press, so the device is
 a Markov chain on the last (variable, value) shown.  Every result here
 comes from one statement of that chain, the per-card weights of each chain
 state (:func:`_chain_weights`) and the pair counts built from them
-(:func:`_pair_counts`).  Ground truth is the exact chain product in integer
-arithmetic, one ``Fraction`` per run; Monte Carlo enters only through
-``simulate_plan``, which is there to be checked against the exact values.
+(:func:`_pair_counts`).  Ground truth is the exact chain product,
+expanded one plan step at a time over arrays of Python ints; ``Fraction``
+values are made only when a caller asks for the ``Outcome`` map.  Monte
+Carlo enters only through ``simulate_plan``, which is there to be checked
+against the exact values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
 from typing import Mapping, Sequence
 
@@ -54,16 +57,39 @@ _INT64_MAX = np.iinfo(np.int64).max
 MeasurementPlan = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceDistribution:
-    """Exact distribution over outcome tuples for one plan.
+    """Exact distribution over outcome tuples for one plan, held as arrays.
 
-    Only positive-probability sequences are stored; ``probability`` returns
-    0 for everything else.  The stored probabilities sum to exactly 1.
+    Runs are stored level by level: ``values[i][j]`` is the value index
+    the ``j``-th run of length ``i + 1`` shows at step ``i`` (a label of
+    ``labels[i]``), and ``parents[i][j]`` is the run of length ``i`` it
+    extends (all 0 at the first step).  ``numerators[j] / denominators[j]``
+    is the ``j``-th full run's probability in lowest terms, exact Python
+    ints.  Runs are in lexicographic value order.  Only positive-probability
+    runs are stored; ``probability`` returns 0 for everything else, and the
+    stored probabilities sum to exactly 1.  ``probabilities``, the
+    ``Outcome`` tuple to ``Fraction`` map, is built on first use.
     """
 
     plan: MeasurementPlan
-    probabilities: Mapping[tuple[Outcome, ...], Fraction]
+    labels: tuple[tuple[str, ...], ...]
+    parents: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+    numerators: np.ndarray
+    denominators: np.ndarray
+
+    @cached_property
+    def probabilities(self) -> Mapping[tuple[Outcome, ...], Fraction]:
+        shown = [
+            [Outcome(variable, label) for label in labels]
+            for variable, labels in zip(self.plan, self.labels)
+        ]
+        runs = _runs(self.parents, self.values, np.arange(len(self.numerators)))
+        return {
+            tuple(shown[i][x] for i, x in enumerate(run)): Fraction(a, b)
+            for run, a, b in zip(runs.tolist(), self.numerators.tolist(), self.denominators.tolist())
+        }
 
     def probability(self, outcomes: Sequence[Outcome]) -> Fraction:
         return self.probabilities.get(tuple(outcomes), Fraction(0))
@@ -72,7 +98,22 @@ class SequenceDistribution:
         return self.probabilities.items()
 
     def __len__(self) -> int:
-        return len(self.probabilities)
+        return len(self.numerators)
+
+
+def _runs(parents, values, index: np.ndarray) -> np.ndarray:
+    """Value indices of the last level's runs at ``index``, one column per step."""
+    columns = []
+    for parent, value in zip(reversed(parents), reversed(values)):
+        columns.append(value[index])
+        index = parent[index]
+    return np.stack(columns[::-1], axis=1)
+
+
+def _run_text(plan, labels, parents, values, index: int) -> str:
+    """The last level's run at ``index`` as ``variable=value`` steps."""
+    (run,) = _runs(parents, values, np.array([index])).tolist()
+    return ", ".join(f"{plan[i]}={labels[i][x]}" for i, x in enumerate(run))
 
 
 def _validate_plan(deck: Deck, plan: Sequence[str]) -> MeasurementPlan:
@@ -126,13 +167,17 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
 
     With ``C`` the pair counts of :func:`_pair_counts`, a run has the chain
     product ``n_a1(x1)/total * prod C[a_i x_i, a_(i+1) x_(i+1)] / n_(a_i)(x_i)``.
-    Runs are expanded depth first in value order, carrying the product's
-    integer numerator and denominator down the path, and each leaf makes
-    one ``Fraction``.  More than ``MAX_SEQUENCES`` positive-probability runs
-    raise ``ValidationError`` before any expansion.  The first step's
-    numerators must sum to the deck total, and every expanded run's
-    children must carry its probability exactly, checked in integers; by
-    telescoping, the leaves sum to 1.
+    The runs are expanded one plan step at a time over whole arrays: one
+    ``np.nonzero`` over the rows of ``C > 0`` that the live runs end in
+    gives every ``(parent, value)`` child in lexicographic order, and each
+    child's numerator and denominator are its parent's times one entry of
+    ``C`` and of its diagonal.  Numerators and denominators are object
+    arrays of Python ints, so the law stays exact at any multiplicity, and
+    one ``np.gcd`` reduces the leaves.  More than ``MAX_SEQUENCES``
+    positive-probability runs raise ``ValidationError`` before any
+    expansion.  In integers, the first step's numerators must sum to the
+    deck total, every run must have a child, and every run's children must
+    carry its probability; by telescoping, the leaves sum to 1.
     """
     if deck.is_empty:
         raise EmptyDeckError("cannot compute sequence statistics for an empty deck")
@@ -147,40 +192,39 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
             f"plan has {size:,} possible outcome sequences, more than the "
             f"limit of {MAX_SEQUENCES:,}"
         )
-    shown = [[Outcome(variable, label) for label in spec.values_of(variable)] for variable in steps]
-    last = len(steps) - 1
-    first = rows[0]
-    # (step, value, numerator, denominator); popped in value order
-    stack = [
-        (0, x, pairs[first + x][first + x], deck.total)
-        for x in reversed(range(n))
-        if pairs[first + x][first + x]
-    ]
-    if sum(numerator for _, _, numerator, _ in stack) != deck.total:
+    labels = tuple(spec.values_of(variable) for variable in steps)
+    counts = np.array(pairs, dtype=object)
+    singles = counts.diagonal()
+    value = np.flatnonzero(singles[rows[0] : rows[0] + n] > 0)
+    numerators = singles[rows[0] + value]
+    if numerators.sum() != deck.total:
         raise InvariantError("first-step probabilities do not sum to 1")
-    path: list[Outcome] = []
-    probabilities: dict[tuple[Outcome, ...], Fraction] = {}
-    while stack:
-        i, x, numerator, denominator = stack.pop()
-        del path[i:]
-        path.append(shown[i][x])
-        if i == last:
-            probabilities[tuple(path)] = Fraction(numerator, denominator)
-            continue
-        row, ahead = pairs[rows[i] + x], rows[i + 1]
-        below = denominator * row[rows[i] + x]
-        children = [
-            (i + 1, y, numerator * row[ahead + y], below)
-            for y in reversed(range(n))
-            if row[ahead + y]
-        ]
-        # the children's probabilities sum to this run's: integers only
-        if sum(child[2] for child in children) * denominator != numerator * below:
-            raise InvariantError(f"the runs after {path} do not carry its probability")
-        stack.extend(children)
-    if len(probabilities) != size:
-        raise InvariantError(f"expanded {len(probabilities)} sequences, expected {size}")
-    return SequenceDistribution(steps, probabilities)
+    denominators = np.full(len(value), deck.total, dtype=object)
+    parents, values = [np.zeros(len(value), dtype=np.intp)], [value]
+    for last, ahead in zip(rows, rows[1:]):
+        block = counts[last + value, ahead : ahead + n]  # row j: the j-th run's next press
+        below = denominators * singles[last + value]
+        parent, value = np.nonzero(block > 0)
+        children = np.bincount(parent, minlength=len(block))
+        if not children.all():  # reduceat would misalign every later run
+            at = _run_text(steps, labels, parents, values, np.argmin(children))
+            raise InvariantError(f"the run {at} has no next outcome")
+        carried = numerators[parent] * block[parent, value]
+        # the children's probabilities sum to their parent's: integers only
+        sums = np.add.reduceat(carried, np.cumsum(children) - children)
+        wrong = sums * denominators != numerators * below
+        if wrong.any():
+            at = _run_text(steps, labels, parents, values, np.argmax(wrong))
+            raise InvariantError(f"the runs after {at} do not carry its probability")
+        numerators, denominators = carried, below[parent]
+        parents.append(parent)
+        values.append(value)
+    if len(numerators) != size:
+        raise InvariantError(f"expanded {len(numerators)} sequences, expected {size}")
+    common = np.gcd(numerators, denominators)
+    return SequenceDistribution(
+        steps, labels, tuple(parents), tuple(values), numerators // common, denominators // common
+    )
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,29 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dofcount
+from conftest import deck_strategy, tree_sequence_distribution
 from dofcount import Deck, Outcome, RandomStream, serialize_deck_file, urn_as_cardbox, urn_deck
 from dofcount import cli
 from dofcount.cli import CSV_HEADER, cli_main
 from dofcount.tomography import estimate_k
+
+REPO = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -51,6 +60,44 @@ class TestSequenceCommand:
     def test_unknown_variable_is_validation_error(self, deck_file, capsys):
         assert cli_main(["sequence", "--deck", deck_file, "--plan", "Rank"]) == 2
         assert "Rank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "deck, plan, golden",
+        [
+            (REPO / "decks" / "cards4.json", "Suit,Face," * 3 + "Suit,Face", "cards4_alternating"),
+            (DATA / "decks" / "weighted3.json", "Colour,Colour,Shape,Colour,Shape,Shape,Colour",
+             "weighted3_repeats"),
+            (DATA / "decks" / "single_card.json", "Face,Suit,Suit,Face", "single_card"),  # "= 1"
+        ],
+        ids=["alternating", "immediate-repeats", "probability-one"],
+    )
+    def test_matches_golden_file(self, capsysbinary, deck, plan, golden):
+        assert cli_main(["sequence", "--deck", str(deck), "--plan", plan]) == 0
+        assert capsysbinary.readouterr().out == (DATA / f"sequence_{golden}.txt").read_bytes()
+
+    @given(deck=deck_strategy(), data=st.data())
+    def test_lines_match_tree_oracle(self, deck, data):
+        names = deck.spec.variable_names
+        plan = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
+        _assert_sequence_lines_match_tree(deck, plan)
+
+    def test_huge_multiplicities_match_tree_oracle(self, huge_deck):
+        _assert_sequence_lines_match_tree(huge_deck, ("Suit", "Face", "Suit", "Suit", "Face"))
+
+
+def _assert_sequence_lines_match_tree(deck, plan):
+    """CLI ``sequence`` stdout, line for line, against the literal outcome tree."""
+    expected = "".join(
+        f"{','.join(o.value for o in run)} = {p}\n"
+        for run, p in tree_sequence_distribution(deck, plan).items()
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "deck.json"
+        path.write_text(serialize_deck_file(deck.spec, deck))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_main(["sequence", "--deck", str(path), "--plan", ",".join(plan)]) == 0
+    assert out.getvalue() == expected
 
 
 class TestWitnessCommand:

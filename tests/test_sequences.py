@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,10 +113,10 @@ class TestSequenceDistribution:
         assert list(chain.items()) == list(tree_sequence_distribution(huge_deck, plan).items())
 
     def test_support_limit_fails_before_expansion(self, four_card_deck, monkeypatch):
-        def no_leaves(*args):
-            raise AssertionError("expanded despite the support limit")
-
-        monkeypatch.setattr("dofcount.sequences.Fraction", no_leaves)
+        # every step's runs come from one nonzero scan; the probe forbids both
+        monkeypatch.setattr("dofcount.sequences.np", _NumpyWithoutNonzero())
+        with pytest.raises(AssertionError, match="expanded runs"):
+            sequence_distribution(four_card_deck, ("Suit", "Face"))  # the probe sees expansion
         plan = ("Suit", "Face") * 10  # 2**20 possible runs
         with pytest.raises(ValidationError, match=f"{MAX_SEQUENCES:,}"):
             sequence_distribution(four_card_deck, plan)
@@ -138,11 +139,70 @@ class TestSequenceDistribution:
         with pytest.raises(InvariantError, match=match):
             sequence_distribution(weighted_deck, ("Face", "Suit", "Face"))
 
+    @pytest.mark.parametrize(
+        "row, run",
+        [(0, "Face=K"), (1, "Face=Q")],  # the first and the last live run
+    )
+    def test_childless_run_is_an_invariant_error(self, weighted_deck, monkeypatch, row, run):
+        # a live run with no next outcome would shift every later run's
+        # children in the per-run sums; it must fail by name instead
+        pairs = _pair_counts(weighted_deck)
+        pairs[row][2] = pairs[row][3] = 0  # Face=x shows no Suit at all
+        monkeypatch.setattr("dofcount.sequences._pair_counts", lambda deck: pairs)
+        with pytest.raises(InvariantError, match=f"the run {run} has no next outcome"):
+            sequence_distribution(weighted_deck, ("Face", "Suit", "Face"))
+
     def test_support_size_is_exact_at_the_limit(self, four_card_deck, weighted_deck):
         rows = [2 * (i % 2) for i in range(18)]  # Face, Suit, ... on N=2
         assert _support_size(_pair_counts(four_card_deck), rows, 2) == MAX_SEQUENCES
         # weighted: no QH card, so Face=Q forces Suit=S
         assert _support_size(_pair_counts(weighted_deck), [0, 2], 2) == 3
+
+
+class _NumpyWithoutNonzero:
+    """``numpy`` as ``sequences`` sees it, minus the scans that expand runs."""
+
+    def __getattr__(self, name):
+        if name in ("nonzero", "flatnonzero"):
+            raise AssertionError(f"expanded runs with np.{name}")
+        return getattr(np, name)
+
+
+class TestSequenceDistributionContract:
+    @given(deck=deck_strategy(), data=st.data())
+    def test_arrays_and_lazy_map_agree_with_tree_oracle(self, deck, data):
+        plan = data.draw(st.lists(st.sampled_from(deck.spec.variable_names), min_size=1, max_size=4))
+        dist = sequence_distribution(deck, plan)
+        tree = tree_sequence_distribution(deck, plan)
+        assert len(dist) == len(dist.probabilities) == len(tree)
+        assert list(dist.probabilities.items()) == list(tree.items())
+        assert [Fraction(a, b) for a, b in zip(dist.numerators, dist.denominators)] == list(
+            tree.values()
+        )
+        assert all(math.gcd(a, b) == 1 for a, b in zip(dist.numerators, dist.denominators))
+
+    def test_absent_run_has_probability_zero(self, weighted_deck):
+        dist = sequence_distribution(weighted_deck, ("Face", "Suit"))
+        assert dist.probability(outcomes(("Face", "Q"), ("Suit", "H"))) == 0  # no QH card
+        assert dist.probability(outcomes(("Suit", "S"), ("Face", "Q"))) == 0  # other plan order
+        assert dist.probability(outcomes(("Face", "Q"), ("Suit", "S"))) == Fraction(1, 2)
+
+    def test_len_does_not_build_the_outcome_map(self, four_card_deck, monkeypatch):
+        def no_outcomes(*args):
+            raise AssertionError("built Outcome values")
+
+        monkeypatch.setattr("dofcount.sequences.Outcome", no_outcomes)
+        dist = sequence_distribution(four_card_deck, ("Suit", "Face") * 7)
+        assert len(dist) == 2**14
+        assert "probabilities" not in vars(dist)
+        with pytest.raises(AssertionError, match="built Outcome"):
+            dist.probabilities  # the probe sees the map being built
+
+    def test_huge_multiplicities_keep_python_ints(self, huge_deck):
+        dist = sequence_distribution(huge_deck, ("Suit", "Face", "Suit"))
+        assert dist.numerators.dtype == dist.denominators.dtype == object
+        assert max(dist.denominators) > 2**70
+        assert all(type(x) is int for x in [*dist.numerators, *dist.denominators])
 
 
 def _narrow_from_subdeck(state, variable, value):
