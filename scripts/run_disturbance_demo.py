@@ -55,11 +55,10 @@ def main() -> None:
     print("  no assignment of fixed values to cards can produce this run.")
 
     print(f"\nMonte Carlo cross-check ({args.trials} trials, seed {args.seed}):")
-    exact = sequence_distribution(deck, ("Suit", "Face", "Suit"))
-    counts = simulate_plan(deck, ("Suit", "Face", "Suit"), args.trials,
-                           RandomStream(args.seed))
-    for sequence, p in exact.items():
-        freq = counts.get(sequence, 0) / args.trials
+    exact, counts = simulate_plan(deck, ("Suit", "Face", "Suit"), args.trials,
+                                  RandomStream(args.seed))
+    for (sequence, p), hits in zip(exact.items(), counts.tolist()):
+        freq = hits / args.trials
         values = ",".join(o.value for o in sequence)
         print(f"  {values}: exact {p} = {float(p):.4f}, observed {freq:.4f}")
 

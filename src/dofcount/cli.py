@@ -118,29 +118,45 @@ def _parse_range(text: str, flag: str) -> range:
     return range(lo, hi + 1)  # k_sweep reads its bounds without listing it
 
 
+def _run_labels(dist) -> list[str]:
+    """Every run of ``dist`` as its comma-joined value labels, in run order.
+
+    Each level's labels extend its parents' text: no per-run join.
+    """
+    text = np.array([""], dtype=object)
+    for i, (labels, parent, value) in enumerate(zip(dist.labels, dist.parents, dist.values)):
+        shown = np.array([("," if i else "") + label for label in labels], dtype=object)
+        text = text[parent] + shown[value]
+    return text.tolist()
+
+
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
-    if args.trials < 1:
+    trials = args.trials
+    if trials < 1:
         raise UsageError("--trials must be positive")
     _spec, deck = _load_deck(args.deck)
     plan = _parse_plan(args.plan)
-    exact = sequence_distribution(deck, plan)
-    counts = simulate_plan(deck, plan, args.trials, RandomStream(seed))
-    impossible = set(counts) - set(exact.probabilities)
-    if impossible:
-        raise InvariantError(f"{len(impossible)} impossible sequence(s) observed")
-    print(f"# plan={','.join(plan)} trials={args.trials} seed={seed}")
-    for sequence, p in exact.items():
-        hits = counts.get(sequence, 0)
-        freq = hits / args.trials
-        bound = 3.0 * math.sqrt(float(p) * (1.0 - float(p)) / args.trials)
-        delta = abs(freq - float(p))
+    law, counts = simulate_plan(deck, plan, trials, RandomStream(seed))
+
+    def line(run: str, a: int, b: int, hits: int) -> str:
+        p = a / b  # Fraction.__float__: correctly rounded
+        freq = hits / trials
+        bound = 3.0 * math.sqrt(p * (1.0 - p) / trials)
+        delta = abs(freq - p)
         status = "ok" if delta <= bound else "FAIL"
-        values = ",".join(o.value for o in sequence)
-        print(
-            f"{values} exact={p} observed={freq:.6f} "
-            f"delta={delta:.6f} bound={bound:.6f} {status}"
+        exact = f"{a}" if b == 1 else f"{a}/{b}"  # str(Fraction(a, b)) in lowest terms
+        return (
+            f"{run} exact={exact} observed={freq:.6f} "
+            f"delta={delta:.6f} bound={bound:.6f} {status}\n"
         )
+
+    sys.stdout.write(f"# plan={','.join(plan)} trials={trials} seed={seed}\n")
+    # Every report goes out line by line: one large write into a pipe whose
+    # reader has closed can return without BrokenPipeError (exit 141) and
+    # drop the rest silently.
+    fractions = law.numerators.tolist(), law.denominators.tolist()
+    sys.stdout.writelines(map(line, _run_labels(law), *fractions, counts.tolist()))
     return 0
 
 
@@ -148,15 +164,10 @@ def _cmd_sequence(args) -> int:
     _spec, deck = _load_deck(args.deck)
     plan = _parse_plan(args.plan)
     dist = sequence_distribution(deck, plan)
-    # each level's labels extend its parents' text: no per-run join or Fraction
-    text = np.array([""], dtype=object)
-    for i, (labels, parent, value) in enumerate(zip(dist.labels, dist.parents, dist.values)):
-        shown = np.array([("," if i else "") + label for label in labels], dtype=object)
-        text = text[parent] + shown[value]
-    # line by line: one large write can lose a closed pipe's error (exit 141)
+    fractions = dist.numerators.tolist(), dist.denominators.tolist()
     sys.stdout.writelines(
         f"{run} = {a}\n" if b == 1 else f"{run} = {a}/{b}\n"
-        for run, a, b in zip(text.tolist(), dist.numerators.tolist(), dist.denominators.tolist())
+        for run, a, b in zip(_run_labels(dist), *fractions)
     )
     return 0
 
@@ -197,7 +208,7 @@ def _cmd_rank(args) -> int:
     report = estimate_k(
         args.system, args.n, ensemble=args.ensemble, rng=RandomStream(seed), **options
     )
-    sys.stdout.write(render_csv([report]))
+    sys.stdout.writelines(render_csv([report]).splitlines(keepends=True))
     return 0
 
 
@@ -220,7 +231,7 @@ def _cmd_sweep(args) -> int:
             raise ValidationError(f"cannot write output file {args.out}: {exc}")
         print(f"wrote {len(reports)} reports to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text.splitlines(keepends=True))
     return 0
 
 

@@ -21,8 +21,9 @@ state (:func:`_chain_weights`) and the pair counts built from them
 (:func:`_pair_counts`).  Ground truth is the exact chain product,
 expanded one plan step at a time over arrays of Python ints; ``Fraction``
 values are made only when a caller asks for the ``Outcome`` map.  Monte
-Carlo enters only through ``simulate_plan``, which is there to be checked
-against the exact values.
+Carlo enters only through ``simulate_plan``, which samples the chain along
+the exact law's runs, so its counts line up with the values they are
+checked against.
 """
 
 from __future__ import annotations
@@ -355,18 +356,42 @@ def _chain_table(deck: Deck) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return flat, starts, totals
 
 
+def _guide_table(flat: np.ndarray, width: int) -> tuple[int, np.ndarray]:
+    """Guide table for keys below ``flat[-1]``: ``(shift, guide)``.
+
+    Key ``k`` falls in bucket ``k >> shift``, one of at most ``2**16``;
+    ``guide[b]`` is the in-row index of the card holding all of bucket
+    ``b``, or -1 where the bucket spans two cards and only a binary search
+    over ``flat`` can tell (Chen and Asau 1974; Devroye 1986, III.2.4).
+    """
+    end = int(flat[-1])
+    shift = max(0, end.bit_length() - 16)
+    first = np.arange(((end - 1) >> shift) + 1, dtype=np.int64) << shift
+    lo = np.searchsorted(flat, first, side="right")
+    hi = np.searchsorted(flat, first + ((1 << shift) - 1), side="right")
+    return shift, np.where(lo == hi, lo % width, -1)
+
+
 def simulate_plan(
     deck: Deck, plan: Sequence[str], trials: int, rng: RandomStream
-) -> dict[tuple[Outcome, ...], int]:
-    """Seeded Monte Carlo runs of a plan; returns sequence counts.
+) -> tuple[SequenceDistribution, np.ndarray]:
+    """Seeded Monte Carlo runs of a plan: ``(law, counts)``.
 
-    The subdeck is rebuilt from the full deck on every press, so the device
-    is a Markov chain on the last outcome (see :func:`_chain_table`).  Trials
-    run in chunks of at most ``SIMULATE_CHUNK``; each step makes one draw for
-    every trial of a chunk.  A trial picks uniformly below its state's
-    subdeck total and is shown the card whose running count first exceeds
-    the pick -- :func:`~dofcount.cardbox.observe`'s rule, in canonical deck
-    order.
+    ``law`` is ``sequence_distribution(deck, plan)``, and ``counts[j]`` is
+    the int64 number of trials that took its ``j``-th run.  The subdeck is
+    rebuilt from the full deck on every press, so the device is a Markov
+    chain on the last outcome (see :func:`_chain_table`).  Trials run in
+    chunks of at most ``SIMULATE_CHUNK``; each step makes one draw for every
+    trial of a chunk.  A trial picks uniformly below its state's subdeck
+    total and is shown the card whose running count first exceeds the pick
+    (:func:`~dofcount.cardbox.observe`'s rule, in canonical deck order),
+    found through :func:`_guide_table`.  Each trial carries its run's index
+    in the law; a per-step table of the law's children, as large as the
+    block :func:`sequence_distribution` expands at that step, takes a run
+    and the value shown to the child run, or to -1 for a run of probability
+    0, which raises ``InvariantError``.  More than ``MAX_TRIALS`` trials or
+    ``MAX_SEQUENCES`` possible runs raise ``ValidationError`` before any
+    draw.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -374,42 +399,48 @@ def simulate_plan(
         raise ValidationError(f"trials must be at most {MAX_TRIALS:,}, got {trials:,}")
     if deck.is_empty:
         raise EmptyDeckError("cannot simulate an empty deck")
-    steps = _validate_plan(deck, plan)
     spec = deck.spec
     if (1 + spec.num_variables) * deck.total > _INT64_MAX:
         raise ValidationError(
             f"deck total {deck.total} is too large to sample: "
             f"(V+1) * total must stay below 2**63"
         )
+    law = sequence_distribution(deck, plan)
     flat, starts, totals = _chain_table(deck)
-    values = deck.arrays[0]
     n, width = spec.values_per_variable, len(deck.entries)
-    pressed = [spec.variable_index(variable) for variable in steps]
-    radix = n ** np.arange(len(steps)) if n ** len(steps) <= _INT64_MAX else None
-    runs: dict[tuple[int, ...], int] = {}
+    shift, guide = _guide_table(flat, width)
+    columns = deck.arrays[0].T  # columns[a][card]: the value variable a shows on it
+    pressed = [spec.variable_index(variable) for variable in law.plan]
+    before = [1, *map(len, law.values)]  # runs before each step
+    counts = np.zeros(len(law), dtype=np.int64)
     for done in range(0, trials, SIMULATE_CHUNK):
         size = min(SIMULATE_CHUNK, trials - done)
         state = np.zeros(size, dtype=np.int64)
-        shown = np.empty((size, len(steps)), dtype=np.int64)
-        for i, a in enumerate(pressed):
+        run = np.zeros(size, dtype=np.intp)
+        for i, (a, parent, value) in enumerate(zip(pressed, law.parents, law.values)):
             highs = totals[state]
             picks = rng.integers_below(highs)
             if np.any(picks >= highs):
                 raise InvariantError("a draw lies at or past its subdeck total")
-            cards = np.searchsorted(flat, starts[state] + picks, side="right") - state * width
-            shown[:, i] = values[cards, a]
-            state = 1 + a * n + shown[:, i]
-        if radix is None:
-            rows, hits = np.unique(shown, axis=0, return_counts=True)
-        else:  # one int64 code per run sorts far faster than rows
-            _, first, hits = np.unique(shown @ radix, return_index=True, return_counts=True)
-            rows = shown[first]
-        for row, hit in zip(map(tuple, rows.tolist()), hits.tolist()):
-            runs[row] = runs.get(row, 0) + hit
-    if sum(runs.values()) != trials:
-        raise InvariantError(f"simulated counts sum to {sum(runs.values())}, not {trials}")
-    labels = [spec.values_of(variable) for variable in steps]
-    return {
-        tuple(Outcome(v, labels[i][x]) for i, (v, x) in enumerate(zip(steps, row))): count
-        for row, count in runs.items()
-    }
+            keys = starts[state] + picks
+            cards = guide[keys >> shift]
+            if cards.min() < 0:
+                split = cards < 0
+                cards[split] = np.searchsorted(flat, keys[split], side="right") % width
+            shown = columns[a][cards]
+            # child[run * n + value], rebuilt per chunk: one step's table is held at a time
+            child = np.full(before[i] * n, -1, dtype=np.intp)
+            child[parent * n + value] = np.arange(len(value))
+            last, run = run, child[run * n + shown]
+            if run.min() < 0:
+                j = np.argmin(run)
+                seen = [f"{law.plan[i]}={law.labels[i][shown[j]]}"]
+                if i:
+                    levels = law.parents[:i], law.values[:i]
+                    seen.insert(0, _run_text(law.plan, law.labels, *levels, last[j]))
+                raise InvariantError(f"a trial took the impossible run {', '.join(seen)}")
+            state = 1 + a * n + shown
+        counts += np.bincount(run, minlength=len(law))
+    if counts.sum() != trials:
+        raise InvariantError(f"simulated counts sum to {counts.sum()}, not {trials}")
+    return law, counts

@@ -371,16 +371,17 @@ def _base_ensemble(fiducials: int, ensemble: int | None) -> int:
     return base
 
 
-MAX_BORN_ENTRIES = 2**25  # float64 entries of a quantum K run's Born matrix: 268 MB
+MAX_BORN_ENTRIES = 2**25  # float64 entries of a quantum K run's arrays: 268 MB
 
 
-def _check_born_entries(fiducials: int, ensemble: int | None) -> None:
-    """A quantum run's ``2·ensemble`` rows of ``n·M`` Born probabilities must fit."""
-    base = _base_ensemble(fiducials, ensemble)
-    if 2 * base * fiducials > MAX_BORN_ENTRIES:
+def _check_born_entries(n: int, m: int, ensemble: int | None) -> None:
+    """A quantum run's ``2·ensemble`` rows of ``n·M`` Born probabilities and
+    its ``M`` complex ``n × n`` bases (``2·n²·M`` floats) must fit together."""
+    base = _base_ensemble(n * m, ensemble)
+    if 2 * base * n * m + 2 * n * n * m > MAX_BORN_ENTRIES:
         raise ValidationError(
-            f"2 * ensemble * n * M = 2 * {base} * {fiducials} Born-matrix entries "
-            f"exceed MAX_BORN_ENTRIES = {MAX_BORN_ENTRIES}"
+            f"2 * ensemble * n * M + 2 * n * n * M = 2 * {base} * {n * m} + 2 * {n * n} * {m} "
+            f"Born-matrix and basis entries exceed MAX_BORN_ENTRIES = {MAX_BORN_ENTRIES}"
         )
 
 
@@ -463,7 +464,7 @@ def estimate_k_quantum(
     m = n + 1 if num_bases is None else num_bases
     fiducials = n * m
     if fiducials > 0:  # otherwise random_observable_set names the bad argument
-        _check_born_entries(fiducials, ensemble)
+        _check_born_entries(n, m, ensemble)
     observables = random_observable_set(n, num_bases, rng=rng)
     base = _base_ensemble(fiducials, ensemble)
     rows = fiducial_matrix_quantum(random_pure_states(n, 2 * base, rng), observables)
@@ -582,7 +583,7 @@ def k_sweep(
         _stream_id(kind, n, v)
         if kind == "quantum":
             _check_tolerance(tol)
-            _check_born_entries(n * v, ensemble)
+            _check_born_entries(n, v, ensemble)
         else:
             _check_draw_limits(n, v, max_multiplicity)
 

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from dofcount import (
     outcome_distribution,
     uniform_deck,
 )
+from dofcount.sequences import SIMULATE_CHUNK, _chain_table
 
 settings.register_profile("default", max_examples=40, deadline=None)
 settings.register_profile("thorough", max_examples=200, deadline=None)
@@ -105,6 +107,48 @@ def simulate_by_presses(deck, plan, trials, rng):
         key = observe_sequence(deck, plan, rng)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def literal_chain_sampler(deck, plan, trials, rng):
+    """Draw-for-draw sampler oracle: the chain sampler before its run index.
+
+    Makes the same draws as ``simulate_plan``, one per step per chunk, but
+    finds each card with a binary search over every key and counts runs by
+    sorting their value codes.  Returns the ``Outcome``-tuple counts.
+    """
+    flat, starts, totals = _chain_table(deck)
+    values = deck.arrays[0]
+    spec = deck.spec
+    n, width = spec.values_per_variable, len(deck.entries)
+    pressed = [spec.variable_index(variable) for variable in plan]
+    radix = n ** np.arange(len(plan)) if n ** len(plan) <= np.iinfo(np.int64).max else None
+    runs = {}
+    for done in range(0, trials, SIMULATE_CHUNK):
+        size = min(SIMULATE_CHUNK, trials - done)
+        state = np.zeros(size, dtype=np.int64)
+        shown = np.empty((size, len(plan)), dtype=np.int64)
+        for i, a in enumerate(pressed):
+            picks = rng.integers_below(totals[state])
+            cards = np.searchsorted(flat, starts[state] + picks, side="right") - state * width
+            shown[:, i] = values[cards, a]
+            state = 1 + a * n + shown[:, i]
+        if radix is None:
+            rows, hits = np.unique(shown, axis=0, return_counts=True)
+        else:
+            _, first, hits = np.unique(shown @ radix, return_index=True, return_counts=True)
+            rows = shown[first]
+        for row, hit in zip(map(tuple, rows.tolist()), hits.tolist()):
+            runs[row] = runs.get(row, 0) + hit
+    labels = [spec.values_of(variable) for variable in plan]
+    return {
+        tuple(Outcome(v, labels[i][x]) for i, (v, x) in enumerate(zip(plan, row))): count
+        for row, count in runs.items()
+    }
+
+
+def chain_counts(law, counts):
+    """``simulate_plan``'s ``(law, counts)`` as ``Outcome``-tuple counts, zeros left out."""
+    return {run: hits for run, hits in zip(law.probabilities, counts.tolist()) if hits}
 
 
 def enumerate_decks(spec, max_multiplicity):

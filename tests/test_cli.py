@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import dofcount
 from conftest import deck_strategy, tree_sequence_distribution
 from dofcount import Deck, Outcome, RandomStream, serialize_deck_file, urn_as_cardbox, urn_deck
-from dofcount import cli
+from dofcount import cli, sequences
 from dofcount.cli import CSV_HEADER, cli_main
 from dofcount.tomography import estimate_k
 
@@ -269,17 +270,54 @@ class TestSimulateCommand:
         assert captured.out == ""
 
     def test_impossible_run_is_internal_error(self, deck_file, capsys, monkeypatch):
-        # a sampler that reports a sequence the exact law gives probability 0
-        impossible = (Outcome("Suit", "S"), Outcome("Suit", "H"))
-        monkeypatch.setattr(
-            "dofcount.cli.simulate_plan",
-            lambda deck, plan, trials, rng: {impossible: trials},
-        )
-        argv = ["simulate", "--deck", deck_file, "--plan", "Suit,Suit", "--trials", "5"]
+        # a law missing its last leaf, H,H: the sampler takes a run the law
+        # gives probability 0
+        exact = sequences.sequence_distribution
+
+        def missing_leaf(deck, plan):
+            law = exact(deck, plan)
+            keep = slice(0, len(law) - 1)
+            return dataclasses.replace(
+                law,
+                parents=(*law.parents[:-1], law.parents[-1][keep]),
+                values=(*law.values[:-1], law.values[-1][keep]),
+                numerators=law.numerators[keep],
+                denominators=law.denominators[keep],
+            )
+
+        monkeypatch.setattr(sequences, "sequence_distribution", missing_leaf)
+        argv = ["simulate", "--deck", deck_file, "--plan", "Suit,Suit", "--trials", "100"]
         assert cli_main(argv) == 3
         captured = capsys.readouterr()
-        assert "impossible" in captured.err
+        assert "impossible run Suit=H, Suit=H" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "deck, plan, trials, seed, golden",
+        [
+            (REPO / "decks" / "cards4.json", "Suit,Face,Suit", 10_000, 7, "cards4_seed7"),  # README
+            (DATA / "decks" / "weighted3.json", "Colour,Shape,Shape,Colour", 65_537, 5,
+             "weighted3_65537"),  # a full chunk, then one trial
+            (DATA / "decks" / "large_mult.json", "Shape,Colour,Shape,Colour", 30_000, 3,
+             "large_mult"),  # multiplicities near 2**40
+        ],
+        ids=["readme", "two-chunks", "large-multiplicity"],
+    )
+    def test_matches_golden_file(self, capsysbinary, deck, plan, trials, seed, golden):
+        argv = ["simulate", "--deck", str(deck), "--plan", plan, "--trials", str(trials),
+                "--seed", str(seed)]
+        assert cli_main(argv) == 0
+        assert capsysbinary.readouterr().out == (DATA / f"simulate_{golden}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sequence", "simulate"])
+def test_no_outcome_is_built(deck_file, capsys, monkeypatch, command):
+    def no_outcome(self, *args, **kwargs):
+        raise AssertionError("built an Outcome")
+
+    monkeypatch.setattr(Outcome, "__init__", no_outcome)
+    assert cli_main([command, "--deck", deck_file, "--plan", "Suit,Face,Suit,Face"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) >= 16
 
 
 # 2**20 possible runs on the four-card deck, past the support limit
@@ -366,14 +404,26 @@ def test_quantum_work_limit_fails_fast(capsys, monkeypatch, argv):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", [["sequence"], ["simulate", "--trials", "100"]])
-def test_closed_pipe_exits_quietly(deck_file, command):
-    # 16,384 output lines outgrow the pipe buffer, so the writer meets the closed end
-    plan = ",".join(["Suit", "Face"] * 7)
+# 16,384 output lines outgrow the pipe buffer, so the writer meets the closed end
+PIPE_PLAN = ["--deck", str(REPO / "decks" / "cards4.json"),
+             "--plan", ",".join(["Suit", "Face"] * 7)]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sequence", *PIPE_PLAN],
+        ["simulate", "--trials", "100", *PIPE_PLAN],
+        # 599 JSON reports, about 100 KB, in about a second
+        ["sweep", "--systems", "urn", "--n-range", "2..600", "--v-range", "1", "--json",
+         "--ensemble", "1"],
+    ],
+)
+def test_closed_pipe_exits_quietly(command):
     src = str(Path(dofcount.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dofcount", *command, "--deck", deck_file, "--plan", plan],
+        [sys.executable, "-m", "dofcount", *command],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,

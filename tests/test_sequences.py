@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_witness,
+    chain_counts,
     deck_strategy,
     joint_card_frequency,
+    literal_chain_sampler,
     simulate_by_presses,
     tree_sequence_distribution,
 )
@@ -41,6 +44,8 @@ from dofcount.sequences import (
     MAX_SEQUENCES,
     MAX_TRIALS,
     SIMULATE_CHUNK,
+    _chain_table,
+    _guide_table,
     _pair_counts,
     _support_size,
 )
@@ -380,23 +385,25 @@ class TestPairOrderStatistics:
 
 class TestSimulatePlan:
     def test_counts_sum_to_trials(self, four_card_deck):
-        counts = simulate_plan(four_card_deck, ("Suit", "Face"), 500, RandomStream(4))
-        assert sum(counts.values()) == 500
+        law, counts = simulate_plan(four_card_deck, ("Suit", "Face"), 500, RandomStream(4))
+        assert counts.dtype == np.int64
+        assert len(counts) == len(law)
+        assert counts.sum() == 500
 
     def test_matches_exact_distribution_within_bound(self, four_card_deck):
         trials = 10_000
         plan = ("Suit", "Face", "Suit")
         exact = sequence_distribution(four_card_deck, plan)
-        counts = simulate_plan(four_card_deck, plan, trials, RandomStream(13))
-        assert set(counts) <= set(exact.probabilities)
-        for sequence, p in exact.items():
+        law, counts = simulate_plan(four_card_deck, plan, trials, RandomStream(13))
+        assert law.probabilities == exact.probabilities
+        for (sequence, p), hits in zip(exact.items(), counts.tolist()):
             bound = 3 * math.sqrt(float(p) * (1 - float(p)) / trials)
-            assert abs(counts.get(sequence, 0) / trials - float(p)) <= bound
+            assert abs(hits / trials - float(p)) <= bound
 
     def test_deterministic_under_seed(self, weighted_deck):
-        a = simulate_plan(weighted_deck, ("Face", "Suit"), 200, RandomStream(6, 2))
-        b = simulate_plan(weighted_deck, ("Face", "Suit"), 200, RandomStream(6, 2))
-        assert a == b
+        _, a = simulate_plan(weighted_deck, ("Face", "Suit"), 200, RandomStream(6, 2))
+        _, b = simulate_plan(weighted_deck, ("Face", "Suit"), 200, RandomStream(6, 2))
+        assert np.array_equal(a, b)
 
     def test_trial_cap_fails_before_any_draw(self, four_card_deck):
         class NoDraws:
@@ -419,15 +426,68 @@ class TestSimulatePlan:
         with pytest.raises(ValidationError, match="too large"):
             simulate_plan(deck, ("Face",), 1, RandomStream(0))
 
+    def test_support_limit_fails_before_any_draw(self, four_card_deck):
+        class NoDraws:
+            def integers_below(self, upper, size=None):
+                raise AssertionError("drew despite the support limit")
+
+        with pytest.raises(ValidationError, match=f"{MAX_SEQUENCES:,}"):
+            simulate_plan(four_card_deck, ("Suit", "Face") * 10, 1, NoDraws())
+
     @given(deck=deck_strategy(), data=st.data())
     def test_support_and_total(self, deck, data):
         names = deck.spec.variable_names
         plan = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=5))
         plan += data.draw(st.lists(st.sampled_from(plan), max_size=2))  # repeat switches
         seed = data.draw(st.integers(0, 2**32 - 1))
-        counts = simulate_plan(deck, plan, 300, RandomStream(seed))
-        assert sum(counts.values()) == 300
-        assert set(counts) <= set(sequence_distribution(deck, plan).probabilities)
+        law, counts = simulate_plan(deck, plan, 300, RandomStream(seed))
+        assert counts.sum() == 300
+        assert law.probabilities == sequence_distribution(deck, plan).probabilities
+        assert set(chain_counts(law, counts)) <= set(law.probabilities)
+
+    @given(
+        mult=st.sampled_from([3, 2**20, 2**40]),  # 2**40: guide buckets span cards
+        data=st.data(),
+    )
+    def test_counts_equal_literal_sampler(self, mult, data):
+        deck = data.draw(deck_strategy(max_multiplicity=mult))
+        names = deck.spec.variable_names
+        plan = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=5))
+        plan += data.draw(st.lists(st.sampled_from(plan), max_size=2))  # repeat switches
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        law, counts = simulate_plan(deck, plan, 500, RandomStream(seed))
+        literal = literal_chain_sampler(deck, plan, 500, RandomStream(seed))
+        assert chain_counts(law, counts) == literal
+
+    @given(mult=st.sampled_from([3, 2**40]), data=st.data())
+    def test_guide_table_entries_hold_their_whole_bucket(self, mult, data):
+        deck = data.draw(deck_strategy(max_multiplicity=mult))
+        flat, _, _ = _chain_table(deck)
+        width = len(deck.entries)
+        shift, guide = _guide_table(flat, width)
+        assert len(guide) <= 2**16
+        assert ((len(guide) - 1) << shift) < flat[-1] <= len(guide) << shift
+        first = np.arange(len(guide), dtype=np.int64) << shift
+        last = np.minimum(first + ((1 << shift) - 1), flat[-1] - 1)
+        lo = np.searchsorted(flat, first, side="right")
+        hi = np.searchsorted(flat, last, side="right")
+        whole = guide >= 0  # -1 only costs a binary search; an entry must be exact
+        assert np.array_equal(lo[whole], hi[whole])
+        assert np.array_equal(guide[whole], lo[whole] % width)
+        if shift == 0:
+            assert whole.all()
+
+    def test_guide_buckets_spanning_cards_take_the_binary_search(self):
+        # 64 card types at up to 2**40: about 0.4% of the keys fall in a bucket
+        # whose first and last keys lie on different cards
+        deck = random_deck_ensemble(cardbox_spec(4, 3), 1, 2**40, RandomStream(5))[0]
+        flat, _, _ = _chain_table(deck)
+        shift, guide = _guide_table(flat, len(deck.entries))
+        assert shift > 0 and (guide < 0).any()
+        plan = ("var1", "var2", "var1", "var3")
+        law, counts = simulate_plan(deck, plan, 20_000, RandomStream(23))
+        literal = literal_chain_sampler(deck, plan, 20_000, RandomStream(23))
+        assert chain_counts(law, counts) == literal
 
     @given(deck=deck_strategy(), data=st.data())
     def test_immediate_repress_repeats(self, deck, data):
@@ -435,25 +495,47 @@ class TestSimulatePlan:
         plan = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
         at = data.draw(st.integers(0, len(plan) - 1))
         plan.insert(at, plan[at])
-        counts = simulate_plan(deck, plan, 200, RandomStream(data.draw(st.integers(0, 99))))
-        for run in counts:
+        law, counts = simulate_plan(deck, plan, 200, RandomStream(data.draw(st.integers(0, 99))))
+        for run in chain_counts(law, counts):
             assert run[at] == run[at + 1]
 
     @pytest.mark.parametrize("trials", [SIMULATE_CHUNK - 1, SIMULATE_CHUNK, SIMULATE_CHUNK + 1])
     def test_chunk_boundary_sums_and_reruns(self, weighted_deck, trials):
         plan = ("Face", "Suit", "Face")
-        first = simulate_plan(weighted_deck, plan, trials, RandomStream(21, 3))
-        again = simulate_plan(weighted_deck, plan, trials, RandomStream(21, 3))
-        assert sum(first.values()) == trials
-        assert repr(list(first.items())) == repr(list(again.items()))
+        _, first = simulate_plan(weighted_deck, plan, trials, RandomStream(21, 3))
+        law, again = simulate_plan(weighted_deck, plan, trials, RandomStream(21, 3))
+        assert first.sum() == trials
+        assert np.array_equal(first, again)
+        literal = literal_chain_sampler(weighted_deck, plan, trials, RandomStream(21, 3))
+        assert chain_counts(law, first) == literal
+
+    def test_holds_one_step_child_table_at_a_time(self):
+        # 30 presses on a 128-position urn: a table per step held at once
+        # would be 30 tables of 128 * 128 entries, 3.9 MB
+        deck = urn_deck([1] * 128)
+        plan = ("Pos",) * 30
+        peaks = []
+        for call in (
+            lambda: sequence_distribution(deck, plan),
+            lambda: simulate_plan(deck, plan, 1000, RandomStream(0)),
+        ):
+            call()  # the deck's cached arrays are built on first use
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_plan_too_long_for_an_int64_run_code(self):
-        # 2**70 possible runs: counted by rows, not by one int64 code per run
+        # n**70 value sequences but two runs: the run index never codes a sequence
         deck = urn_deck([1, 3])
-        counts = simulate_plan(deck, ("Pos",) * 70, 4000, RandomStream(17))
-        assert sum(counts.values()) == 4000
-        assert {len({o.value for o in run}) for run in counts} == {1}
-        assert len(counts) == 2
+        law, counts = simulate_plan(deck, ("Pos",) * 70, 4000, RandomStream(17))
+        assert counts.sum() == 4000
+        seen = chain_counts(law, counts)
+        assert {len({o.value for o in run}) for run in seen} == {1}
+        assert len(seen) == 2
 
 
 def _family_wise_within_bound(counts, exact, trials, alpha=1e-6):
@@ -481,9 +563,13 @@ def _bound_decks():
     ]
 
 
+def _chain_sampler(deck, plan, trials, rng):
+    return chain_counts(*simulate_plan(deck, plan, trials, rng))
+
+
 @pytest.mark.parametrize(
     "sampler, trials, seed",
-    [(simulate_plan, 20_000, 31), (simulate_by_presses, 3_000, 32)],
+    [(_chain_sampler, 20_000, 31), (simulate_by_presses, 3_000, 32)],
     ids=["chain", "press_loop"],
 )
 @pytest.mark.parametrize("index", range(4))

@@ -756,7 +756,6 @@ class TestQuantumRankFromRFactors:
 
 class TestBornEntryLimit:
     def test_limit_admits_its_boundary(self, monkeypatch):
-        # 2 * 2**14 rows of 32 * 32 entries are exactly MAX_BORN_ENTRIES
         class Drew(Exception):
             pass
 
@@ -764,11 +763,18 @@ class TestBornEntryLimit:
             raise Drew
 
         monkeypatch.setattr(tomography, "random_observable_set", drew)
+        # n = M = 32: 2 * (2**14 - 32) rows of 32 * 32 Born entries plus the
+        # bases' 2 * 32**2 * 32 floats are exactly MAX_BORN_ENTRIES
         with pytest.raises(Drew):
-            estimate_k_quantum(32, 32, ensemble=2**14, rng=RandomStream(0))
+            estimate_k_quantum(32, 32, ensemble=2**14 - 32, rng=RandomStream(0))
         with pytest.raises(ValidationError, match="MAX_BORN_ENTRIES"):
-            estimate_k_quantum(32, 32, ensemble=2**14 + 1, rng=RandomStream(0))
-        for n in (32, 35):  # default ensembles: 22.3M and 31.8M entries
+            estimate_k_quantum(32, 32, ensemble=2**14 - 31, rng=RandomStream(0))
+        # n = 4 at ensemble 1: the bases hold 32 * M of the 40 * M entries
+        with pytest.raises(Drew):
+            estimate_k_quantum(4, 838_860, ensemble=1, rng=RandomStream(0))
+        with pytest.raises(ValidationError, match="MAX_BORN_ENTRIES"):
+            estimate_k_quantum(4, 838_861, ensemble=1, rng=RandomStream(0))
+        for n in (32, 35):  # default ensembles: 22.4M and 31.8M entries
             with pytest.raises(Drew):
                 estimate_k_quantum(n, rng=RandomStream(0))
         with pytest.raises(ValidationError, match="MAX_BORN_ENTRIES"):
