@@ -72,23 +72,36 @@ class SystemSpec:
     def variable_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
 
+    @cached_property
+    def _variable_positions(self) -> dict[str, int]:
+        return _first_positions(self.variable_names)
+
+    @cached_property
+    def _value_positions(self) -> tuple[dict[str, int], ...]:
+        return tuple(_first_positions(values) for _, values in self.variables)
+
     def variable_index(self, variable: str) -> int:
-        for i, (name, _) in enumerate(self.variables):
-            if name == variable:
-                return i
-        raise UnknownVariableError(f"unknown variable {variable!r}")
+        try:
+            return self._variable_positions[variable]
+        except (KeyError, TypeError):  # an unhashable name matches none
+            raise UnknownVariableError(f"unknown variable {variable!r}") from None
 
     def values_of(self, variable: str) -> tuple[str, ...]:
         return self.variables[self.variable_index(variable)][1]
 
     def value_index(self, variable: str, value: str) -> int:
-        values = self.values_of(variable)
+        positions = self._value_positions[self.variable_index(variable)]
         try:
-            return values.index(value)
-        except ValueError:
+            return positions[value]
+        except (KeyError, TypeError):
             raise UnknownValueError(
                 f"unknown value {value!r} for variable {variable!r}"
             ) from None
+
+
+def _first_positions(names: Sequence[str]) -> dict[str, int]:
+    """Each name's first position: an unvalidated spec may repeat a name."""
+    return {name: i for i, name in reversed(list(enumerate(names)))}
 
 
 def validate_spec(spec: SystemSpec) -> SystemSpec:

@@ -118,16 +118,31 @@ def _parse_range(text: str, flag: str) -> range:
     return range(lo, hi + 1)  # k_sweep reads its bounds without listing it
 
 
-def _run_labels(dist) -> list[str]:
+def _run_labels(dist) -> np.ndarray:
     """Every run of ``dist`` as its comma-joined value labels, in run order.
 
-    Each level's labels extend its parents' text: no per-run join.
+    Each level's labels extend its parents' text: no per-run join.  Returns
+    an object array of ``str``.
     """
     text = np.array([""], dtype=object)
     for i, (labels, parent, value) in enumerate(zip(dist.labels, dist.parents, dist.values)):
         shown = np.array([("," if i else "") + label for label in labels], dtype=object)
         text = text[parent] + shown[value]
-    return text.tolist()
+    return text
+
+
+def _fraction_text(dist, before: str, after: str) -> np.ndarray:
+    """Every run's probability as ``before + "a/b" + after``, in run order.
+
+    ``a/b`` is ``str(Fraction(a, b))`` of the law's lowest terms: just
+    ``a`` when ``b`` is 1.  Each distinct numerator and denominator is
+    turned into text once.  Returns an object array of ``str``.
+    """
+    tops, top = np.unique(dist.numerators, return_inverse=True)
+    bottoms, bottom = np.unique(dist.denominators, return_inverse=True)
+    heads = np.array([f"{before}{a}" for a in tops.tolist()], dtype=object)
+    tails = np.array([after if b == 1 else f"/{b}{after}" for b in bottoms.tolist()], dtype=object)
+    return heads[top] + tails[bottom]
 
 
 def _cmd_simulate(args) -> int:
@@ -139,15 +154,14 @@ def _cmd_simulate(args) -> int:
     plan = _parse_plan(args.plan)
     law, counts = simulate_plan(deck, plan, trials, RandomStream(seed))
 
-    def line(run: str, a: int, b: int, hits: int) -> str:
+    def line(head: str, a: int, b: int, hits: int) -> str:  # head: "<run> exact=<a/b>"
         p = a / b  # Fraction.__float__: correctly rounded
         freq = hits / trials
         bound = 3.0 * math.sqrt(p * (1.0 - p) / trials)
         delta = abs(freq - p)
         status = "ok" if delta <= bound else "FAIL"
-        exact = f"{a}" if b == 1 else f"{a}/{b}"  # str(Fraction(a, b)) in lowest terms
         return (
-            f"{run} exact={exact} observed={freq:.6f} "
+            f"{head} observed={freq:.6f} "
             f"delta={delta:.6f} bound={bound:.6f} {status}\n"
         )
 
@@ -155,8 +169,9 @@ def _cmd_simulate(args) -> int:
     # Every report goes out line by line: one large write into a pipe whose
     # reader has closed can return without BrokenPipeError (exit 141) and
     # drop the rest silently.
+    heads = (_run_labels(law) + _fraction_text(law, " exact=", "")).tolist()
     fractions = law.numerators.tolist(), law.denominators.tolist()
-    sys.stdout.writelines(map(line, _run_labels(law), *fractions, counts.tolist()))
+    sys.stdout.writelines(map(line, heads, *fractions, counts.tolist()))
     return 0
 
 
@@ -164,11 +179,8 @@ def _cmd_sequence(args) -> int:
     _spec, deck = _load_deck(args.deck)
     plan = _parse_plan(args.plan)
     dist = sequence_distribution(deck, plan)
-    fractions = dist.numerators.tolist(), dist.denominators.tolist()
-    sys.stdout.writelines(
-        f"{run} = {a}\n" if b == 1 else f"{run} = {a}/{b}\n"
-        for run, a, b in zip(_run_labels(dist), *fractions)
-    )
+    # one write per line, as in _cmd_simulate
+    sys.stdout.writelines((_run_labels(dist) + _fraction_text(dist, " = ", "\n")).tolist())
     return 0
 
 

@@ -19,11 +19,11 @@ a Markov chain on the last (variable, value) shown.  Every result here
 comes from one statement of that chain, the per-card weights of each chain
 state (:func:`_chain_weights`) and the pair counts built from them
 (:func:`_pair_counts`).  Ground truth is the exact chain product,
-expanded one plan step at a time over arrays of Python ints; ``Fraction``
-values are made only when a caller asks for the ``Outcome`` map.  Monte
-Carlo enters only through ``simulate_plan``, which samples the chain along
-the exact law's runs, so its counts line up with the values they are
-checked against.
+expanded one plan step at a time over integer arrays that cannot wrap
+(:func:`_exact_dtype`); ``Fraction`` values are made only when a caller
+asks for the ``Outcome`` map.  Monte Carlo enters only through
+``simulate_plan``, which samples the chain along the exact law's runs, so
+its counts line up with the values they are checked against.
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ class SequenceDistribution:
     the ``j``-th run of length ``i + 1`` shows at step ``i`` (a label of
     ``labels[i]``), and ``parents[i][j]`` is the run of length ``i`` it
     extends (all 0 at the first step).  ``numerators[j] / denominators[j]``
-    is the ``j``-th full run's probability in lowest terms, exact Python
+    is the ``j``-th full run's probability in lowest terms: int64 arrays
+    when :func:`_exact_dtype` admits the plan (see
+    :func:`sequence_distribution`), object arrays of Python ints otherwise.
+    On both sides ``.tolist()`` and ``probabilities`` give exact Python
     ints.  Runs are in lexicographic value order.  Only positive-probability
     runs are stored; ``probability`` returns 0 for everything else, and the
     stored probabilities sum to exactly 1.  ``probabilities``, the
@@ -140,27 +143,41 @@ def _chain_weights(deck: Deck) -> np.ndarray:
     return np.vstack([counts, (keep * counts).reshape(-1, len(counts))])
 
 
-def _pair_counts(deck: Deck) -> list[list[int]]:
-    """``C[a*N + x][b*N + y]``: multiplicity of the cards showing a=x and b=y.
+def _exact_dtype(total: int, power: int = 1):
+    """``np.int64`` when every integer up to ``total**power`` fits, else ``object``.
+
+    ``total.bit_length() * power <= 63`` gives ``total**power < 2**63``.
+    The object side holds Python ints, exact at any size.
+    """
+    return np.int64 if total.bit_length() * power <= 63 else object
+
+
+def _pair_counts(deck: Deck) -> np.ndarray:
+    """``C[a*N + x, b*N + y]``: multiplicity of the cards showing a=x and b=y.
 
     Row ``a*N + x`` is state ``1 + a*N + x``'s weights summed over the cards
     of each value of each variable, so diagonal blocks hold the single
-    counts: ``C[a*N + x][a*N + x] = n_a(x)``.  Pressing ``b`` in that state
-    shows ``y`` with probability ``C[a*N + x][b*N + y] / n_a(x)``.
+    counts: ``C[a*N + x, a*N + x] = n_a(x)``.  Pressing ``b`` in that state
+    shows ``y`` with probability ``C[a*N + x, b*N + y] / n_a(x)``.  No
+    count, nor any partial sum of one, exceeds the deck total, so the
+    array is int64 whenever :func:`_exact_dtype` admits the total.
     """
-    weights = _chain_weights(deck)[1:]
-    return (weights @ (weights > 0).T).tolist()
+    weights = _chain_weights(deck)[1:].astype(_exact_dtype(deck.total))
+    return weights @ (weights > 0).T
 
 
-def _support_size(pairs: list[list[int]], rows: list[int], n: int) -> int:
-    """Number of positive-probability runs, one integer pass over ``C > 0``."""
+def _support_size(pairs: np.ndarray, rows: list[int], n: int) -> int:
+    """Number of positive-probability runs, one vector-matrix product per step.
+
+    The live-run counts are Python ints over the pattern of ``C > 0``, so
+    they stay exact however many runs there are.
+    """
+    live = (pairs > 0).astype(object)
     first = rows[0]
-    live = [int(pairs[first + x][first + x] > 0) for x in range(n)]
+    runs = live[first : first + n, first : first + n].diagonal()
     for prev, cur in zip(rows, rows[1:]):
-        live = [
-            sum(live[x] for x in range(n) if pairs[prev + x][cur + y]) for y in range(n)
-        ]
-    return sum(live)
+        runs = runs @ live[prev : prev + n, cur : cur + n]
+    return int(runs.sum())
 
 
 def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistribution:
@@ -172,9 +189,15 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
     ``np.nonzero`` over the rows of ``C > 0`` that the live runs end in
     gives every ``(parent, value)`` child in lexicographic order, and each
     child's numerator and denominator are its parent's times one entry of
-    ``C`` and of its diagonal.  Numerators and denominators are object
-    arrays of Python ints, so the law stays exact at any multiplicity, and
-    one ``np.gcd`` reduces the leaves.  More than ``MAX_SEQUENCES``
+    ``C`` and of its diagonal, and one ``np.gcd`` reduces the leaves.
+
+    Every entry of ``C`` is at most ``T = deck.total``, so after ``i``
+    steps each numerator and denominator, and each children's sum checked
+    against its parent, is at most ``T**i <= T**L`` for a plan of length
+    ``L``.  The arrays are int64 when ``T.bit_length() * L <= 63``
+    (:func:`_exact_dtype`), where ``T**L < 2**63`` and nothing can wrap,
+    and object arrays of Python ints otherwise, exact at any multiplicity.
+    Both sides run the same code.  More than ``MAX_SEQUENCES``
     positive-probability runs raise ``ValidationError`` before any
     expansion.  In integers, the first step's numerators must sum to the
     deck total, every run must have a child, and every run's children must
@@ -194,30 +217,31 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
             f"limit of {MAX_SEQUENCES:,}"
         )
     labels = tuple(spec.values_of(variable) for variable in steps)
-    counts = np.array(pairs, dtype=object)
+    counts = pairs.astype(_exact_dtype(deck.total, len(steps)), copy=False)
     singles = counts.diagonal()
     value = np.flatnonzero(singles[rows[0] : rows[0] + n] > 0)
     numerators = singles[rows[0] + value]
     if numerators.sum() != deck.total:
         raise InvariantError("first-step probabilities do not sum to 1")
-    denominators = np.full(len(value), deck.total, dtype=object)
+    denominators = np.full(len(value), deck.total, dtype=counts.dtype)
     parents, values = [np.zeros(len(value), dtype=np.intp)], [value]
     for last, ahead in zip(rows, rows[1:]):
         block = counts[last + value, ahead : ahead + n]  # row j: the j-th run's next press
-        below = denominators * singles[last + value]
+        held = singles[last + value]
         parent, value = np.nonzero(block > 0)
         children = np.bincount(parent, minlength=len(block))
         if not children.all():  # reduceat would misalign every later run
             at = _run_text(steps, labels, parents, values, np.argmin(children))
             raise InvariantError(f"the run {at} has no next outcome")
         carried = numerators[parent] * block[parent, value]
-        # the children's probabilities sum to their parent's: integers only
+        # the children's probabilities sum to their parent's: with a common
+        # denominator times ``held``, their numerators sum to numerators * held
         sums = np.add.reduceat(carried, np.cumsum(children) - children)
-        wrong = sums * denominators != numerators * below
+        wrong = sums != numerators * held
         if wrong.any():
             at = _run_text(steps, labels, parents, values, np.argmax(wrong))
             raise InvariantError(f"the runs after {at} do not carry its probability")
-        numerators, denominators = carried, below[parent]
+        numerators, denominators = carried, (denominators * held)[parent]
         parents.append(parent)
         values.append(value)
     if len(numerators) != size:
@@ -298,7 +322,7 @@ def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
             "a single-variable (urn) system cannot produce a contradictory repeat"
         )
     n = spec.values_per_variable
-    pairs = _pair_counts(deck)
+    pairs = _pair_counts(deck).tolist()
     for a, b in permutations(range(spec.num_variables), 2):
         for x, y, z in product(range(n), repeat=3):
             if z == x:

@@ -231,6 +231,33 @@ def tree_sequence_distribution(deck, plan, update_rule=rebuild_from_full_deck):
     return probabilities
 
 
+def literal_support_size(pairs, rows, n):
+    """Run-count oracle: the live runs per value, one Python loop per step.
+
+    ``pairs`` is the pair-count table, ``rows`` each step's first row in it.
+    """
+    first = rows[0]
+    live = [int(pairs[first + x][first + x] > 0) for x in range(n)]
+    for prev, cur in zip(rows, rows[1:]):
+        live = [
+            sum(live[x] for x in range(n) if pairs[prev + x][cur + y]) for y in range(n)
+        ]
+    return sum(live)
+
+
+def literal_pair_counts(deck):
+    """Pair-count oracle: ``C[a*N + x][b*N + y]`` summed card by card, Python ints."""
+    spec = deck.spec
+    n = spec.values_per_variable
+    pairs = [[0] * (spec.num_variables * n) for _ in range(spec.num_variables * n)]
+    for card, count in deck.entries:
+        shown = [a * n + spec.value_index(name, value) for a, (name, value) in enumerate(card.items)]
+        for row in shown:
+            for col in shown:
+                pairs[row][col] += count
+    return pairs
+
+
 def contradictory_repeat(run):
     """Steps ``(i, j)`` where a variable is shown twice with different values."""
     last_seen = {}

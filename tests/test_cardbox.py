@@ -71,6 +71,34 @@ class TestValidateSpec:
         with pytest.raises(UnknownValueError):
             four_card_spec.value_index("Face", "J")
 
+    def test_value_lookup_messages(self, four_card_spec):
+        with pytest.raises(UnknownVariableError, match=r"^unknown variable 'Rank'$"):
+            four_card_spec.values_of("Rank")
+        with pytest.raises(UnknownVariableError, match=r"^unknown variable 'Rank'$"):
+            four_card_spec.value_index("Rank", "K")  # the variable is checked first
+        with pytest.raises(UnknownValueError, match=r"^unknown value 'J' for variable 'Face'$"):
+            four_card_spec.value_index("Face", "J")
+        with pytest.raises(UnknownVariableError):
+            four_card_spec.variable_index(["Face"])  # unhashable: matches no name
+
+    def test_unvalidated_spec_lookups_take_the_first_match(self):
+        # the tuple scans the index maps replace returned the first match
+        spec = SystemSpec((("A", ("x", "y", "x")), ("B", ("u", "v", "w")), ("A", ("p", "q", "r"))))
+        assert spec.variable_index("A") == 0
+        assert spec.variable_index("B") == 1
+        assert spec.values_of("A") == ("x", "y", "x")
+        assert spec.value_index("A", "x") == 0
+        with pytest.raises(UnknownValueError):
+            spec.value_index("A", "p")  # a value of the second "A" only
+
+    @given(spec=spec_strategy(max_values=5))
+    def test_index_maps_agree_with_the_tuple_scans(self, spec):
+        names = spec.variable_names
+        for i, (name, values) in enumerate(spec.variables):
+            assert spec.variable_index(name) == names.index(name) == i
+            for j, value in enumerate(values):
+                assert spec.value_index(name, value) == values.index(value) == j
+
 
 class TestDeck:
     def test_counts_drop_zero_and_sort(self, four_card_spec):

@@ -69,8 +69,10 @@ class TestSequenceCommand:
             (DATA / "decks" / "weighted3.json", "Colour,Colour,Shape,Colour,Shape,Shape,Colour",
              "weighted3_repeats"),
             (DATA / "decks" / "single_card.json", "Face,Suit,Suit,Face", "single_card"),  # "= 1"
+            (DATA / "decks" / "large_mult.json", "Colour,Shape,Colour,Shape",
+             "large_mult"),  # multiplicities near 2**40: the law runs on Python ints
         ],
-        ids=["alternating", "immediate-repeats", "probability-one"],
+        ids=["alternating", "immediate-repeats", "probability-one", "large-multiplicity"],
     )
     def test_matches_golden_file(self, capsysbinary, deck, plan, golden):
         assert cli_main(["sequence", "--deck", str(deck), "--plan", plan]) == 0

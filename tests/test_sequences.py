@@ -14,6 +14,8 @@ from conftest import (
     deck_strategy,
     joint_card_frequency,
     literal_chain_sampler,
+    literal_pair_counts,
+    literal_support_size,
     simulate_by_presses,
     tree_sequence_distribution,
 )
@@ -45,6 +47,7 @@ from dofcount.sequences import (
     MAX_TRIALS,
     SIMULATE_CHUNK,
     _chain_table,
+    _exact_dtype,
     _guide_table,
     _pair_counts,
     _support_size,
@@ -158,10 +161,60 @@ class TestSequenceDistribution:
             sequence_distribution(weighted_deck, ("Face", "Suit", "Face"))
 
     def test_support_size_is_exact_at_the_limit(self, four_card_deck, weighted_deck):
-        rows = [2 * (i % 2) for i in range(18)]  # Face, Suit, ... on N=2
-        assert _support_size(_pair_counts(four_card_deck), rows, 2) == MAX_SEQUENCES
+        pairs = _pair_counts(four_card_deck)
+        for steps, size in ((18, MAX_SEQUENCES), (70, 2**70)):  # 2**70: no count wraps
+            rows = [2 * (i % 2) for i in range(steps)]  # Face, Suit, ... on N=2
+            assert _support_size(pairs, rows, 2) == literal_support_size(pairs, rows, 2) == size
         # weighted: no QH card, so Face=Q forces Suit=S
         assert _support_size(_pair_counts(weighted_deck), [0, 2], 2) == 3
+
+    @given(deck=deck_strategy(), data=st.data())
+    def test_support_size_matches_oracle(self, deck, data):
+        names = deck.spec.variable_names
+        plan = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=6))
+        n = deck.spec.values_per_variable
+        rows = [deck.spec.variable_index(variable) * n for variable in plan]
+        pairs = _pair_counts(deck)
+        assert _support_size(pairs, rows, n) == literal_support_size(pairs, rows, n)
+        assert literal_support_size(pairs, rows, n) == len(tree_sequence_distribution(deck, plan))
+
+    @given(
+        deck=deck_strategy(),
+        scale=st.sampled_from([1, 2**40, 2**60, 2**61, 2**62, 2**70]),
+    )
+    def test_pair_counts_are_exact_on_both_sides_of_the_dtype_rule(self, deck, scale):
+        scaled = Deck(deck.spec, tuple((card, m * scale) for card, m in deck.entries))
+        pairs = _pair_counts(scaled)
+        # every pair count is at most the total: int64 exactly when it fits
+        assert pairs.dtype == (np.int64 if scaled.total < 2**63 else object)
+        assert pairs.tolist() == literal_pair_counts(scaled)
+        assert all(type(x) is int for row in pairs.tolist() for x in row)
+
+    def test_dtype_rule_boundaries(self):
+        assert _exact_dtype(2**63 - 1) is np.int64
+        assert _exact_dtype(2**63) is object
+        assert _exact_dtype(127, 9) is np.int64  # 7 bits * 9 = 63: 127**9 < 2**63
+        assert _exact_dtype(128, 9) is object  # 8 bits * 9 = 72
+        assert _exact_dtype(81, 9) is _exact_dtype(192, 7) is np.int64  # benchmark decks
+
+    @pytest.mark.parametrize(
+        "big, dtype",
+        [
+            # total 127, 7 bits: int64 at length 9.  Face=K and Suit=S each
+            # hold 126 of 127, so the run K,S,K,S,... reaches the unreduced
+            # denominator 127 * 126**8, about 7.9e18, 92% of 127**9
+            (125, np.int64),
+            (126, object),  # total 128, 8 bits: Python ints at length 9
+        ],
+    )
+    def test_int64_boundary_matches_tree_oracle(self, four_card_spec, big, dtype):
+        deck = Deck.from_counts(four_card_spec, {("K", "S"): big, ("K", "H"): 1, ("Q", "S"): 1})
+        plan = ("Face", "Suit") * 4 + ("Face",)
+        dist = sequence_distribution(deck, plan)
+        assert dist.numerators.dtype == dist.denominators.dtype == dtype
+        assert list(dist.items()) == list(tree_sequence_distribution(deck, plan).items())
+        assert all(type(x) is int for x in dist.numerators.tolist() + dist.denominators.tolist())
+        assert all(type(p.numerator) is int for _, p in dist.items())
 
 
 class _NumpyWithoutNonzero:
