@@ -23,7 +23,6 @@ from .cardbox import (
     uniform_deck,
     urn_as_cardbox,
     urn_deck,
-    validate_spec,
 )
 from .deckfile import parse_deck_file, serialize_deck_file
 from .quantum import (

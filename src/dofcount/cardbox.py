@@ -44,19 +44,38 @@ from .rng import RandomStream
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """The variable/value universe of one system.
+    """The variable/value universe of one system, checked when it is built.
 
     ``variables`` is an ordered tuple of ``(variable_name, value_names)``
-    pairs.  Every variable must offer the same number of values; variable
-    names are unique, and value names are unique within each variable.
+    pairs.  There is at least one variable, and every variable offers the
+    same number of values, at least two; variable names are unique, and
+    value names are unique within each variable.  A spec that breaks any
+    of these raises ``ValidationError`` on construction, so every spec in
+    hand has one position per name.
     """
 
     variables: tuple[tuple[str, tuple[str, ...]], ...]
 
+    def __post_init__(self) -> None:
+        if not self.variables:
+            raise EmptySpecError("spec has no variables")
+        names = self.variable_names
+        if len(set(names)) != len(names):
+            raise DuplicateNameError(f"duplicate variable names in {names}")
+        n = self.values_per_variable
+        for name, values in self.variables:
+            if len(set(values)) != len(values):
+                raise DuplicateNameError(f"duplicate value names for variable {name!r}")
+            if len(values) != n:
+                raise BadArityError(
+                    f"variable {name!r} has {len(values)} values, expected {n}"
+                )
+        if n < 2:
+            raise EmptySpecError("every variable needs at least two values")
+
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Sequence[str]]) -> "SystemSpec":
-        spec = cls(tuple((name, tuple(values)) for name, values in mapping.items()))
-        return validate_spec(spec)
+        return cls(tuple((name, tuple(values)) for name, values in mapping.items()))
 
     @property
     def num_variables(self) -> int:
@@ -64,8 +83,6 @@ class SystemSpec:
 
     @property
     def values_per_variable(self) -> int:
-        if not self.variables:
-            return 0
         return len(self.variables[0][1])
 
     @property
@@ -74,11 +91,11 @@ class SystemSpec:
 
     @cached_property
     def _variable_positions(self) -> dict[str, int]:
-        return _first_positions(self.variable_names)
+        return {name: i for i, name in enumerate(self.variable_names)}
 
     @cached_property
     def _value_positions(self) -> tuple[dict[str, int], ...]:
-        return tuple(_first_positions(values) for _, values in self.variables)
+        return tuple({value: j for j, value in enumerate(values)} for _, values in self.variables)
 
     def variable_index(self, variable: str) -> int:
         try:
@@ -97,31 +114,6 @@ class SystemSpec:
             raise UnknownValueError(
                 f"unknown value {value!r} for variable {variable!r}"
             ) from None
-
-
-def _first_positions(names: Sequence[str]) -> dict[str, int]:
-    """Each name's first position: an unvalidated spec may repeat a name."""
-    return {name: i for i, name in reversed(list(enumerate(names)))}
-
-
-def validate_spec(spec: SystemSpec) -> SystemSpec:
-    """Check all SystemSpec invariants and return the spec unchanged."""
-    if spec.num_variables == 0:
-        raise EmptySpecError("spec has no variables")
-    names = spec.variable_names
-    if len(set(names)) != len(names):
-        raise DuplicateNameError(f"duplicate variable names in {names}")
-    n = spec.values_per_variable
-    for name, values in spec.variables:
-        if len(set(values)) != len(values):
-            raise DuplicateNameError(f"duplicate value names for variable {name!r}")
-        if len(values) != n:
-            raise BadArityError(
-                f"variable {name!r} has {len(values)} values, expected {n}"
-            )
-    if n < 2:
-        raise EmptySpecError("every variable needs at least two values")
-    return spec
 
 
 @dataclass(frozen=True)
@@ -146,14 +138,6 @@ class Card:
             spec.value_index(name, value)  # raises UnknownValueError
             items.append((name, value))
         return cls(tuple(items))
-
-    @classmethod
-    def from_values(cls, spec: SystemSpec, values: Sequence[str]) -> "Card":
-        if len(values) != spec.num_variables:
-            raise IncompleteAssignmentError(
-                f"expected {spec.num_variables} values, got {len(values)}"
-            )
-        return cls.from_assignment(spec, dict(zip(spec.variable_names, values)))
 
     @property
     def assignment(self) -> dict[str, str]:
@@ -191,23 +175,26 @@ class Deck:
 
     @classmethod
     def from_counts(cls, spec: SystemSpec, counts: Mapping[CardKey, int]) -> "Deck":
-        entries = []
-        seen = set()
+        entries = {}  # value indices -> (card, count)
         for key, count in counts.items():
-            card = key if isinstance(key, Card) else Card.from_values(spec, key)
+            card = key
+            if not isinstance(card, Card):
+                if len(key) != spec.num_variables:
+                    raise IncompleteAssignmentError(
+                        f"expected {spec.num_variables} values, got {len(key)}"
+                    )
+                card = Card(tuple(zip(spec.variable_names, key)))
+            index = _card_index(spec, card)
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ValidationError(f"multiplicity for {card} must be an integer")
             if count < 0:
                 raise ValidationError(f"negative multiplicity for {card}")
             if count == 0:
                 continue
-            if card.items in seen:
+            if index in entries:
                 raise ValidationError(f"card {card} listed twice")
-            seen.add(card.items)
-            _check_card(spec, card)
-            entries.append((card, count))
-        entries.sort(key=lambda e: _card_sort_key(spec, e[0]))
-        return cls(spec, tuple(entries))
+            entries[index] = (card, count)
+        return cls(spec, tuple(entries[index] for index in sorted(entries)))
 
     @cached_property
     def total(self) -> int:
@@ -227,26 +214,20 @@ class Deck:
         their size.  Both arrays are read-only.
         """
         values = np.array(
-            [_card_sort_key(self.spec, card) for card, _ in self.entries], dtype=np.int64
+            [_card_index(self.spec, card) for card, _ in self.entries], dtype=np.int64
         ).reshape(len(self.entries), self.spec.num_variables)
         counts = np.array([count for _, count in self.entries], dtype=object)
         values.flags.writeable = counts.flags.writeable = False
         return values, counts
 
 
-def _check_card(spec: SystemSpec, card: Card) -> None:
+def _card_index(spec: SystemSpec, card: Card) -> tuple[int, ...]:
+    """The card's value indices, once it names the spec's variables in order."""
     if tuple(name for name, _ in card.items) != spec.variable_names:
         raise IncompleteAssignmentError(
             f"card {card} does not cover the spec's variables {spec.variable_names}"
         )
-    for name, value in card.items:
-        spec.value_index(name, value)
-
-
-def _card_sort_key(spec: SystemSpec, card: Card) -> tuple[int, ...]:
-    return tuple(
-        spec.value_index(name, value) for (name, value) in card.items
-    )
+    return tuple(spec.value_index(name, value) for name, value in card.items)
 
 
 MAX_CARD_TYPES = 2**12

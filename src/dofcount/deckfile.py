@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .cardbox import Card, Deck, SystemSpec, validate_spec
+from .cardbox import Card, Deck, SystemSpec
 from .errors import MalformedJsonError, SchemaViolationError, ValidationError
 
 _TOP_KEYS = {"variables", "cards"}
@@ -71,7 +71,7 @@ def _parse_variables(raw) -> SystemSpec:
                 f"{where}.values", "must be a nonempty array of nonempty strings"
             )
         variables.append((name, tuple(values)))
-    return validate_spec(SystemSpec(tuple(variables)))
+    return SystemSpec(tuple(variables))
 
 
 def _parse_cards(raw, spec: SystemSpec) -> Deck:

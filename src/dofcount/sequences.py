@@ -120,15 +120,6 @@ def _run_text(plan, labels, parents, values, index: int) -> str:
     return ", ".join(f"{plan[i]}={labels[i][x]}" for i, x in enumerate(run))
 
 
-def _validate_plan(deck: Deck, plan: Sequence[str]) -> MeasurementPlan:
-    steps = tuple(plan)
-    if not steps:
-        raise ValueError("plan must contain at least one step")
-    for variable in steps:
-        deck.spec.variable_index(variable)
-    return steps
-
-
 def _chain_weights(deck: Deck) -> np.ndarray:
     """Per-card multiplicities of every chain state, exact Python ints.
 
@@ -153,43 +144,47 @@ def _exact_dtype(total: int, power: int = 1):
 
 
 def _pair_counts(deck: Deck) -> np.ndarray:
-    """``C[a*N + x, b*N + y]``: multiplicity of the cards showing a=x and b=y.
+    """``C[s, b*N + y]``: multiplicity of chain state ``s``'s cards showing b=y.
 
-    Row ``a*N + x`` is state ``1 + a*N + x``'s weights summed over the cards
-    of each value of each variable, so diagonal blocks hold the single
-    counts: ``C[a*N + x, a*N + x] = n_a(x)``.  Pressing ``b`` in that state
-    shows ``y`` with probability ``C[a*N + x, b*N + y] / n_a(x)``.  No
+    Row ``s`` is chain state ``s`` (:func:`_chain_weights`): row 0, the
+    full deck, holds the single counts ``n_b(y)``, and row ``1 + a*N + x``
+    the cards showing a=x and b=y.  Pressing ``b`` in state ``s`` shows
+    ``y`` with probability ``C[s, b*N + y]`` over the state's total.  No
     count, nor any partial sum of one, exceeds the deck total, so the
-    array is int64 whenever :func:`_exact_dtype` admits the total.
+    ``(1 + V*N, V*N)`` array is int64 whenever :func:`_exact_dtype` admits
+    the total.
     """
-    weights = _chain_weights(deck)[1:].astype(_exact_dtype(deck.total))
-    return weights @ (weights > 0).T
+    weights = _chain_weights(deck).astype(_exact_dtype(deck.total))
+    return weights @ (weights[1:] > 0).T
 
 
-def _support_size(pairs: np.ndarray, rows: list[int], n: int) -> int:
+def _support_size(pairs: np.ndarray, pressed: list[int], n: int) -> int:
     """Number of positive-probability runs, one vector-matrix product per step.
 
-    The live-run counts are Python ints over the pattern of ``C > 0``, so
-    they stay exact however many runs there are.
+    ``pressed`` holds each step's variable index.  The live runs per chain
+    state, from one in state 0, are Python ints over the pattern of
+    ``C > 0``, so they stay exact however many runs there are.
     """
     live = (pairs > 0).astype(object)
-    first = rows[0]
-    runs = live[first : first + n, first : first + n].diagonal()
-    for prev, cur in zip(rows, rows[1:]):
-        runs = runs @ live[prev : prev + n, cur : cur + n]
+    runs, states = np.ones(1, dtype=object), slice(0, 1)
+    for a in pressed:
+        runs = runs @ live[states, a * n : (a + 1) * n]
+        states = slice(1 + a * n, 1 + (a + 1) * n)
     return int(runs.sum())
 
 
 def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistribution:
     """Exact distribution of the outcome sequence for ``plan``.
 
-    With ``C`` the pair counts of :func:`_pair_counts`, a run has the chain
-    product ``n_a1(x1)/total * prod C[a_i x_i, a_(i+1) x_(i+1)] / n_(a_i)(x_i)``.
-    The runs are expanded one plan step at a time over whole arrays: one
-    ``np.nonzero`` over the rows of ``C > 0`` that the live runs end in
-    gives every ``(parent, value)`` child in lexicographic order, and each
-    child's numerator and denominator are its parent's times one entry of
-    ``C`` and of its diagonal, and one ``np.gcd`` reduces the leaves.
+    With ``C`` the pair counts of :func:`_pair_counts`, a run through the
+    chain states ``s_0 = 0, s_1, ...`` has the product of
+    ``C[s_i, a_(i+1)*N + x_(i+1)] / total(s_i)``.  The runs are expanded one
+    plan step at a time over whole arrays, from one root run in state 0
+    with probability ``1/1``: one ``np.nonzero`` over the rows of ``C > 0``
+    that the live runs end in gives every ``(parent, value)`` child in
+    lexicographic order, each child's numerator and denominator are its
+    parent's times one entry of ``C`` and its state's total, and one
+    ``np.gcd`` reduces the leaves.
 
     Every entry of ``C`` is at most ``T = deck.total``, so after ``i``
     steps each numerator and denominator, and each children's sum checked
@@ -199,49 +194,54 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
     and object arrays of Python ints otherwise, exact at any multiplicity.
     Both sides run the same code.  More than ``MAX_SEQUENCES``
     positive-probability runs raise ``ValidationError`` before any
-    expansion.  In integers, the first step's numerators must sum to the
-    deck total, every run must have a child, and every run's children must
-    carry its probability; by telescoping, the leaves sum to 1.
+    expansion.  In integers, every run, the root included, must have a
+    child, and its children must carry its probability; by telescoping,
+    the leaves sum to 1.
     """
     if deck.is_empty:
         raise EmptyDeckError("cannot compute sequence statistics for an empty deck")
-    steps = _validate_plan(deck, plan)
+    steps = tuple(plan)
+    if not steps:
+        raise ValueError("plan must contain at least one step")
     spec = deck.spec
+    pressed = [spec.variable_index(variable) for variable in steps]
     n = spec.values_per_variable
     pairs = _pair_counts(deck)
-    rows = [spec.variable_index(variable) * n for variable in steps]
-    size = _support_size(pairs, rows, n)
+    size = _support_size(pairs, pressed, n)
     if size > MAX_SEQUENCES:
         raise ValidationError(
             f"plan has {size:,} possible outcome sequences, more than the "
             f"limit of {MAX_SEQUENCES:,}"
         )
-    labels = tuple(spec.values_of(variable) for variable in steps)
+    labels = tuple(spec.variables[a][1] for a in pressed)
     counts = pairs.astype(_exact_dtype(deck.total, len(steps)), copy=False)
-    singles = counts.diagonal()
-    value = np.flatnonzero(singles[rows[0] : rows[0] + n] > 0)
-    numerators = singles[rows[0] + value]
-    if numerators.sum() != deck.total:
-        raise InvariantError("first-step probabilities do not sum to 1")
-    denominators = np.full(len(value), deck.total, dtype=counts.dtype)
-    parents, values = [np.zeros(len(value), dtype=np.intp)], [value]
-    for last, ahead in zip(rows, rows[1:]):
-        block = counts[last + value, ahead : ahead + n]  # row j: the j-th run's next press
-        held = singles[last + value]
+    # each chain state's total: the deck's for state 0, n_a(x) for 1 + a*N + x
+    totals = np.concatenate((np.array([deck.total], dtype=counts.dtype), counts[0]))
+    state = np.zeros(1, dtype=np.intp)
+    numerators = denominators = np.ones(1, dtype=counts.dtype)
+    parents, values = [], []
+
+    def broken(index: int, message: str) -> InvariantError:
+        if not parents:  # the root run: the first press
+            return InvariantError("first-step probabilities do not sum to 1")
+        return InvariantError(message.format(_run_text(steps, labels, parents, values, index)))
+
+    for a in pressed:
+        block = counts[state, a * n : (a + 1) * n]  # row j: the j-th run's next press
+        held = totals[state]
         parent, value = np.nonzero(block > 0)
         children = np.bincount(parent, minlength=len(block))
         if not children.all():  # reduceat would misalign every later run
-            at = _run_text(steps, labels, parents, values, np.argmin(children))
-            raise InvariantError(f"the run {at} has no next outcome")
+            raise broken(np.argmin(children), "the run {} has no next outcome")
         carried = numerators[parent] * block[parent, value]
         # the children's probabilities sum to their parent's: with a common
         # denominator times ``held``, their numerators sum to numerators * held
         sums = np.add.reduceat(carried, np.cumsum(children) - children)
         wrong = sums != numerators * held
         if wrong.any():
-            at = _run_text(steps, labels, parents, values, np.argmax(wrong))
-            raise InvariantError(f"the runs after {at} do not carry its probability")
+            raise broken(np.argmax(wrong), "the runs after {} do not carry its probability")
         numerators, denominators = carried, (denominators * held)[parent]
+        state = 1 + a * n + value
         parents.append(parent)
         values.append(value)
     if len(numerators) != size:
@@ -305,8 +305,11 @@ def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
 
     Closed form on the pair counts ``C`` of :func:`_pair_counts`: scan the
     pairs ``a != b`` in variable order, then ``(x, y, z)`` in value order,
-    and return the first with ``C_ab[x, y] * C_ba[y, z] > 0``.  Its
-    probability is ``C_ab[x, y] * C_ba[y, z] / (total * n_b(y))``.  A
+    and return the first with ``C_ab[x, y] * C_ba[y, z] > 0``, where
+    ``C_ab[x, y] = C[1 + a*N + x, b*N + y]`` is read in the row of the
+    chain state ``a=x``.  Its probability is
+    ``C_ab[x, y] * C_ba[y, z] / (total * n_b(y))``, with
+    ``n_b(y) = C[0, b*N + y]`` read in the full deck's row.  A
     witness exists iff some value of some ``b`` occurs on cards with two
     different values of some ``a``.  Longer plans add nothing: without such
     a value, every value shown fixes the value of every other variable on
@@ -327,7 +330,7 @@ def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
         for x, y, z in product(range(n), repeat=3):
             if z == x:
                 continue
-            hits = pairs[a * n + x][b * n + y] * pairs[b * n + y][a * n + z]
+            hits = pairs[1 + a * n + x][b * n + y] * pairs[1 + b * n + y][a * n + z]
             if not hits:
                 continue
             (name_a, labels_a), (name_b, labels_b) = spec.variables[a], spec.variables[b]
@@ -341,7 +344,7 @@ def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
                     Outcome(name_b, labels_b[y]),
                     Outcome(name_a, labels_a[z]),
                 ),
-                probability=Fraction(hits, deck.total * pairs[b * n + y][b * n + y]),
+                probability=Fraction(hits, deck.total * pairs[0][b * n + y]),
                 violated_constraint=description,
             )
     return None

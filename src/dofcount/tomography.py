@@ -228,6 +228,8 @@ class ExactRowBasis:
         try:
             reduced = [operator.index(x) for x in row]
         except TypeError:  # Fractions or floats: scale by the denominators' LCM
+            if any(isinstance(x, float) and not math.isfinite(x) for x in row):
+                raise NonFiniteError("row contains NaN or infinity") from None
             fractions = [Fraction(x) for x in row]
             scale = math.lcm(*(f.denominator for f in fractions))
             reduced = [f.numerator * (scale // f.denominator) for f in fractions]
@@ -266,21 +268,26 @@ def _check_tolerance(tol: float) -> None:
 def matrix_rank_numeric(rows, tol: float = RANK_TOL) -> int:
     """Numeric rank: singular values above ``tol`` times the largest.
 
-    A float ndarray must be float64: at lower precision rounding noise
-    alone clears the default threshold.  List input is read at float64
-    precision.
+    The rank is taken over the reals, of a 2-D matrix.  A float ndarray
+    must be float64: at lower precision rounding noise alone clears the
+    default threshold.  A complex ndarray is rejected, not cast, and list
+    input is read at float64 precision.
     """
     _check_tolerance(tol)
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "fc" and rows.real.dtype.itemsize < 8:
-        raise ValidationError(f"matrix dtype {rows.dtype} is narrower than float64")
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == float:
-        matrix = rows  # no row list, no copy
+    if isinstance(rows, np.ndarray) and rows.dtype != object:
+        if rows.dtype.kind in "fc" and rows.real.dtype.itemsize < 8:
+            raise ValidationError(f"matrix dtype {rows.dtype} is narrower than float64")
+        if rows.dtype.kind == "c":
+            raise ValidationError(f"matrix dtype {rows.dtype} is complex, not real")
+        matrix = rows.astype(float, copy=False)  # float64 input: no row list, no copy
     else:
         rows = list(rows)
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise RaggedMatrixError(f"rows have mixed lengths {sorted(widths)}")
         matrix = np.asarray(rows, dtype=float)
+    if matrix.ndim != 2:
+        raise ValidationError(f"matrix must be 2-D, got {matrix.ndim}-D")
     if len(matrix) == 0:
         raise ValidationError("matrix must have at least one row")
     if not np.isfinite(matrix).all():

@@ -231,28 +231,33 @@ def tree_sequence_distribution(deck, plan, update_rule=rebuild_from_full_deck):
     return probabilities
 
 
-def literal_support_size(pairs, rows, n):
-    """Run-count oracle: the live runs per value, one Python loop per step.
+def literal_support_size(pairs, pressed, n):
+    """Run-count oracle: the live runs per chain state, one Python loop per step.
 
-    ``pairs`` is the pair-count table, ``rows`` each step's first row in it.
+    ``pairs`` is the pair-count table, row 0 the full deck and row
+    ``1 + a*N + x`` the state after a=x; ``pressed`` holds each step's
+    variable index.
     """
-    first = rows[0]
-    live = [int(pairs[first + x][first + x] > 0) for x in range(n)]
-    for prev, cur in zip(rows, rows[1:]):
-        live = [
-            sum(live[x] for x in range(n) if pairs[prev + x][cur + y]) for y in range(n)
-        ]
-    return sum(live)
+    live = {0: 1}  # chain state -> live runs that end in it
+    for a in pressed:
+        live = {
+            1 + a * n + y: sum(runs for state, runs in live.items() if pairs[state][a * n + y])
+            for y in range(n)
+        }
+    return sum(live.values())
 
 
 def literal_pair_counts(deck):
-    """Pair-count oracle: ``C[a*N + x][b*N + y]`` summed card by card, Python ints."""
+    """Pair-count oracle: ``C[s][b*N + y]`` summed card by card, Python ints.
+
+    Row 0 is the full deck; row ``1 + a*N + x`` holds the cards showing a=x.
+    """
     spec = deck.spec
     n = spec.values_per_variable
-    pairs = [[0] * (spec.num_variables * n) for _ in range(spec.num_variables * n)]
+    pairs = [[0] * (spec.num_variables * n) for _ in range(1 + spec.num_variables * n)]
     for card, count in deck.entries:
         shown = [a * n + spec.value_index(name, value) for a, (name, value) in enumerate(card.items)]
-        for row in shown:
+        for row in [0] + [1 + col for col in shown]:
             for col in shown:
                 pairs[row][col] += count
     return pairs

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import deck_strategy, observe_sequence, spec_strategy
 from dofcount import (
     BoxState,
+    Card,
     Deck,
     RandomStream,
     SystemSpec,
@@ -18,7 +19,6 @@ from dofcount import (
     uniform_deck,
     urn_as_cardbox,
     urn_deck,
-    validate_spec,
 )
 from dofcount.errors import (
     BadArityError,
@@ -37,7 +37,7 @@ class TestValidateSpec:
     def test_two_by_two(self, four_card_spec):
         assert four_card_spec.num_variables == 2
         assert four_card_spec.values_per_variable == 2
-        assert validate_spec(four_card_spec) is four_card_spec
+        assert SystemSpec(four_card_spec.variables) == four_card_spec
 
     def test_single_variable_urn_shape(self):
         spec = SystemSpec.from_mapping({"Pos": ["1", "2", "3"]})
@@ -49,9 +49,8 @@ class TestValidateSpec:
             SystemSpec.from_mapping({"Face": ["K", "K"]})
 
     def test_duplicate_variable_name(self):
-        spec = SystemSpec((("Face", ("K", "Q")), ("Face", ("S", "H"))))
         with pytest.raises(DuplicateNameError):
-            validate_spec(spec)
+            SystemSpec((("Face", ("K", "Q")), ("Face", ("S", "H"))))
 
     def test_ragged_value_lists(self):
         with pytest.raises(BadArityError):
@@ -59,7 +58,7 @@ class TestValidateSpec:
 
     def test_no_variables(self):
         with pytest.raises(EmptySpecError):
-            validate_spec(SystemSpec(()))
+            SystemSpec(())
 
     def test_single_value_variable(self):
         with pytest.raises(EmptySpecError):
@@ -81,15 +80,16 @@ class TestValidateSpec:
         with pytest.raises(UnknownVariableError):
             four_card_spec.variable_index(["Face"])  # unhashable: matches no name
 
-    def test_unvalidated_spec_lookups_take_the_first_match(self):
-        # the tuple scans the index maps replace returned the first match
-        spec = SystemSpec((("A", ("x", "y", "x")), ("B", ("u", "v", "w")), ("A", ("p", "q", "r"))))
-        assert spec.variable_index("A") == 0
-        assert spec.variable_index("B") == 1
-        assert spec.values_of("A") == ("x", "y", "x")
-        assert spec.value_index("A", "x") == 0
-        with pytest.raises(UnknownValueError):
-            spec.value_index("A", "p")  # a value of the second "A" only
+    def test_spec_with_repeated_names_cannot_be_built(self):
+        # every spec in hand has one position per name; the checks run in order
+        with pytest.raises(DuplicateNameError, match=r"^duplicate variable names in \('A', 'B', 'A'\)$"):
+            SystemSpec((("A", ("x", "y", "x")), ("B", ("u", "v", "w")), ("A", ("p", "q", "r"))))
+        with pytest.raises(DuplicateNameError, match=r"^duplicate value names for variable 'A'$"):
+            SystemSpec((("A", ("x", "y", "x")), ("B", ("u", "v"))))
+        with pytest.raises(BadArityError, match=r"^variable 'B' has 2 values, expected 3$"):
+            SystemSpec((("A", ("x", "y", "z")), ("B", ("u", "v"))))
+        with pytest.raises(EmptySpecError, match=r"^every variable needs at least two values$"):
+            SystemSpec((("A", ("x",)),))
 
     @given(spec=spec_strategy(max_values=5))
     def test_index_maps_agree_with_the_tuple_scans(self, spec):
@@ -110,6 +110,15 @@ class TestDeck:
             (("Q", "H"), 2),
         ]
         assert deck.total == 3
+
+    def test_zero_count_keys_are_checked(self, four_card_spec, four_card_deck):
+        # a Card key and a tuple key name the same card, whatever the count
+        card = four_card_deck.entries[0][0]
+        for key in (Card((("Face", "J"), ("Suit", "S"))), ("J", "S")):
+            with pytest.raises(UnknownValueError, match=r"^unknown value 'J' for variable 'Face'$"):
+                Deck.from_counts(four_card_spec, {key: 0})
+        with pytest.raises(ValidationError, match="listed twice"):
+            Deck.from_counts(four_card_spec, {card: 1, card.values: 2})
 
     def test_negative_count_rejected(self, four_card_spec):
         with pytest.raises(ValidationError):

@@ -119,6 +119,20 @@ class TestWitnessCommand:
         assert cli_main(["witness", "--deck", urn_file]) == 2
         assert "single-variable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "deck",
+        [
+            REPO / "decks" / "cards4.json",
+            DATA / "decks" / "weighted3.json",
+            DATA / "decks" / "large_mult.json",  # multiplicities near 2**40
+            DATA / "decks" / "single_card.json",  # "none"
+        ],
+        ids=lambda path: path.stem,
+    )
+    def test_matches_golden_file(self, capsysbinary, deck):
+        assert cli_main(["witness", "--deck", str(deck)]) == 0
+        assert capsysbinary.readouterr().out == (DATA / f"witness_{deck.stem}.txt").read_bytes()
+
 
 class TestRankCommand:
     def test_urn_row(self, capsys):

@@ -132,13 +132,13 @@ class TestSequenceDistribution:
     @pytest.mark.parametrize(
         "entry, match",
         [
-            ((0, 0), "first-step probabilities"),  # n_Face(K) off by one
-            ((0, 2), "do not carry its probability"),  # C[Face=K, Suit=S] off by one
-            ((3, 1), "do not carry its probability"),  # C[Suit=H, Face=Q], deeper in
+            ((0, 0), "first-step probabilities"),  # n_Face(K), in the full deck's row, off by one
+            ((1, 2), "do not carry its probability"),  # C[Face=K, Suit=S] off by one
+            ((4, 1), "do not carry its probability"),  # C[Suit=H, Face=Q], deeper in
         ],
     )
     def test_wrong_pair_count_is_an_invariant_error(self, weighted_deck, monkeypatch, entry, match):
-        # the integer checks at the first step and at every expanded run
+        # the integer checks at the root run and at every expanded run
         # stand in for summing the leaves; a wrong entry must trip them
         pairs = _pair_counts(weighted_deck)
         row, col = entry
@@ -148,14 +148,14 @@ class TestSequenceDistribution:
             sequence_distribution(weighted_deck, ("Face", "Suit", "Face"))
 
     @pytest.mark.parametrize(
-        "row, run",
+        "x, run",
         [(0, "Face=K"), (1, "Face=Q")],  # the first and the last live run
     )
-    def test_childless_run_is_an_invariant_error(self, weighted_deck, monkeypatch, row, run):
+    def test_childless_run_is_an_invariant_error(self, weighted_deck, monkeypatch, x, run):
         # a live run with no next outcome would shift every later run's
         # children in the per-run sums; it must fail by name instead
         pairs = _pair_counts(weighted_deck)
-        pairs[row][2] = pairs[row][3] = 0  # Face=x shows no Suit at all
+        pairs[1 + x][2] = pairs[1 + x][3] = 0  # chain state Face=x (rows 1, 2) shows no Suit at all
         monkeypatch.setattr("dofcount.sequences._pair_counts", lambda deck: pairs)
         with pytest.raises(InvariantError, match=f"the run {run} has no next outcome"):
             sequence_distribution(weighted_deck, ("Face", "Suit", "Face"))
@@ -163,20 +163,20 @@ class TestSequenceDistribution:
     def test_support_size_is_exact_at_the_limit(self, four_card_deck, weighted_deck):
         pairs = _pair_counts(four_card_deck)
         for steps, size in ((18, MAX_SEQUENCES), (70, 2**70)):  # 2**70: no count wraps
-            rows = [2 * (i % 2) for i in range(steps)]  # Face, Suit, ... on N=2
-            assert _support_size(pairs, rows, 2) == literal_support_size(pairs, rows, 2) == size
+            pressed = [i % 2 for i in range(steps)]  # Face, Suit, ... on N=2
+            assert _support_size(pairs, pressed, 2) == literal_support_size(pairs, pressed, 2) == size
         # weighted: no QH card, so Face=Q forces Suit=S
-        assert _support_size(_pair_counts(weighted_deck), [0, 2], 2) == 3
+        assert _support_size(_pair_counts(weighted_deck), [0, 1], 2) == 3
 
     @given(deck=deck_strategy(), data=st.data())
     def test_support_size_matches_oracle(self, deck, data):
         names = deck.spec.variable_names
         plan = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=6))
         n = deck.spec.values_per_variable
-        rows = [deck.spec.variable_index(variable) * n for variable in plan]
+        pressed = [deck.spec.variable_index(variable) for variable in plan]
         pairs = _pair_counts(deck)
-        assert _support_size(pairs, rows, n) == literal_support_size(pairs, rows, n)
-        assert literal_support_size(pairs, rows, n) == len(tree_sequence_distribution(deck, plan))
+        assert _support_size(pairs, pressed, n) == literal_support_size(pairs, pressed, n)
+        assert literal_support_size(pairs, pressed, n) == len(tree_sequence_distribution(deck, plan))
 
     @given(
         deck=deck_strategy(),

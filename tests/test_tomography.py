@@ -474,6 +474,14 @@ class TestMatrixRankExact:
         with pytest.raises(ValidationError):
             matrix_rank_exact([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        # a float is read exactly, and NaN or infinity has no exact value
+        with pytest.raises(NonFiniteError, match="NaN or infinity"):
+            matrix_rank_exact([[bad, 1.0]])
+        with pytest.raises(NonFiniteError):
+            ExactRowBasis(2).add([Fraction(1, 3), np.float64(bad)])
+
     def test_span_membership(self):
         basis = ExactRowBasis(3)
         basis.add([1, 0, 1])
@@ -541,6 +549,20 @@ class TestMatrixRankNumeric:
             matrix_rank_numeric(np.empty((0, 4)))
         with pytest.raises(NonFiniteError):
             matrix_rank_numeric(np.array([[1.0, np.inf]]))
+
+    def test_complex_array_rejected(self):
+        # casting would drop the imaginary parts and read i*I as rank 0
+        with pytest.raises(ValidationError, match="complex128 is complex"):
+            matrix_rank_numeric(np.array([[1j, 0], [0, 1j]]))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_array_that_is_not_2d_rejected(self, shape):
+        with pytest.raises(ValidationError, match=f"must be 2-D, got {len(shape)}-D"):
+            matrix_rank_numeric(np.ones(shape))
+
+    def test_integer_array_matches_float_array(self):
+        matrix = np.array([[1, 2], [2, 4], [0, 1]])
+        assert matrix_rank_numeric(matrix) == matrix_rank_numeric(matrix.astype(float)) == 2
 
 
 class TestExhaustiveRank:
