@@ -130,14 +130,11 @@ class Card:
     def from_assignment(cls, spec: SystemSpec, assignment: Mapping[str, str]) -> "Card":
         for variable in assignment:
             spec.variable_index(variable)  # raises UnknownVariableError
-        items = []
-        for name, _values in spec.variables:
+        for name in spec.variable_names:
             if name not in assignment:
                 raise IncompleteAssignmentError(f"no value for variable {name!r}")
-            value = assignment[name]
-            spec.value_index(name, value)  # raises UnknownValueError
-            items.append((name, value))
-        return cls(tuple(items))
+            spec.value_index(name, assignment[name])  # raises UnknownValueError
+        return cls(tuple((name, assignment[name]) for name in spec.variable_names))
 
     @property
     def assignment(self) -> dict[str, str]:
@@ -175,7 +172,7 @@ class Deck:
 
     @classmethod
     def from_counts(cls, spec: SystemSpec, counts: Mapping[CardKey, int]) -> "Deck":
-        entries = {}  # value indices -> (card, count)
+        indexed = {}  # value indices -> count
         for key, count in counts.items():
             card = key
             if not isinstance(card, Card):
@@ -191,10 +188,20 @@ class Deck:
                 raise ValidationError(f"negative multiplicity for {card}")
             if count == 0:
                 continue
-            if index in entries:
+            if index in indexed:
                 raise ValidationError(f"card {card} listed twice")
-            entries[index] = (card, count)
-        return cls(spec, tuple(entries[index] for index in sorted(entries)))
+            indexed[index] = count
+        return cls._from_indices(spec, indexed)
+
+    @classmethod
+    def _from_indices(cls, spec: SystemSpec, counts: Mapping[tuple[int, ...], int]) -> "Deck":
+        """Deck from positive counts keyed by distinct, valid value-index tuples."""
+        order = sorted(counts)
+        cards = [Card(tuple((name, values[j]) for (name, values), j in zip(spec.variables, i)))
+                 for i in order]
+        deck = cls(spec, tuple(zip(cards, map(counts.__getitem__, order))))
+        deck.__dict__["_indices"] = order  # seeds the cache: arrays looks nothing up again
+        return deck
 
     @cached_property
     def total(self) -> int:
@@ -213,12 +220,14 @@ class Deck:
         Multiplicities stay exact Python ints (an object array) whatever
         their size.  Both arrays are read-only.
         """
-        values = np.array(
-            [_card_index(self.spec, card) for card, _ in self.entries], dtype=np.int64
-        ).reshape(len(self.entries), self.spec.num_variables)
+        values = np.array(self._indices, dtype=np.int64).reshape(-1, self.spec.num_variables)
         counts = np.array([count for _, count in self.entries], dtype=object)
         values.flags.writeable = counts.flags.writeable = False
         return values, counts
+
+    @cached_property
+    def _indices(self) -> list[tuple[int, ...]]:  # each entry's value indices
+        return [_card_index(self.spec, card) for card, _ in self.entries]
 
 
 def _card_index(spec: SystemSpec, card: Card) -> tuple[int, ...]:

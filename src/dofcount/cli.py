@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -41,6 +42,7 @@ _RENAMED = {
 }
 _COLUMNS = tuple((f.name, _RENAMED.get(f.name, f.name)) for f in dataclasses.fields(KReport))
 CSV_HEADER = ",".join(label for _, label in _COLUMNS)
+_JOIN_ROWS = 4096  # sequence rows joined into one text
 
 
 class UsageError(DofcountError):
@@ -59,10 +61,8 @@ def _csv_cell(value) -> str:
 
 
 def render_csv(reports: list[KReport]) -> str:
-    lines = [CSV_HEADER]
-    for r in reports:
-        lines.append(",".join(_csv_cell(getattr(r, name)) for name, _ in _COLUMNS))
-    return "\n".join(lines) + "\n"
+    rows = [",".join(_csv_cell(getattr(r, name)) for name, _ in _COLUMNS) for r in reports]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def render_json(reports: list[KReport]) -> str:
@@ -118,31 +118,31 @@ def _parse_range(text: str, flag: str) -> range:
     return range(lo, hi + 1)  # k_sweep reads its bounds without listing it
 
 
-def _run_labels(dist) -> np.ndarray:
-    """Every run of ``dist`` as its comma-joined value labels, in run order.
+def _run_pieces(dist, before: str, after: str) -> np.ndarray:
+    """``(runs, 4)`` object array: each run's line as ``str`` pieces that join to it.
 
-    Each level's labels extend its parents' text: no per-run join.  Returns
-    an object array of ``str``.
+    Parent run's labels (levels below the last only), last label, ``before
+    + a`` and ``"/b" + after`` (``after`` when ``b`` is 1), for the law's
+    lowest terms ``a/b``.  Each distinct ``a`` and ``b`` is formatted once.
     """
     text = np.array([""], dtype=object)
-    for i, (labels, parent, value) in enumerate(zip(dist.labels, dist.parents, dist.values)):
-        shown = np.array([("," if i else "") + label for label in labels], dtype=object)
-        text = text[parent] + shown[value]
-    return text
-
-
-def _fraction_text(dist, before: str, after: str) -> np.ndarray:
-    """Every run's probability as ``before + "a/b" + after``, in run order.
-
-    ``a/b`` is ``str(Fraction(a, b))`` of the law's lowest terms: just
-    ``a`` when ``b`` is 1.  Each distinct numerator and denominator is
-    turned into text once.  Returns an object array of ``str``.
-    """
+    shown = [np.array([("," if i else "") + x for x in labels], dtype=object)
+             for i, labels in enumerate(dist.labels)]
+    for parent, value, labels in zip(dist.parents[:-1], dist.values, shown):
+        text = text[parent] + labels[value]
     tops, top = np.unique(dist.numerators, return_inverse=True)
     bottoms, bottom = np.unique(dist.denominators, return_inverse=True)
     heads = np.array([f"{before}{a}" for a in tops.tolist()], dtype=object)
     tails = np.array([after if b == 1 else f"/{b}{after}" for b in bottoms.tolist()], dtype=object)
-    return heads[top] + tails[bottom]
+    columns = text[dist.parents[-1]], shown[-1][dist.values[-1]], heads[top], tails[bottom]
+    return np.stack(columns, axis=1)
+
+
+def _write_text(text: str) -> None:
+    """Write to stdout in slices of at most ``io.DEFAULT_BUFFER_SIZE`` characters: one write
+    larger than a pipe's buffer can return without ``BrokenPipeError`` and drop the rest."""
+    for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        sys.stdout.write(text[start : start + io.DEFAULT_BUFFER_SIZE])
 
 
 def _cmd_simulate(args) -> int:
@@ -160,18 +160,12 @@ def _cmd_simulate(args) -> int:
         bound = 3.0 * math.sqrt(p * (1.0 - p) / trials)
         delta = abs(freq - p)
         status = "ok" if delta <= bound else "FAIL"
-        return (
-            f"{head} observed={freq:.6f} "
-            f"delta={delta:.6f} bound={bound:.6f} {status}\n"
-        )
+        return f"{head} observed={freq:.6f} delta={delta:.6f} bound={bound:.6f} {status}\n"
 
-    sys.stdout.write(f"# plan={','.join(plan)} trials={trials} seed={seed}\n")
-    # Every report goes out line by line: one large write into a pipe whose
-    # reader has closed can return without BrokenPipeError (exit 141) and
-    # drop the rest silently.
-    heads = (_run_labels(law) + _fraction_text(law, " exact=", "")).tolist()
+    heads = map("".join, _run_pieces(law, " exact=", "").tolist())
     fractions = law.numerators.tolist(), law.denominators.tolist()
-    sys.stdout.writelines(map(line, heads, *fractions, counts.tolist()))
+    lines = map(line, heads, *fractions, counts.tolist())
+    _write_text("".join([f"# plan={','.join(plan)} trials={trials} seed={seed}\n", *lines]))
     return 0
 
 
@@ -179,8 +173,9 @@ def _cmd_sequence(args) -> int:
     _spec, deck = _load_deck(args.deck)
     plan = _parse_plan(args.plan)
     dist = sequence_distribution(deck, plan)
-    # one write per line, as in _cmd_simulate
-    sys.stdout.writelines((_run_labels(dist) + _fraction_text(dist, " = ", "\n")).tolist())
+    pieces = _run_pieces(dist, " = ", "\n")
+    for start in range(0, len(pieces), _JOIN_ROWS):  # one block's text held at a time
+        _write_text("".join(pieces[start : start + _JOIN_ROWS].ravel().tolist()))
     return 0
 
 
@@ -220,7 +215,7 @@ def _cmd_rank(args) -> int:
     report = estimate_k(
         args.system, args.n, ensemble=args.ensemble, rng=RandomStream(seed), **options
     )
-    sys.stdout.writelines(render_csv([report]).splitlines(keepends=True))
+    _write_text(render_csv([report]))
     return 0
 
 
@@ -243,7 +238,7 @@ def _cmd_sweep(args) -> int:
             raise ValidationError(f"cannot write output file {args.out}: {exc}")
         print(f"wrote {len(reports)} reports to {args.out}")
     else:
-        sys.stdout.writelines(text.splitlines(keepends=True))
+        _write_text(text)
     return 0
 
 

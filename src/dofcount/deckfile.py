@@ -77,7 +77,8 @@ def _parse_variables(raw) -> SystemSpec:
 def _parse_cards(raw, spec: SystemSpec) -> Deck:
     if not isinstance(raw, list) or not raw:
         raise SchemaViolationError("cards", "must be a nonempty array")
-    counts: dict[Card, int] = {}
+    positions = tuple(zip(spec.variable_names, spec._value_positions))
+    counts: dict[tuple[int, ...], int] = {}  # value indices -> count
     for i, item in enumerate(raw):
         where = f"cards[{i}]"
         if not isinstance(item, dict):
@@ -95,12 +96,14 @@ def _parse_cards(raw, spec: SystemSpec) -> Deck:
             )
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise SchemaViolationError(f"{where}.count", "must be an integer >= 1")
-        try:
-            card = Card.from_assignment(spec, assignment)
-        except ValidationError as exc:
-            raise SchemaViolationError(f"{where}.assignment", str(exc)) from exc
-        counts[card] = counts.get(card, 0) + count
-    return Deck.from_counts(spec, counts)
+        index = tuple(values.get(assignment.get(name)) for name, values in positions)
+        if None in index or len(assignment) != len(positions):
+            try:  # Card names the assignment's first fault, in its own order
+                Card.from_assignment(spec, assignment)
+            except ValidationError as exc:
+                raise SchemaViolationError(f"{where}.assignment", str(exc)) from exc
+        counts[index] = counts.get(index, 0) + count
+    return Deck._from_indices(spec, counts)
 
 
 def serialize_deck_file(spec: SystemSpec, deck: Deck) -> str:

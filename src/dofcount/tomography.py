@@ -282,6 +282,8 @@ def matrix_rank_numeric(rows, tol: float = RANK_TOL) -> int:
         matrix = rows.astype(float, copy=False)  # float64 input: no row list, no copy
     else:
         rows = list(rows)
+        if any(np.ndim(r) == 0 for r in rows):  # before len(r) can fail on a scalar
+            raise ValidationError("matrix must be 2-D, got 1-D")
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise RaggedMatrixError(f"rows have mixed lengths {sorted(widths)}")

@@ -21,6 +21,7 @@ from conftest import deck_strategy, tree_sequence_distribution
 from dofcount import Deck, Outcome, RandomStream, serialize_deck_file, urn_as_cardbox, urn_deck
 from dofcount import cli, sequences
 from dofcount.cli import CSV_HEADER, cli_main
+from dofcount.sequences import sequence_distribution
 from dofcount.tomography import estimate_k
 
 REPO = Path(__file__).resolve().parents[1]
@@ -48,6 +49,28 @@ def single_card_file(tmp_path, four_card_spec):
     path = tmp_path / "single.json"
     path.write_text(serialize_deck_file(four_card_spec, deck))
     return str(path)
+
+
+@st.composite
+def labelled_decks(draw):
+    """Decks with drawn value labels: multi-character, non-ASCII, commas.
+
+    Half are scaled past ``2**70`` (with a distinct offset per card, so the
+    fractions differ from the small deck's), which puts the law on Python ints.
+    """
+    deck = draw(deck_strategy())
+    n = deck.spec.values_per_variable
+    label = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3)
+    spec = dofcount.SystemSpec(tuple(
+        (name, tuple(draw(st.lists(label, min_size=n, max_size=n, unique=True))))
+        for name in deck.spec.variable_names
+    ))
+    scale = draw(st.sampled_from([1, 2**70]))
+    values, counts = deck.arrays
+    return Deck.from_counts(spec, {
+        tuple(spec.variables[a][1][j] for a, j in enumerate(index)): count * scale + k
+        for k, (index, count) in enumerate(zip(values.tolist(), counts.tolist()))
+    })
 
 
 class TestSequenceCommand:
@@ -87,6 +110,49 @@ class TestSequenceCommand:
     def test_huge_multiplicities_match_tree_oracle(self, huge_deck):
         _assert_sequence_lines_match_tree(huge_deck, ("Suit", "Face", "Suit", "Suit", "Face"))
 
+    @given(deck=labelled_decks(), data=st.data())
+    def test_lines_match_law_items(self, deck, data):
+        names = deck.spec.variable_names
+        plan = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=5))
+        _assert_sequence_lines_match_law(deck, plan)
+
+    @pytest.mark.parametrize(
+        "deck, plan",
+        [
+            (DATA / "decks" / "weighted3.json", ("Shape",)),  # one step: no comma
+            (DATA / "decks" / "single_card.json", ("Face", "Suit", "Face")),  # "= 1", no "/1"
+            (DATA / "decks" / "large_mult.json", ("Colour", "Shape", "Colour")),  # object side
+            (REPO / "decks" / "cards4.json", ("Suit", "Face") * 7),  # 16,384 lines
+        ],
+        ids=["one-step", "probability-one", "large-multiplicity", "many-slices"],
+    )
+    def test_shipped_decks_match_law_items(self, deck, plan):
+        _spec, deck = dofcount.parse_deck_file(deck.read_bytes())
+        writes = _assert_sequence_lines_match_law(deck, plan)
+        if len(plan) == 14:  # several join blocks, many write slices
+            assert "".join(writes).count("\n") > 3 * cli._JOIN_ROWS and len(writes) > 50
+
+    def test_huge_multiplicities_match_law_items(self, huge_deck):
+        _assert_sequence_lines_match_law(huge_deck, ("Face", "Suit", "Face", "Face"))
+
+
+class _Writes(list):
+    """A stdout that keeps every ``write`` call's text."""
+
+    def write(self, text):
+        self.append(text)
+
+
+def _sequence_writes(deck, plan) -> list[str]:
+    """The texts CLI ``sequence`` writes to stdout, one per write call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "deck.json"
+        path.write_text(serialize_deck_file(deck.spec, deck))
+        writes = _Writes()
+        with contextlib.redirect_stdout(writes):
+            assert cli_main(["sequence", "--deck", str(path), "--plan", ",".join(plan)]) == 0
+    return writes
+
 
 def _assert_sequence_lines_match_tree(deck, plan):
     """CLI ``sequence`` stdout, line for line, against the literal outcome tree."""
@@ -94,13 +160,24 @@ def _assert_sequence_lines_match_tree(deck, plan):
         f"{','.join(o.value for o in run)} = {p}\n"
         for run, p in tree_sequence_distribution(deck, plan).items()
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "deck.json"
-        path.write_text(serialize_deck_file(deck.spec, deck))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli_main(["sequence", "--deck", str(path), "--plan", ",".join(plan)]) == 0
-    assert out.getvalue() == expected
+    assert "".join(_sequence_writes(deck, plan)) == expected
+
+
+def _assert_sequence_lines_match_law(deck, plan) -> list[str]:
+    """CLI ``sequence`` stdout against lines built one by one from the law's runs.
+
+    Checks the renderer alone: each line is the run's labels joined by
+    commas, " = " and ``str`` of its ``Fraction``.  Every write is at most
+    ``io.DEFAULT_BUFFER_SIZE`` characters.  Returns the writes.
+    """
+    expected = "".join(
+        ",".join(o.value for o in run) + " = " + str(p) + "\n"
+        for run, p in sequence_distribution(deck, plan).items()
+    )
+    writes = _sequence_writes(deck, plan)
+    assert "".join(writes) == expected
+    assert max(map(len, writes)) <= io.DEFAULT_BUFFER_SIZE
+    return writes
 
 
 class TestWitnessCommand:

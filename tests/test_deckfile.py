@@ -1,12 +1,18 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dofcount import parse_deck_file, serialize_deck_file, uniform_deck
+from dofcount import Card, Deck, SystemSpec, parse_deck_file, serialize_deck_file, uniform_deck
 from dofcount.errors import (
     DuplicateNameError,
+    IncompleteAssignmentError,
     MalformedJsonError,
     SchemaViolationError,
+    UnknownValueError,
+    UnknownVariableError,
+    ValidationError,
 )
 
 FOUR_CARD_DOC = {
@@ -132,3 +138,65 @@ def test_round_trip_uniform(four_card_spec):
     deck = uniform_deck(four_card_spec)
     spec2, deck2 = parse_deck_file(serialize_deck_file(four_card_spec, deck))
     assert (spec2, deck2) == (four_card_spec, deck)
+
+
+@pytest.mark.parametrize(
+    "assignment, error, message",
+    [
+        ({"Rank": "2"}, UnknownVariableError, "unknown variable 'Rank'"),  # before missing ones
+        ({"Face": "K", "Suit": "S", "Rank": "2"}, UnknownVariableError, "unknown variable 'Rank'"),
+        ({"Suit": "X"}, IncompleteAssignmentError, "no value for variable 'Face'"),
+        ({"Face": "X", "Suit": "Y"}, UnknownValueError, "unknown value 'X' for variable 'Face'"),
+        ({"Face": "K", "Suit": "K"}, UnknownValueError, "unknown value 'K' for variable 'Suit'"),
+    ],
+)
+def test_assignment_fault_names_its_card(assignment, error, message):
+    doc = doc_bytes(cards=[
+        {"assignment": {"Face": "K", "Suit": "S"}, "count": 1},
+        {"assignment": assignment, "count": 1},
+        {"assignment": {"Face": "Z"}, "count": 1},  # a later fault is not reached
+    ])
+    with pytest.raises(SchemaViolationError) as err:
+        parse_deck_file(doc)
+    assert str(err.value) == f"cards[1].assignment: {message}"
+    assert type(err.value.__cause__) is error
+
+
+SPEC_DOC = FOUR_CARD_DOC["variables"]
+VALID_ASSIGNMENTS = st.fixed_dictionaries(
+    {"Face": st.sampled_from(["K", "Q"]), "Suit": st.sampled_from(["S", "H"])}
+)
+ASSIGNMENTS = st.one_of(
+    VALID_ASSIGNMENTS,
+    VALID_ASSIGNMENTS,
+    VALID_ASSIGNMENTS,  # mostly valid cards, so most decks parse
+    st.dictionaries(
+        st.sampled_from(["Face", "Suit", "Rank"]), st.sampled_from(["K", "Q", "S", "H", "2"]),
+        max_size=3,
+    ),
+)
+
+
+@given(st.lists(st.tuples(ASSIGNMENTS, st.integers(1, 3)), min_size=1, max_size=6))
+def test_cards_parse_as_card_by_card_lookups(cards):
+    # oracle: Card.from_assignment on each card in turn, counts merged by Card
+    spec = SystemSpec(tuple((v["name"], tuple(v["values"])) for v in SPEC_DOC))
+    counts, fault = {}, None
+    for i, (assignment, count) in enumerate(cards):
+        try:
+            card = Card.from_assignment(spec, assignment)
+        except ValidationError as exc:
+            fault = f"cards[{i}].assignment: {exc}", type(exc)
+            break
+        counts[card] = counts.get(card, 0) + count
+    doc = doc_bytes(cards=[{"assignment": a, "count": c} for a, c in cards])
+    if fault is not None:
+        with pytest.raises(SchemaViolationError) as err:
+            parse_deck_file(doc)
+        assert (str(err.value), type(err.value.__cause__)) == fault
+        return
+    _spec, deck = parse_deck_file(doc)
+    assert deck == Deck.from_counts(spec, counts)
+    rebuilt = Deck(spec, deck.entries)  # no index cache: arrays looks every card up
+    for parsed, looked_up in zip(deck.arrays, rebuilt.arrays):
+        assert parsed.tolist() == looked_up.tolist()

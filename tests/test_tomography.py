@@ -560,6 +560,12 @@ class TestMatrixRankNumeric:
         with pytest.raises(ValidationError, match=f"must be 2-D, got {len(shape)}-D"):
             matrix_rank_numeric(np.ones(shape))
 
+    @pytest.mark.parametrize("rows", [[1.0, 2.0], [[1.0, 2.0], 3.0], []])
+    def test_row_list_that_is_not_2d_rejected(self, rows):
+        # a scalar row is caught before len() is taken of it
+        with pytest.raises(ValidationError, match="must be 2-D, got 1-D"):
+            matrix_rank_numeric(rows)
+
     def test_integer_array_matches_float_array(self):
         matrix = np.array([[1, 2], [2, 4], [0, 1]])
         assert matrix_rank_numeric(matrix) == matrix_rank_numeric(matrix.astype(float)) == 2
