@@ -29,13 +29,12 @@ from .quantum import (
     DensityState,
     MeasurementBasis,
     ObservableSet,
-    collapse,
     measurement_distribution,
     pure_state_distributions,
     random_basis,
     random_observable_set,
     random_pure_state,
-    random_pure_states,
+    random_state_rows,
 )
 from .rng import RandomStream
 from .sequences import (
@@ -56,7 +55,6 @@ from .tomography import (
     estimate_k_quantum,
     estimate_k_urn,
     exhaustive_fiducial_rank,
-    fiducial_matrix_quantum,
     fiducial_vector_cardbox,
     fiducial_vector_quantum,
     k_sweep,

@@ -77,10 +77,6 @@ class DimensionMismatchError(ValidationError):
     """State and measurement basis have different dimensions."""
 
 
-class ZeroProbabilityOutcomeError(ValidationError):
-    """Cannot collapse onto an outcome of (numerically) zero probability."""
-
-
 class DegenerateDrawError(InvariantError):
     """Random basis generation kept producing degenerate draws."""
 

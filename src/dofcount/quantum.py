@@ -1,11 +1,7 @@
 """Minimal finite-dimensional quantum reference system.
 
 Just enough quantum mechanics for a degrees-of-freedom comparison: density
-matrices, orthonormal measurement bases, Born-rule outcome probabilities,
-and sharp projective collapse.  Collapse onto the observed basis vector is
-the quantum counterpart of the card box rebuilding its subdeck: repeating
-the same measurement is then certain, while a different basis
-re-randomizes.
+matrices, orthonormal measurement bases and Born-rule outcome probabilities.
 
 No POVMs, channels, or composite systems.  "Superselection" appears only
 as an ObservableSet with fewer bases than the dimension allows.
@@ -23,7 +19,6 @@ from .errors import (
     DimensionMismatchError,
     InvariantError,
     ValidationError,
-    ZeroProbabilityOutcomeError,
 )
 from .rng import RandomStream
 
@@ -35,7 +30,6 @@ EIGENVALUE_FLOOR = -1e-12    # smallest admissible eigenvalue
 ORTHONORMALITY_TOL = 1e-10   # elementwise |Gram - I|
 PROBABILITY_FLOOR = -1e-12   # smallest admissible Born probability
 PROBABILITY_SUM_TOL = 1e-10  # |sum of Born probabilities - 1|
-COLLAPSE_MIN_PROBABILITY = 1e-12
 RANK_TOL = 1e-9              # relative singular value threshold
 
 
@@ -73,80 +67,92 @@ class MeasurementBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValidationError(f"basis must be n x n, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValidationError("basis contains NaN or infinity")
-        gram = v @ v.conj().T
-        if np.max(np.abs(gram - np.eye(v.shape[0]))) > ORTHONORMALITY_TOL:
-            raise ValidationError("basis vectors are not orthonormal")
-        v.flags.writeable = False
-        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "vectors", _checked_bases(self.vectors, 2))
 
     @property
     def dimension(self) -> int:
         return self.vectors.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableSet:
     """The bases an experimenter is allowed to measure.
 
     Restricting the number of bases below dimension+1 models a system with
-    fewer physically measurable variables than the dimension admits.
+    fewer physically measurable variables than the dimension admits.  Made
+    from ``MeasurementBasis`` objects or an ``(M, n, n)`` stack, it keeps
+    the stack: basis m's vectors are ``vectors[m]``.
     """
 
-    bases: tuple[MeasurementBasis, ...]
+    vectors: np.ndarray
 
     def __post_init__(self):
-        if not self.bases:
+        bases = self.vectors
+        if len(bases) == 0:
             raise ValidationError("observable set needs at least one basis")
-        dims = {basis.dimension for basis in self.bases}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"bases have mixed dimensions {sorted(dims)}")
+        if not isinstance(bases, np.ndarray):
+            dims = {basis.dimension for basis in bases}
+            if len(dims) != 1:
+                raise DimensionMismatchError(f"bases have mixed dimensions {sorted(dims)}")
+            bases = np.stack([basis.vectors for basis in bases])
+        object.__setattr__(self, "vectors", _checked_bases(bases, 3))
 
     @property
     def dimension(self) -> int:
-        return self.bases[0].dimension
+        return self.vectors.shape[-1]
 
     @property
     def num_bases(self) -> int:
-        return len(self.bases)
+        return len(self.vectors)
 
 
-def random_pure_states(n: int, count: int, rng: RandomStream) -> np.ndarray:
-    """``count`` normalized complex Gaussian vectors, one per row.
+_DRAW_BLOCK = 2**16  # entries drawn or multiplied per call: bounds memory whatever the run
 
-    The single ``(count, 2, n)`` draw yields the same numbers as ``count``
-    draws of n real parts followed by n imaginary parts, so a batch equals
-    that many ``random_pure_state`` calls made in sequence.
 
-    Each row is checked once, as a vector: it must be finite, and its
-    squared norm must be within ``TRACE_TOL`` of 1.  That is the whole
-    ``DensityState`` check on rho = psi psi^dagger, without building rho:
-    rho is Hermitian exactly, tr rho = |psi|^2, and the spectrum of rho is
-    {|psi|^2, 0, ..., 0}, so a unit-norm psi passes the trace and
-    eigenvalue checks by construction.  Raises ``InvariantError`` otherwise.
+def _checked_bases(vectors, ndim: int) -> np.ndarray:
+    """Read-only complex ``vectors``, each ``n x n`` basis on the last two axes
+    checked finite and orthonormal, ``_DRAW_BLOCK`` Gram entries at a time."""
+    v = np.asarray(vectors, dtype=complex)
+    if v.ndim != ndim or v.shape[-1] != v.shape[-2] or not v.shape[-1]:
+        raise ValidationError(f"basis must be n x n, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValidationError("basis contains NaN or infinity")
+    n = v.shape[-1]
+    stack, step = v.reshape(-1, n, n), max(1, _DRAW_BLOCK // (n * n))
+    for block in (stack[i : i + step] for i in range(0, len(stack), step)):
+        if np.max(np.abs(block @ block.conj().transpose(0, 2, 1) - np.eye(n))) > ORTHONORMALITY_TOL:
+            raise ValidationError("basis vectors are not orthonormal")
+    v.flags.writeable = False
+    return v
+
+
+def random_state_rows(n: int, count: int, rng: RandomStream) -> np.ndarray:
+    """``count`` normalized complex Gaussian vectors as real rows ``[Re psi | Im psi]``.
+
+    A row is the ``(count, 2, n)`` draw itself, read as ``(count, 2n)`` and
+    normalized in place: the same numbers as ``count`` one-state draws in
+    sequence.  Each row is checked once, as a vector: finite, with squared
+    norm within ``TRACE_TOL`` of 1, else ``InvariantError``.  That is the
+    whole ``DensityState`` check on rho = psi psi^dagger: rho is Hermitian
+    exactly, tr rho = |psi|^2, and its spectrum is {|psi|^2, 0, ..., 0}.
     """
     if n < 2:
         raise BadDimensionError(f"dimension must be at least 2, got {n}")
     if count < 1:
         raise ValidationError(f"state count must be at least 1, got {count}")
-    parts = rng.standard_normal((count, 2, n))
-    psi = parts[:, 0] + 1j * parts[:, 1]
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    if not np.isfinite(psi).all():
+    rows = rng.standard_normal((count, 2, n)).reshape(count, 2 * n)
+    rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    if not np.isfinite(rows).all():
         raise InvariantError("a drawn state contains NaN or infinity")
-    norms = np.sum(psi.real**2 + psi.imag**2, axis=1)
-    if np.max(np.abs(norms - 1.0)) > TRACE_TOL:
+    if np.max(np.abs(np.einsum("ij,ij->i", rows, rows) - 1.0)) > TRACE_TOL:
         raise InvariantError("a drawn state does not have unit norm")
-    return psi
+    return rows
 
 
 def random_pure_state(n: int, rng: RandomStream) -> DensityState:
     """Rank-one projector of a normalized complex Gaussian vector."""
-    psi = random_pure_states(n, 1, rng)[0]
+    row = random_state_rows(n, 1, rng)[0]
+    psi = row[:n] + 1j * row[n:]
     return DensityState(np.outer(psi, psi.conj()))
 
 
@@ -155,45 +161,50 @@ _MAX_BASIS_ATTEMPTS = 8
 
 
 def random_basis(n: int, rng: RandomStream) -> MeasurementBasis:
-    """Orthonormalized complex Gaussian matrix, Haar-distributed.
-
-    QR of the draw, with each column's phase fixed so that R has a positive
-    diagonal (Mezzadri 2007, math-ph/0609050): the unique such Q is the one
-    Gram-Schmidt gives.  A draw with a pivot ``|r_jj|`` below ``_PIVOT_TOL``
-    has (numerically) dependent columns and is thrown away and redrawn.
-    """
-    if n < 2:
-        raise BadDimensionError(f"dimension must be at least 2, got {n}")
-    for _ in range(_MAX_BASIS_ATTEMPTS):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(a)
-        d = np.diagonal(r)
-        if np.min(np.abs(d)) >= _PIVOT_TOL:
-            return MeasurementBasis((q * (d / np.abs(d))).T)
-    raise DegenerateDrawError(
-        f"no nondegenerate basis draw in {_MAX_BASIS_ATTEMPTS} attempts"
-    )
+    """One Haar-distributed basis, drawn as ``random_observable_set`` draws each."""
+    return MeasurementBasis(random_observable_set(n, 1, rng).vectors[0])
 
 
 def random_observable_set(
     n: int, num_bases: int | None = None, rng: RandomStream | None = None
 ) -> ObservableSet:
-    """``num_bases`` random bases; defaults to n+1, enough for full tomography.
+    """``num_bases`` Haar-distributed bases; defaults to n+1, enough for full tomography.
 
     n+1 bases contribute 1 + (n+1)(n-1) = n**2 independent outcome
     probabilities, matching the dimension of the space of states.
+
+    Each basis is the QR of a complex Gaussian draw, its columns' phases
+    fixed so that R has a positive diagonal (Mezzadri 2007, math-ph/0609050):
+    the Q Gram-Schmidt gives.  A draw with a pivot ``|r_jj|`` below
+    ``_PIVOT_TOL`` is degenerate and the next draw replaces it, up to
+    ``_MAX_BASIS_ATTEMPTS`` per basis.  Draws come in stacks of at most
+    ``_DRAW_BLOCK`` entries, each factored by one stacked QR.
     """
     if rng is None:
         raise ValidationError("random_observable_set requires a RandomStream")
+    if n < 2:
+        raise BadDimensionError(f"dimension must be at least 2, got {n}")
     m = n + 1 if num_bases is None else num_bases
     if m < 1:
         raise ValidationError("observable set needs at least one basis")
-    return ObservableSet(tuple(random_basis(n, rng) for _ in range(m)))
+    vectors = np.empty((m, n, n), dtype=complex)
+    done = failed = 0
+    while done < m:
+        parts = rng.standard_normal((min(m - done, max(1, _DRAW_BLOCK // (n * n))), 2, n, n))
+        q, r = np.linalg.qr(parts[:, 0] + 1j * parts[:, 1])
+        d = np.diagonal(r, axis1=1, axis2=2)
+        kept = np.min(np.abs(d), axis=1) >= _PIVOT_TOL
+        for ok in kept.tolist():
+            failed = 0 if ok else failed + 1
+            if failed == _MAX_BASIS_ATTEMPTS:
+                raise DegenerateDrawError(f"no nondegenerate basis draw in {failed} attempts")
+        q, d = q[kept], d[kept]
+        vectors[done : done + len(q)] = (q * (d / np.abs(d))[:, None, :]).transpose(0, 2, 1)
+        done += len(q)
+    return ObservableSet(vectors)
 
 
-def measurement_distribution(
-    state: DensityState, basis: MeasurementBasis
-) -> np.ndarray:
+def measurement_distribution(state: DensityState, basis: MeasurementBasis) -> np.ndarray:
     """Born probabilities p_k = <b_k| rho |b_k>, clamped to [0, 1]."""
     if state.dimension != basis.dimension:
         raise DimensionMismatchError(
@@ -203,50 +214,60 @@ def measurement_distribution(
     return _checked_probabilities(raw.real)
 
 
-def pure_state_distributions(psi: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
+def born_rows(states: np.ndarray, vectors: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Checked Born probabilities of real state rows ``[Re psi | Im psi]``, into ``out``.
+
+    Row e of the C-contiguous ``out`` gets state e's outcome distributions
+    in the bases of the ``(M, n, n)`` stack ``vectors``, one after another.
+    With the conjugated bases side by side, ``W[i, m*n + k] =
+    conj(vectors[m, k, i])``, a row times ``[[Re W, Im W], [-Im W, Re W]]``
+    is ``[Re a | Im a]`` for the amplitudes ``a = psi W``: one real GEMM per
+    ``_DRAW_BLOCK`` basis entries.
+    """
+    n = vectors.shape[-1]
+    step = max(1, _DRAW_BLOCK // (n * n))
+    for j in range(0, len(vectors), step):
+        block = vectors[j : j + step]
+        w = np.empty((2, n, 2, len(block), n))  # w[0, i, 0, m, k] = Re W[i, m*n + k]
+        w[0, :, 0] = w[1, :, 1] = block.real.transpose(2, 0, 1)
+        w[1, :, 0] = block.imag.transpose(2, 0, 1)
+        w[0, :, 1] = -w[1, :, 0]
+        a = (states @ w.reshape(2 * n, -1)).reshape(len(out), 2, -1)
+        np.einsum("ikj,ikj->ij", a, a, out=out[:, j * n : (j + step) * n])
+    _checked_probabilities(out.reshape(len(out), -1, n))
+    return out
+
+
+def pure_state_distributions(
+    psi: np.ndarray, bases: MeasurementBasis | ObservableSet
+) -> np.ndarray:
     """Born probabilities |<b_k|psi_e>|^2 of a stack of state vectors.
 
-    Row e holds the outcome distribution of the state in row e of ``psi``:
-    ``measurement_distribution`` for pure states, without density matrices.
+    Row e holds the distributions of state ``psi[e]`` in each basis, one
+    after another: ``measurement_distribution`` without density matrices.
     """
-    if psi.shape[-1] != basis.dimension:
-        raise DimensionMismatchError(
-            f"state dimension {psi.shape[-1]} != basis dimension {basis.dimension}"
-        )
-    amplitudes = psi @ basis.vectors.conj().T
-    return _checked_probabilities(amplitudes.real**2 + amplitudes.imag**2)
+    n = bases.dimension
+    if psi.shape[-1] != n:
+        raise DimensionMismatchError(f"state dimension {psi.shape[-1]} != basis dimension {n}")
+    out = np.empty((len(psi), bases.vectors.size // n))
+    return born_rows(np.hstack([psi.real, psi.imag]), bases.vectors.reshape(-1, n, n), out)
 
 
 def _checked_probabilities(raw: np.ndarray) -> np.ndarray:
-    """Clamp raw Born probabilities (outcomes on the last axis) to [0, 1].
+    """Clamp raw Born probabilities (outcomes on the last axis) to [0, 1], in place.
 
-    Raises ``InvariantError`` if any is below the floor, or if any
-    distribution's sum is off 1 by more than the tolerance.
+    Raises ``InvariantError`` if any is not finite or below the floor, or
+    if any distribution's sum is off 1 by more than the tolerance.
     """
-    if not np.isfinite(raw).all():
+    low, high = np.min(raw), np.max(raw)  # NaN propagates to both
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise InvariantError("Born probabilities contain NaN or infinity")
-    if np.min(raw) < PROBABILITY_FLOOR:
-        raise InvariantError(f"negative Born probability {np.min(raw)}")
-    probs = np.clip(raw, 0.0, 1.0)
-    sums = np.sum(probs, axis=-1)
+    if low < PROBABILITY_FLOOR:
+        raise InvariantError(f"negative Born probability {low}")
+    if low < 0.0 or high > 1.0:
+        np.clip(raw, 0.0, 1.0, out=raw)
+    sums = raw @ np.ones(raw.shape[-1])
     error = np.abs(sums - 1.0)
     if np.max(error) > PROBABILITY_SUM_TOL:
-        raise InvariantError(f"Born probabilities sum to {sums.flat[np.argmax(error)]}")
-    return probs
-
-
-def collapse(state: DensityState, basis: MeasurementBasis, outcome: int) -> DensityState:
-    """Sharp projective update: the state becomes |b_k><b_k|.
-
-    Re-measuring the same basis immediately afterwards returns outcome k
-    with certainty, mirroring the card box's subdeck rebuild.
-    """
-    probs = measurement_distribution(state, basis)
-    if not 0 <= outcome < len(probs):
-        raise ValidationError(f"outcome index {outcome} out of range")
-    if probs[outcome] <= COLLAPSE_MIN_PROBABILITY:
-        raise ZeroProbabilityOutcomeError(
-            f"outcome {outcome} has probability {probs[outcome]:.3g}"
-        )
-    b = basis.vectors[outcome]
-    return DensityState(np.outer(b, b.conj()))
+        raise InvariantError(f"Born probabilities sum to {np.ravel(sums)[np.argmax(error)]}")
+    return raw

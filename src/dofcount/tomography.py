@@ -25,9 +25,9 @@ proves the ceiling V*(N-1)+1, so a classical ensemble stops drawing once its
 rank reaches it.  Its rows are drawn on demand: a first block of ceiling+1
 rows, then blocks that double up to 65,536 multiplicities each.  Quantum
 ranks count singular values above a threshold.  Each half of the Born
-matrix is reduced once to the R factor of its QR factorization; the
-stacked factors have the singular values of all rows, so both ranks come
-from one pass over the rows.
+matrix is filled in row blocks, one real GEMM each, and reduced once to
+the R factor of its QR factorization; the stacked factors have the singular
+values of all rows, so both ranks come from one pass over the rows.
 """
 
 from __future__ import annotations
@@ -52,20 +52,21 @@ from .cardbox import (
     urn_as_cardbox,
 )
 from .errors import (
-    DimensionMismatchError,
     InvariantError,
     NonFiniteError,
     RaggedMatrixError,
     ValidationError,
 )
 from .quantum import (
+    _DRAW_BLOCK,
     RANK_TOL,
     DensityState,
+    MeasurementBasis,
     ObservableSet,
+    born_rows,
     measurement_distribution,
-    pure_state_distributions,
     random_observable_set,
-    random_pure_states,
+    random_state_rows,
 )
 from .rng import RandomStream
 
@@ -80,35 +81,13 @@ def fiducial_vector_cardbox(deck: Deck) -> tuple[Fraction, ...]:
     return tuple(entries)
 
 
-def fiducial_vector_quantum(
-    state: DensityState, observables: ObservableSet
-) -> np.ndarray:
+def fiducial_vector_quantum(state: DensityState, observables: ObservableSet) -> np.ndarray:
     """Born probabilities of every outcome of every basis, concatenated."""
-    if state.dimension != observables.dimension:
-        raise DimensionMismatchError(
-            f"state dimension {state.dimension} != observable dimension "
-            f"{observables.dimension}"
-        )
-    return np.concatenate(
-        [measurement_distribution(state, basis) for basis in observables.bases]
-    )
-
-
-def fiducial_matrix_quantum(psi: np.ndarray, observables: ObservableSet) -> np.ndarray:
-    """Fiducial vectors of a stack of pure states: row e is state ``psi[e]``'s.
-
-    Equal, up to rounding, to stacking ``fiducial_vector_quantum`` of each
-    state's density matrix; filled one basis block at a time.
-    """
-    n = observables.dimension
-    rows = np.empty((len(psi), n * observables.num_bases))
-    for m, basis in enumerate(observables.bases):
-        rows[:, m * n : (m + 1) * n] = pure_state_distributions(psi, basis)
-    return rows
+    bases = map(MeasurementBasis, observables.vectors)
+    return np.concatenate([measurement_distribution(state, basis) for basis in bases])
 
 
 _INT64_MAX = 2**63 - 1
-_DRAW_BLOCK = 2**16  # multiplicities drawn per call: bounds memory whatever the ensemble
 
 
 def _check_draw_limits(num_values: int, num_variables: int, max_multiplicity: int) -> int:
@@ -380,6 +359,7 @@ def _base_ensemble(fiducials: int, ensemble: int | None) -> int:
     return base
 
 
+# Counts both halves of the rows; a run holds one half at a time, so this over-counts.
 MAX_BORN_ENTRIES = 2**25  # float64 entries of a quantum K run's arrays: 268 MB
 
 
@@ -471,24 +451,28 @@ def estimate_k_quantum(
     """
     _check_tolerance(tol)
     m = n + 1 if num_bases is None else num_bases
-    fiducials = n * m
-    if fiducials > 0:  # otherwise random_observable_set names the bad argument
+    if n >= 2 and m >= 1:  # otherwise random_observable_set names the bad argument
         _check_born_entries(n, m, ensemble)
-    observables = random_observable_set(n, num_bases, rng=rng)
-    base = _base_ensemble(fiducials, ensemble)
-    rows = fiducial_matrix_quantum(random_pure_states(n, 2 * base, rng), observables)
+    vectors = random_observable_set(n, m, rng=rng).vectors
+    base = _base_ensemble(n * m, ensemble)
+    rows = np.empty((base, n * m))  # one half's Born rows; the halves take turns
+    step = max(1, _DRAW_BLOCK // (n * m))
+    factors = []
+    for _half in range(2):
+        for block in np.split(rows, range(step, base, step)):  # drawn a row block at a time
+            born_rows(random_state_rows(n, len(block), rng), vectors, block)
+        factors.append(np.linalg.qr(rows, mode="r"))
     # [A; B] = diag(Q1, Q2)·[R1; R2], and diag(Q1, Q2) has orthonormal
     # columns: the stacked R factors have the singular values of all rows,
     # and R1 those of the first half, so each half is reduced only once.
-    first = np.linalg.qr(rows[:base], mode="r")
-    first_rank = matrix_rank_numeric(first, tol)
-    rank = matrix_rank_numeric(np.vstack([first, np.linalg.qr(rows[base:], mode="r")]), tol)
+    first_rank = matrix_rank_numeric(factors[0], tol)
+    rank = matrix_rank_numeric(np.vstack(factors), tol)
     return KReport(
         kind="quantum",
         n=n,
         v_or_m=m,
         k_rank=rank,
-        k_naive=fiducials,
+        k_naive=n * m,
         k_paper=n * n,
         ensemble=base,
         saturated=rank == first_rank,

@@ -8,19 +8,24 @@ from hypothesis import strategies as st
 
 from dofcount import (
     BoxState,
+    DensityState,
     Deck,
     ExactRowBasis,
     Outcome,
+    RandomStream,
     SystemSpec,
     all_cards,
     cardbox_spec,
     fiducial_vector_cardbox,
     filter_deck,
     initial_state,
+    measurement_distribution,
     observe,
     outcome_distribution,
     uniform_deck,
 )
+from dofcount.errors import DegenerateDrawError, ValidationError
+from dofcount.quantum import _MAX_BASIS_ATTEMPTS, _PIVOT_TOL
 from dofcount.sequences import SIMULATE_CHUNK, _chain_table
 
 settings.register_profile("default", max_examples=40, deadline=None)
@@ -290,3 +295,84 @@ def brute_force_witness(deck, max_length):
                 if hit is not None:
                     return run, p, hit
     return None
+
+
+# --- Quantum oracles: the per-basis path the batched K pipeline replaced ---
+
+COLLAPSE_MIN_PROBABILITY = 1e-12
+
+
+class ZeroProbabilityOutcomeError(ValidationError):
+    """Cannot collapse onto an outcome of (numerically) zero probability."""
+
+
+def collapse(state, basis, outcome):
+    """Sharp projective update: the state becomes |b_k><b_k|.
+
+    Re-measuring the same basis immediately afterwards returns outcome k
+    with certainty, mirroring the card box's subdeck rebuild.
+    """
+    probs = measurement_distribution(state, basis)
+    if not 0 <= outcome < len(probs):
+        raise ValidationError(f"outcome index {outcome} out of range")
+    if probs[outcome] <= COLLAPSE_MIN_PROBABILITY:
+        raise ZeroProbabilityOutcomeError(f"outcome {outcome} has probability {probs[outcome]:.3g}")
+    b = basis.vectors[outcome]
+    return DensityState(np.outer(b, b.conj()))
+
+
+def sequential_random_basis(n, rng):
+    """Basis oracle: one ``(n, n)`` real and one imaginary draw, one QR and one
+    phase fix per basis, a degenerate draw redrawn at once.  Returns the
+    vectors, one per row."""
+    for _ in range(_MAX_BASIS_ATTEMPTS):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(a)
+        d = np.diagonal(r)
+        if np.min(np.abs(d)) >= _PIVOT_TOL:
+            return (q * (d / np.abs(d))).T
+    raise DegenerateDrawError(f"no nondegenerate basis draw in {_MAX_BASIS_ATTEMPTS} attempts")
+
+
+def complex_states(n, count, rng):
+    """State oracle: ``count`` complex Gaussian vectors from one ``(count, 2, n)``
+    draw, normalized as complex vectors."""
+    parts = rng.standard_normal((count, 2, n))
+    psi = parts[:, 0] + 1j * parts[:, 1]
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def whole_born_matrix(n, m, ensemble, seed):
+    """Whole-matrix oracle: ``estimate_k_quantum``'s draws on ``RandomStream(seed, n)``.
+
+    The M bases one at a time, then all ``2 * ensemble`` complex states,
+    then ``|psi B^dagger|^2`` one basis at a time into the whole
+    ``(2 * ensemble, n * M)`` Born matrix.  Returns the matrix and the base
+    ensemble.
+    """
+    rng = RandomStream(seed, n)
+    m = n + 1 if m is None else m
+    bases = [sequential_random_basis(n, rng) for _ in range(m)]
+    base = 10 * n * m if ensemble is None else ensemble
+    psi = complex_states(n, 2 * base, rng)
+    return np.hstack([np.abs(psi @ b.conj().T) ** 2 for b in bases]), base
+
+
+class DegenerateStream:
+    """A ``RandomStream`` whose k-th ``(n, n)`` basis draw is all zeros, k in ``zeroed``.
+
+    Draws are counted across calls, so a batched draw and one draw per
+    basis meet the same degenerate draws.
+    """
+
+    def __init__(self, seed, n, zeroed):
+        self._rng, self._size, self._zeroed, self._at = RandomStream(seed), 2 * n * n, zeroed, 0
+
+    def standard_normal(self, size):
+        out = self._rng.standard_normal(size)
+        flat = out.reshape(-1)
+        for k in self._zeroed:
+            lo, hi = k * self._size - self._at, (k + 1) * self._size - self._at
+            flat[max(lo, 0) : max(hi, 0)] = 0.0
+        self._at += flat.size
+        return out

@@ -235,6 +235,16 @@ class TestRankCommand:
     def test_bad_n_is_validation_error(self, capsys):
         assert cli_main(["rank", "--system", "urn", "--n", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, n", [(["--n", "-3"], -3), (["--n", "1", "--m", "0"], 1), (["--n", "0", "--m", "-2"], 0)]
+    )
+    def test_bad_quantum_dimension_is_named_before_the_basis_count(self, capsys, flags, n):
+        # n = -3 defaults to M = -2 bases: the dimension is the fault to name
+        assert cli_main(["rank", "--system", "quantum", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().endswith(f"dimension must be at least 2, got {n}")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("max_mult", [2**62, 2**63])
     def test_deck_total_past_int64_is_validation_error(self, capsys, max_mult):
         argv = ["rank", "--system", "cardbox", "--n", "2", "--v", "2", "--max-mult", str(max_mult)]

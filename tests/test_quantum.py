@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 
+from conftest import (
+    DegenerateStream,
+    ZeroProbabilityOutcomeError,
+    collapse,
+    complex_states,
+    sequential_random_basis,
+)
 from dofcount import (
     DensityState,
     MeasurementBasis,
     ObservableSet,
     RandomStream,
-    collapse,
     measurement_distribution,
     pure_state_distributions,
+    quantum,
     random_basis,
     random_observable_set,
     random_pure_state,
-    random_pure_states,
+    random_state_rows,
 )
 from dofcount.errors import (
     BadDimensionError,
@@ -20,9 +27,8 @@ from dofcount.errors import (
     DimensionMismatchError,
     InvariantError,
     ValidationError,
-    ZeroProbabilityOutcomeError,
 )
-from dofcount.quantum import _PIVOT_TOL, _checked_probabilities
+from dofcount.quantum import _MAX_BASIS_ATTEMPTS, _PIVOT_TOL, _checked_probabilities
 
 # Entries of unit vectors and probabilities are at most 1, so a few ulps of
 # float64 bound any rounding difference between two summation orders.
@@ -132,10 +138,18 @@ class TestRandomPureState:
             random_pure_state(1, RandomStream(0))
 
 
+def as_complex(rows):
+    """State rows ``[Re psi | Im psi]`` as complex vectors."""
+    n = rows.shape[1] // 2
+    return rows[:, :n] + 1j * rows[:, n:]
+
+
 class TestRandomPureStates:
+    """``random_state_rows``: the batched state draw of the K path."""
+
     @pytest.mark.parametrize("n", [2, 3, 7, 12])
     def test_batch_equals_sequential_draws(self, n):
-        batch = random_pure_states(n, 600, RandomStream(11, n))
+        batch = as_complex(random_state_rows(n, 600, RandomStream(11, n)))
         rng = RandomStream(11, n)
         for psi in batch:
             rho = random_pure_state(n, rng).matrix
@@ -144,7 +158,7 @@ class TestRandomPureStates:
     def test_batch_matches_literal_vector_draws(self):
         # the per-state formula the batch replaces: n real parts, then n
         # imaginary parts, then normalization, one state at a time
-        batch = random_pure_states(5, 40, RandomStream(3))
+        batch = as_complex(random_state_rows(5, 40, RandomStream(3)))
         rng = RandomStream(3)
         for psi in batch:
             expected = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -152,13 +166,28 @@ class TestRandomPureStates:
             assert np.max(np.abs(psi - expected)) <= ROUNDING_TOL
 
     def test_rows_are_unit_vectors(self):
-        batch = random_pure_states(4, 1100, RandomStream(8))
-        assert batch.shape == (1100, 4)
+        batch = random_state_rows(4, 1100, RandomStream(8))
+        assert batch.shape == (1100, 8)
         assert np.max(np.abs(np.linalg.norm(batch, axis=1) - 1.0)) <= ROUNDING_TOL
+
+    def test_rows_are_the_draw_itself(self):
+        # [Re psi | Im psi] is the (count, 2, n) draw read as (count, 2n),
+        # normalized in place: the same buffer, no copy
+        drawn = []
+
+        class Recording:
+            def standard_normal(self, size):
+                drawn.append(RandomStream(5).standard_normal(size))
+                return drawn[-1]
+
+        rows = random_state_rows(3, 4, Recording())
+        assert np.shares_memory(rows, drawn[0])
+        psi = complex_states(3, 4, RandomStream(5))
+        assert np.max(np.abs(as_complex(rows) - psi)) <= ROUNDING_TOL
 
     @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (7, 2), (12, 3)])
     def test_vector_check_accepts_what_the_density_check_accepts(self, n, seed):
-        for psi in random_pure_states(n, 200, RandomStream(seed, n)):
+        for psi in as_complex(random_state_rows(n, 200, RandomStream(seed, n))):
             DensityState(np.outer(psi, psi.conj()))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -176,7 +205,7 @@ class TestRandomPureStates:
         parts[2][entries] = value
         monkeypatch.setattr(RandomStream, "standard_normal", lambda self, size: parts.copy())
         with pytest.raises(InvariantError):
-            random_pure_states(3, 4, RandomStream(0))
+            random_state_rows(3, 4, RandomStream(0))
         psi = parts[:, 0] + 1j * parts[:, 1]
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         for row in (0, 1, 3):
@@ -186,9 +215,9 @@ class TestRandomPureStates:
 
     def test_bad_arguments(self):
         with pytest.raises(BadDimensionError):
-            random_pure_states(1, 3, RandomStream(0))
+            random_state_rows(1, 3, RandomStream(0))
         with pytest.raises(ValidationError):
-            random_pure_states(3, 0, RandomStream(0))
+            random_state_rows(3, 0, RandomStream(0))
 
 
 class TestRandomBasis:
@@ -230,6 +259,88 @@ class TestRandomBasis:
         assert obs.num_bases == 4
 
 
+class TestRandomObservableSet:
+    """The batched basis draw against one draw, QR and phase fix per basis."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_bases_equal_sequential_draws_bit_for_bit(self, n):
+        for seed in range(3):
+            for m in (1, 2, n + 1):
+                vectors = random_observable_set(n, m, RandomStream(seed, n)).vectors
+                rng = RandomStream(seed, n)
+                expected = np.stack([sequential_random_basis(n, rng) for _ in range(m)])
+                assert np.array_equal(vectors, expected), (seed, m)
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_random_basis_is_the_sequential_draw(self, n):
+        expected = sequential_random_basis(n, RandomStream(4, n))
+        assert np.array_equal(random_basis(n, RandomStream(4, n)).vectors, expected)
+
+    @pytest.mark.parametrize("bases_per_block", [None, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "zeroed", [{0}, {3}, {1, 2, 4}, set(range(_MAX_BASIS_ATTEMPTS - 1))], ids=str
+    )
+    def test_degenerate_draw_is_redrawn_as_in_sequence(self, monkeypatch, zeroed, bases_per_block):
+        # a degenerate draw is replaced by the next one in the stream, so
+        # every later basis moves on by one draw, across block edges too
+        n, m = 3, 5
+        if bases_per_block is not None:
+            monkeypatch.setattr(quantum, "_DRAW_BLOCK", bases_per_block * n * n)
+        vectors = random_observable_set(n, m, DegenerateStream(7, n, zeroed)).vectors
+        rng = DegenerateStream(7, n, zeroed)
+        expected = np.stack([sequential_random_basis(n, rng) for _ in range(m)])
+        assert np.array_equal(vectors, expected)
+        # the stub did force a redraw: the bases are not the plain stream's
+        assert not np.array_equal(vectors, random_observable_set(n, m, RandomStream(7)).vectors)
+
+    @pytest.mark.parametrize("bases_per_block", [None, 2])
+    def test_too_many_degenerate_draws_in_a_row_raise(self, monkeypatch, bases_per_block):
+        if bases_per_block is not None:
+            monkeypatch.setattr(quantum, "_DRAW_BLOCK", bases_per_block * 9)
+        zeroed = set(range(2, 2 + _MAX_BASIS_ATTEMPTS))
+        rng = DegenerateStream(7, 3, zeroed)
+        with pytest.raises(DegenerateDrawError):
+            [sequential_random_basis(3, rng) for _ in range(4)]
+        with pytest.raises(DegenerateDrawError, match=f"in {_MAX_BASIS_ATTEMPTS} attempts"):
+            random_observable_set(3, 4, DegenerateStream(7, 3, zeroed))
+
+    def test_blocked_draws_equal_one_unblocked_draw(self, monkeypatch):
+        n, m = 4, 11
+        whole = random_observable_set(n, m, RandomStream(2)).vectors
+        monkeypatch.setattr(quantum, "_DRAW_BLOCK", 3 * n * n)  # blocks of 3, 3, 3 and 2 bases
+        assert np.array_equal(random_observable_set(n, m, RandomStream(2)).vectors, whole)
+
+    @pytest.mark.parametrize("n, m", [(-3, None), (1, 0), (0, -2), (1, None)])
+    def test_dimension_is_checked_before_the_basis_count(self, n, m):
+        with pytest.raises(BadDimensionError, match=f"dimension must be at least 2, got {n}"):
+            random_observable_set(n, m, RandomStream(0))
+
+    def test_stack_and_bases_make_the_same_set(self):
+        obs = random_observable_set(3, 4, RandomStream(1))
+        rebuilt = ObservableSet(tuple(MeasurementBasis(v) for v in obs.vectors))
+        assert np.array_equal(rebuilt.vectors, obs.vectors)
+        assert (rebuilt.dimension, rebuilt.num_bases) == (3, 4)
+        with pytest.raises(ValueError):
+            obs.vectors[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("bases_per_block", [None, 1, 2])
+    def test_every_basis_of_a_stack_is_checked(self, monkeypatch, bases_per_block):
+        if bases_per_block is not None:
+            monkeypatch.setattr(quantum, "_DRAW_BLOCK", bases_per_block * 9)
+        vectors = random_observable_set(3, 5, RandomStream(1)).vectors.copy()
+        vectors[4, 0] *= 1.001
+        with pytest.raises(ValidationError, match="not orthonormal"):
+            ObservableSet(vectors)
+        vectors[4, 0] = np.nan
+        with pytest.raises(ValidationError, match="NaN or infinity"):
+            ObservableSet(vectors)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (0, 3, 3), (1, 0, 0)])
+    def test_stack_shape_is_checked(self, shape):
+        with pytest.raises(ValidationError):
+            ObservableSet(np.zeros(shape, dtype=complex))
+
+
 class TestMeasurementDistribution:
     def test_eigenstate(self):
         probs = measurement_distribution(ket0_state(), STANDARD_2)
@@ -262,7 +373,7 @@ class TestPureStateDistributions:
     def test_rows_match_density_matrix_born_rule(self):
         rng = RandomStream(21)
         basis = random_basis(4, rng)
-        psi = random_pure_states(4, 50, rng)
+        psi = complex_states(4, 50, rng)
         probs = pure_state_distributions(psi, basis)
         assert probs.shape == (50, 4)
         for row, vector in zip(probs, psi):
@@ -271,7 +382,7 @@ class TestPureStateDistributions:
             assert np.max(np.abs(row - expected)) < 1e-12
 
     def test_unnormalized_states_fail_the_sum_check(self):
-        psi = random_pure_states(3, 5, RandomStream(4))
+        psi = complex_states(3, 5, RandomStream(4))
         psi[2] *= 1.01
         with pytest.raises(InvariantError):
             pure_state_distributions(psi, random_basis(3, RandomStream(5)))
@@ -288,9 +399,20 @@ class TestPureStateDistributions:
             _checked_probabilities(np.array(raw))
 
     def test_dimension_mismatch(self):
-        psi = random_pure_states(3, 2, RandomStream(0))
+        psi = complex_states(3, 2, RandomStream(0))
         with pytest.raises(DimensionMismatchError):
             pure_state_distributions(psi, STANDARD_2)
+
+    @pytest.mark.parametrize("bases_per_block", [1, 2, 3])
+    def test_bases_in_column_blocks_give_the_same_rows(self, monkeypatch, bases_per_block):
+        # many bases are multiplied a column block at a time; each block's
+        # Born rows must match |psi B^dagger|^2 one basis at a time
+        rng = RandomStream(12)
+        obs = random_observable_set(4, 7, rng)
+        psi = complex_states(4, 30, rng)
+        expected = np.hstack([np.abs(psi @ b.conj().T) ** 2 for b in obs.vectors])
+        monkeypatch.setattr(quantum, "_DRAW_BLOCK", bases_per_block * 16)
+        assert np.max(np.abs(pure_state_distributions(psi, obs) - expected)) < 1e-12
 
 
 class TestCollapse:

@@ -1,6 +1,7 @@
 import functools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    complex_states,
     count_row,
     deck_strategy,
     enumerate_decks,
@@ -18,6 +20,7 @@ from conftest import (
     literal_random_decks,
     rank_growth,
     spec_strategy,
+    whole_born_matrix,
 )
 from dofcount import (
     Deck,
@@ -30,16 +33,16 @@ from dofcount import (
     estimate_k_quantum,
     estimate_k_urn,
     exhaustive_fiducial_rank,
-    fiducial_matrix_quantum,
     fiducial_vector_cardbox,
     fiducial_vector_quantum,
     k_sweep,
     matrix_rank_exact,
     matrix_rank_numeric,
+    pure_state_distributions,
     random_deck_ensemble,
     random_observable_set,
     random_pure_state,
-    random_pure_states,
+    random_state_rows,
     tomography,
     uniform_deck,
     urn_as_cardbox,
@@ -134,12 +137,14 @@ class TestFiducialVectorQuantum:
 
 
 class TestFiducialMatrixQuantum:
+    """``pure_state_distributions`` over a whole observable set."""
+
     @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (5, 6), (8, 9)])
     def test_rows_equal_stacked_fiducial_vectors(self, n, m):
         rng = RandomStream(n, m)
         obs = random_observable_set(n, m, rng=rng)
-        psi = random_pure_states(n, 30, rng)
-        matrix = fiducial_matrix_quantum(psi, obs)
+        psi = complex_states(n, 30, rng)
+        matrix = pure_state_distributions(psi, obs)
         expected = np.array(
             [
                 fiducial_vector_quantum(DensityState(np.outer(v, v.conj())), obs)
@@ -152,7 +157,7 @@ class TestFiducialMatrixQuantum:
     def test_dimension_mismatch(self):
         obs = random_observable_set(2, rng=RandomStream(0))
         with pytest.raises(DimensionMismatchError):
-            fiducial_matrix_quantum(random_pure_states(3, 4, RandomStream(1)), obs)
+            pure_state_distributions(complex_states(3, 4, RandomStream(1)), obs)
 
 
 class TestRandomDeckEnsemble:
@@ -699,22 +704,15 @@ class TestEstimates:
         with pytest.raises(ValidationError):
             estimate_k("abacus", 3, rng=RandomStream(1))
 
-    def test_quantum_rank_margin(self, monkeypatch):
+    def test_quantum_rank_margin(self):
         # sigma_K / sigma_1 shrinks with n (about 3e-4 at n=12): fail well
         # before it nears RANK_TOL, and before noise nears it from below.
-        # The ratios come from the whole Born matrix, not from what the
-        # rank path makes of it.
-        born = []
-
-        def capture(psi, observables):
-            born.append(fiducial_matrix_quantum(psi, observables))
-            return born[-1]
-
-        monkeypatch.setattr(tomography, "fiducial_matrix_quantum", capture)
+        # The ratios come from the whole-matrix oracle's Born matrix, not
+        # from what the rank path makes of its own rows.
         cases = [(n, seed) for n in range(2, 13) for seed in range(3)] + [(16, 0)]
         for n, seed in cases:
             report = estimate_k_quantum(n, rng=RandomStream(seed, n))
-            singular = np.linalg.svd(born[-1], compute_uv=False)
+            singular = np.linalg.svd(whole_born_matrix(n, None, None, seed)[0], compute_uv=False)
             k = n * n
             k_ratio = singular[k - 1] / singular[0]
             k1_ratio = singular[k] / singular[0]
@@ -744,15 +742,20 @@ class TestEstimates:
 
 
 class TestQuantumRankFromRFactors:
-    """The R-factor ranks against ranks of the whole Born matrix."""
+    """The blocked halves and their R-factor ranks against the whole-matrix oracle."""
 
     @staticmethod
-    def born_matrix(n, m, ensemble, seed):
-        # the draws estimate_k_quantum makes, in its order, on the same stream
-        rng = RandomStream(seed, n)
-        observables = random_observable_set(n, m, rng=rng)
-        base = 10 * n * observables.num_bases if ensemble is None else ensemble
-        return fiducial_matrix_quantum(random_pure_states(n, 2 * base, rng), observables), base
+    def capture_halves(monkeypatch):
+        # each half's Born rows as estimate_k_quantum hands them to its QR
+        halves, qr = [], np.linalg.qr
+
+        def capture(rows, mode="reduced"):
+            if mode == "r":
+                halves.append(rows.copy())
+            return qr(rows, mode)
+
+        monkeypatch.setattr(np.linalg, "qr", capture)
+        return halves
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_ranks_equal_the_whole_matrix_ranks(self, monkeypatch, n):
@@ -763,6 +766,7 @@ class TestQuantumRankFromRFactors:
             return matrix_rank_numeric(rows, tol)
 
         monkeypatch.setattr(tomography, "matrix_rank_numeric", capture)
+        halves = self.capture_halves(monkeypatch)
         # default cells at three seeds, restricted bases, and base ensembles
         # down to halves shorter than they are wide
         cases = [(None, None, seed) for seed in range(3)]
@@ -770,7 +774,8 @@ class TestQuantumRankFromRFactors:
         cases += [(None, ensemble, 1) for ensemble in (1, 3, n * (n + 1) - 1)]
         for m, ensemble, seed in cases:
             report = estimate_k_quantum(n, m, ensemble=ensemble, rng=RandomStream(seed, n))
-            rows, base = self.born_matrix(n, m, ensemble, seed)
+            rows, base = whole_born_matrix(n, m, ensemble, seed)
+            np.testing.assert_allclose(np.vstack(halves[-2:]), rows, rtol=0, atol=1e-12)
             rank = matrix_rank_numeric(rows)
             assert report.k_rank == rank, (m, ensemble, seed)
             assert report.saturated == (rank == matrix_rank_numeric(rows[:base])), (m, ensemble, seed)
@@ -780,6 +785,53 @@ class TestQuantumRankFromRFactors:
                     np.linalg.svd(reduced, compute_uv=False), expected,
                     rtol=0, atol=1e-12 * expected[0],
                 )
+
+
+class TestBlockedQuantumRun:
+    """The blocked draws of estimate_k_quantum against one unblocked draw."""
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 50, 80])
+    def test_blocked_state_draws_equal_one_unblocked_draw(self, monkeypatch, rows_per_block):
+        # row blocks of 7 cross both the block edges and the edge between
+        # the halves (50 rows each); 80 holds a whole half
+        n, m, ensemble, seed = 3, 4, 50, 6
+        rng = RandomStream(seed, n)
+        random_observable_set(n, m, rng=rng)
+        expected = random_state_rows(n, 2 * ensemble, rng)
+        unblocked = estimate_k_quantum(n, m, ensemble=ensemble, rng=RandomStream(seed, n))
+        drawn = []
+
+        def record(n, count, rng):
+            drawn.append(random_state_rows(n, count, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(tomography, "random_state_rows", record)
+        monkeypatch.setattr(tomography, "_DRAW_BLOCK", rows_per_block * n * m)
+        halves = TestQuantumRankFromRFactors.capture_halves(monkeypatch)
+        report = estimate_k_quantum(n, m, ensemble=ensemble, rng=RandomStream(seed, n))
+        assert len(drawn) == 2 * math.ceil(ensemble / min(rows_per_block, ensemble))
+        assert np.array_equal(np.vstack(drawn), expected)
+        assert report == unblocked
+        rows, _ = whole_born_matrix(n, m, ensemble, seed)
+        np.testing.assert_allclose(np.vstack(halves), rows, rtol=0, atol=1e-12)
+
+    def test_many_basis_run_is_quick_and_small(self):
+        # 20,000 bases at n = 4 and one state per half: the bases are drawn
+        # and checked 4,096 at a time and multiplied a column block at a
+        # time.  The per-basis path took 2.8 s and 15.1 MB of traced peak;
+        # the blocked one 0.16 s and 12.4 MB (2-core Xeon VM).  Whole-stack
+        # Gram checks or a whole amplitude matrix would add about 10 MB.
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report = estimate_k_quantum(4, 20_000, ensemble=1, rng=RandomStream(0))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.k_rank, report.k_naive, report.saturated) == (2, 80_000, False)
+        assert elapsed < 1.0, f"estimate_k_quantum(4, 20000) took {elapsed:.2f} s"
+        assert peak < 16 * 2**20, f"peak traced memory {peak:,} bytes"
 
 
 class TestBornEntryLimit:
@@ -882,6 +934,15 @@ class TestKSweep:
                 "--v-range", "1..1", "--seed", "42"]
         assert cli_main(argv) == 0
         expected = (DATA / "sweep_quantum_n2-6_seed42.csv").read_text()
+        assert capsys.readouterr().out == expected
+
+    def test_quantum_sweep_at_benchmark_sizes_matches_golden_csv(self, capsys):
+        # n = 7..12 covers the benchmark's n = 9 and 12; the file was made
+        # by the per-basis path, before the bases and Born rows were batched
+        argv = ["sweep", "--systems", "quantum", "--n-range", "7..12",
+                "--v-range", "1..1", "--seed", "9001"]
+        assert cli_main(argv) == 0
+        expected = (DATA / "sweep_quantum_n7-12_seed9001.csv").read_text()
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize(
