@@ -24,10 +24,10 @@ Every count row is checked to satisfy the V-1 normalization equations, which
 proves the ceiling V*(N-1)+1, so a classical ensemble stops drawing once its
 rank reaches it.  Its rows are drawn on demand: a first block of ceiling+1
 rows, then blocks that double up to 65,536 multiplicities each.  Quantum
-ranks count singular values above a threshold.  Each half of the Born
-matrix is filled in row blocks, one real GEMM each, and reduced once to
-the R factor of its QR factorization; the stacked factors have the singular
-values of all rows, so both ranks come from one pass over the rows.
+ranks count singular values above a threshold, and stop once a prefix
+reaches their ceiling min(n**2, M*(n-1)+1).  Otherwise each half of the Born
+matrix is filled in row blocks, one real GEMM each, and reduced once to the
+R factor of its QR factorization, whose stack has the singular values of all rows.
 """
 
 from __future__ import annotations
@@ -333,12 +333,11 @@ class KReport:
     ``ensemble`` is the base ensemble size, by default ten members per
     fiducial probability (``10 * k_naive``); the measurement internally
     doubles it once and sets ``saturated`` iff the rank did not move.
-    ``k_rank`` is the rank after doubling.  A classical ensemble stops
-    early once its rank reaches the ceiling V*(N-1)+1 that the per-row sum
-    check proves, since no later row could raise it; ``k_rank`` and
-    ``saturated`` are those of the full doubled ensemble.  ``k_paper`` is
-    the fiducial count N*V for the urn and the card box, and n**2 for
-    quantum systems.
+    ``k_rank`` is the rank after doubling.  An ensemble stops once its rank
+    reaches the ceiling that the per-row sum checks prove (V*(N-1)+1, or
+    min(n**2, M*(n-1)+1) for quantum systems); ``k_rank`` and ``saturated``
+    are those of the full doubled ensemble.  ``k_paper`` is the fiducial
+    count N*V for the urn and the card box, and n**2 for quantum systems.
     """
 
     kind: str
@@ -359,7 +358,7 @@ def _base_ensemble(fiducials: int, ensemble: int | None) -> int:
     return base
 
 
-# Counts both halves of the rows; a run holds one half at a time, so this over-counts.
+# Sizes a run that draws both halves, though it holds one at a time (a stopped run fills a prefix).
 MAX_BORN_ENTRIES = 2**25  # float64 entries of a quantum K run's arrays: 268 MB
 
 
@@ -447,7 +446,9 @@ def estimate_k_quantum(
 
     The observable set is drawn once and shared by the whole ensemble of
     random pure states.  With the default n+1 bases the rank saturates at
-    n**2, the quantum reference value.
+    n**2, the quantum reference value.  No rank exceeds ``c = min(n**2,
+    M*(n-1)+1)``: a run stops once its first ``min(ensemble, c + 16)``
+    states reach ``c``, and a rank above ``c`` raises ``ValidationError``.
     """
     _check_tolerance(tol)
     m = n + 1 if num_bases is None else num_bases
@@ -455,18 +456,32 @@ def estimate_k_quantum(
         _check_born_entries(n, m, ensemble)
     vectors = random_observable_set(n, m, rng=rng).vectors
     base = _base_ensemble(n * m, ensemble)
+    ceiling = min(n * n, m * (n - 1) + 1)
+    head = min(base, ceiling + 16)  # the first-half prefix ranked before any other row
     rows = np.empty((base, n * m))  # one half's Born rows; the halves take turns
     step = max(1, _DRAW_BLOCK // (n * m))
-    factors = []
-    for _half in range(2):
-        for block in np.split(rows, range(step, base, step)):  # drawn a row block at a time
+
+    def fill(part: np.ndarray) -> None:  # drawn a row block at a time
+        for block in (part[i : i + step] for i in range(0, len(part), step)):
             born_rows(random_state_rows(n, len(block), rng), vectors, block)
+
+    fill(rows[:head])
+    rank = first_rank = matrix_rank_numeric(rows[:head], tol)
+    if rank < ceiling:
+        fill(rows[head:])
+        factors = [np.linalg.qr(rows, mode="r")]
+        fill(rows)
         factors.append(np.linalg.qr(rows, mode="r"))
-    # [A; B] = diag(Q1, Q2)·[R1; R2], and diag(Q1, Q2) has orthonormal
-    # columns: the stacked R factors have the singular values of all rows,
-    # and R1 those of the first half, so each half is reduced only once.
-    first_rank = matrix_rank_numeric(factors[0], tol)
-    rank = matrix_rank_numeric(np.vstack(factors), tol)
+        # [A; B] = diag(Q1, Q2)·[R1; R2], and diag(Q1, Q2) has orthonormal
+        # columns: the stacked R factors have the singular values of all rows,
+        # and R1 those of the first half, so each half is reduced only once.
+        first_rank = matrix_rank_numeric(factors[0], tol)
+        rank = matrix_rank_numeric(np.vstack(factors), tol)
+    if rank > ceiling:
+        raise ValidationError(
+            f"numeric rank {rank} exceeds its ceiling c = min(n**2, M*(n-1)+1) = {ceiling}: "
+            f"--tol {tol:g} counts round-off singular values"
+        )
     return KReport(
         kind="quantum",
         n=n,

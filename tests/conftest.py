@@ -342,15 +342,16 @@ def complex_states(n, count, rng):
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
-def whole_born_matrix(n, m, ensemble, seed):
-    """Whole-matrix oracle: ``estimate_k_quantum``'s draws on ``RandomStream(seed, n)``.
+def whole_born_matrix(n, m, ensemble, seed, rng=None):
+    """Whole-matrix oracle: ``estimate_k_quantum``'s draws on ``RandomStream(seed, n)``,
+    or on ``rng`` if one is given.
 
     The M bases one at a time, then all ``2 * ensemble`` complex states,
     then ``|psi B^dagger|^2`` one basis at a time into the whole
     ``(2 * ensemble, n * M)`` Born matrix.  Returns the matrix and the base
     ensemble.
     """
-    rng = RandomStream(seed, n)
+    rng = RandomStream(seed, n) if rng is None else rng
     m = n + 1 if m is None else m
     bases = [sequential_random_basis(n, rng) for _ in range(m)]
     base = 10 * n * m if ensemble is None else ensemble
@@ -374,5 +375,27 @@ class DegenerateStream:
         for k in self._zeroed:
             lo, hi = k * self._size - self._at, (k + 1) * self._size - self._at
             flat[max(lo, 0) : max(hi, 0)] = 0.0
+        self._at += flat.size
+        return out
+
+
+class StuckStatesStream:
+    """A ``RandomStream(seed, n)`` whose first ``stuck`` state draws are all ones.
+
+    Entries are counted across calls; the first ``2 * n * n * M`` are the
+    bases' and pass through, and each state takes ``2 * n``.  The stuck
+    states are one state, so their Born rows have rank 1 however the draws
+    are blocked.
+    """
+
+    def __init__(self, seed, n, m, stuck):
+        self.seed, self._rng, self._at = seed, RandomStream(seed, n), 0
+        self._lo = 2 * n * n * m
+        self._hi = self._lo + 2 * n * stuck
+
+    def standard_normal(self, size):
+        out = self._rng.standard_normal(size)
+        flat = out.reshape(-1)
+        flat[max(self._lo - self._at, 0) : max(self._hi - self._at, 0)] = 1.0
         self._at += flat.size
         return out

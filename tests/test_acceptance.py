@@ -229,3 +229,31 @@ def test_criterion_9_monte_carlo_consistency(capsys, four_card_file):
     assert seen == set(exact)
     with capsys.disabled():
         _report(9, "simulate matches sequence within 3*sqrt(p(1-p)/T) at T=10^4")
+
+
+def _rank_row(capsys, argv):
+    assert cli_main(argv) == 0
+    return int(capsys.readouterr().out.splitlines()[1].split(",")[3])
+
+
+def test_criterion_10_k_follows_the_variables(capsys):
+    # Hardy's Axiom 2 ties K to N alone; here it follows the variables.  Up
+    # to V = N + 1 the card box and the quantum system measured in V bases
+    # admit the same V(N-1)+1 independent probabilities.  Past that the
+    # card box keeps growing with each variable, while the quantum system
+    # stays at N**2, the dimension of its state space.
+    seed = ["--seed", "1"]
+    for n in (2, 3):
+        for v in range(1, n + 4):
+            cardbox = _rank_row(capsys, ["rank", "--system", "cardbox", "--n", str(n),
+                                         "--v", str(v), *seed])
+            quantum = _rank_row(capsys, ["rank", "--system", "quantum", "--n", str(n),
+                                         "--m", str(v), *seed])
+            assert cardbox == v * (n - 1) + 1, (n, v)
+            assert quantum == (v * (n - 1) + 1 if v <= n + 1 else n * n), (n, v)
+    # N = 4, V = 7 has 4**7 card types, past MAX_CARD_TYPES
+    assert cli_main(["rank", "--system", "cardbox", "--n", "4", "--v", "7", *seed]) == 2
+    assert "MAX_CARD_TYPES" in capsys.readouterr().err
+    with capsys.disabled():
+        _report(10, "card box and quantum K_rank both V(N-1)+1 for V <= N+1; "
+                    "past it the card box grows and quantum stays at N^2 (N = 2, 3)")

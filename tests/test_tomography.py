@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    StuckStatesStream,
     complex_states,
     count_row,
     deck_strategy,
@@ -705,24 +706,28 @@ class TestEstimates:
             estimate_k("abacus", 3, rng=RandomStream(1))
 
     def test_quantum_rank_margin(self):
-        # sigma_K / sigma_1 shrinks with n (about 3e-4 at n=12): fail well
-        # before it nears RANK_TOL, and before noise nears it from below.
-        # The ratios come from the whole-matrix oracle's Born matrix, not
-        # from what the rank path makes of its own rows.
+        # sigma_K / sigma_1 shrinks with n (about 3e-4 at n=12 over all rows,
+        # down to 1.6e-5 over the first-half prefix the path ranks first):
+        # fail well before it nears RANK_TOL, and before noise nears it from
+        # below.  The ratios come from the whole-matrix oracle's Born matrix
+        # and its first n**2 + 16 rows, not from what the rank path makes of
+        # its own rows.
         cases = [(n, seed) for n in range(2, 13) for seed in range(3)] + [(16, 0)]
         for n, seed in cases:
             report = estimate_k_quantum(n, rng=RandomStream(seed, n))
-            singular = np.linalg.svd(whole_born_matrix(n, None, None, seed)[0], compute_uv=False)
+            rows, _ = whole_born_matrix(n, None, None, seed)
             k = n * n
-            k_ratio = singular[k - 1] / singular[0]
-            k1_ratio = singular[k] / singular[0]
-            message = (
-                f"n={n} seed={seed}: sigma_K/sigma_1={k_ratio:.3g}, "
-                f"sigma_K+1/sigma_1={k1_ratio:.3g}, RANK_TOL={RANK_TOL:g}"
-            )
-            assert report.k_rank == k, message
-            assert k_ratio > 100 * RANK_TOL, message
-            assert k1_ratio < RANK_TOL / 100, message
+            assert report.k_rank == k, f"n={n} seed={seed}"
+            for name, matrix in (("all rows", rows), ("prefix", rows[: quantum_head(n, None, None)])):
+                singular = np.linalg.svd(matrix, compute_uv=False)
+                k_ratio = singular[k - 1] / singular[0]
+                k1_ratio = singular[k] / singular[0]
+                message = (
+                    f"n={n} seed={seed} {name}: sigma_K/sigma_1={k_ratio:.3g}, "
+                    f"sigma_K+1/sigma_1={k1_ratio:.3g}, RANK_TOL={RANK_TOL:g}"
+                )
+                assert k_ratio > 100 * RANK_TOL, message
+                assert k1_ratio < RANK_TOL / 100, message
 
     @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf"), 1.0])
     def test_quantum_tolerance_checked_before_any_draw(self, monkeypatch, tol):
@@ -739,6 +744,105 @@ class TestEstimates:
         report = estimate_k_quantum(2, 2, rng=RandomStream(4))
         assert report.k_rank == 3
         assert report.k_paper == 4
+
+
+def quantum_ceiling(n, m):
+    """The rank no quantum Born matrix exceeds: rho has n**2 real parameters,
+    and each of the M basis blocks sums to 1."""
+    return min(n * n, (n + 1 if m is None else m) * (n - 1) + 1)
+
+
+def quantum_head(n, m, ensemble):
+    """Rows of the first-half prefix that ``estimate_k_quantum`` ranks first."""
+    base = 10 * n * (n + 1 if m is None else m) if ensemble is None else ensemble
+    return min(base, quantum_ceiling(n, m) + 16)
+
+
+class TestQuantumStop:
+    """The prefix stop against the whole-ensemble oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_report_equals_the_whole_ensemble_oracle(self, n):
+        # every branch: ensembles below the ceiling c (the fallback, no
+        # prefix to spare), at it and past it, and the default ensemble
+        outcomes = set()
+        for m in sorted({1, 2, n - 1, n, n + 1, n + 3}):
+            c = quantum_ceiling(n, m)
+            for ensemble in sorted({1, c - 1, c, c + 16}) + [None]:
+                for seed in range(3):
+                    report = estimate_k_quantum(n, m, ensemble=ensemble,
+                                                rng=RandomStream(seed, n))
+                    rows, base = whole_born_matrix(n, m, ensemble, seed)
+                    rank = matrix_rank_numeric(rows)
+                    saturated = rank == matrix_rank_numeric(rows[:base])
+                    assert (report.k_rank, report.saturated) == (rank, saturated), (
+                        m, ensemble, seed)
+                    outcomes.add(saturated)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n, m, ensemble", [
+        (2, None, None), (6, None, None), (9, None, None), (5, 2, None), (4, None, 20),
+    ])
+    def test_saturating_run_draws_only_its_prefix(self, monkeypatch, n, m, ensemble):
+        # no QR outside the bases, and the states drawn are the prefix's
+        inside, qr_inside, state_entries = [False], [], []
+        observable_set, qr = tomography.random_observable_set, np.linalg.qr
+        standard_normal = RandomStream.standard_normal
+
+        def bases(*args, **kwargs):
+            inside[0] = True
+            try:
+                return observable_set(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def record_qr(*args, **kwargs):
+            qr_inside.append(inside[0])
+            return qr(*args, **kwargs)
+
+        def record_draw(self, size):
+            out = standard_normal(self, size)
+            if not inside[0]:
+                state_entries.append(out.size)
+            return out
+
+        monkeypatch.setattr(tomography, "random_observable_set", bases)
+        monkeypatch.setattr(np.linalg, "qr", record_qr)
+        monkeypatch.setattr(RandomStream, "standard_normal", record_draw)
+        report = estimate_k_quantum(n, m, ensemble=ensemble, rng=RandomStream(1, n))
+        assert (report.k_rank, report.saturated) == (quantum_ceiling(n, m), True)
+        assert qr_inside and all(qr_inside)
+        assert sum(state_entries) == quantum_head(n, m, ensemble) * 2 * n
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_rank_above_the_ceiling_is_an_error(self, n):
+        # at tol 1e-17 round-off singular values clear the threshold; the
+        # stop path (default ensemble) and the fallback (c - 1) both refuse
+        c = quantum_ceiling(n, None)
+        for ensemble in (None, c - 1):
+            with pytest.raises(ValidationError, match=rf"rank \d+ exceeds its ceiling .* = {c}: "
+                                                      r"--tol 1e-17"):
+                estimate_k_quantum(n, ensemble=ensemble, tol=1e-17, rng=RandomStream(0, n))
+            argv = ["rank", "--system", "quantum", "--n", str(n), "--tol", "1e-17"]
+            if ensemble is not None:
+                argv += ["--ensemble", str(ensemble)]
+            assert cli_main(argv) == 2
+
+
+def quantum_stream(n, m, ensemble, seed, stuck):
+    """A fresh ``RandomStream(seed, n)``; if ``stuck``, its prefix states are one state."""
+    if not stuck:
+        return RandomStream(seed, n)
+    return StuckStatesStream(seed, n, n + 1 if m is None else m, quantum_head(n, m, ensemble))
+
+
+def fallback_cases(n):
+    """``(m, ensemble, seed, stuck)`` cells that rank both halves: base
+    ensembles below the ceiling, down to halves shorter than they are wide,
+    and default or restricted cells whose prefix is one state."""
+    cases = [(None, ensemble, 1, False) for ensemble in sorted({1, 3, quantum_ceiling(n, None) - 1})]
+    cases += [(None, None, seed, True) for seed in range(3)]
+    return cases + [(m, None, 0, True) for m in (1, 2, n)]
 
 
 class TestQuantumRankFromRFactors:
@@ -762,19 +866,19 @@ class TestQuantumRankFromRFactors:
         ranked = []
 
         def capture(rows, tol):
-            ranked.append(rows)
+            ranked.append(rows.copy())
             return matrix_rank_numeric(rows, tol)
 
         monkeypatch.setattr(tomography, "matrix_rank_numeric", capture)
         halves = self.capture_halves(monkeypatch)
-        # default cells at three seeds, restricted bases, and base ensembles
-        # down to halves shorter than they are wide
-        cases = [(None, None, seed) for seed in range(3)]
-        cases += [(m, None, 0) for m in (1, 2, n)]
-        cases += [(None, ensemble, 1) for ensemble in (1, 3, n * (n + 1) - 1)]
-        for m, ensemble, seed in cases:
-            report = estimate_k_quantum(n, m, ensemble=ensemble, rng=RandomStream(seed, n))
-            rows, base = whole_born_matrix(n, m, ensemble, seed)
+        for m, ensemble, seed, stuck in fallback_cases(n):
+            report = estimate_k_quantum(
+                n, m, ensemble=ensemble, rng=quantum_stream(n, m, ensemble, seed, stuck))
+            rows, base = whole_born_matrix(
+                n, m, ensemble, seed, quantum_stream(n, m, ensemble, seed, stuck))
+            head = quantum_head(n, m, ensemble)
+            assert len(ranked) >= 3 and matrix_rank_numeric(ranked[-3]) < quantum_ceiling(n, m)
+            np.testing.assert_allclose(ranked[-3], rows[:head], rtol=0, atol=1e-12)
             np.testing.assert_allclose(np.vstack(halves[-2:]), rows, rtol=0, atol=1e-12)
             rank = matrix_rank_numeric(rows)
             assert report.k_rank == rank, (m, ensemble, seed)
@@ -791,14 +895,21 @@ class TestBlockedQuantumRun:
     """The blocked draws of estimate_k_quantum against one unblocked draw."""
 
     @pytest.mark.parametrize("rows_per_block", [1, 7, 50, 80])
-    def test_blocked_state_draws_equal_one_unblocked_draw(self, monkeypatch, rows_per_block):
-        # row blocks of 7 cross both the block edges and the edge between
-        # the halves (50 rows each); 80 holds a whole half
-        n, m, ensemble, seed = 3, 4, 50, 6
-        rng = RandomStream(seed, n)
+    @pytest.mark.parametrize("ensemble, stuck", [(8, False), (50, True)])
+    def test_blocked_state_draws_equal_one_unblocked_draw(
+        self, monkeypatch, rows_per_block, ensemble, stuck
+    ):
+        # both fallbacks at n = 3, M = 4 (ceiling 9): 8 states per half, or
+        # 50 whose first 25, the prefix, are one state.  Blocks of 7 cross
+        # the block edges, the prefix's edge and the edge between the
+        # halves; 50 and 80 hold a whole half
+        n, m, seed = 3, 4, 6
+        head = quantum_head(n, m, ensemble)
+        stream = functools.partial(quantum_stream, n, m, ensemble, seed, stuck)
+        rng = stream()
         random_observable_set(n, m, rng=rng)
         expected = random_state_rows(n, 2 * ensemble, rng)
-        unblocked = estimate_k_quantum(n, m, ensemble=ensemble, rng=RandomStream(seed, n))
+        unblocked = estimate_k_quantum(n, m, ensemble=ensemble, rng=stream())
         drawn = []
 
         def record(n, count, rng):
@@ -808,11 +919,12 @@ class TestBlockedQuantumRun:
         monkeypatch.setattr(tomography, "random_state_rows", record)
         monkeypatch.setattr(tomography, "_DRAW_BLOCK", rows_per_block * n * m)
         halves = TestQuantumRankFromRFactors.capture_halves(monkeypatch)
-        report = estimate_k_quantum(n, m, ensemble=ensemble, rng=RandomStream(seed, n))
-        assert len(drawn) == 2 * math.ceil(ensemble / min(rows_per_block, ensemble))
+        report = estimate_k_quantum(n, m, ensemble=ensemble, rng=stream())
+        parts = (head, ensemble - head, ensemble)  # the prefix, the rest of A, and B
+        assert len(drawn) == sum(math.ceil(rows / rows_per_block) for rows in parts)
         assert np.array_equal(np.vstack(drawn), expected)
         assert report == unblocked
-        rows, _ = whole_born_matrix(n, m, ensemble, seed)
+        rows, _ = whole_born_matrix(n, m, ensemble, seed, stream())
         np.testing.assert_allclose(np.vstack(halves), rows, rtol=0, atol=1e-12)
 
     def test_many_basis_run_is_quick_and_small(self):
@@ -934,6 +1046,15 @@ class TestKSweep:
                 "--v-range", "1..1", "--seed", "42"]
         assert cli_main(argv) == 0
         expected = (DATA / "sweep_quantum_n2-6_seed42.csv").read_text()
+        assert capsys.readouterr().out == expected
+
+    def test_quantum_sweep_on_both_paths_matches_golden_csv(self, capsys):
+        # at 20 states per half, n = 2..4 stop at their prefix and n = 5..8
+        # rank both halves; the file was made before the prefix stop existed
+        argv = ["sweep", "--systems", "quantum", "--n-range", "2..8",
+                "--v-range", "1..1", "--ensemble", "20", "--seed", "42"]
+        assert cli_main(argv) == 0
+        expected = (DATA / "sweep_quantum_n2-8_ens20_seed42.csv").read_text()
         assert capsys.readouterr().out == expected
 
     def test_quantum_sweep_at_benchmark_sizes_matches_golden_csv(self, capsys):
