@@ -48,5 +48,12 @@ class RandomStream:
             raise ValueError("upper must be positive")
         return self._gen.integers(0, upper, size=size)
 
+    def multinomial(self, trials, pvals) -> np.ndarray:
+        """Counts of ``trials[j]`` picks over the outcomes of row ``j`` of ``pvals``.
+
+        One 2-D call makes the same draws as one call per row, in row order.
+        """
+        return self._gen.multinomial(trials, pvals)
+
     def standard_normal(self, size) -> np.ndarray:
         return self._gen.standard_normal(size)

@@ -22,8 +22,10 @@ state (:func:`_chain_weights`) and the pair counts built from them
 expanded one plan step at a time over integer arrays that cannot wrap
 (:func:`_exact_dtype`); ``Fraction`` values are made only when a caller
 asks for the ``Outcome`` map.  Monte Carlo enters only through
-``simulate_plan``, which samples the chain along the exact law's runs, so
-its counts line up with the values they are checked against.
+``simulate_plan``, which splits the trials along the exact law's runs with
+one multinomial draw per run and step over the per-card weights, so its
+counts line up with the values they are checked against, at a cost that
+does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ from .errors import (
 )
 from .rng import RandomStream
 
-# Trials sampled at once; memory stays O(chunk * plan length) for any count.
-SIMULATE_CHUNK = 65_536
 # Largest trial count ``simulate_plan`` accepts; more fails before any draw.
 MAX_TRIALS = 10**8
 # Most positive-probability runs ``sequence_distribution`` will expand.
 MAX_SEQUENCES = 2**18
 _INT64_MAX = np.iinfo(np.int64).max
+# Card entries of one multinomial call: a step's arrays stay this size whatever the run.
+_DRAW_BLOCK = 2**12
 
 # A measurement plan is just an ordered tuple of variable names.
 MeasurementPlan = tuple[str, ...]
@@ -367,36 +369,21 @@ def pair_order_statistics(
     )
 
 
-def _chain_table(deck: Deck) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Running card counts of every chain state, laid end to end.
+def _subdeck_rows(deck: Deck) -> tuple[np.ndarray, np.ndarray]:
+    """Every chain state's cards and card probabilities: ``(order, probs)``.
 
-    Row ``s`` holds chain state ``s``'s (see :func:`_chain_weights`)
-    running multiplicities in canonical deck order, shifted up by the totals
-    of the rows before it, so one sorted array serves every state.  Returns
-    ``(flat, starts, totals)``: the rows end to end, each row's shift and
-    each state's subdeck total.
+    Row ``s`` of ``order`` lists the card indices, first those chain state
+    ``s``'s subdeck leaves out (see :func:`_chain_weights`), then its own
+    in canonical deck order; row ``s`` of ``probs`` gives each card's
+    multiplicity over the subdeck total, correctly rounded.  A card of
+    probability 0 ahead of the subdeck takes no multinomial draw, and the
+    remainder, the last column, lands on a subdeck card.  A state no card
+    reaches keeps a row of zeros.
     """
-    weights = _chain_weights(deck).astype(np.int64)
-    totals = weights.sum(axis=1)
-    starts = np.cumsum(totals) - totals
-    flat = (np.cumsum(weights, axis=1) + starts[:, None]).ravel()
-    return flat, starts, totals
-
-
-def _guide_table(flat: np.ndarray, width: int) -> tuple[int, np.ndarray]:
-    """Guide table for keys below ``flat[-1]``: ``(shift, guide)``.
-
-    Key ``k`` falls in bucket ``k >> shift``, one of at most ``2**16``;
-    ``guide[b]`` is the in-row index of the card holding all of bucket
-    ``b``, or -1 where the bucket spans two cards and only a binary search
-    over ``flat`` can tell (Chen and Asau 1974; Devroye 1986, III.2.4).
-    """
-    end = int(flat[-1])
-    shift = max(0, end.bit_length() - 16)
-    first = np.arange(((end - 1) >> shift) + 1, dtype=np.int64) << shift
-    lo = np.searchsorted(flat, first, side="right")
-    hi = np.searchsorted(flat, first + ((1 << shift) - 1), side="right")
-    return shift, np.where(lo == hi, lo % width, -1)
+    weights = _chain_weights(deck)  # Python ints: each quotient is rounded once
+    probs = (weights / np.maximum(weights.sum(axis=1), 1)[:, None]).astype(float)
+    order = np.argsort(probs > 0, axis=1, kind="stable")
+    return order, np.take_along_axis(probs, order, axis=1)
 
 
 def simulate_plan(
@@ -405,20 +392,21 @@ def simulate_plan(
     """Seeded Monte Carlo runs of a plan: ``(law, counts)``.
 
     ``law`` is ``sequence_distribution(deck, plan)``, and ``counts[j]`` is
-    the int64 number of trials that took its ``j``-th run.  The subdeck is
-    rebuilt from the full deck on every press, so the device is a Markov
-    chain on the last outcome (see :func:`_chain_table`).  Trials run in
-    chunks of at most ``SIMULATE_CHUNK``; each step makes one draw for every
-    trial of a chunk.  A trial picks uniformly below its state's subdeck
-    total and is shown the card whose running count first exceeds the pick
-    (:func:`~dofcount.cardbox.observe`'s rule, in canonical deck order),
-    found through :func:`_guide_table`.  Each trial carries its run's index
-    in the law; a per-step table of the law's children, as large as the
-    block :func:`sequence_distribution` expands at that step, takes a run
-    and the value shown to the child run, or to -1 for a run of probability
-    0, which raises ``InvariantError``.  More than ``MAX_TRIALS`` trials or
-    ``MAX_SEQUENCES`` possible runs raise ``ValidationError`` before any
-    draw.
+    the int64 number of trials that took its ``j``-th run.  The trials are
+    split along the law's runs one plan step at a time, not trial by trial:
+    a run holding ``hits`` trials in chain state ``s`` shares them over the
+    cards of its subdeck with one multinomial draw (the conditional
+    distribution method; Devroye 1986, *Non-Uniform Random Variate
+    Generation*; Davis 1993), each card at its multiplicity over the
+    subdeck total (:func:`_subdeck_rows`).  Summed by the value the pressed
+    variable shows on each card, the counts go to the child runs through
+    the law's ``(parent, value)`` links.  The cost does not grow with
+    ``trials``.  Runs are drawn ``_DRAW_BLOCK`` card entries at a time,
+    which does not change the draws.  Counts that do not sum to their run's
+    trials, that fall on a card outside the subdeck, or that reach a run of
+    probability 0 raise ``InvariantError``.  More than ``MAX_TRIALS``
+    trials or ``MAX_SEQUENCES`` possible runs raise ``ValidationError``
+    before any draw.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -433,41 +421,34 @@ def simulate_plan(
             f"(V+1) * total must stay below 2**63"
         )
     law = sequence_distribution(deck, plan)
-    flat, starts, totals = _chain_table(deck)
+    order, probs = _subdeck_rows(deck)
     n, width = spec.values_per_variable, len(deck.entries)
-    shift, guide = _guide_table(flat, width)
-    columns = deck.arrays[0].T  # columns[a][card]: the value variable a shows on it
+    step = max(1, _DRAW_BLOCK // width)
     pressed = [spec.variable_index(variable) for variable in law.plan]
-    before = [1, *map(len, law.values)]  # runs before each step
-    counts = np.zeros(len(law), dtype=np.int64)
-    for done in range(0, trials, SIMULATE_CHUNK):
-        size = min(SIMULATE_CHUNK, trials - done)
-        state = np.zeros(size, dtype=np.int64)
-        run = np.zeros(size, dtype=np.intp)
-        for i, (a, parent, value) in enumerate(zip(pressed, law.parents, law.values)):
-            highs = totals[state]
-            picks = rng.integers_below(highs)
-            if np.any(picks >= highs):
-                raise InvariantError("a draw lies at or past its subdeck total")
-            keys = starts[state] + picks
-            cards = guide[keys >> shift]
-            if cards.min() < 0:
-                split = cards < 0
-                cards[split] = np.searchsorted(flat, keys[split], side="right") % width
-            shown = columns[a][cards]
-            # child[run * n + value], rebuilt per chunk: one step's table is held at a time
-            child = np.full(before[i] * n, -1, dtype=np.intp)
-            child[parent * n + value] = np.arange(len(value))
-            last, run = run, child[run * n + shown]
-            if run.min() < 0:
-                j = np.argmin(run)
-                seen = [f"{law.plan[i]}={law.labels[i][shown[j]]}"]
-                if i:
-                    levels = law.parents[:i], law.values[:i]
-                    seen.insert(0, _run_text(law.plan, law.labels, *levels, last[j]))
-                raise InvariantError(f"a trial took the impossible run {', '.join(seen)}")
-            state = 1 + a * n + shown
-        counts += np.bincount(run, minlength=len(law))
-    if counts.sum() != trials:
-        raise InvariantError(f"simulated counts sum to {counts.sum()}, not {trials}")
-    return law, counts
+    hits = np.array([trials], dtype=np.int64)
+    state = np.zeros(1, dtype=np.intp)
+    for i, (a, parent, value) in enumerate(zip(pressed, law.parents, law.values)):
+        shown = np.empty((len(state), n), dtype=np.int64)  # trials per run and value
+        for lo in range(0, len(state), step):
+            block = slice(lo, lo + step)
+            p = probs[state[block]]
+            cards = rng.multinomial(hits[block], p)
+            if np.any(cards.sum(axis=1) != hits[block]) or cards[p == 0].any():
+                raise InvariantError("a multinomial draw lost trials or left its subdeck")
+            # each card's key: run j's slot for its value; float sums <= MAX_TRIALS are exact
+            keys = deck.arrays[0][order[state[block]], a]
+            keys += n * np.arange(len(p))[:, None]
+            shown[block] = np.bincount(
+                keys.ravel(), weights=cards.ravel(), minlength=len(p) * n
+            ).reshape(-1, n)
+        hits = shown[parent, value]
+        if hits.sum() != trials:  # some trials showed a value the law has no run for
+            shown[parent, value] = 0
+            j, x = np.argwhere(shown)[0]
+            seen = [f"{law.plan[i]}={law.labels[i][x]}"]
+            if i:
+                levels = law.parents[:i], law.values[:i]
+                seen.insert(0, _run_text(law.plan, law.labels, *levels, j))
+            raise InvariantError(f"a trial took the impossible run {', '.join(seen)}")
+        state = 1 + a * n + value
+    return law, hits

@@ -358,17 +358,25 @@ def _base_ensemble(fiducials: int, ensemble: int | None) -> int:
     return base
 
 
-# Sizes a run that draws both halves, though it holds one at a time (a stopped run fills a prefix).
+# Caps what a quantum run holds at once: its prefix, or, on the fallback, both halves.
 MAX_BORN_ENTRIES = 2**25  # float64 entries of a quantum K run's arrays: 268 MB
 
 
-def _check_born_entries(n: int, m: int, ensemble: int | None) -> None:
-    """A quantum run's ``2·ensemble`` rows of ``n·M`` Born probabilities and
-    its ``M`` complex ``n × n`` bases (``2·n²·M`` floats) must fit together."""
+def _quantum_head(n: int, m: int, ensemble: int | None) -> tuple[int, int, int]:
+    """``(base, c, head)``: the rows of each half of a quantum run, the
+    ceiling ``c = min(n**2, M*(n-1)+1)`` no rank exceeds, and the first-half
+    prefix ranked before any other row is drawn."""
     base = _base_ensemble(n * m, ensemble)
-    if 2 * base * n * m + 2 * n * n * m > MAX_BORN_ENTRIES:
+    ceiling = min(n * n, m * (n - 1) + 1)
+    return base, ceiling, min(base, ceiling + 16)
+
+
+def _check_born_entries(n: int, m: int, rows: int) -> None:
+    """``rows`` rows of ``n·M`` Born probabilities and the ``M`` complex
+    ``n × n`` bases (``2·n²·M`` floats) must fit together."""
+    if rows * n * m + 2 * n * n * m > MAX_BORN_ENTRIES:
         raise ValidationError(
-            f"2 * ensemble * n * M + 2 * n * n * M = 2 * {base} * {n * m} + 2 * {n * n} * {m} "
+            f"{rows} * n * M + 2 * n * n * M = {rows} * {n * m} + 2 * {n * n} * {m} "
             f"Born-matrix and basis entries exceed MAX_BORN_ENTRIES = {MAX_BORN_ENTRIES}"
         )
 
@@ -449,25 +457,28 @@ def estimate_k_quantum(
     n**2, the quantum reference value.  No rank exceeds ``c = min(n**2,
     M*(n-1)+1)``: a run stops once its first ``min(ensemble, c + 16)``
     states reach ``c``, and a rank above ``c`` raises ``ValidationError``.
+    ``MAX_BORN_ENTRIES`` bounds that prefix before any draw, and both halves
+    before the fallback draws them.
     """
     _check_tolerance(tol)
     m = n + 1 if num_bases is None else num_bases
     if n >= 2 and m >= 1:  # otherwise random_observable_set names the bad argument
-        _check_born_entries(n, m, ensemble)
+        _check_born_entries(n, m, _quantum_head(n, m, ensemble)[2])
     vectors = random_observable_set(n, m, rng=rng).vectors
-    base = _base_ensemble(n * m, ensemble)
-    ceiling = min(n * n, m * (n - 1) + 1)
-    head = min(base, ceiling + 16)  # the first-half prefix ranked before any other row
-    rows = np.empty((base, n * m))  # one half's Born rows; the halves take turns
+    base, ceiling, head = _quantum_head(n, m, ensemble)
+    prefix = np.empty((head, n * m))
     step = max(1, _DRAW_BLOCK // (n * m))
 
     def fill(part: np.ndarray) -> None:  # drawn a row block at a time
         for block in (part[i : i + step] for i in range(0, len(part), step)):
             born_rows(random_state_rows(n, len(block), rng), vectors, block)
 
-    fill(rows[:head])
-    rank = first_rank = matrix_rank_numeric(rows[:head], tol)
+    fill(prefix)
+    rank = first_rank = matrix_rank_numeric(prefix, tol)
     if rank < ceiling:
+        _check_born_entries(n, m, 2 * base)  # both halves, before either is drawn
+        rows = np.empty((base, n * m))  # one half's Born rows; the halves take turns
+        rows[:head] = prefix
         fill(rows[head:])
         factors = [np.linalg.qr(rows, mode="r")]
         fill(rows)
@@ -591,7 +602,7 @@ def k_sweep(
         _stream_id(kind, n, v)
         if kind == "quantum":
             _check_tolerance(tol)
-            _check_born_entries(n, v, ensemble)
+            _check_born_entries(n, v, _quantum_head(n, v, ensemble)[2])
         else:
             _check_draw_limits(n, v, max_multiplicity)
 

@@ -26,7 +26,6 @@ from dofcount import (
 )
 from dofcount.errors import DegenerateDrawError, ValidationError
 from dofcount.quantum import _MAX_BASIS_ATTEMPTS, _PIVOT_TOL
-from dofcount.sequences import SIMULATE_CHUNK, _chain_table
 
 settings.register_profile("default", max_examples=40, deadline=None)
 settings.register_profile("thorough", max_examples=200, deadline=None)
@@ -114,41 +113,36 @@ def simulate_by_presses(deck, plan, trials, rng):
     return counts
 
 
-def literal_chain_sampler(deck, plan, trials, rng):
-    """Draw-for-draw sampler oracle: the chain sampler before its run index.
+def literal_tree_sampler(deck, plan, trials, rng):
+    """Draw-for-draw sampler oracle: one ``multinomial`` per run, in plain loops.
 
-    Makes the same draws as ``simulate_plan``, one per step per chunk, but
-    finds each card with a binary search over every key and counts runs by
-    sorting their value codes.  Returns the ``Outcome``-tuple counts.
+    Walks the runs one step at a time, each level in lexicographic value
+    order.  A run shares its trials over the cards of its subdeck, read from
+    ``deck.entries`` (every card at the first press, else the cards showing
+    the run's last value), each at its count over the subdeck total, and
+    each card's share goes to the child run its face on the pressed
+    variable names.  Makes the same draws as ``simulate_plan``.  Returns the
+    ``Outcome``-tuple counts, zeros left out.
     """
-    flat, starts, totals = _chain_table(deck)
-    values = deck.arrays[0]
     spec = deck.spec
-    n, width = spec.values_per_variable, len(deck.entries)
-    pressed = [spec.variable_index(variable) for variable in plan]
-    radix = n ** np.arange(len(plan)) if n ** len(plan) <= np.iinfo(np.int64).max else None
-    runs = {}
-    for done in range(0, trials, SIMULATE_CHUNK):
-        size = min(SIMULATE_CHUNK, trials - done)
-        state = np.zeros(size, dtype=np.int64)
-        shown = np.empty((size, len(plan)), dtype=np.int64)
-        for i, a in enumerate(pressed):
-            picks = rng.integers_below(totals[state])
-            cards = np.searchsorted(flat, starts[state] + picks, side="right") - state * width
-            shown[:, i] = values[cards, a]
-            state = 1 + a * n + shown[:, i]
-        if radix is None:
-            rows, hits = np.unique(shown, axis=0, return_counts=True)
-        else:
-            _, first, hits = np.unique(shown @ radix, return_index=True, return_counts=True)
-            rows = shown[first]
-        for row, hit in zip(map(tuple, rows.tolist()), hits.tolist()):
-            runs[row] = runs.get(row, 0) + hit
-    labels = [spec.values_of(variable) for variable in plan]
-    return {
-        tuple(Outcome(v, labels[i][x]) for i, (v, x) in enumerate(zip(plan, row))): count
-        for row, count in runs.items()
-    }
+    level = {(): trials}
+    for i, variable in enumerate(plan):
+        children = {}
+        for run, hits in level.items():
+            cards = [
+                (card, count) for card, count in deck.entries
+                if not run or card.value(plan[i - 1]) == run[-1].value
+            ]
+            total = sum(count for _, count in cards)
+            shares = rng.multinomial(hits, [count / total for _, count in cards])
+            for (card, _), share in zip(cards, shares.tolist()):
+                child = (*run, Outcome(variable, card.value(variable)))
+                children[child] = children.get(child, 0) + share
+        level = dict(sorted(
+            children.items(),
+            key=lambda item: [spec.values_of(o.variable).index(o.value) for o in item[0]],
+        ))
+    return {run: hits for run, hits in level.items() if hits}
 
 
 def chain_counts(law, counts):

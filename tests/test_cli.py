@@ -365,7 +365,7 @@ class TestSimulateCommand:
         def no_draws(*args, **kwargs):
             raise AssertionError("drew despite the trial cap")
 
-        monkeypatch.setattr("dofcount.rng.RandomStream.integers_below", no_draws)
+        monkeypatch.setattr("dofcount.rng.RandomStream.multinomial", no_draws)
         argv = ["simulate", "--deck", deck_file, "--plan", "Suit", "--trials", str(10**8 + 1)]
         assert cli_main(argv) == 2
         captured = capsys.readouterr()
@@ -400,11 +400,11 @@ class TestSimulateCommand:
         [
             (REPO / "decks" / "cards4.json", "Suit,Face,Suit", 10_000, 7, "cards4_seed7"),  # README
             (DATA / "decks" / "weighted3.json", "Colour,Shape,Shape,Colour", 65_537, 5,
-             "weighted3_65537"),  # a full chunk, then one trial
+             "weighted3_65537"),  # a repeated switch on unequal multiplicities
             (DATA / "decks" / "large_mult.json", "Shape,Colour,Shape,Colour", 30_000, 3,
              "large_mult"),  # multiplicities near 2**40
         ],
-        ids=["readme", "two-chunks", "large-multiplicity"],
+        ids=["readme", "repeated-switch", "large-multiplicity"],
     )
     def test_matches_golden_file(self, capsysbinary, deck, plan, trials, seed, golden):
         argv = ["simulate", "--deck", str(deck), "--plan", plan, "--trials", str(trials),
@@ -488,10 +488,9 @@ def test_huge_sweep_range_is_not_listed(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["rank", "--system", "quantum", "--n", "2", "--ensemble", "1000000000"],
-        ["rank", "--system", "quantum", "--n", "64"],
+        ["rank", "--system", "quantum", "--n", "76"],
         ["rank", "--system", "quantum", "--n", "4", "--m", "10000000", "--ensemble", "1"],
-        ["sweep", "--systems", "quantum", "--n-range", "2..64", "--v-range", "1"],
+        ["sweep", "--systems", "quantum", "--n-range", "2..76", "--v-range", "1"],
     ],
 )
 def test_quantum_work_limit_fails_fast(capsys, monkeypatch, argv):
@@ -505,6 +504,17 @@ def test_quantum_work_limit_fails_fast(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert "MAX_BORN_ENTRIES" in captured.err
     assert captured.out == ""
+
+
+def test_huge_ensemble_that_stops_at_its_prefix_runs(capsys):
+    # a billion states a half would pass MAX_BORN_ENTRIES, but the first 20
+    # reach the ceiling n**2 = 4 and no other state is drawn
+    start = time.perf_counter()
+    argv = ["rank", "--system", "quantum", "--n", "2", "--ensemble", "1000000000"]
+    assert cli_main(argv) == 0
+    assert time.perf_counter() - start < 0.5
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[3] == "4" and row[6:8] == ["1000000000", "true"]
 
 
 # 16,384 output lines outgrow the pipe buffer, so the writer meets the closed end

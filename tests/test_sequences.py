@@ -13,9 +13,9 @@ from conftest import (
     chain_counts,
     deck_strategy,
     joint_card_frequency,
-    literal_chain_sampler,
     literal_pair_counts,
     literal_support_size,
+    literal_tree_sampler,
     simulate_by_presses,
     tree_sequence_distribution,
 )
@@ -45,13 +45,12 @@ from dofcount.errors import (
 from dofcount.sequences import (
     MAX_SEQUENCES,
     MAX_TRIALS,
-    SIMULATE_CHUNK,
-    _chain_table,
     _exact_dtype,
-    _guide_table,
     _pair_counts,
+    _subdeck_rows,
     _support_size,
 )
+from dofcount import sequences
 from dofcount.tomography import random_deck_ensemble
 
 
@@ -460,18 +459,24 @@ class TestSimulatePlan:
 
     def test_trial_cap_fails_before_any_draw(self, four_card_deck):
         class NoDraws:
-            def integers_below(self, upper, size=None):
+            def multinomial(self, trials, pvals):
                 raise AssertionError("drew despite the trial cap")
 
         with pytest.raises(ValidationError, match="100,000,000"):
             simulate_plan(four_card_deck, ("Suit",), MAX_TRIALS + 1, NoDraws())
 
-    def test_draw_past_state_total(self, four_card_deck):
+    @pytest.mark.parametrize("fault", ["lost_trial", "off_subdeck"])
+    def test_draw_off_its_run_or_subdeck(self, four_card_deck, fault):
+        # all of a run's trials on its first card, which after the first
+        # press is one the subdeck leaves out (its cards come last); or one
+        # trial fewer than the run holds
         class OverflowStream:
-            def integers_below(self, upper, size=None):
-                return upper
+            def multinomial(self, trials, pvals):
+                counts = np.zeros(np.shape(pvals), dtype=np.int64)
+                counts[:, 0] = trials - (fault == "lost_trial")
+                return counts
 
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="lost trials or left its subdeck"):
             simulate_plan(four_card_deck, ("Face", "Suit"), 10, OverflowStream())
 
     def test_deck_total_too_large_to_sample(self, four_card_spec):
@@ -481,7 +486,7 @@ class TestSimulatePlan:
 
     def test_support_limit_fails_before_any_draw(self, four_card_deck):
         class NoDraws:
-            def integers_below(self, upper, size=None):
+            def multinomial(self, trials, pvals):
                 raise AssertionError("drew despite the support limit")
 
         with pytest.raises(ValidationError, match=f"{MAX_SEQUENCES:,}"):
@@ -498,49 +503,83 @@ class TestSimulatePlan:
         assert law.probabilities == sequence_distribution(deck, plan).probabilities
         assert set(chain_counts(law, counts)) <= set(law.probabilities)
 
-    @given(
-        mult=st.sampled_from([3, 2**20, 2**40]),  # 2**40: guide buckets span cards
-        data=st.data(),
-    )
-    def test_counts_equal_literal_sampler(self, mult, data):
+    @given(mult=st.sampled_from([3, 2**20, 2**40]), data=st.data())
+    def test_counts_equal_literal_tree_sampler(self, mult, data):
         deck = data.draw(deck_strategy(max_multiplicity=mult))
         names = deck.spec.variable_names
         plan = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=5))
         plan += data.draw(st.lists(st.sampled_from(plan), max_size=2))  # repeat switches
+        trials = data.draw(st.sampled_from([1, 500, MAX_TRIALS]))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        law, counts = simulate_plan(deck, plan, 500, RandomStream(seed))
-        literal = literal_chain_sampler(deck, plan, 500, RandomStream(seed))
+        law, counts = simulate_plan(deck, plan, trials, RandomStream(seed))
+        literal = literal_tree_sampler(deck, plan, trials, RandomStream(seed))
         assert chain_counts(law, counts) == literal
 
-    @given(mult=st.sampled_from([3, 2**40]), data=st.data())
-    def test_guide_table_entries_hold_their_whole_bucket(self, mult, data):
-        deck = data.draw(deck_strategy(max_multiplicity=mult))
-        flat, _, _ = _chain_table(deck)
-        width = len(deck.entries)
-        shift, guide = _guide_table(flat, width)
-        assert len(guide) <= 2**16
-        assert ((len(guide) - 1) << shift) < flat[-1] <= len(guide) << shift
-        first = np.arange(len(guide), dtype=np.int64) << shift
-        last = np.minimum(first + ((1 << shift) - 1), flat[-1] - 1)
-        lo = np.searchsorted(flat, first, side="right")
-        hi = np.searchsorted(flat, last, side="right")
-        whole = guide >= 0  # -1 only costs a binary search; an entry must be exact
-        assert np.array_equal(lo[whole], hi[whole])
-        assert np.array_equal(guide[whole], lo[whole] % width)
-        if shift == 0:
-            assert whole.all()
+    @staticmethod
+    def check_subdeck_rows(deck):
+        # each state's cards: those its subdeck leaves out, then its own in
+        # deck order, each at its exact count over the subdeck total
+        order, probs = _subdeck_rows(deck)
+        entries = deck.entries
+        states = [None] + [(name, x) for name, labels in deck.spec.variables for x in labels]
+        assert order.shape == probs.shape == (len(states), len(entries))
+        for s, shown in enumerate(states):
+            inside = [shown is None or card.value(shown[0]) == shown[1] for card, _ in entries]
+            kept = [e for e, keep in enumerate(inside) if keep]
+            out = [e for e, keep in enumerate(inside) if not keep]
+            total = sum(entries[e][1] for e in kept)
+            assert order[s].tolist() == out + kept
+            assert probs[s].tolist() == [0.0] * len(out) + [entries[e][1] / total for e in kept]
 
-    def test_guide_buckets_spanning_cards_take_the_binary_search(self):
-        # 64 card types at up to 2**40: about 0.4% of the keys fall in a bucket
-        # whose first and last keys lie on different cards
-        deck = random_deck_ensemble(cardbox_spec(4, 3), 1, 2**40, RandomStream(5))[0]
-        flat, _, _ = _chain_table(deck)
-        shift, guide = _guide_table(flat, len(deck.entries))
-        assert shift > 0 and (guide < 0).any()
+    @given(mult=st.sampled_from([3, 2**40, 2**58]), data=st.data())
+    def test_subdeck_rows_are_correctly_rounded_quotients(self, mult, data):
+        self.check_subdeck_rows(data.draw(deck_strategy(max_multiplicity=mult)))
+
+    def test_probabilities_past_2_53_are_exact_quotients(self, four_card_spec):
+        # float64 rounds these counts, and its quotients of them differ from
+        # the correctly rounded ones the literal sampler divides out
+        mults = {("K", "S"): 83_500_729_682_837_222, ("K", "H"): 238_588_084_458_565_389,
+                 ("Q", "S"): 272_102_861_388_707_076}
+        deck = Deck.from_counts(four_card_spec, mults)
+        total = deck.total
+        assert [m / total for m in mults.values()] != [float(m) / float(total) for m in mults.values()]
+        self.check_subdeck_rows(deck)
+        plan = ("Face", "Suit", "Face", "Suit")
+        law, counts = simulate_plan(deck, plan, MAX_TRIALS, RandomStream(29))
+        literal = literal_tree_sampler(deck, plan, MAX_TRIALS, RandomStream(29))
+        assert chain_counts(law, counts) == literal
+
+    @pytest.mark.parametrize("runs", [1, 2, 7])
+    def test_draws_do_not_depend_on_the_draw_block(self, monkeypatch, runs):
+        # blocks of 1, 2 or 7 runs of 23 cards; the steps hold 1, 3, 9 and
+        # 27 runs, so block edges fall inside every step after the first
+        deck = random_deck_ensemble(cardbox_spec(3, 3), 1, 3, RandomStream(8))[0]
         plan = ("var1", "var2", "var1", "var3")
-        law, counts = simulate_plan(deck, plan, 20_000, RandomStream(23))
-        literal = literal_chain_sampler(deck, plan, 20_000, RandomStream(23))
-        assert chain_counts(law, counts) == literal
+        _, whole = simulate_plan(deck, plan, 50_000, RandomStream(19))
+        monkeypatch.setattr(sequences, "_DRAW_BLOCK", runs * len(deck.entries))
+        _, blocked = simulate_plan(deck, plan, 50_000, RandomStream(19))
+        assert np.array_equal(blocked, whole)
+
+    def test_draws_do_not_depend_on_the_trial_count(self):
+        # one multinomial row per run of the law, whatever the trials
+        class CountingStream:
+            def __init__(self):
+                self.rng, self.shapes = RandomStream(3), []
+
+            def multinomial(self, trials, pvals):
+                self.shapes.append(np.shape(pvals))
+                return self.rng.multinomial(trials, pvals)
+
+        deck = random_deck_ensemble(cardbox_spec(4, 3), 1, 3, RandomStream(5))[0]
+        plan = ("var1", "var2", "var1")
+        law = sequence_distribution(deck, plan)
+        streams = []
+        for trials in (10**3, 10**8):
+            streams.append(CountingStream())
+            simulate_plan(deck, plan, trials, streams[-1])
+        assert streams[0].shapes == streams[1].shapes
+        runs = [1, *map(len, law.values[:-1])]
+        assert streams[0].shapes == [(count, len(deck.entries)) for count in runs]
 
     @given(deck=deck_strategy(), data=st.data())
     def test_immediate_repress_repeats(self, deck, data):
@@ -551,16 +590,6 @@ class TestSimulatePlan:
         law, counts = simulate_plan(deck, plan, 200, RandomStream(data.draw(st.integers(0, 99))))
         for run in chain_counts(law, counts):
             assert run[at] == run[at + 1]
-
-    @pytest.mark.parametrize("trials", [SIMULATE_CHUNK - 1, SIMULATE_CHUNK, SIMULATE_CHUNK + 1])
-    def test_chunk_boundary_sums_and_reruns(self, weighted_deck, trials):
-        plan = ("Face", "Suit", "Face")
-        _, first = simulate_plan(weighted_deck, plan, trials, RandomStream(21, 3))
-        law, again = simulate_plan(weighted_deck, plan, trials, RandomStream(21, 3))
-        assert first.sum() == trials
-        assert np.array_equal(first, again)
-        literal = literal_chain_sampler(weighted_deck, plan, trials, RandomStream(21, 3))
-        assert chain_counts(law, first) == literal
 
     def test_holds_one_step_child_table_at_a_time(self):
         # 30 presses on a 128-position urn: a table per step held at once

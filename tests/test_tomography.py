@@ -361,7 +361,7 @@ class TestDrawLimits:
             (([2, 10], [8], ["cardbox"]), 2),  # (10, 8) comes after (2, 8)
             (([2, 5000], [1], ["quantum", "urn"]), 2),  # urn of 5,000 positions
             (([2], [1], ["quantum", "urn"]), 2**63),  # quantum cells come first
-            (([2, 36], [1], ["quantum"]), 2),  # n=36 passes MAX_BORN_ENTRIES
+            (([2, 76], [1], ["quantum"]), 2),  # n=76's prefix passes MAX_BORN_ENTRIES
         ],
     )
     def test_sweep_checks_every_cell_before_any_work(self, monkeypatch, cells, max_mult):
@@ -946,31 +946,69 @@ class TestBlockedQuantumRun:
         assert peak < 16 * 2**20, f"peak traced memory {peak:,} bytes"
 
 
+class Drew(Exception):
+    pass
+
+
 class TestBornEntryLimit:
     def test_limit_admits_its_boundary(self, monkeypatch):
-        class Drew(Exception):
-            pass
-
         def drew(*args, **kwargs):
             raise Drew
 
         monkeypatch.setattr(tomography, "random_observable_set", drew)
-        # n = M = 32: 2 * (2**14 - 32) rows of 32 * 32 Born entries plus the
-        # bases' 2 * 32**2 * 32 floats are exactly MAX_BORN_ENTRIES
+        # n = 2 at ensemble 4, the whole prefix: 4 rows of 2 * M Born entries
+        # plus the bases' 2 * 2**2 * M floats are exactly MAX_BORN_ENTRIES at
+        # M = 2**21
         with pytest.raises(Drew):
-            estimate_k_quantum(32, 32, ensemble=2**14 - 32, rng=RandomStream(0))
+            estimate_k_quantum(2, 2**21, ensemble=4, rng=RandomStream(0))
         with pytest.raises(ValidationError, match="MAX_BORN_ENTRIES"):
-            estimate_k_quantum(32, 32, ensemble=2**14 - 31, rng=RandomStream(0))
-        # n = 4 at ensemble 1: the bases hold 32 * M of the 40 * M entries
-        with pytest.raises(Drew):
-            estimate_k_quantum(4, 838_860, ensemble=1, rng=RandomStream(0))
-        with pytest.raises(ValidationError, match="MAX_BORN_ENTRIES"):
-            estimate_k_quantum(4, 838_861, ensemble=1, rng=RandomStream(0))
-        for n in (32, 35):  # default ensembles: 22.4M and 31.8M entries
+            estimate_k_quantum(2, 2**21 + 1, ensemble=4, rng=RandomStream(0))
+        # default ensembles size only their n**2 + 16 row prefix before any
+        # draw: 33.0M entries at n = 75 and 34.8M at n = 76
+        for n in (32, 36, 75):
             with pytest.raises(Drew):
                 estimate_k_quantum(n, rng=RandomStream(0))
         with pytest.raises(ValidationError, match="MAX_BORN_ENTRIES"):
-            estimate_k_quantum(36, rng=RandomStream(0))
+            estimate_k_quantum(76, rng=RandomStream(0))
+
+    @pytest.mark.parametrize("ensemble, refused", [(39_925, False), (39_926, True)])
+    def test_fallback_sizes_both_halves_before_drawing_them(self, monkeypatch, ensemble, refused):
+        # n = 20, M = 21 (c = 400): the 416-row prefix fits, and is one state.
+        # 2 * 39,925 rows of 420 Born entries plus the bases' 2 * 20**2 * 21
+        # floats are the most that fit
+        n, m = 20, 21
+        head = quantum_head(n, m, ensemble)
+        drawn = []
+
+        def record(n, count, rng):
+            if sum(drawn) == head:  # the first state past the prefix
+                raise Drew
+            drawn.append(count)
+            return random_state_rows(n, count, rng)
+
+        monkeypatch.setattr(tomography, "random_state_rows", record)
+        rng = StuckStatesStream(0, n, m, head)
+        with pytest.raises(ValidationError if refused else Drew):
+            estimate_k_quantum(n, m, ensemble=ensemble, rng=rng)
+        assert sum(drawn) == head
+
+    def test_fallback_past_the_limit_exits_2(self, monkeypatch, capsys):
+        n, ensemble = 20, 39_926
+        head = quantum_head(n, None, ensemble)
+        rng = StuckStatesStream(0, n, n + 1, head)
+        monkeypatch.setattr("dofcount.cli.RandomStream", lambda seed: rng)
+        argv = ["rank", "--system", "quantum", "--n", str(n), "--ensemble", str(ensemble)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert "MAX_BORN_ENTRIES" in captured.err and captured.out == ""
+        # the bases' entries and the prefix's states, no state of the halves
+        assert rng._at == 2 * n * n * (n + 1) + 2 * n * head
+
+    def test_default_ensemble_at_n_36_stops_at_its_prefix(self, capsys):
+        argv = ["rank", "--system", "quantum", "--n", "36"]
+        assert cli_main(argv) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[1:4] == ["36", "37", "1296"] and row[7] == "true"
 
 
 class TestKSweep:
