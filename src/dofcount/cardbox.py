@@ -226,6 +226,21 @@ class Deck:
         return values, counts
 
     @cached_property
+    def chain_weights(self) -> np.ndarray:
+        """Per-card multiplicities of every state of the press chain.
+
+        State 0 is the full deck, state ``1 + a*N + x`` the subdeck kept after
+        variable ``a`` showed value ``x``.  Row ``s`` of this read-only ``(1 +
+        V*N, E)`` object array holds each card's exact multiplicity in state
+        ``s``, in canonical deck order, 0 for cards the state leaves out.
+        """
+        values, counts = self.arrays
+        keep = values.T[:, None, :] == np.arange(self.spec.values_per_variable)[:, None]
+        weights = np.vstack([counts, (keep * counts).reshape(-1, len(counts))])
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
     def _indices(self) -> list[tuple[int, ...]]:  # each entry's value indices
         return [_card_index(self.spec, card) for card, _ in self.entries]
 

@@ -44,7 +44,7 @@ class RandomStream:
         ``upper`` is one bound drawn ``size`` times, or an int array of
         bounds with one draw below each.
         """
-        if np.any(np.asarray(upper) <= 0):
+        if upper <= 0 if isinstance(upper, int) else np.any(np.asarray(upper) <= 0):
             raise ValueError("upper must be positive")
         return self._gen.integers(0, upper, size=size)
 

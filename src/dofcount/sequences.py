@@ -17,7 +17,7 @@ each machine-checkable:
 The subdeck is rebuilt from the full deck on every press, so the device is
 a Markov chain on the last (variable, value) shown.  Every result here
 comes from one statement of that chain, the per-card weights of each chain
-state (:func:`_chain_weights`) and the pair counts built from them
+state (``Deck.chain_weights``) and the pair counts built from them
 (:func:`_pair_counts`).  Ground truth is the exact chain product,
 expanded one plan step at a time over integer arrays that cannot wrap
 (:func:`_exact_dtype`); ``Fraction`` values are made only when a caller
@@ -52,7 +52,6 @@ from .rng import RandomStream
 MAX_TRIALS = 10**8
 # Most positive-probability runs ``sequence_distribution`` will expand.
 MAX_SEQUENCES = 2**18
-_INT64_MAX = np.iinfo(np.int64).max
 # Card entries of one multinomial call: a step's arrays stay this size whatever the run.
 _DRAW_BLOCK = 2**12
 
@@ -122,20 +121,6 @@ def _run_text(plan, labels, parents, values, index: int) -> str:
     return ", ".join(f"{plan[i]}={labels[i][x]}" for i, x in enumerate(run))
 
 
-def _chain_weights(deck: Deck) -> np.ndarray:
-    """Per-card multiplicities of every chain state, exact Python ints.
-
-    State 0 is the full deck; state ``1 + a*N + x`` is the subdeck kept
-    after variable ``a`` showed value ``x``.  Row ``s`` of the
-    ``(1 + V*N, E)`` object array gives each card's multiplicity in that
-    state's subdeck, in canonical deck order (0 for cards it leaves out).
-    """
-    values, counts = deck.arrays
-    n = deck.spec.values_per_variable
-    keep = values.T[:, None, :] == np.arange(n)[:, None]  # (V, N, E)
-    return np.vstack([counts, (keep * counts).reshape(-1, len(counts))])
-
-
 def _exact_dtype(total: int, power: int = 1):
     """``np.int64`` when every integer up to ``total**power`` fits, else ``object``.
 
@@ -148,7 +133,7 @@ def _exact_dtype(total: int, power: int = 1):
 def _pair_counts(deck: Deck) -> np.ndarray:
     """``C[s, b*N + y]``: multiplicity of chain state ``s``'s cards showing b=y.
 
-    Row ``s`` is chain state ``s`` (:func:`_chain_weights`): row 0, the
+    Row ``s`` is chain state ``s`` (``Deck.chain_weights``): row 0, the
     full deck, holds the single counts ``n_b(y)``, and row ``1 + a*N + x``
     the cards showing a=x and b=y.  Pressing ``b`` in state ``s`` shows
     ``y`` with probability ``C[s, b*N + y]`` over the state's total.  No
@@ -156,7 +141,7 @@ def _pair_counts(deck: Deck) -> np.ndarray:
     ``(1 + V*N, V*N)`` array is int64 whenever :func:`_exact_dtype` admits
     the total.
     """
-    weights = _chain_weights(deck).astype(_exact_dtype(deck.total))
+    weights = deck.chain_weights.astype(_exact_dtype(deck.total))
     return weights @ (weights[1:] > 0).T
 
 
@@ -373,14 +358,14 @@ def _subdeck_rows(deck: Deck) -> tuple[np.ndarray, np.ndarray]:
     """Every chain state's cards and card probabilities: ``(order, probs)``.
 
     Row ``s`` of ``order`` lists the card indices, first those chain state
-    ``s``'s subdeck leaves out (see :func:`_chain_weights`), then its own
+    ``s``'s subdeck leaves out (see ``Deck.chain_weights``), then its own
     in canonical deck order; row ``s`` of ``probs`` gives each card's
     multiplicity over the subdeck total, correctly rounded.  A card of
     probability 0 ahead of the subdeck takes no multinomial draw, and the
     remainder, the last column, lands on a subdeck card.  A state no card
     reaches keeps a row of zeros.
     """
-    weights = _chain_weights(deck)  # Python ints: each quotient is rounded once
+    weights = deck.chain_weights  # Python ints: each quotient is rounded once
     probs = (weights / np.maximum(weights.sum(axis=1), 1)[:, None]).astype(float)
     order = np.argsort(probs > 0, axis=1, kind="stable")
     return order, np.take_along_axis(probs, order, axis=1)
@@ -415,11 +400,6 @@ def simulate_plan(
     if deck.is_empty:
         raise EmptyDeckError("cannot simulate an empty deck")
     spec = deck.spec
-    if (1 + spec.num_variables) * deck.total > _INT64_MAX:
-        raise ValidationError(
-            f"deck total {deck.total} is too large to sample: "
-            f"(V+1) * total must stay below 2**63"
-        )
     law = sequence_distribution(deck, plan)
     order, probs = _subdeck_rows(deck)
     n, width = spec.values_per_variable, len(deck.entries)

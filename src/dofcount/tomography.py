@@ -19,15 +19,16 @@ Two counts are always reported side by side:
 
 Both counts grow with the number of variables V at fixed N, which is the
 point: K is not a function of N alone.  Classical ranks are computed with
-fraction-free integer Gaussian elimination on count rows (no tolerances).
-Every count row is checked to satisfy the V-1 normalization equations, which
-proves the ceiling V*(N-1)+1, so a classical ensemble stops drawing once its
-rank reaches it.  Its rows are drawn on demand: a first block of ceiling+1
-rows, then blocks that double up to 65,536 multiplicities each.  Quantum
-ranks count singular values above a threshold, and stop once a prefix
-reaches their ceiling min(n**2, M*(n-1)+1).  Otherwise each half of the Born
-matrix is filled in row blocks, one real GEMM each, and reduced once to the
-R factor of its QR factorization, whose stack has the singular values of all rows.
+fraction-free integer Gaussian elimination (no tolerances) on count rows, a
+random deck's multiplicities summed per value of each variable.  Every row
+is checked to satisfy the V-1 normalization equations, which proves the
+ceiling V*(N-1)+1, so a classical ensemble stops drawing once its rank
+reaches it.  Its rows are drawn on demand: a first block of ceiling+1 rows,
+then blocks that double up to 65,536 multiplicities each.  Quantum ranks
+count singular values above a threshold, and stop once a prefix reaches
+their ceiling min(n**2, M*(n-1)+1).  Otherwise each half of the Born matrix
+is filled in row blocks, one real GEMM each, and reduced once to the R
+factor of its QR factorization, whose stack has the singular values of all rows.
 """
 
 from __future__ import annotations
@@ -132,7 +133,9 @@ def _multiplicity_draws(
     remaining = count
     while remaining:
         block = rng.integers_below(max_multiplicity + 1, size=(min(remaining, block_rows), types))
-        block = block[block.any(axis=1)]
+        drawn = block.any(axis=1)
+        if not drawn.all():
+            block = block[drawn]
         remaining -= len(block)
         block_rows = min(2 * block_rows, cap)
         yield block
@@ -153,6 +156,25 @@ def random_deck_ensemble(
     ]
 
 
+def _value_counts(block: np.ndarray, n: int, v: int) -> np.ndarray:
+    """Per-variable value counts of multiplicity rows in ``all_cards`` order.
+
+    Column ``i*N + x`` sums a row over the card types that show value ``x``
+    of variable ``i``.  The first variable is the slowest axis of that order:
+    rows reshaped to ``(r, N, N**(V-1))`` give its counts summed over the
+    last axis, and the other variables' rows summed over the middle one.
+    Exact in int64; every shape is explicit, so an empty block gives ``(0, V*N)``.
+    """
+    r = len(block)
+    counts, rest = [], block
+    for i in range(v - 1):
+        split = rest.reshape(r, n, n ** (v - 1 - i))
+        counts.append(split.sum(axis=2))
+        rest = split.sum(axis=1)
+    counts.append(rest)  # (r, N): the last variable's own counts
+    return np.concatenate(counts, axis=1)
+
+
 def _count_rows(
     spec: SystemSpec,
     count: int,
@@ -162,18 +184,17 @@ def _count_rows(
 ) -> Iterator[list[int]]:
     """Per-variable value counts of random decks, one row per deck as drawn.
 
-    Row ``e`` is ``deck.total * fiducial_vector_cardbox(deck)`` for the
-    ``e``-th deck ``random_deck_ensemble`` draws from the same stream, so
-    the rows span the same space as the fiducial vectors.  Rows are drawn,
-    counted and checked one ``_multiplicity_draws`` block at a time (the
-    first ``first_block`` rows, then doubling), so a caller that stops
-    early leaves the later blocks undrawn.
+    Row ``e`` is the ``e``-th deck ``random_deck_ensemble`` draws from the
+    same stream, its multiplicities summed per value (:func:`_value_counts`):
+    ``deck.total * fiducial_vector_cardbox(deck)``, so the rows span the same
+    space as the fiducial vectors.  Rows are drawn, counted and checked one
+    ``_multiplicity_draws`` block at a time (the first ``first_block`` rows,
+    then doubling), so a caller that stops early leaves the later blocks undrawn.
     """
-    indicator = _indicator_matrix(spec)
-    shape = (-1, spec.num_variables, spec.values_per_variable)
+    n, v = spec.values_per_variable, spec.num_variables
     for block in _multiplicity_draws(spec, count, max_multiplicity, rng, first_block):
-        counts = block @ indicator
-        if (counts.reshape(shape).sum(axis=2) != block.sum(axis=1)[:, None]).any():
+        counts = _value_counts(block, n, v)
+        if (counts.reshape(len(block), v, n).sum(axis=2) != block.sum(axis=1)[:, None]).any():
             raise InvariantError("a count row's value blocks do not all sum to the deck total")
         yield from counts.tolist()
 
@@ -279,15 +300,6 @@ def matrix_rank_numeric(rows, tol: float = RANK_TOL) -> int:
     return int(np.sum(singular > tol * singular[0]))
 
 
-def _indicator_matrix(spec: SystemSpec) -> np.ndarray:
-    """Rows are the unnormalized fiducial vectors of the single-card decks."""
-    n = spec.values_per_variable
-    v = spec.num_variables
-    types = card_type_count(n, v)
-    combos = np.indices((n,) * v).reshape(v, types).T  # all_cards order
-    return np.eye(n, dtype=np.int64)[combos].reshape(types, v * n)
-
-
 def exhaustive_fiducial_rank(
     spec: SystemSpec,
     max_multiplicity: int = 2,
@@ -307,23 +319,20 @@ def exhaustive_fiducial_rank(
     """
     if max_multiplicity < 1:
         raise ValidationError("max_multiplicity must be at least 1")
-    indicator = _indicator_matrix(spec)
-    num_card_types = indicator.shape[0]
+    n, v = spec.values_per_variable, spec.num_variables
+    num_card_types = card_type_count(n, v)
     num_decks = (max_multiplicity + 1) ** num_card_types - 1
     if num_decks <= enumeration_limit:
         mults = np.array(
             list(itertools.product(range(max_multiplicity + 1), repeat=num_card_types)),
             dtype=np.int64,
         )[1:]  # drop the all-zero deck
-        counts = mults @ indicator
+        counts = _value_counts(mults, n, v)
         counts //= np.gcd.reduce(counts, axis=1)[:, None]
         rows = np.unique(counts, axis=0)
     else:
-        rows = indicator
-    basis = ExactRowBasis(indicator.shape[1])
-    for row in rows:
-        basis.add(row.tolist())
-    return basis.rank
+        rows = _value_counts(np.eye(num_card_types, dtype=np.int8), n, v)  # one card each
+    return matrix_rank_exact(rows.tolist())
 
 
 @dataclass(frozen=True)
@@ -395,18 +404,14 @@ def _estimate_k_classical(
     # block is just large enough to reach it.
     ceiling = fiducials - (spec.num_variables - 1)
     base = _base_ensemble(fiducials, ensemble)
-    rows = _count_rows(spec, 2 * base, max_multiplicity, rng, first_block=ceiling + 1)
     basis = ExactRowBasis(fiducials)
-
-    def feed(count: int) -> None:
-        for row in itertools.islice(rows, count):
-            if basis.add(row) and basis.rank == ceiling:
-                return
-
-    feed(base)
-    first_rank = basis.rank
-    if first_rank < ceiling:
-        feed(base)
+    first_rank = ceiling  # the base ensemble's rank, unless it ends short of the ceiling
+    rows = _count_rows(spec, 2 * base, max_multiplicity, rng, first_block=ceiling + 1)
+    for fed, row in enumerate(rows, 1):
+        if basis.add(row) and basis.rank == ceiling:
+            break
+        if fed == base:
+            first_rank = basis.rank
     return KReport(
         kind=kind,
         n=spec.values_per_variable,

@@ -140,6 +140,21 @@ class TestDeck:
         with pytest.raises(ValueError):
             counts[0] = 0  # the cached view is read-only
 
+    @given(deck=deck_strategy(max_multiplicity=2**70))
+    def test_chain_weights_are_the_literal_subdecks(self, deck):
+        # row 0 the full deck, then for each variable and value the subdeck
+        # filter_deck keeps, as each card's multiplicity (0 if left out)
+        expected = [[count for _, count in deck.entries]]
+        for variable, values in deck.spec.variables:
+            for value in values:
+                kept = dict(filter_deck(deck, variable, value).entries)
+                expected.append([kept.get(card, 0) for card, _ in deck.entries])
+        weights = deck.chain_weights
+        assert weights.tolist() == expected
+        assert deck.chain_weights is weights  # built once per deck
+        with pytest.raises(ValueError):
+            weights[0, 0] = 0
+
 
 class TestFilterDeck:
     def test_uniform_filter_suit(self, four_card_deck, four_card_spec):

@@ -479,10 +479,23 @@ class TestSimulatePlan:
         with pytest.raises(InvariantError, match="lost trials or left its subdeck"):
             simulate_plan(four_card_deck, ("Face", "Suit"), 10, OverflowStream())
 
-    def test_deck_total_too_large_to_sample(self, four_card_spec):
-        deck = Deck.from_counts(four_card_spec, {("K", "S"): 2**62})
-        with pytest.raises(ValidationError, match="too large"):
-            simulate_plan(deck, ("Face",), 1, RandomStream(0))
+    @pytest.mark.parametrize("mults", [
+        {("K", "S"): 2**62},
+        {("K", "S"): 2**61, ("K", "H"): 2**60, ("Q", "S"): 2**60},
+    ])
+    def test_deck_total_of_2_62_is_sampled(self, four_card_spec, mults):
+        # (V+1) * total = 3 * 2**62 is past int64, but the sampler never
+        # forms it: each card's probability is a quotient of Python ints
+        deck = Deck.from_counts(four_card_spec, mults)
+        assert deck.total == 2**62
+        plan = ("Face", "Suit", "Face")
+        law, counts = simulate_plan(deck, plan, 10_000, RandomStream(0))
+        exact = tree_sequence_distribution(deck, plan)
+        assert law.probabilities == exact
+        assert counts.sum() == 10_000
+        hits = chain_counts(law, counts)
+        assert set(hits) <= {run for run, p in exact.items() if p > 0}
+        assert hits == literal_tree_sampler(deck, plan, 10_000, RandomStream(0))
 
     def test_support_limit_fails_before_any_draw(self, four_card_deck):
         class NoDraws:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -203,6 +203,41 @@ class TestCountRows:
         if n ** v == 2:
             assert redrawn > 0  # the redraw rule was exercised
 
+    @given(
+        n=st.integers(2, 4), v=st.integers(1, 3), max_mult=st.integers(1, 3),
+        count=st.integers(1, 60), first_block=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, v=1, max_mult=1, count=40, first_block=1, seed=5)  # its first block is empty
+    def test_rows_match_literal_decks(self, n, v, max_mult, count, first_block, seed):
+        spec = cardbox_spec(n, v)
+        decks, _ = literal_random_decks(spec, count, max_mult, RandomStream(seed))
+        rows = tomography._count_rows(spec, count, max_mult, RandomStream(seed), first_block)
+        assert list(rows) == [count_row(deck) for deck in decks]
+
+    def test_empty_block_counts_to_no_rows(self):
+        # at N=2, V=1, max 1 and seed 5 the one-row first block is drawn all
+        # zero, so nothing of it is left to count
+        block = next(tomography._multiplicity_draws(cardbox_spec(2, 1), 40, 1, RandomStream(5), 1))
+        assert block.shape == (0, 2)
+        assert tomography._value_counts(block, 2, 1).shape == (0, 2)
+        assert tomography._value_counts(np.zeros((0, 27), np.int64), 3, 3).shape == (0, 9)
+
+    def test_first_row_of_the_widest_urn_is_small(self):
+        # the first block of urn(4,096) holds 16 rows of 4,096 multiplicities;
+        # counting it through a 4,096 x 4,096 indicator matrix peaked at 257 MiB
+        spec = urn_as_cardbox(MAX_CARD_TYPES)
+        tracemalloc.start()
+        try:
+            rows = tomography._count_rows(
+                spec, 20 * MAX_CARD_TYPES, 2, RandomStream(0), MAX_CARD_TYPES + 1
+            )
+            row = next(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(row) == MAX_CARD_TYPES and sum(row) > 0
+        assert peak < 16 * 2**20, f"peak traced memory {peak:,} bytes"
+
     @pytest.mark.parametrize("block", [1, 7, 2**16])
     def test_draws_do_not_depend_on_block_size(self, monkeypatch, block):
         # urn and card-box shapes; first blocks below, at and past the cap
@@ -313,10 +348,16 @@ class TestCountRows:
 
     def test_unbalanced_row_is_an_invariant_error(self, monkeypatch):
         # a count row whose value blocks disagree on the deck total
-        broken = tomography._indicator_matrix(cardbox_spec(2, 2)).copy()
-        broken[3, 1] = 0  # card (val2, val2) no longer counts for var1
-        monkeypatch.setattr(tomography, "_indicator_matrix", lambda spec: broken)
-        with pytest.raises(InvariantError, match="deck total"):
+        value_counts = tomography._value_counts
+
+        def unbalanced(block, n, v):
+            counts = value_counts(block, n, v)
+            counts[:, 1] -= block[:, 3]  # card (val2, val2) no longer counts for var1
+            return counts
+
+        monkeypatch.setattr(tomography, "_value_counts", unbalanced)
+        message = "a count row's value blocks do not all sum to the deck total"
+        with pytest.raises(InvariantError, match=f"^{message}$"):
             estimate_k_cardbox(cardbox_spec(2, 2), rng=RandomStream(0))
 
 
@@ -324,16 +365,18 @@ class TestDrawLimits:
     def test_card_type_limit_admits_its_boundary(self):
         spec = cardbox_spec(2, 12)
         assert MAX_CARD_TYPES == 2**12 == len(all_cards(spec))
-        assert tomography._indicator_matrix(spec).shape == (2**12, 24)
+        assert tomography._check_draw_limits(2, 12, 2) == 2**12
 
     @pytest.mark.parametrize(
         "build",
         [
             lambda spec: all_cards(spec),
             lambda spec: uniform_deck(spec),
-            lambda spec: tomography._indicator_matrix(spec),
+            lambda spec: tomography._check_draw_limits(spec.values_per_variable,
+                                                       spec.num_variables, 2),
             lambda spec: random_deck_ensemble(spec, 1, 2, RandomStream(0)),
             lambda spec: estimate_k_cardbox(spec, rng=RandomStream(0)),
+            lambda spec: exhaustive_fiducial_rank(spec),
         ],
     )
     @pytest.mark.parametrize("n, v", [(10, 8), (2, 13), (3, 8)])
@@ -1077,6 +1120,16 @@ class TestKSweep:
                 "--v-range", "1..4", "--seed", "42", *flags]
         assert cli_main(argv) == 0
         expected = (DATA / f"sweep_classical_n2-5_v1-4_seed42.{suffix}").read_text()
+        assert capsys.readouterr().out == expected
+
+    def test_wide_classical_sweep_matches_golden_csv(self, capsys):
+        # V = 5..6 covers the benchmark's N=3, V=6 cell and N**V = 4**6 =
+        # MAX_CARD_TYPES, whose draws span several blocks; the file was made
+        # when count rows were an indicator-matrix product
+        argv = ["sweep", "--systems", "cardbox,urn", "--n-range", "2..4",
+                "--v-range", "5..6", "--seed", "42"]
+        assert cli_main(argv) == 0
+        expected = (DATA / "sweep_classical_n2-4_v5-6_seed42.csv").read_text()
         assert capsys.readouterr().out == expected
 
     def test_quantum_sweep_matches_golden_csv(self, capsys):
