@@ -86,10 +86,10 @@ def _resolve_seed(value: int | None) -> int:
 
 def _load_deck(path: str):
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            return parse_deck_file(file.read())
     except OSError as exc:
         raise ValidationError(f"cannot read deck file {path}: {exc}")
-    return parse_deck_file(data)
 
 
 def _parse_plan(text: str) -> tuple[str, ...]:
@@ -304,12 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed(p)
     p.set_defaults(func=_cmd_sweep)
 
+    parser.commands = commands.choices  # subcommand name -> its own parser
     return parser
 
 
 def cli_main(argv=None) -> int:
+    """A known subcommand's argv goes straight to its own parser, scanned once; any other argv
+    to the top-level parser.  Output, messages and exit codes are the same either way."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        command = build_parser().commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code) if exc.code else 0

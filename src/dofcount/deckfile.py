@@ -14,10 +14,11 @@ are merged by summing their counts (a deck is a multiset).
 from __future__ import annotations
 
 import json
+import operator
 from typing import Union
 
 from .cardbox import Card, Deck, SystemSpec
-from .errors import MalformedJsonError, SchemaViolationError, ValidationError
+from .errors import InvariantError, MalformedJsonError, SchemaViolationError, ValidationError
 
 _TOP_KEYS = {"variables", "cards"}
 _VARIABLE_KEYS = {"name", "values"}
@@ -26,11 +27,9 @@ _CARD_KEYS = {"assignment", "count"}
 
 def parse_deck_file(data: Union[bytes, str]) -> tuple[SystemSpec, Deck]:
     """Parse and validate a deck document; errors name the offending field."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, too many digits
         raise MalformedJsonError(f"not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict):
@@ -75,19 +74,30 @@ def _parse_variables(raw) -> SystemSpec:
 
 
 def _parse_cards(raw, spec: SystemSpec) -> Deck:
+    """Cards by one ``itemgetter`` over the variable names and one dict lookup per value; only
+    a card that fails it goes through the field-by-field checks, which name its first fault."""
     if not isinstance(raw, list) or not raw:
         raise SchemaViolationError("cards", "must be a nonempty array")
-    positions = tuple(zip(spec.variable_names, spec._value_positions))
+    names, positions = spec.variable_names, spec._value_positions
+    read = operator.itemgetter(*names, names[0])  # a tuple even for V = 1; map stops at V
     counts: dict[tuple[int, ...], int] = {}  # value indices -> count
     for i, item in enumerate(raw):
+        try:  # exactly the two keys, every variable once and a count >= 1 (bool is no int)
+            assignment, count = item["assignment"], item["count"]
+            index = tuple(map(dict.__getitem__, positions, read(assignment)))
+            valid = len(item) == 2 and len(assignment) == len(names) and type(count) is int
+        except (KeyError, TypeError):  # a missing key, variable or value, or not an object
+            valid = False
+        if valid and count > 0:
+            counts[index] = counts.get(index, 0) + count
+            continue
         where = f"cards[{i}]"
         if not isinstance(item, dict):
             raise SchemaViolationError(where, "must be an object")
         for key in item:
             if key not in _CARD_KEYS:
                 raise SchemaViolationError(f"{where}.{key}", "unknown key")
-        assignment = item.get("assignment")
-        count = item.get("count")
+        assignment, count = item.get("assignment"), item.get("count")
         if not isinstance(assignment, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in assignment.items()
         ):
@@ -96,13 +106,11 @@ def _parse_cards(raw, spec: SystemSpec) -> Deck:
             )
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise SchemaViolationError(f"{where}.count", "must be an integer >= 1")
-        index = tuple(values.get(assignment.get(name)) for name, values in positions)
-        if None in index or len(assignment) != len(positions):
-            try:  # Card names the assignment's first fault, in its own order
-                Card.from_assignment(spec, assignment)
-            except ValidationError as exc:
-                raise SchemaViolationError(f"{where}.assignment", str(exc)) from exc
-        counts[index] = counts.get(index, 0) + count
+        try:  # the fault is the assignment's: Card names its first one, in its own order
+            Card.from_assignment(spec, assignment)
+        except ValidationError as exc:
+            raise SchemaViolationError(f"{where}.assignment", str(exc)) from exc
+        raise InvariantError(f"{where} failed the lookup but passes every check")
     return Deck._from_indices(spec, counts)
 
 

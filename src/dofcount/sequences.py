@@ -15,17 +15,17 @@ each machine-checkable:
   models (``find_classicality_witness``).
 
 The subdeck is rebuilt from the full deck on every press, so the device is
-a Markov chain on the last (variable, value) shown.  Every result here
-comes from one statement of that chain, the per-card weights of each chain
+a Markov chain on the last (variable, value) shown.  The law and sampler
+come from one statement of that chain, the per-card weights of each chain
 state (``Deck.chain_weights``) and the pair counts built from them
-(:func:`_pair_counts`).  Ground truth is the exact chain product,
-expanded one plan step at a time over integer arrays that cannot wrap
-(:func:`_exact_dtype`); ``Fraction`` values are made only when a caller
-asks for the ``Outcome`` map.  Monte Carlo enters only through
-``simulate_plan``, which splits the trials along the exact law's runs with
-one multinomial draw per run and step over the per-card weights, so its
-counts line up with the values they are checked against, at a cost that
-does not grow with the number of trials.
+(:func:`_pair_counts`); the witness reads only ``Deck.arrays``.  Ground
+truth is the exact chain product, expanded one plan step at a time over
+integer arrays that cannot wrap (:func:`_exact_dtype`); ``Fraction`` values
+are made only when a caller asks for the ``Outcome`` map.  Monte Carlo
+enters only through ``simulate_plan``, which splits the trials along the
+exact law's runs with one multinomial draw per run and step over the
+per-card weights, so its counts line up with the values they are checked
+against, at a cost that does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -290,19 +289,20 @@ class ClassicalityWitness:
 def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
     """First run ``a=x, b=y, a=z`` with ``z != x`` and positive probability.
 
-    Closed form on the pair counts ``C`` of :func:`_pair_counts`: scan the
-    pairs ``a != b`` in variable order, then ``(x, y, z)`` in value order,
-    and return the first with ``C_ab[x, y] * C_ba[y, z] > 0``, where
-    ``C_ab[x, y] = C[1 + a*N + x, b*N + y]`` is read in the row of the
-    chain state ``a=x``.  Its probability is
-    ``C_ab[x, y] * C_ba[y, z] / (total * n_b(y))``, with
-    ``n_b(y) = C[0, b*N + y]`` read in the full deck's row.  A
-    witness exists iff some value of some ``b`` occurs on cards with two
+    Closed form on the cards' value pairs (``deck.arrays``): one scatter
+    over the ``V*V*E`` pairs marks ``seen[a, b, x, y]`` (some card shows a=x
+    and b=y), and ``y`` is shared when two or more ``x`` are seen with it.
+    The run is possible iff ``(x, y)`` and ``(z, y)`` are both seen, so the
+    witness is the first seen and shared ``(a, b, x, y)`` in variable, then
+    value order (``a == b`` never shares), with the smallest seen ``z != x``.
+    Its probability ``n_ab(x, y) * n_ab(z, y) / (total * n_b(y))`` sums
+    Python ints over its cards.  Time and memory are ``O(V*V*(E + N*N))``.
+    A witness exists iff some value of some ``b`` occurs on cards with two
     different values of some ``a``.  Longer plans add nothing: without such
-    a value, every value shown fixes the value of every other variable on
-    all cards of the next subdeck, so no later press can contradict an
-    earlier one (the tests check this against all plans up to length 4).
-    Returns None when the deck admits none.
+    a value, every value shown fixes every other variable's value on all
+    cards of the next subdeck, so no later press can contradict an earlier
+    one (the tests check this against all plans up to length 4).  Returns
+    None when the deck admits none.
     """
     if deck.is_empty:
         raise EmptyDeckError("cannot search an empty deck")
@@ -311,30 +311,27 @@ def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
         raise SingleVariableError(
             "a single-variable (urn) system cannot produce a contradictory repeat"
         )
-    n = spec.values_per_variable
-    pairs = _pair_counts(deck).tolist()
-    for a, b in permutations(range(spec.num_variables), 2):
-        for x, y, z in product(range(n), repeat=3):
-            if z == x:
-                continue
-            hits = pairs[1 + a * n + x][b * n + y] * pairs[1 + b * n + y][a * n + z]
-            if not hits:
-                continue
-            (name_a, labels_a), (name_b, labels_b) = spec.variables[a], spec.variables[b]
-            description = (
-                f"variable {name_a!r} observed as {labels_a[x]!r} at step 1 and "
-                f"{labels_a[z]!r} at step 3"
-            )
-            return ClassicalityWitness(
-                sequence=(
-                    Outcome(name_a, labels_a[x]),
-                    Outcome(name_b, labels_b[y]),
-                    Outcome(name_a, labels_a[z]),
-                ),
-                probability=Fraction(hits, deck.total * pairs[0][b * n + y]),
-                violated_constraint=description,
-            )
-    return None
+    n, v = spec.values_per_variable, spec.num_variables
+    shown, counts = deck.arrays[0].T, deck.arrays[1]  # shown[a]: variable a's value on every card
+    seen = np.zeros((v, v, n, n), dtype=bool)
+    seen[np.arange(v)[:, None, None], np.arange(v)[:, None], shown[:, None], shown] = True
+    hits = seen & (seen.sum(axis=2) > 1)[:, :, None, :]  # seen and shared
+    first = int(hits.argmax())
+    if not hits.flat[first]:
+        return None
+    a, b, x, y = map(int, np.unravel_index(first, hits.shape))
+    z = next(z for z in np.flatnonzero(seen[a, b, :, y]).tolist() if z != x)
+    on_y = shown[b] == y  # exact multiplicities of the cards showing (x, y), (z, y) and y:
+    n_xy, n_zy, n_y = (sum(counts[on_y & w].tolist()) for w in (shown[a] == x, shown[a] == z, True))
+    (name_a, labels_a), (name_b, labels_b) = spec.variables[a], spec.variables[b]
+    return ClassicalityWitness(
+        sequence=(
+            Outcome(name_a, labels_a[x]), Outcome(name_b, labels_b[y]), Outcome(name_a, labels_a[z])
+        ),
+        probability=Fraction(n_xy * n_zy, deck.total * n_y),
+        violated_constraint=f"variable {name_a!r} observed as {labels_a[x]!r} at step 1 and "
+        f"{labels_a[z]!r} at step 3",
+    )
 
 
 def pair_order_statistics(

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from dofcount import (
     BoxState,
+    Card,
+    ClassicalityWitness,
     DensityState,
     Deck,
     ExactRowBasis,
@@ -24,7 +27,13 @@ from dofcount import (
     outcome_distribution,
     uniform_deck,
 )
-from dofcount.errors import DegenerateDrawError, ValidationError
+from dofcount.cli import UsageError, build_parser
+from dofcount.errors import (
+    DegenerateDrawError,
+    InvariantError,
+    SchemaViolationError,
+    ValidationError,
+)
 from dofcount.quantum import _MAX_BASIS_ATTEMPTS, _PIVOT_TOL
 
 settings.register_profile("default", max_examples=40, deadline=None)
@@ -289,6 +298,90 @@ def brute_force_witness(deck, max_length):
                 if hit is not None:
                     return run, p, hit
     return None
+
+
+def c_scan_witness(deck):
+    """Witness-scan oracle: every ``(a, b)`` with ``a != b``, then every ``(x, y, z)``
+    with ``z != x``, in order, over the literal pair counts; the first run
+    ``a=x, b=y, a=z`` whose two pair counts are both positive, or None.
+    """
+    spec = deck.spec
+    n = spec.values_per_variable
+    pairs = literal_pair_counts(deck)
+    for a, b in itertools.permutations(range(spec.num_variables), 2):
+        for x, y, z in itertools.product(range(n), repeat=3):
+            hits = pairs[1 + a * n + x][b * n + y] * pairs[1 + b * n + y][a * n + z]
+            if z == x or not hits:
+                continue
+            (name_a, labels_a), (name_b, labels_b) = spec.variables[a], spec.variables[b]
+            return ClassicalityWitness(
+                sequence=(
+                    Outcome(name_a, labels_a[x]),
+                    Outcome(name_b, labels_b[y]),
+                    Outcome(name_a, labels_a[z]),
+                ),
+                probability=Fraction(hits, deck.total * pairs[0][b * n + y]),
+                violated_constraint=(
+                    f"variable {name_a!r} observed as {labels_a[x]!r} at step 1 and "
+                    f"{labels_a[z]!r} at step 3"
+                ),
+            )
+    return None
+
+
+_CARD_KEYS = {"assignment", "count"}
+
+
+def field_by_field_cards(raw, spec):
+    """Card-parse oracle: every field of every card checked in turn, and
+    ``Card.from_assignment`` for an assignment that fails the value lookup."""
+    if not isinstance(raw, list) or not raw:
+        raise SchemaViolationError("cards", "must be a nonempty array")
+    positions = tuple(zip(spec.variable_names, spec._value_positions))
+    counts = {}  # value indices -> count
+    for i, item in enumerate(raw):
+        where = f"cards[{i}]"
+        if not isinstance(item, dict):
+            raise SchemaViolationError(where, "must be an object")
+        for key in item:
+            if key not in _CARD_KEYS:
+                raise SchemaViolationError(f"{where}.{key}", "unknown key")
+        assignment = item.get("assignment")
+        count = item.get("count")
+        if not isinstance(assignment, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in assignment.items()
+        ):
+            raise SchemaViolationError(
+                f"{where}.assignment", "must be an object mapping variables to values"
+            )
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise SchemaViolationError(f"{where}.count", "must be an integer >= 1")
+        index = tuple(values.get(assignment.get(name)) for name, values in positions)
+        if None in index or len(assignment) != len(positions):
+            try:  # Card names the assignment's first fault, in its own order
+                Card.from_assignment(spec, assignment)
+            except ValidationError as exc:
+                raise SchemaViolationError(f"{where}.assignment", str(exc)) from exc
+        counts[index] = counts.get(index, 0) + count
+    return Deck._from_indices(spec, counts)
+
+
+def top_level_cli_main(argv):
+    """Dispatch oracle: ``cli_main`` with every argv parsed by the top-level parser."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:  # argparse --help
+        return int(exc.code) if exc.code else 0
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 # --- Quantum oracles: the per-basis path the batched K pipeline replaced ---

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dofcount
-from conftest import deck_strategy, tree_sequence_distribution
+from conftest import deck_strategy, top_level_cli_main, tree_sequence_distribution
 from dofcount import Deck, Outcome, RandomStream, serialize_deck_file, urn_as_cardbox, urn_deck
 from dofcount import cli, sequences
 from dofcount.cli import CSV_HEADER, cli_main
@@ -203,6 +203,7 @@ class TestWitnessCommand:
             DATA / "decks" / "weighted3.json",
             DATA / "decks" / "large_mult.json",  # multiplicities near 2**40
             DATA / "decks" / "single_card.json",  # "none"
+            DATA / "decks" / "diagonal_200.json",  # "none" over 200 values per variable
         ],
         ids=lambda path: path.stem,
     )
@@ -673,9 +674,86 @@ class TestExitCodes:
         assert cli_main(["sequence", "--deck", deck_file, "--plan", "Suit"]) == 3
         assert "internal error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sequence", "simulate", "witness"])
+    @pytest.mark.parametrize(
+        "data, fault",
+        [
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b'{"variables": [{"name": "A", "values": ["\xe9"]}]}', "can't decode byte 0xe9"),
+            (b"[" * 200_000, "maximum recursion depth exceeded"),
+            (b'{"cards": [{"count": ' + b"7" * 5_000 + b"}]}", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["bad-utf8-start", "bad-utf8-value", "nested-200000", "count-5000-digits"],
+    )
+    def test_unreadable_json_is_a_validation_error(self, tmp_path, capsys, command, data, fault):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        argv = [command, "--deck", str(path)] + ([] if command == "witness" else ["--plan", "A"])
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON: ")
+        assert fault in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "dofcount" in capsys.readouterr().out
+
+
+CARDS4 = str(REPO / "decks" / "cards4.json")
+DISPATCH_ARGVS = [
+    # every subcommand, valid
+    ["simulate", "--deck", CARDS4, "--plan", "Suit,Face,Suit", "--trials", "100", "--seed", "1"],
+    ["sequence", "--deck", CARDS4, "--plan", "Suit,Face"],
+    ["witness", "--deck", CARDS4],
+    ["witness", "--de", CARDS4],  # an abbreviated flag
+    ["rank", "--system", "urn", "--n", "3", "--seed", "2"],
+    ["sweep", "--systems", "cardbox,urn", "--n-range", "2..3", "--v-range", "1..2", "--seed", "1"],
+    ["sweep", "--systems", "urn", "--n-range", "2", "--v-range", "1", "--json"],
+    # a missing required flag
+    ["witness"],
+    ["sequence", "--deck", CARDS4],
+    ["rank", "--n", "2"],
+    ["witness", "--deck"],
+    # a bad int or choice
+    ["rank", "--system", "urn", "--n", "x"],
+    ["simulate", "--deck", CARDS4, "--plan", "Suit", "--trials", "1e5"],
+    ["rank", "--system", "abacus", "--n", "2"],
+    # an unknown flag, an extra positional
+    ["witness", "--deck", CARDS4, "--colour", "red"],
+    ["witness", "--deck", CARDS4, "extra"],
+    ["sweep", "--n-range", "2", "--v-range", "1", "--seed", "1", "2"],
+    # an unknown command, empty argv, help
+    ["bogus"],
+    ["--seed", "1", "witness", "--deck", CARDS4],
+    [],
+    ["--help"],
+    ["-h"],
+    ["--help", "witness"],
+    ["witness", "--help"],
+    ["rank", "-h"],
+    ["sweep", "--n-range", "2", "--help"],
+]
+
+
+class TestDispatch:
+    @staticmethod
+    def _captured(main, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+    def test_matches_the_top_level_parser(self, argv, monkeypatch):
+        monkeypatch.delenv("DOFCOUNT_SEED", raising=False)
+        assert self._captured(cli_main, argv) == self._captured(top_level_cli_main, argv)
+
+    def test_known_command_is_parsed_by_its_own_parser_only(self, monkeypatch):
+        parser = cli.build_parser()
+        monkeypatch.setattr(parser, "parse_args", None)  # the top-level parser is not called
+        assert self._captured(cli_main, ["witness", "--deck", CARDS4])[0] == 0
 
 
 class TestSeedResolution:

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import deck_strategy, field_by_field_cards
 from dofcount import Card, Deck, SystemSpec, parse_deck_file, serialize_deck_file, uniform_deck
+from dofcount.deckfile import _parse_cards
 from dofcount.errors import (
     DuplicateNameError,
     IncompleteAssignmentError,
@@ -200,3 +202,80 @@ def test_cards_parse_as_card_by_card_lookups(cards):
     rebuilt = Deck(spec, deck.entries)  # no index cache: arrays looks every card up
     for parsed, looked_up in zip(deck.arrays, rebuilt.arrays):
         assert parsed.tolist() == looked_up.tolist()
+
+
+def _document(deck):
+    """The deck's spec and cards as a deck document's parts, in canonical order."""
+    variables = [{"name": name, "values": list(values)} for name, values in deck.spec.variables]
+    cards = [{"assignment": card.assignment, "count": count} for card, count in deck.entries]
+    return variables, cards
+
+
+@given(data=st.data(), deck=deck_strategy(max_multiplicity=2**70))
+def test_shuffled_split_documents_load_to_the_deck(data, deck):
+    # each card's count split over up to three repeats of its assignment
+    variables, cards = _document(deck)
+    split = []
+    for card in cards:
+        count = card["count"]
+        cuts = sorted(data.draw(st.lists(st.integers(1, count), max_size=2, unique=True)))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, count]) if b > a]
+        split += [{"assignment": card["assignment"], "count": part} for part in parts]
+    split = data.draw(st.permutations(split))
+    doc = json.dumps({"variables": variables, "cards": split}).encode()
+    spec, parsed = parse_deck_file(doc)
+    assert parsed == deck
+    assert parsed == field_by_field_cards(split, spec)
+    assert [a.tolist() for a in parsed.arrays] == [a.tolist() for a in deck.arrays]
+
+
+def _without(key):
+    return lambda card, spec: {k: v for k, v in card.items() if k != key}
+
+
+def _assigning(update):
+    """A mutation of the assignment: ``update(assignment, last variable, its values)``."""
+    return lambda card, spec: {
+        **card, "assignment": update(dict(card["assignment"]), *spec.variables[-1])
+    }
+
+
+# Single-field card faults: each maps a valid card and its spec to a faulty card.
+MUTATIONS = {
+    "dropped assignment": _without("assignment"),
+    "dropped count": _without("count"),
+    "extra key": lambda card, spec: {**card, "colour": "red"},
+    "list card": lambda card, spec: [card["assignment"], card["count"]],
+    "string card": lambda card, spec: "card",
+    "null card": lambda card, spec: None,
+    "bool count": lambda card, spec: {**card, "count": True},
+    "zero count": lambda card, spec: {**card, "count": 0},
+    "negative count": lambda card, spec: {**card, "count": -card["count"]},
+    "float count": lambda card, spec: {**card, "count": float(card["count"])},
+    "unknown variable": _assigning(lambda a, name, values: {**a, "Rank": values[0]}),
+    "unknown value": _assigning(lambda a, name, values: {**a, name: "no such value"}),
+    "non-string key": _assigning(lambda a, name, values: {**a, 7: values[0]}),
+    "missing variable": _assigning(lambda a, name, values: {k: v for k, v in a.items() if k != name}),
+    "unhashable value": _assigning(lambda a, name, values: {**a, name: [values[0]]}),
+    "number value": _assigning(lambda a, name, values: {**a, name: 1}),
+    "list assignment": lambda card, spec: {**card, "assignment": list(card["assignment"])},
+}
+
+
+@given(
+    data=st.data(),
+    deck=deck_strategy(max_multiplicity=2**70),
+    mutation=st.sampled_from(sorted(MUTATIONS)),
+)
+def test_single_field_faults_name_the_oracles_fault(data, deck, mutation):
+    _variables, cards = _document(deck)
+    cards = data.draw(st.permutations(cards))
+    at = data.draw(st.integers(0, len(cards) - 1))
+    cards[at] = MUTATIONS[mutation](cards[at], deck.spec)
+    with pytest.raises(SchemaViolationError) as expected:
+        field_by_field_cards(cards, deck.spec)
+    with pytest.raises(SchemaViolationError) as err:
+        _parse_cards(cards, deck.spec)
+    assert str(err.value) == str(expected.value)
+    assert type(err.value.__cause__) is type(expected.value.__cause__)
+    assert str(err.value).startswith(f"cards[{at}]")

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_witness,
+    c_scan_witness,
     chain_counts,
     deck_strategy,
     joint_card_frequency,
@@ -32,6 +34,7 @@ from dofcount import (
     pair_order_statistics,
     sequence_distribution,
     simulate_plan,
+    uniform_deck,
     urn_deck,
 )
 from dofcount.errors import (
@@ -334,6 +337,16 @@ def witness_free_decks(draw):
     return Deck.from_counts(spec, cards)
 
 
+@st.composite
+def sparse_decks(draw):
+    """One to three drawn cards over N = 2..5 values and V = 2..3 variables,
+    multiplicities up to ``2**70``: few cards, so many decks are witness-free."""
+    spec = cardbox_spec(draw(st.integers(2, 5)), draw(st.integers(2, 3)))
+    card = st.tuples(*(st.sampled_from(values) for _, values in spec.variables))
+    cards = draw(st.dictionaries(card, st.integers(1, 2**70), min_size=1, max_size=3))
+    return Deck.from_counts(spec, cards)
+
+
 def _assert_matches_search(deck):
     """Closed-form witness equals the first hit of a search up to length 4."""
     witness = find_classicality_witness(deck)
@@ -385,6 +398,40 @@ class TestClassicalityWitness:
     def test_witness_free_decks_match_the_search(self, deck):
         assert find_classicality_witness(deck) is None
         _assert_matches_search(deck)
+
+    @given(deck=st.one_of(sparse_decks(), deck_strategy(min_variables=2, max_values=5)))
+    def test_closed_form_equals_the_c_scan(self, deck):
+        assert find_classicality_witness(deck) == c_scan_witness(deck)
+
+    @given(deck=sparse_decks())
+    def test_sparse_decks_match_the_search(self, deck):
+        _assert_matches_search(deck)
+
+    def test_search_builds_no_chain_weights(self, weighted_deck):
+        assert find_classicality_witness(weighted_deck) is not None
+        assert "chain_weights" not in weighted_deck.__dict__
+
+    def test_wide_witness_free_deck_is_fast(self):
+        values = tuple(f"v{j}" for j in range(200))
+        spec = SystemSpec((("Row", values), ("Column", values)))
+        elapsed = []
+        for _ in range(3):  # best of three fresh decks: nothing cached between them
+            deck = Deck.from_counts(spec, {(x, x): 1 for x in values})
+            start = time.perf_counter()
+            assert find_classicality_witness(deck) is None
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.05
+
+    def test_full_wide_deck_stays_small(self):
+        deck = uniform_deck(cardbox_spec(16, 3))  # 4,096 card types
+        tracemalloc.start()
+        try:
+            witness = find_classicality_witness(deck)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness == c_scan_witness(deck)
+        assert peak < 2 * 2**20
 
     def test_huge_multiplicities_stay_exact(self, huge_deck):
         witness = find_classicality_witness(huge_deck)
