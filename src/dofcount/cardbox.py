@@ -13,13 +13,15 @@ same switch is guaranteed to show the same value, while switching variables
 re-randomizes everything else.  The urn (a single N-valued variable, V=1)
 is the degenerate case with nothing to disturb.
 
-All probabilities on this classical side are exact ``fractions.Fraction``
-values; nothing here touches floating point.
+A deck is its integer arrays: the value indices of each card type and its
+exact count (:class:`Deck`).  ``Card`` objects are made only on demand, for
+serialization, messages and tests.  All probabilities on this classical
+side are exact ``fractions.Fraction`` values; nothing here touches floating
+point.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -157,73 +159,100 @@ class Card:
 CardKey = Union[Card, Sequence[str]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Deck:
-    """A multiset of cards over one spec; multiplicities are positive ints.
+    """A multiset of cards over one spec, held as two read-only arrays.
 
-    ``entries`` is kept in canonical order (lexicographic by value indices),
-    making equal multisets structurally equal.  A deck may be empty only as
-    the transient result of :func:`filter_deck`; every public entry point
-    that takes a deck rejects empty ones.
+    ``values`` is an ``(E, V)`` int64 array: row ``e`` holds each
+    variable's value index on the ``e``-th card type.  ``counts`` is the
+    ``(E,)`` object array of their multiplicities, exact Python ints
+    whatever their size.  ``Deck(spec, values, counts)`` takes rows and
+    counts in any order, as sequences or arrays, and sorts the rows
+    lexicographically, so equal multisets make equal decks.  It raises
+    ``ValidationError`` for a row that is not ``V`` ints in ``0..N-1``, a
+    repeated row, a missing or extra count, and a count that is not an int
+    >= 1 (bool is no int).  ``entries``, the ``(Card, count)`` pairs, is
+    built only on first use.  A deck may be empty only as the transient
+    result of :func:`filter_deck`; every public entry point that takes a
+    deck rejects empty ones.
     """
 
     spec: SystemSpec
-    entries: tuple[tuple[Card, int], ...]
+    values: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        n, v = self.spec.values_per_variable, self.spec.num_variables
+        rows, counts = self.values, self.counts
+        try:  # a row that is no sequence, or rows that do not compare, fail here
+            rows = [tuple(row) for row in (rows.tolist() if isinstance(rows, np.ndarray) else rows)]
+            counts = counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+        except TypeError:
+            order = None
+        if order is None or len(rows) != len(counts) or set(map(len, rows)) - {v}:
+            raise ValidationError(f"a deck takes one row of {v} value indices per count")
+        rows, counts = [rows[i] for i in order], [counts[i] for i in order]
+        flat = [x for row in rows for x in row]
+        if not set(map(type, flat)) <= {int} or (flat and not 0 <= min(flat) <= max(flat) < n):
+            raise ValidationError(f"value indices must be ints in 0..{n - 1}")
+        if len(set(rows)) < len(rows):
+            repeated = next(a for a, b in zip(rows, rows[1:]) if a == b)
+            raise ValidationError(f"card {repeated} (value indices) listed twice")
+        if not set(map(type, counts)) <= {int} or min(counts, default=1) < 1:
+            raise ValidationError("card counts must be ints >= 1")
+        values = np.array(flat, dtype=np.int64).reshape(len(rows), v)
+        counts = np.array(counts, dtype=object)
+        values.flags.writeable = counts.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_counts(cls, spec: SystemSpec, counts: Mapping[CardKey, int]) -> "Deck":
-        indexed = {}  # value indices -> count
-        for key, count in counts.items():
-            card = key
-            if not isinstance(card, Card):
-                if len(key) != spec.num_variables:
-                    raise IncompleteAssignmentError(
-                        f"expected {spec.num_variables} values, got {len(key)}"
-                    )
-                card = Card(tuple(zip(spec.variable_names, key)))
-            index = _card_index(spec, card)
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise ValidationError(f"multiplicity for {card} must be an integer")
-            if count < 0:
-                raise ValidationError(f"negative multiplicity for {card}")
-            if count == 0:
-                continue
-            if index in indexed:
-                raise ValidationError(f"card {card} listed twice")
-            indexed[index] = count
-        return cls._from_indices(spec, indexed)
+        """Deck from counts keyed by ``Card`` or by value names in spec order.
 
-    @classmethod
-    def _from_indices(cls, spec: SystemSpec, counts: Mapping[tuple[int, ...], int]) -> "Deck":
-        """Deck from positive counts keyed by distinct, valid value-index tuples."""
-        order = sorted(counts)
-        cards = [Card(tuple((name, values[j]) for (name, values), j in zip(spec.variables, i)))
-                 for i in order]
-        deck = cls(spec, tuple(zip(cards, map(counts.__getitem__, order))))
-        deck.__dict__["_indices"] = order  # seeds the cache: arrays looks nothing up again
-        return deck
+        Zero counts are dropped, once their key is checked.
+        """
+        names = spec.variable_names
+        rows, kept = [], []
+        for key, count in counts.items():
+            if isinstance(key, Card):
+                key = Card.from_assignment(spec, key.assignment).values  # checks its names
+            elif len(key) != len(names):
+                raise IncompleteAssignmentError(f"expected {len(names)} values, got {len(key)}")
+            row = tuple(map(spec.value_index, names, key))
+            if type(count) is not int or count != 0:
+                rows.append(row)
+                kept.append(count)
+        return cls(spec, rows, kept)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Deck) and self._contents == other._contents
+
+    def __hash__(self) -> int:
+        return hash(self._contents)
+
+    @property
+    def _contents(self) -> tuple:  # equal specs give equal widths, so equal bytes are equal rows
+        return self.spec, self.values.tobytes(), tuple(self.counts.tolist())
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Card, int], ...]:
+        """``(Card, count)`` pairs, one per row, in canonical order."""
+        names, labels = self.spec.variable_names, [values for _, values in self.spec.variables]
+        return tuple(
+            (Card(tuple(zip(names, map(tuple.__getitem__, labels, row)))), count)
+            for row, count in zip(self.values.tolist(), self.counts.tolist())
+        )
 
     @cached_property
     def total(self) -> int:
         """Total multiplicity across all cards."""
-        return sum(count for _, count in self.entries)
+        return sum(self.counts.tolist())
 
     @property
     def is_empty(self) -> bool:
-        return not self.entries
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer view: ``(E, V)`` value indices and ``(E,)`` multiplicities.
-
-        Row ``e`` is ``entries[e]``, so rows keep the canonical deck order.
-        Multiplicities stay exact Python ints (an object array) whatever
-        their size.  Both arrays are read-only.
-        """
-        values = np.array(self._indices, dtype=np.int64).reshape(-1, self.spec.num_variables)
-        counts = np.array([count for _, count in self.entries], dtype=object)
-        values.flags.writeable = counts.flags.writeable = False
-        return values, counts
+        return not len(self.counts)
 
     @cached_property
     def chain_weights(self) -> np.ndarray:
@@ -234,24 +263,10 @@ class Deck:
         V*N, E)`` object array holds each card's exact multiplicity in state
         ``s``, in canonical deck order, 0 for cards the state leaves out.
         """
-        values, counts = self.arrays
-        keep = values.T[:, None, :] == np.arange(self.spec.values_per_variable)[:, None]
-        weights = np.vstack([counts, (keep * counts).reshape(-1, len(counts))])
+        keep = self.values.T[:, None, :] == np.arange(self.spec.values_per_variable)[:, None]
+        weights = np.vstack([self.counts, (keep * self.counts).reshape(-1, len(self.counts))])
         weights.flags.writeable = False
         return weights
-
-    @cached_property
-    def _indices(self) -> list[tuple[int, ...]]:  # each entry's value indices
-        return [_card_index(self.spec, card) for card, _ in self.entries]
-
-
-def _card_index(spec: SystemSpec, card: Card) -> tuple[int, ...]:
-    """The card's value indices, once it names the spec's variables in order."""
-    if tuple(name for name, _ in card.items) != spec.variable_names:
-        raise IncompleteAssignmentError(
-            f"card {card} does not cover the spec's variables {spec.variable_names}"
-        )
-    return tuple(spec.value_index(name, value) for name, value in card.items)
 
 
 MAX_CARD_TYPES = 2**12
@@ -274,19 +289,22 @@ def card_type_count(num_values: int, num_variables: int) -> int:
     return count
 
 
-def all_cards(spec: SystemSpec) -> list[Card]:
-    """Every possible card type, in canonical (lexicographic) order."""
-    card_type_count(spec.values_per_variable, spec.num_variables)
-    names = spec.variable_names
-    pools = [values for _, values in spec.variables]
-    return [
-        Card(tuple(zip(names, combo))) for combo in itertools.product(*pools)
-    ]
+def card_type_indices(spec: SystemSpec) -> np.ndarray:
+    """Value indices of every possible card type, ``(N**V, V)``, in canonical order."""
+    n, v = spec.values_per_variable, spec.num_variables
+    card_type_count(n, v)
+    return np.indices((n,) * v).reshape(v, -1).T
 
 
 def uniform_deck(spec: SystemSpec) -> Deck:
     """One copy of every possible card type."""
-    return Deck.from_counts(spec, {card: 1 for card in all_cards(spec)})
+    types = card_type_indices(spec)
+    return Deck(spec, types, [1] * len(types))
+
+
+def all_cards(spec: SystemSpec) -> list[Card]:
+    """Every possible card type, in canonical (lexicographic) order."""
+    return [card for card, _ in uniform_deck(spec).entries]
 
 
 @dataclass(frozen=True)
@@ -320,11 +338,9 @@ def filter_deck(deck: Deck, variable: str, value: str) -> Deck:
 
     The result may be empty; callers that need a live subdeck must check.
     """
-    deck.spec.value_index(variable, value)  # validates both names
-    entries = tuple(
-        (card, count) for card, count in deck.entries if card.value(variable) == value
-    )
-    return Deck(deck.spec, entries)
+    spec = deck.spec
+    keep = deck.values[:, spec.variable_index(variable)] == spec.value_index(variable, value)
+    return Deck(spec, deck.values[keep], deck.counts[keep])
 
 
 def outcome_distribution(state: BoxState, variable: str) -> dict[str, Fraction]:
@@ -333,14 +349,15 @@ def outcome_distribution(state: BoxState, variable: str) -> dict[str, Fraction]:
     Maps every legal value (including impossible ones) to the fraction of
     subdeck multiplicity carrying it; the values sum to exactly 1.
     """
-    values = state.subdeck.spec.values_of(variable)
-    if state.subdeck.is_empty:
+    subdeck = state.subdeck
+    a = subdeck.spec.variable_index(variable)
+    if subdeck.is_empty:
         raise EmptySubdeckError("state has an empty subdeck")
-    total = state.subdeck.total
-    counts = {value: 0 for value in values}
-    for card, count in state.subdeck.entries:
-        counts[card.value(variable)] += count
-    return {value: Fraction(counts[value], total) for value in values}
+    labels = subdeck.spec.variables[a][1]
+    counts = [0] * len(labels)
+    for x, count in zip(subdeck.values[:, a].tolist(), subdeck.counts.tolist()):
+        counts[x] += count
+    return {label: Fraction(count, subdeck.total) for label, count in zip(labels, counts)}
 
 
 def observe(
@@ -350,23 +367,20 @@ def observe(
 
     The card is drawn uniformly from the subdeck with multiplicity (an exact
     integer draw, so empirical frequencies match :func:`outcome_distribution`
-    in distribution).  The new subdeck is rebuilt from the FULL deck, not
-    narrowed from the current subdeck.
+    in distribution): the pick is the first card, in canonical order, whose
+    running count passes it.  The new subdeck is rebuilt from the FULL
+    deck, not narrowed from the current subdeck.
     """
-    state.subdeck.spec.variable_index(variable)
-    if state.subdeck.is_empty:
+    subdeck = state.subdeck
+    a = subdeck.spec.variable_index(variable)
+    if subdeck.is_empty:
         raise EmptySubdeckError("state has an empty subdeck")
-    pick = rng.randint_below(state.subdeck.total)
-    running = 0
-    drawn = None
-    for card, count in state.subdeck.entries:
-        running += count
-        if pick < running:
-            drawn = card
-            break
-    if drawn is None:
-        raise InvariantError(f"draw {pick} lies past the subdeck total {running}")
-    value = drawn.value(variable)
+    pick = rng.randint_below(subdeck.total)
+    running = np.cumsum(subdeck.counts)  # Python ints: exact at any total
+    row = np.searchsorted(running, pick, side="right")
+    if row == len(running):
+        raise InvariantError(f"draw {pick} lies past the subdeck total {running[-1]}")
+    value = subdeck.spec.variables[a][1][subdeck.values[row, a]]
     outcome = Outcome(variable=variable, value=value)
     new_state = BoxState(deck=state.deck, subdeck=filter_deck(state.deck, variable, value))
     return outcome, new_state

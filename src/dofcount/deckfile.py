@@ -111,7 +111,7 @@ def _parse_cards(raw, spec: SystemSpec) -> Deck:
         except ValidationError as exc:
             raise SchemaViolationError(f"{where}.assignment", str(exc)) from exc
         raise InvariantError(f"{where} failed the lookup but passes every check")
-    return Deck._from_indices(spec, counts)
+    return Deck(spec, counts.keys(), counts.values())
 
 
 def serialize_deck_file(spec: SystemSpec, deck: Deck) -> str:

@@ -18,14 +18,15 @@ The subdeck is rebuilt from the full deck on every press, so the device is
 a Markov chain on the last (variable, value) shown.  The law and sampler
 come from one statement of that chain, the per-card weights of each chain
 state (``Deck.chain_weights``) and the pair counts built from them
-(:func:`_pair_counts`); the witness reads only ``Deck.arrays``.  Ground
-truth is the exact chain product, expanded one plan step at a time over
-integer arrays that cannot wrap (:func:`_exact_dtype`); ``Fraction`` values
-are made only when a caller asks for the ``Outcome`` map.  Monte Carlo
-enters only through ``simulate_plan``, which splits the trials along the
-exact law's runs with one multinomial draw per run and step over the
-per-card weights, so its counts line up with the values they are checked
-against, at a cost that does not grow with the number of trials.
+(:func:`_pair_counts`); the witness reads only the deck's own arrays,
+``Deck.values`` and ``Deck.counts``.  Ground truth is the exact chain
+product, expanded one plan step at a time over integer arrays that cannot
+wrap (:func:`_exact_dtype`); ``Fraction`` values are made only when a
+caller asks for the ``Outcome`` map.  Monte Carlo enters only through
+``simulate_plan``, which splits the trials along the exact law's runs with
+one multinomial draw per run and step over the per-card weights, so its
+counts line up with the values they are checked against, at a cost that
+does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ class ClassicalityWitness:
 def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
     """First run ``a=x, b=y, a=z`` with ``z != x`` and positive probability.
 
-    Closed form on the cards' value pairs (``deck.arrays``): one scatter
+    Closed form on the cards' value pairs (``deck.values``): one scatter
     over the ``V*V*E`` pairs marks ``seen[a, b, x, y]`` (some card shows a=x
     and b=y), and ``y`` is shared when two or more ``x`` are seen with it.
     The run is possible iff ``(x, y)`` and ``(z, y)`` are both seen, so the
@@ -312,7 +313,7 @@ def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
             "a single-variable (urn) system cannot produce a contradictory repeat"
         )
     n, v = spec.values_per_variable, spec.num_variables
-    shown, counts = deck.arrays[0].T, deck.arrays[1]  # shown[a]: variable a's value on every card
+    shown, counts = deck.values.T, deck.counts  # shown[a]: variable a's value on every card
     seen = np.zeros((v, v, n, n), dtype=bool)
     seen[np.arange(v)[:, None, None], np.arange(v)[:, None], shown[:, None], shown] = True
     hits = seen & (seen.sum(axis=2) > 1)[:, :, None, :]  # seen and shared
@@ -399,7 +400,7 @@ def simulate_plan(
     spec = deck.spec
     law = sequence_distribution(deck, plan)
     order, probs = _subdeck_rows(deck)
-    n, width = spec.values_per_variable, len(deck.entries)
+    n, width = spec.values_per_variable, len(deck.counts)
     step = max(1, _DRAW_BLOCK // width)
     pressed = [spec.variable_index(variable) for variable in law.plan]
     hits = np.array([trials], dtype=np.int64)
@@ -413,7 +414,7 @@ def simulate_plan(
             if np.any(cards.sum(axis=1) != hits[block]) or cards[p == 0].any():
                 raise InvariantError("a multinomial draw lost trials or left its subdeck")
             # each card's key: run j's slot for its value; float sums <= MAX_TRIALS are exact
-            keys = deck.arrays[0][order[state[block]], a]
+            keys = deck.values[order[state[block]], a]
             keys += n * np.arange(len(p))[:, None]
             shown[block] = np.bincount(
                 keys.ravel(), weights=cards.ravel(), minlength=len(p) * n

@@ -33,7 +33,6 @@ factor of its QR factorization, whose stack has the singular values of all rows.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -45,8 +44,8 @@ import numpy as np
 from .cardbox import (
     Deck,
     SystemSpec,
-    all_cards,
     card_type_count,
+    card_type_indices,
     cardbox_spec,
     initial_state,
     outcome_distribution,
@@ -148,11 +147,11 @@ def random_deck_ensemble(
 
     All-zero draws are rejected and redrawn, so every deck is nonempty.
     """
-    cards = all_cards(spec)
+    types = card_type_indices(spec)
     return [
-        Deck(spec, tuple((card, m) for card, m in zip(cards, mults) if m))
+        Deck(spec, types[mults > 0], mults[mults > 0])
         for block in _multiplicity_draws(spec, count, max_multiplicity, rng)
-        for mults in block.tolist()
+        for mults in block
     ]
 
 
@@ -300,39 +299,19 @@ def matrix_rank_numeric(rows, tol: float = RANK_TOL) -> int:
     return int(np.sum(singular > tol * singular[0]))
 
 
-def exhaustive_fiducial_rank(
-    spec: SystemSpec,
-    max_multiplicity: int = 2,
-    enumeration_limit: int = 100_000,
-) -> int:
-    """Exact rank of the fiducial vectors of ALL bounded-multiplicity decks.
+def exhaustive_fiducial_rank(spec: SystemSpec) -> int:
+    """Exact rank of the fiducial vectors of every deck over ``spec``.
 
-    When the deck family is small enough it is enumerated literally.  Beyond
-    ``enumeration_limit`` decks (3**27 for N=3, V=3 -- hopeless), the rank
-    is computed from the single-card decks alone: a deck's fiducial vector
-    is by definition the multiplicity-weighted average of its cards'
-    indicator vectors, so the family spans exactly the same space.  Both
-    paths agree wherever both are affordable (see the test suite).
-
-    Rows are rescaled to integers (counts instead of probabilities) and
-    deduplicated first; row scaling cannot change the rank.
+    A deck's fiducial vector is by definition the multiplicity-weighted
+    average of its cards' indicator vectors, so any family of decks that
+    holds the single-card decks (all decks of multiplicity at most ``m``,
+    for any ``m >= 1``) spans exactly the space the single-card decks span.
+    The rank is taken over their count rows, one card each; the tests check
+    it against the literal enumeration of small families.
     """
-    if max_multiplicity < 1:
-        raise ValidationError("max_multiplicity must be at least 1")
     n, v = spec.values_per_variable, spec.num_variables
-    num_card_types = card_type_count(n, v)
-    num_decks = (max_multiplicity + 1) ** num_card_types - 1
-    if num_decks <= enumeration_limit:
-        mults = np.array(
-            list(itertools.product(range(max_multiplicity + 1), repeat=num_card_types)),
-            dtype=np.int64,
-        )[1:]  # drop the all-zero deck
-        counts = _value_counts(mults, n, v)
-        counts //= np.gcd.reduce(counts, axis=1)[:, None]
-        rows = np.unique(counts, axis=0)
-    else:
-        rows = _value_counts(np.eye(num_card_types, dtype=np.int8), n, v)  # one card each
-    return matrix_rank_exact(rows.tolist())
+    single_cards = np.eye(card_type_count(n, v), dtype=np.int8)
+    return matrix_rank_exact(_value_counts(single_cards, n, v).tolist())
 
 
 @dataclass(frozen=True)

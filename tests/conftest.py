@@ -164,7 +164,7 @@ def enumerate_decks(spec, max_multiplicity):
     cards = all_cards(spec)
     for mults in itertools.product(range(max_multiplicity + 1), repeat=len(cards)):
         if any(mults):
-            yield Deck(spec, tuple((card, m) for card, m in zip(cards, mults) if m))
+            yield Deck.from_counts(spec, dict(zip(cards, mults)))
 
 
 def literal_random_decks(spec, count, max_multiplicity, rng):
@@ -363,7 +363,7 @@ def field_by_field_cards(raw, spec):
             except ValidationError as exc:
                 raise SchemaViolationError(f"{where}.assignment", str(exc)) from exc
         counts[index] = counts.get(index, 0) + count
-    return Deck._from_indices(spec, counts)
+    return Deck(spec, counts.keys(), counts.values())
 
 
 def top_level_cli_main(argv):

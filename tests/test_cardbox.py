@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,16 @@ from dofcount import (
     Deck,
     RandomStream,
     SystemSpec,
+    cardbox_spec,
     filter_deck,
+    find_classicality_witness,
     initial_state,
     observe,
     outcome_distribution,
+    parse_deck_file,
+    random_deck_ensemble,
+    sequence_distribution,
+    simulate_plan,
     uniform_deck,
     urn_as_cardbox,
     urn_deck,
@@ -31,6 +38,34 @@ from dofcount.errors import (
     UnknownVariableError,
     ValidationError,
 )
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _replace(rows, at, row):
+    return [row if i == at else r for i, r in enumerate(rows)]
+
+
+# Single faults of a deck's rows or counts: each maps (rows, counts, N) to bad input.
+BAD_DECK_INPUTS = {
+    "zero count": lambda rows, counts, n: (rows, [0, *counts[1:]]),
+    "negative count": lambda rows, counts, n: (rows, [-counts[0], *counts[1:]]),
+    "bool count": lambda rows, counts, n: (rows, [True, *counts[1:]]),
+    "float count": lambda rows, counts, n: (rows, [float(counts[0]), *counts[1:]]),
+    "string count": lambda rows, counts, n: (rows, ["1", *counts[1:]]),
+    "index past N": lambda rows, counts, n: (_replace(rows, 0, [n, *rows[0][1:]]), counts),
+    "negative index": lambda rows, counts, n: (_replace(rows, 0, [-1, *rows[0][1:]]), counts),
+    "huge index": lambda rows, counts, n: (_replace(rows, 0, [2**70, *rows[0][1:]]), counts),
+    "float index": lambda rows, counts, n: (_replace(rows, 0, [0.0, *rows[0][1:]]), counts),
+    "repeated row": lambda rows, counts, n: (rows + rows[:1], counts + [1]),
+    "short row": lambda rows, counts, n: (_replace(rows, 0, rows[0][:-1]), counts),
+    "long row": lambda rows, counts, n: (_replace(rows, 0, rows[0] + [0]), counts),
+    "every row long": lambda rows, counts, n: ([row + [0] for row in rows], counts),
+    "scalar row": lambda rows, counts, n: (_replace(rows, 0, 0), counts),
+    "extra count": lambda rows, counts, n: (rows, counts + [1]),
+    "missing count": lambda rows, counts, n: (rows, counts[:-1]),
+}
 
 
 class TestValidateSpec:
@@ -129,16 +164,46 @@ class TestDeck:
         assert card.values == ("Q", "S")
         assert dict(weighted_deck.entries)[card] == 2
 
-    @given(deck=deck_strategy())
-    def test_integer_view_follows_entries(self, deck):
-        values, counts = deck.arrays
+    @given(deck=deck_strategy(max_multiplicity=2**70))
+    def test_entries_follow_the_arrays(self, deck):
         spec = deck.spec
-        assert values.shape == (len(deck.entries), spec.num_variables)
-        for row, count, (card, m) in zip(values.tolist(), counts.tolist(), deck.entries):
+        assert deck.values.dtype == np.int64 and deck.counts.dtype == object
+        assert deck.values.shape == (len(deck.entries), spec.num_variables)
+        for row, count, (card, m) in zip(deck.values.tolist(), deck.counts.tolist(), deck.entries):
             assert row == [spec.value_index(name, value) for name, value in card.items]
-            assert count == m
-        with pytest.raises(ValueError):
-            counts[0] = 0  # the cached view is read-only
+            assert count == m and type(count) is int
+        assert deck.values.tolist() == sorted(deck.values.tolist())
+        for array in (deck.values, deck.counts):
+            with pytest.raises(ValueError):
+                array[0] = 0  # read-only
+        assert Deck.from_counts(spec, dict(deck.entries)) == deck
+
+    @given(deck=deck_strategy(max_multiplicity=2**70), data=st.data())
+    def test_any_row_order_gives_the_same_deck(self, deck, data):
+        order = data.draw(st.permutations(range(len(deck.counts))))
+        shuffled = Deck(deck.spec, deck.values[order], deck.counts[order])
+        assert shuffled == deck and hash(shuffled) == hash(deck)
+        assert shuffled.values.tolist() == deck.values.tolist()
+        listed = Deck(deck.spec, [tuple(deck.values[i].tolist()) for i in order],
+                      [deck.counts[i] for i in order])
+        assert listed == deck and listed.entries == deck.entries
+        assert Deck(deck.spec, deck.values[::-1], deck.counts[::-1]) == deck
+
+    @given(deck=deck_strategy(), fault=st.sampled_from(sorted(BAD_DECK_INPUTS)))
+    def test_bad_rows_and_counts_raise(self, deck, fault):
+        values, counts = BAD_DECK_INPUTS[fault](
+            deck.values.tolist(), deck.counts.tolist(), deck.spec.values_per_variable
+        )
+        with pytest.raises(ValidationError):
+            Deck(deck.spec, values, counts)
+        with pytest.raises(ValidationError):  # the same input as numpy arrays
+            Deck(deck.spec, np.array(values, dtype=object), np.array(counts, dtype=object))
+
+    def test_equality_needs_the_same_spec_and_contents(self, four_card_deck, weighted_deck):
+        assert four_card_deck != weighted_deck
+        assert four_card_deck != Deck(cardbox_spec(2, 2), four_card_deck.values, [1] * 4)
+        assert four_card_deck != "deck" and four_card_deck != four_card_deck.entries
+        assert len({four_card_deck, uniform_deck(four_card_deck.spec), weighted_deck}) == 2
 
     @given(deck=deck_strategy(max_multiplicity=2**70))
     def test_chain_weights_are_the_literal_subdecks(self, deck):
@@ -174,6 +239,15 @@ class TestFilterDeck:
     def test_filter_may_be_empty(self, four_card_spec):
         deck = Deck.from_counts(four_card_spec, {("K", "S"): 1})
         assert filter_deck(deck, "Suit", "H").is_empty
+
+    @given(deck=deck_strategy(max_multiplicity=2**70), data=st.data())
+    def test_filter_keeps_the_literal_entries(self, deck, data):
+        variable = data.draw(st.sampled_from(deck.spec.variable_names))
+        value = data.draw(st.sampled_from(deck.spec.values_of(variable)))
+        kept = filter_deck(deck, variable, value)
+        assert kept.entries == tuple(
+            (card, count) for card, count in deck.entries if card.value(variable) == value
+        )
 
     def test_unknown_names(self, four_card_deck):
         with pytest.raises(UnknownVariableError):
@@ -255,6 +329,26 @@ class TestObserve:
         with pytest.raises(InvariantError):
             observe(initial_state(four_card_deck), "Face", OverflowStream())
 
+    @given(deck=deck_strategy(max_multiplicity=2**40), data=st.data())
+    def test_draw_walks_the_entries(self, deck, data):
+        # the pick lands on the first card, in canonical order, whose running count passes it
+        variable = data.draw(st.sampled_from(deck.spec.variable_names))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        outcome, _ = observe(initial_state(deck), variable, RandomStream(seed))
+        pick, running = RandomStream(seed).randint_below(deck.total), 0
+        for card, count in deck.entries:
+            running += count
+            if pick < running:
+                break
+        assert outcome.value == card.value(variable)
+
+    def test_fixed_seed_transcript(self):
+        _spec, deck = parse_deck_file((DATA / "decks" / "weighted3.json").read_bytes())
+        shown = observe_sequence(deck, ("Colour", "Shape") * 6, RandomStream(11))
+        assert ",".join(o.value for o in shown) == (
+            "blue,cube,blue,cube,green,cube,green,disc,blue,disc,green,disc"
+        )
+
     @given(deck=deck_strategy(), data=st.data())
     def test_update_law(self, deck, data):
         variable = data.draw(st.sampled_from(deck.spec.variable_names))
@@ -269,6 +363,11 @@ class TestObserve:
         dist = outcome_distribution(initial_state(deck), variable)
         assert sum(dist.values()) == Fraction(1)
         assert all(p >= 0 for p in dist.values())
+        assert dist == {  # the literal scan of the cards
+            value: Fraction(sum(m for card, m in deck.entries if card.value(variable) == value),
+                            deck.total)
+            for value in deck.spec.values_of(variable)
+        }
 
     @given(deck=deck_strategy(min_variables=2), data=st.data())
     def test_subdeck_reachability(self, deck, data):
@@ -297,6 +396,27 @@ class TestObserve:
         first = observe_sequence(deck, plan, RandomStream(seed, 5))
         second = observe_sequence(deck, plan, RandomStream(seed, 5))
         assert first == second
+
+
+def test_valid_paths_make_no_card(monkeypatch):
+    def no_card(self, *args, **kwargs):
+        raise AssertionError("a Card was made")
+
+    text = (DATA / "decks" / "weighted3.json").read_bytes()
+    monkeypatch.setattr(Card, "__init__", no_card)
+    spec, deck = parse_deck_file(text)
+    assert uniform_deck(spec).total == 9
+    assert len(random_deck_ensemble(spec, 5, 3, RandomStream(0))) == 5
+    assert filter_deck(deck, "Shape", "star").total < deck.total
+    state = initial_state(deck)
+    for variable in ("Colour", "Shape", "Shape", "Colour"):
+        _outcome, state = observe(state, variable, RandomStream(1))
+    assert len(sequence_distribution(deck, ("Colour", "Shape", "Colour"))) > 0
+    _law, counts = simulate_plan(deck, ("Shape", "Colour", "Shape"), 1000, RandomStream(2))
+    assert counts.sum() == 1000
+    assert find_classicality_witness(deck) is not None
+    with pytest.raises(AssertionError, match="a Card was made"):
+        deck.entries
 
 
 class TestInitialState:

@@ -66,11 +66,7 @@ def labelled_decks(draw):
         for name in deck.spec.variable_names
     ))
     scale = draw(st.sampled_from([1, 2**70]))
-    values, counts = deck.arrays
-    return Deck.from_counts(spec, {
-        tuple(spec.variables[a][1][j] for a, j in enumerate(index)): count * scale + k
-        for k, (index, count) in enumerate(zip(values.tolist(), counts.tolist()))
-    })
+    return Deck(spec, deck.values, [count * scale + k for k, count in enumerate(deck.counts)])
 
 
 class TestSequenceCommand:

@@ -1,6 +1,8 @@
-"""Smoke tests: the example scripts run end to end with small arguments."""
+"""Smoke tests: the example scripts run end to end with small arguments, and
+README's Python examples run as written."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +41,10 @@ def test_k_sweep():
     lines = result.stdout.splitlines()
     assert "N=2: urn K=2; card box K over V=1..2: [2, 3]; quantum K=4" in lines
     assert "K changes with V at fixed N, so K = K(N) fails for the card box." in lines
+
+
+def test_readme_python_blocks():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

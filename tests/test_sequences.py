@@ -185,7 +185,7 @@ class TestSequenceDistribution:
         scale=st.sampled_from([1, 2**40, 2**60, 2**61, 2**62, 2**70]),
     )
     def test_pair_counts_are_exact_on_both_sides_of_the_dtype_rule(self, deck, scale):
-        scaled = Deck(deck.spec, tuple((card, m * scale) for card, m in deck.entries))
+        scaled = Deck(deck.spec, deck.values, deck.counts * scale)
         pairs = _pair_counts(scaled)
         # every pair count is at most the total: int64 exactly when it fits
         assert pairs.dtype == (np.int64 if scaled.total < 2**63 else object)

@@ -621,12 +621,12 @@ class TestMatrixRankNumeric:
 
 
 class TestExhaustiveRank:
-    def test_literal_and_reduced_paths_agree(self):
+    def test_single_cards_match_the_literal_enumeration(self):
+        # every deck of multiplicity at most 2, enumerated literally
         for n, v in [(2, 2), (2, 3), (3, 2)]:
             spec = cardbox_spec(n, v)
-            literal = exhaustive_fiducial_rank(spec)
-            reduced = exhaustive_fiducial_rank(spec, enumeration_limit=1)
-            assert literal == reduced == v * (n - 1) + 1
+            literal = matrix_rank_exact(count_row(deck) for deck in enumerate_decks(spec, 2))
+            assert exhaustive_fiducial_rank(spec) == literal == v * (n - 1) + 1
 
     def test_rank_law_at_desk_scale(self):
         # every (N, V) with N**V <= 81
