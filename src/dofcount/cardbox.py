@@ -29,18 +29,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    BadArityError,
-    DuplicateNameError,
-    EmptyDeckError,
-    EmptySpecError,
-    EmptySubdeckError,
-    IncompleteAssignmentError,
-    InvariantError,
-    UnknownValueError,
-    UnknownVariableError,
-    ValidationError,
-)
+from .errors import InvariantError, ValidationError
 from .rng import RandomStream
 
 
@@ -60,20 +49,18 @@ class SystemSpec:
 
     def __post_init__(self) -> None:
         if not self.variables:
-            raise EmptySpecError("spec has no variables")
+            raise ValidationError("spec has no variables")
         names = self.variable_names
         if len(set(names)) != len(names):
-            raise DuplicateNameError(f"duplicate variable names in {names}")
+            raise ValidationError(f"duplicate variable names in {names}")
         n = self.values_per_variable
         for name, values in self.variables:
             if len(set(values)) != len(values):
-                raise DuplicateNameError(f"duplicate value names for variable {name!r}")
+                raise ValidationError(f"duplicate value names for variable {name!r}")
             if len(values) != n:
-                raise BadArityError(
-                    f"variable {name!r} has {len(values)} values, expected {n}"
-                )
+                raise ValidationError(f"variable {name!r} has {len(values)} values, expected {n}")
         if n < 2:
-            raise EmptySpecError("every variable needs at least two values")
+            raise ValidationError("every variable needs at least two values")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Sequence[str]]) -> "SystemSpec":
@@ -103,7 +90,7 @@ class SystemSpec:
         try:
             return self._variable_positions[variable]
         except (KeyError, TypeError):  # an unhashable name matches none
-            raise UnknownVariableError(f"unknown variable {variable!r}") from None
+            raise ValidationError(f"unknown variable {variable!r}") from None
 
     def values_of(self, variable: str) -> tuple[str, ...]:
         return self.variables[self.variable_index(variable)][1]
@@ -113,9 +100,7 @@ class SystemSpec:
         try:
             return positions[value]
         except (KeyError, TypeError):
-            raise UnknownValueError(
-                f"unknown value {value!r} for variable {variable!r}"
-            ) from None
+            raise ValidationError(f"unknown value {value!r} for variable {variable!r}") from None
 
 
 @dataclass(frozen=True)
@@ -131,11 +116,11 @@ class Card:
     @classmethod
     def from_assignment(cls, spec: SystemSpec, assignment: Mapping[str, str]) -> "Card":
         for variable in assignment:
-            spec.variable_index(variable)  # raises UnknownVariableError
+            spec.variable_index(variable)  # raises ValidationError
         for name in spec.variable_names:
             if name not in assignment:
-                raise IncompleteAssignmentError(f"no value for variable {name!r}")
-            spec.value_index(name, assignment[name])  # raises UnknownValueError
+                raise ValidationError(f"no value for variable {name!r}")
+            spec.value_index(name, assignment[name])  # raises ValidationError
         return cls(tuple((name, assignment[name]) for name in spec.variable_names))
 
     @property
@@ -150,7 +135,7 @@ class Card:
         for name, value in self.items:
             if name == variable:
                 return value
-        raise UnknownVariableError(f"unknown variable {variable!r}")
+        raise ValidationError(f"unknown variable {variable!r}")
 
     def __str__(self) -> str:
         return "/".join(f"{name}={value}" for name, value in self.items)
@@ -219,7 +204,7 @@ class Deck:
             if isinstance(key, Card):
                 key = Card.from_assignment(spec, key.assignment).values  # checks its names
             elif len(key) != len(names):
-                raise IncompleteAssignmentError(f"expected {len(names)} values, got {len(key)}")
+                raise ValidationError(f"expected {len(names)} values, got {len(key)}")
             row = tuple(map(spec.value_index, names, key))
             if type(count) is not int or count != 0:
                 rows.append(row)
@@ -329,7 +314,7 @@ class BoxState:
 def initial_state(deck: Deck) -> BoxState:
     """Fresh device state; before any observation the subdeck is the full deck."""
     if deck.is_empty:
-        raise EmptyDeckError("cannot prepare a state from an empty deck")
+        raise ValidationError("cannot prepare a state from an empty deck")
     return BoxState(deck=deck, subdeck=deck)
 
 
@@ -352,7 +337,7 @@ def outcome_distribution(state: BoxState, variable: str) -> dict[str, Fraction]:
     subdeck = state.subdeck
     a = subdeck.spec.variable_index(variable)
     if subdeck.is_empty:
-        raise EmptySubdeckError("state has an empty subdeck")
+        raise InvariantError("state has an empty subdeck")
     labels = subdeck.spec.variables[a][1]
     counts = [0] * len(labels)
     for x, count in zip(subdeck.values[:, a].tolist(), subdeck.counts.tolist()):
@@ -374,7 +359,7 @@ def observe(
     subdeck = state.subdeck
     a = subdeck.spec.variable_index(variable)
     if subdeck.is_empty:
-        raise EmptySubdeckError("state has an empty subdeck")
+        raise InvariantError("state has an empty subdeck")
     pick = rng.randint_below(subdeck.total)
     running = np.cumsum(subdeck.counts)  # Python ints: exact at any total
     row = np.searchsorted(running, pick, side="right")
@@ -396,7 +381,7 @@ def urn_as_cardbox(n: int) -> SystemSpec:
     single-value card types; multiplicities encode the position distribution.
     """
     if n < 2:
-        raise BadArityError(f"an urn needs at least 2 positions, got {n}")
+        raise ValidationError(f"an urn needs at least 2 positions, got {n}")
     return SystemSpec(((URN_VARIABLE, tuple(f"p{i + 1}" for i in range(n))),))
 
 
@@ -416,7 +401,7 @@ def cardbox_spec(num_values: int, num_variables: int) -> SystemSpec:
     matters; hand-written decks come from JSON files with real names.
     """
     if num_variables < 1 or num_values < 2:
-        raise EmptySpecError(
+        raise ValidationError(
             f"need at least 1 variable of 2 values, got V={num_variables}, N={num_values}"
         )
     values = tuple(f"val{j + 1}" for j in range(num_values))

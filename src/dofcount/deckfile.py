@@ -18,7 +18,7 @@ import operator
 from typing import Union
 
 from .cardbox import Card, Deck, SystemSpec
-from .errors import InvariantError, MalformedJsonError, SchemaViolationError, ValidationError
+from .errors import InvariantError, SchemaViolationError, ValidationError
 
 _TOP_KEYS = {"variables", "cards"}
 _VARIABLE_KEYS = {"name", "values"}
@@ -30,7 +30,7 @@ def parse_deck_file(data: Union[bytes, str]) -> tuple[SystemSpec, Deck]:
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, too many digits
-        raise MalformedJsonError(f"not valid JSON: {exc}") from exc
+        raise ValidationError(f"not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict):
         raise SchemaViolationError("$", "top level must be an object")

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadDimensionError,
-    DegenerateDrawError,
-    DimensionMismatchError,
-    InvariantError,
-    ValidationError,
-)
+from .errors import InvariantError, ValidationError
 from .rng import RandomStream
 
 # Tolerances for the floating-point (quantum) side, all in one place.
@@ -93,7 +87,7 @@ class ObservableSet:
         if not isinstance(bases, np.ndarray):
             dims = {basis.dimension for basis in bases}
             if len(dims) != 1:
-                raise DimensionMismatchError(f"bases have mixed dimensions {sorted(dims)}")
+                raise ValidationError(f"bases have mixed dimensions {sorted(dims)}")
             bases = np.stack([basis.vectors for basis in bases])
         object.__setattr__(self, "vectors", _checked_bases(bases, 3))
 
@@ -137,7 +131,7 @@ def random_state_rows(n: int, count: int, rng: RandomStream) -> np.ndarray:
     exactly, tr rho = |psi|^2, and its spectrum is {|psi|^2, 0, ..., 0}.
     """
     if n < 2:
-        raise BadDimensionError(f"dimension must be at least 2, got {n}")
+        raise ValidationError(f"dimension must be at least 2, got {n}")
     if count < 1:
         raise ValidationError(f"state count must be at least 1, got {count}")
     rows = rng.standard_normal((count, 2, n)).reshape(count, 2 * n)
@@ -183,7 +177,7 @@ def random_observable_set(
     if rng is None:
         raise ValidationError("random_observable_set requires a RandomStream")
     if n < 2:
-        raise BadDimensionError(f"dimension must be at least 2, got {n}")
+        raise ValidationError(f"dimension must be at least 2, got {n}")
     m = n + 1 if num_bases is None else num_bases
     if m < 1:
         raise ValidationError("observable set needs at least one basis")
@@ -197,7 +191,7 @@ def random_observable_set(
         for ok in kept.tolist():
             failed = 0 if ok else failed + 1
             if failed == _MAX_BASIS_ATTEMPTS:
-                raise DegenerateDrawError(f"no nondegenerate basis draw in {failed} attempts")
+                raise InvariantError(f"no nondegenerate basis draw in {failed} attempts")
         q, d = q[kept], d[kept]
         vectors[done : done + len(q)] = (q * (d / np.abs(d))[:, None, :]).transpose(0, 2, 1)
         done += len(q)
@@ -207,7 +201,7 @@ def random_observable_set(
 def measurement_distribution(state: DensityState, basis: MeasurementBasis) -> np.ndarray:
     """Born probabilities p_k = <b_k| rho |b_k>, clamped to [0, 1]."""
     if state.dimension != basis.dimension:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"state dimension {state.dimension} != basis dimension {basis.dimension}"
         )
     raw = np.einsum("ki,ij,kj->k", basis.vectors.conj(), state.matrix, basis.vectors)
@@ -248,7 +242,7 @@ def pure_state_distributions(
     """
     n = bases.dimension
     if psi.shape[-1] != n:
-        raise DimensionMismatchError(f"state dimension {psi.shape[-1]} != basis dimension {n}")
+        raise ValidationError(f"state dimension {psi.shape[-1]} != basis dimension {n}")
     out = np.empty((len(psi), bases.vectors.size // n))
     return born_rows(np.hstack([psi.real, psi.imag]), bases.vectors.reshape(-1, n, n), out)
 

@@ -33,10 +33,24 @@ class RandomStream:
         return RandomStream(self.seed, stream_id)
 
     def randint_below(self, upper: int) -> int:
-        """Uniform integer in [0, upper)."""
+        """Uniform integer in [0, upper), exact for any int ``upper``.
+
+        A bound past int64 takes ``upper.bit_length()`` bits of 63-bit words,
+        drawn again until they fall below it.
+        """
         if upper <= 0:
             raise ValueError("upper must be positive")
-        return int(self._gen.integers(upper))
+        if upper < 2**63:  # int64: one Generator draw
+            return int(self._gen.integers(upper))
+        bits = int(upper).bit_length()
+        words = -(-bits // 63)
+        while True:
+            value = 0
+            for word in self._gen.integers(2**63, size=words).tolist():
+                value = value << 63 | word
+            value >>= 63 * words - bits
+            if value < upper:
+                return value
 
     def integers_below(self, upper, size=None) -> np.ndarray:
         """Array of independent uniform integers in [0, upper).

@@ -39,13 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cardbox import Deck, Outcome
-from .errors import (
-    EmptyDeckError,
-    InvariantError,
-    SameVariableError,
-    SingleVariableError,
-    ValidationError,
-)
+from .errors import InvariantError, ValidationError
 from .rng import RandomStream
 
 # Largest trial count ``simulate_plan`` accepts; more fails before any draw.
@@ -186,7 +180,7 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
     the leaves sum to 1.
     """
     if deck.is_empty:
-        raise EmptyDeckError("cannot compute sequence statistics for an empty deck")
+        raise ValidationError("cannot compute sequence statistics for an empty deck")
     steps = tuple(plan)
     if not steps:
         raise ValueError("plan must contain at least one step")
@@ -259,7 +253,7 @@ def check_repeatability(deck: Deck) -> RepeatabilityResult:
     probability on pairs with differing values.
     """
     if deck.is_empty:
-        raise EmptyDeckError("cannot audit an empty deck")
+        raise ValidationError("cannot audit an empty deck")
     for variable in deck.spec.variable_names:
         dist = sequence_distribution(deck, (variable, variable))
         for (first, second), p in dist.items():
@@ -306,10 +300,10 @@ def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
     None when the deck admits none.
     """
     if deck.is_empty:
-        raise EmptyDeckError("cannot search an empty deck")
+        raise ValidationError("cannot search an empty deck")
     spec = deck.spec
     if spec.num_variables < 2:
-        raise SingleVariableError(
+        raise ValidationError(
             "a single-variable (urn) system cannot produce a contradictory repeat"
         )
     n, v = spec.values_per_variable, spec.num_variables
@@ -345,7 +339,7 @@ def pair_order_statistics(
     length 3 on.
     """
     if a == b:
-        raise SameVariableError(f"need two distinct variables, got {a!r} twice")
+        raise ValidationError(f"need two distinct variables, got {a!r} twice")
     return (
         sequence_distribution(deck, (a, b)),
         sequence_distribution(deck, (b, a)),
@@ -396,7 +390,7 @@ def simulate_plan(
     if trials > MAX_TRIALS:
         raise ValidationError(f"trials must be at most {MAX_TRIALS:,}, got {trials:,}")
     if deck.is_empty:
-        raise EmptyDeckError("cannot simulate an empty deck")
+        raise ValidationError("cannot simulate an empty deck")
     spec = deck.spec
     law = sequence_distribution(deck, plan)
     order, probs = _subdeck_rows(deck)

@@ -51,12 +51,7 @@ from .cardbox import (
     outcome_distribution,
     urn_as_cardbox,
 )
-from .errors import (
-    InvariantError,
-    NonFiniteError,
-    RaggedMatrixError,
-    ValidationError,
-)
+from .errors import InvariantError, ValidationError
 from .quantum import (
     _DRAW_BLOCK,
     RANK_TOL,
@@ -223,12 +218,12 @@ class ExactRowBasis:
     def add(self, row: Sequence) -> bool:
         """Insert a row; returns True iff it enlarged the span."""
         if len(row) != self.width:
-            raise RaggedMatrixError(f"row has {len(row)} entries, expected {self.width}")
+            raise ValidationError(f"row has {len(row)} entries, expected {self.width}")
         try:
             reduced = [operator.index(x) for x in row]
         except TypeError:  # Fractions or floats: scale by the denominators' LCM
             if any(isinstance(x, float) and not math.isfinite(x) for x in row):
-                raise NonFiniteError("row contains NaN or infinity") from None
+                raise InvariantError("row contains NaN or infinity") from None
             fractions = [Fraction(x) for x in row]
             scale = math.lcm(*(f.denominator for f in fractions))
             reduced = [f.numerator * (scale // f.denominator) for f in fractions]
@@ -285,14 +280,14 @@ def matrix_rank_numeric(rows, tol: float = RANK_TOL) -> int:
             raise ValidationError("matrix must be 2-D, got 1-D")
         widths = {len(r) for r in rows}
         if len(widths) > 1:
-            raise RaggedMatrixError(f"rows have mixed lengths {sorted(widths)}")
+            raise ValidationError(f"rows have mixed lengths {sorted(widths)}")
         matrix = np.asarray(rows, dtype=float)
     if matrix.ndim != 2:
         raise ValidationError(f"matrix must be 2-D, got {matrix.ndim}-D")
     if len(matrix) == 0:
         raise ValidationError("matrix must have at least one row")
     if not np.isfinite(matrix).all():
-        raise NonFiniteError("matrix contains NaN or infinity")
+        raise InvariantError("matrix contains NaN or infinity")
     singular = np.linalg.svd(matrix, compute_uv=False)
     if singular.size == 0 or singular[0] == 0.0:
         return 0

@@ -28,12 +28,7 @@ from dofcount import (
     uniform_deck,
 )
 from dofcount.cli import UsageError, build_parser
-from dofcount.errors import (
-    DegenerateDrawError,
-    InvariantError,
-    SchemaViolationError,
-    ValidationError,
-)
+from dofcount.errors import InvariantError, SchemaViolationError, ValidationError
 from dofcount.quantum import _MAX_BASIS_ATTEMPTS, _PIVOT_TOL
 
 settings.register_profile("default", max_examples=40, deadline=None)
@@ -389,10 +384,6 @@ def top_level_cli_main(argv):
 COLLAPSE_MIN_PROBABILITY = 1e-12
 
 
-class ZeroProbabilityOutcomeError(ValidationError):
-    """Cannot collapse onto an outcome of (numerically) zero probability."""
-
-
 def collapse(state, basis, outcome):
     """Sharp projective update: the state becomes |b_k><b_k|.
 
@@ -403,7 +394,7 @@ def collapse(state, basis, outcome):
     if not 0 <= outcome < len(probs):
         raise ValidationError(f"outcome index {outcome} out of range")
     if probs[outcome] <= COLLAPSE_MIN_PROBABILITY:
-        raise ZeroProbabilityOutcomeError(f"outcome {outcome} has probability {probs[outcome]:.3g}")
+        raise ValidationError(f"outcome {outcome} has probability {probs[outcome]:.3g}")
     b = basis.vectors[outcome]
     return DensityState(np.outer(b, b.conj()))
 
@@ -418,7 +409,7 @@ def sequential_random_basis(n, rng):
         d = np.diagonal(r)
         if np.min(np.abs(d)) >= _PIVOT_TOL:
             return (q * (d / np.abs(d))).T
-    raise DegenerateDrawError(f"no nondegenerate basis draw in {_MAX_BASIS_ATTEMPTS} attempts")
+    raise InvariantError(f"no nondegenerate basis draw in {_MAX_BASIS_ATTEMPTS} attempts")
 
 
 def complex_states(n, count, rng):

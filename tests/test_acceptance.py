@@ -31,7 +31,7 @@ from dofcount import (
     urn_deck,
 )
 from dofcount.cli import cli_main
-from dofcount.errors import SingleVariableError
+from dofcount.errors import ValidationError
 from dofcount.sequences import Outcome
 
 
@@ -139,10 +139,11 @@ def test_criterion_6_incompatibility_witness(capsys, four_card_spec):
     for n in (2, 3, 4):
         single_variable_decks += random_deck_ensemble(cardbox_spec(n, 1), 5, 2, rng)
     for deck in single_variable_decks:
-        with pytest.raises(SingleVariableError):
+        with pytest.raises(ValidationError, match=r"^a single-variable \(urn\) system cannot "
+                           r"produce a contradictory repeat$"):
             find_classicality_witness(deck)
     with capsys.disabled():
-        _report(6, "length-3 witness with probability 1/8; V=1 decks report SingleVariable")
+        _report(6, "length-3 witness with probability 1/8; V=1 decks raise ValidationError")
 
 
 def test_criterion_7_pair_order_invariance(capsys):

@@ -1,9 +1,11 @@
 import ast
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -20,7 +22,8 @@ import dofcount
 from conftest import deck_strategy, top_level_cli_main, tree_sequence_distribution
 from dofcount import Deck, Outcome, RandomStream, serialize_deck_file, urn_as_cardbox, urn_deck
 from dofcount import cli, sequences
-from dofcount.cli import CSV_HEADER, cli_main
+from dofcount.cli import CSV_HEADER, UsageError, cli_main
+from dofcount.errors import DofcountError, InvariantError, SchemaViolationError, ValidationError
 from dofcount.sequences import sequence_distribution
 from dofcount.tomography import estimate_k
 
@@ -661,8 +664,6 @@ class TestExitCodes:
         assert "JSON" in capsys.readouterr().err
 
     def test_internal_invariant_failure(self, deck_file, capsys, monkeypatch):
-        from dofcount.errors import InvariantError
-
         def boom(*args, **kwargs):
             raise InvariantError("synthetic failure")
 
@@ -772,3 +773,120 @@ class TestSeedResolution:
         monkeypatch.setenv("DOFCOUNT_SEED", "not-a-number")
         assert cli_main(["rank", "--system", "urn", "--n", "2"]) == 2
         assert "DOFCOUNT_SEED" in capsys.readouterr().err
+
+
+def _deck_json(variables, cards):
+    return json.dumps({
+        "variables": [{"name": name, "values": values} for name, values in variables],
+        "cards": [{"assignment": assignment, "count": 1} for assignment in cards],
+    })
+
+
+def _failure(name, argv, code, line, deck=None, patch=None):
+    """One row of the error contract: ``argv`` (``{deck}`` is the path of a file holding
+    ``deck``), with ``patch = (attribute under dofcount, value)`` applied, exits ``code``
+    and writes only ``line`` to stderr."""
+    return pytest.param(argv, deck, patch, code, line, id=name)
+
+
+_XY = ["x", "y"]
+_AB = [("A", _XY), ("B", _XY)]
+WITNESS = ["witness", "--deck", "{deck}"]
+ERROR_CONTRACT = [
+    _failure("unknown-plan-variable", ["sequence", "--deck", CARDS4, "--plan", "Suit,Rank"],
+             2, "error: unknown variable 'Rank'"),
+    _failure("unknown-simulate-variable",
+             ["simulate", "--deck", CARDS4, "--plan", "Face,Suit,X", "--trials", "10"],
+             2, "error: unknown variable 'X'"),
+    _failure("urn-witness", WITNESS, 2,
+             "error: a single-variable (urn) system cannot produce a contradictory repeat",
+             deck=_deck_json([("Pos", ["p1", "p2"])], [{"Pos": "p1"}])),
+    _failure("urn-n", ["rank", "--system", "urn", "--n", "1"],
+             2, "error: an urn needs at least 2 positions, got 1"),
+    _failure("cardbox-n", ["rank", "--system", "cardbox", "--n", "1", "--v", "2"],
+             2, "error: need at least 1 variable of 2 values, got V=2, N=1"),
+    _failure("quantum-n", ["rank", "--system", "quantum", "--n", "1"],
+             2, "error: dimension must be at least 2, got 1"),
+    _failure("duplicate-variable", WITNESS, 2, "error: duplicate variable names in ('A', 'A')",
+             deck=_deck_json([("A", _XY)] * 2, [{"A": "x"}])),
+    _failure("duplicate-value", WITNESS, 2, "error: duplicate value names for variable 'A'",
+             deck=_deck_json([("A", ["x", "x"])], [{"A": "x"}])),
+    _failure("arity", WITNESS, 2, "error: variable 'B' has 3 values, expected 2",
+             deck=_deck_json([("A", _XY), ("B", ["x", "y", "z"])], [{"A": "x", "B": "x"}])),
+    _failure("one-value", WITNESS, 2, "error: every variable needs at least two values",
+             deck=_deck_json([("A", ["x"])], [{"A": "x"}])),
+    _failure("unknown-value", WITNESS, 2,
+             "error: cards[0].assignment: unknown value 'z' for variable 'B'",
+             deck=_deck_json(_AB, [{"A": "x", "B": "z"}])),
+    _failure("unknown-variable", WITNESS, 2, "error: cards[0].assignment: unknown variable 'C'",
+             deck=_deck_json(_AB, [{"A": "x", "C": "x"}])),
+    _failure("incomplete-card", WITNESS, 2, "error: cards[0].assignment: no value for variable 'B'",
+             deck=_deck_json(_AB, [{"A": "x"}])),
+    _failure("schema", WITNESS, 2, "error: variables: must be a nonempty array",
+             deck='{"variables": [], "cards": []}'),
+    _failure("malformed-json", WITNESS, 2, "error: not valid JSON: Expecting property name "
+             "enclosed in double quotes: line 1 column 2 (char 1)", deck="{broken"),
+    _failure("sweep-n", ["sweep", "--n-range", "1", "--v-range", "1", "--systems", "urn"],
+             2, "error: N must be at least 2"),
+    _failure("unknown-system", ["sweep", "--n-range", "2", "--v-range", "1", "--systems", "abc"],
+             2, "error: unknown system kind 'abc'"),
+    _failure("negative-seed", ["rank", "--system", "urn", "--n", "2", "--seed", "-1"],
+             2, "error: seed must be non-negative"),
+    _failure("degenerate-draw", ["rank", "--system", "quantum", "--n", "2"],
+             3, "internal error: no nondegenerate basis draw in 8 attempts",
+             patch=("quantum._PIVOT_TOL", float("inf"))),
+    _failure("bad-trials", ["simulate", "--deck", CARDS4, "--plan", "Suit", "--trials", "0"],
+             1, "usage error: --trials must be positive"),
+    _failure("empty-plan", ["sequence", "--deck", CARDS4, "--plan", ","],
+             1, "usage error: plan must name at least one variable, got ','"),
+]
+
+
+@pytest.mark.parametrize("argv, deck, patch, code, line", ERROR_CONTRACT)
+def test_error_contract(tmp_path, capsys, monkeypatch, argv, deck, patch, code, line):
+    monkeypatch.delenv("DOFCOUNT_SEED", raising=False)
+    if deck is not None:
+        (tmp_path / "deck.json").write_text(deck)
+    if patch is not None:
+        monkeypatch.setattr(f"dofcount.{patch[0]}", patch[1])
+    assert cli_main([arg.format(deck=tmp_path / "deck.json") for arg in argv]) == code
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_one_error_class_per_exit_code():
+    for module in pkgutil.iter_modules(dofcount.__path__):
+        if module.name != "__main__":  # runs the CLI
+            importlib.import_module(f"dofcount.{module.name}")
+    ours = [c for c in _subclasses(DofcountError) if c.__module__.startswith("dofcount.")]
+    defined = {c: c.__bases__ for c in ours}
+    assert defined == {
+        UsageError: (DofcountError,),
+        ValidationError: (DofcountError,),
+        InvariantError: (DofcountError,),
+        SchemaViolationError: (ValidationError,),
+    }
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (UsageError("boom"), 1, "usage error: "),
+        (ValidationError("boom"), 2, "error: "),
+        (SchemaViolationError("cards", "boom"), 2, "error: cards: "),
+        (InvariantError("boom"), 3, "internal error: "),
+    ],
+    ids=["usage", "validation", "schema", "invariant"],
+)
+def test_each_error_class_has_its_exit_code(capsys, monkeypatch, error, code, prefix):
+    def fail(deck):
+        raise error
+
+    monkeypatch.setattr(cli, "find_classicality_witness", fail)
+    assert cli_main(["witness", "--deck", CARDS4]) == code
+    assert capsys.readouterr() == ("", prefix + "boom\n")

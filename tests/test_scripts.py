@@ -46,5 +46,5 @@ def test_k_sweep():
 def test_readme_python_blocks():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert blocks
-    for block in blocks:
-        exec(compile(block, "README.md", "exec"), {})
+    for block in blocks:  # optimize=0: the block's asserts run under python -O too
+        exec(compile(block, "README.md", "exec", optimize=0), {})
