@@ -14,7 +14,6 @@ from .cardbox import (
     Deck,
     Outcome,
     SystemSpec,
-    all_cards,
     cardbox_spec,
     filter_deck,
     initial_state,
@@ -22,7 +21,6 @@ from .cardbox import (
     outcome_distribution,
     uniform_deck,
     urn_as_cardbox,
-    urn_deck,
 )
 from .deckfile import parse_deck_file, serialize_deck_file
 from .quantum import (
@@ -30,7 +28,6 @@ from .quantum import (
     MeasurementBasis,
     ObservableSet,
     measurement_distribution,
-    pure_state_distributions,
     random_basis,
     random_observable_set,
     random_pure_state,
@@ -43,7 +40,6 @@ from .sequences import (
     SequenceDistribution,
     check_repeatability,
     find_classicality_witness,
-    pair_order_statistics,
     sequence_distribution,
     simulate_plan,
 )
@@ -54,11 +50,9 @@ from .tomography import (
     estimate_k_cardbox,
     estimate_k_quantum,
     estimate_k_urn,
-    exhaustive_fiducial_rank,
     fiducial_vector_cardbox,
     fiducial_vector_quantum,
     k_sweep,
-    matrix_rank_exact,
     matrix_rank_numeric,
     random_deck_ensemble,
 )

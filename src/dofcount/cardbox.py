@@ -131,12 +131,6 @@ class Card:
     def values(self) -> tuple[str, ...]:
         return tuple(value for _, value in self.items)
 
-    def value(self, variable: str) -> str:
-        for name, value in self.items:
-            if name == variable:
-                return value
-        raise ValidationError(f"unknown variable {variable!r}")
-
     def __str__(self) -> str:
         return "/".join(f"{name}={value}" for name, value in self.items)
 
@@ -287,11 +281,6 @@ def uniform_deck(spec: SystemSpec) -> Deck:
     return Deck(spec, types, [1] * len(types))
 
 
-def all_cards(spec: SystemSpec) -> list[Card]:
-    """Every possible card type, in canonical (lexicographic) order."""
-    return [card for card, _ in uniform_deck(spec).entries]
-
-
 @dataclass(frozen=True)
 class Outcome:
     """A displayed (variable, value) pair."""
@@ -371,9 +360,6 @@ def observe(
     return outcome, new_state
 
 
-URN_VARIABLE = "Pos"
-
-
 def urn_as_cardbox(n: int) -> SystemSpec:
     """The classical urn expressed as a one-variable card box.
 
@@ -382,16 +368,7 @@ def urn_as_cardbox(n: int) -> SystemSpec:
     """
     if n < 2:
         raise ValidationError(f"an urn needs at least 2 positions, got {n}")
-    return SystemSpec(((URN_VARIABLE, tuple(f"p{i + 1}" for i in range(n))),))
-
-
-def urn_deck(counts: Sequence[int]) -> Deck:
-    """Urn state from per-position multiplicities (one entry per position)."""
-    spec = urn_as_cardbox(len(counts))
-    return Deck.from_counts(
-        spec,
-        {(value,): count for value, count in zip(spec.values_of(URN_VARIABLE), counts)},
-    )
+    return SystemSpec((("Pos", tuple(f"p{i + 1}" for i in range(n))),))
 
 
 def cardbox_spec(num_values: int, num_variables: int) -> SystemSpec:

@@ -91,14 +91,6 @@ class ObservableSet:
             bases = np.stack([basis.vectors for basis in bases])
         object.__setattr__(self, "vectors", _checked_bases(bases, 3))
 
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[-1]
-
-    @property
-    def num_bases(self) -> int:
-        return len(self.vectors)
-
 
 _DRAW_BLOCK = 2**16  # entries drawn or multiplied per call: bounds memory whatever the run
 
@@ -230,21 +222,6 @@ def born_rows(states: np.ndarray, vectors: np.ndarray, out: np.ndarray) -> np.nd
         np.einsum("ikj,ikj->ij", a, a, out=out[:, j * n : (j + step) * n])
     _checked_probabilities(out.reshape(len(out), -1, n))
     return out
-
-
-def pure_state_distributions(
-    psi: np.ndarray, bases: MeasurementBasis | ObservableSet
-) -> np.ndarray:
-    """Born probabilities |<b_k|psi_e>|^2 of a stack of state vectors.
-
-    Row e holds the distributions of state ``psi[e]`` in each basis, one
-    after another: ``measurement_distribution`` without density matrices.
-    """
-    n = bases.dimension
-    if psi.shape[-1] != n:
-        raise ValidationError(f"state dimension {psi.shape[-1]} != basis dimension {n}")
-    out = np.empty((len(psi), bases.vectors.size // n))
-    return born_rows(np.hstack([psi.real, psi.imag]), bases.vectors.reshape(-1, n, n), out)
 
 
 def _checked_probabilities(raw: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 class RandomStream:
     """Deterministic random source addressed by (seed, stream_id)."""
@@ -19,7 +21,7 @@ class RandomStream:
 
     def __init__(self, seed: int, stream_id: int = 0):
         if seed < 0 or stream_id < 0:
-            raise ValueError("seed and stream_id must be non-negative")
+            raise ValidationError("seed and stream_id must be non-negative")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -28,10 +30,6 @@ class RandomStream:
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
 
-    def substream(self, stream_id: int) -> "RandomStream":
-        """Fresh independent stream derived from the same master seed."""
-        return RandomStream(self.seed, stream_id)
-
     def randint_below(self, upper: int) -> int:
         """Uniform integer in [0, upper), exact for any int ``upper``.
 
@@ -39,7 +37,7 @@ class RandomStream:
         drawn again until they fall below it.
         """
         if upper <= 0:
-            raise ValueError("upper must be positive")
+            raise ValidationError("upper must be positive")
         if upper < 2**63:  # int64: one Generator draw
             return int(self._gen.integers(upper))
         bits = int(upper).bit_length()
@@ -59,7 +57,7 @@ class RandomStream:
         bounds with one draw below each.
         """
         if upper <= 0 if isinstance(upper, int) else np.any(np.asarray(upper) <= 0):
-            raise ValueError("upper must be positive")
+            raise ValidationError("upper must be positive")
         return self._gen.integers(0, upper, size=size)
 
     def multinomial(self, trials, pvals) -> np.ndarray:

@@ -7,7 +7,7 @@ each machine-checkable:
   the first value (``check_repeatability``);
 * pair-order invariance -- from a fresh state, the two-press statistics of
   distinct variables agree in both orders and equal the deck's joint card
-  frequencies (``pair_order_statistics``);
+  frequencies (``sequence_distribution`` of ``(a, b)`` and ``(b, a)``);
 * incompatibility -- at length three, sequences appear in which a variable
   is seen twice with *different* values.  No model in which every card has
   fixed values that observation merely reveals can produce such a run, so
@@ -183,7 +183,7 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
         raise ValidationError("cannot compute sequence statistics for an empty deck")
     steps = tuple(plan)
     if not steps:
-        raise ValueError("plan must contain at least one step")
+        raise ValidationError("plan must contain at least one step")
     spec = deck.spec
     pressed = [spec.variable_index(variable) for variable in steps]
     n = spec.values_per_variable
@@ -249,21 +249,24 @@ class RepeatabilityResult:
 def check_repeatability(deck: Deck) -> RepeatabilityResult:
     """Audit every variable: an immediate re-press must repeat the value.
 
-    Passes iff for each variable v the exact [v, v] distribution puts zero
-    probability on pairs with differing values.
+    Closed form on the pair counts ``C`` (:func:`_pair_counts`): the run
+    ``a=x, a=y`` has probability ``C[1 + a*N + x, a*N + y] / total``, so
+    variable ``a`` passes iff its block ``C[1 + a*N : 1 + (a+1)*N, a*N :
+    (a+1)*N]`` is diagonal.  The counterexample is the first variable's
+    first off-diagonal ``(x, y)`` in row-major order, the order of the
+    ``[a, a]`` law's runs.
     """
     if deck.is_empty:
         raise ValidationError("cannot audit an empty deck")
-    for variable in deck.spec.variable_names:
-        dist = sequence_distribution(deck, (variable, variable))
-        for (first, second), p in dist.items():
-            if first.value != second.value:
-                return RepeatabilityResult(
-                    passed=False,
-                    variable=variable,
-                    outcomes=(first, second),
-                    probability=p,
-                )
+    n = deck.spec.values_per_variable
+    pairs = _pair_counts(deck)
+    for a, (variable, labels) in enumerate(deck.spec.variables):
+        block = pairs[1 + a * n : 1 + (a + 1) * n, a * n : (a + 1) * n]
+        off = np.argwhere((block != 0) & ~np.eye(n, dtype=bool))
+        if len(off):
+            x, y = off[0].tolist()
+            shown = (Outcome(variable, labels[x]), Outcome(variable, labels[y]))
+            return RepeatabilityResult(False, variable, shown, Fraction(int(block[x, y]), deck.total))
     return RepeatabilityResult(passed=True)
 
 
@@ -329,23 +332,6 @@ def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
     )
 
 
-def pair_order_statistics(
-    deck: Deck, a: str, b: str
-) -> tuple[SequenceDistribution, SequenceDistribution]:
-    """Exact distributions of [a, b] and [b, a] from the fresh full-deck state.
-
-    Both reduce to the deck's joint card frequency of the two values, so
-    order does not matter at pair level; incompatibility only bites from
-    length 3 on.
-    """
-    if a == b:
-        raise ValidationError(f"need two distinct variables, got {a!r} twice")
-    return (
-        sequence_distribution(deck, (a, b)),
-        sequence_distribution(deck, (b, a)),
-    )
-
-
 def _subdeck_rows(deck: Deck) -> tuple[np.ndarray, np.ndarray]:
     """Every chain state's cards and card probabilities: ``(order, probs)``.
 
@@ -386,7 +372,7 @@ def simulate_plan(
     before any draw.
     """
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise ValidationError("trials must be positive")
     if trials > MAX_TRIALS:
         raise ValidationError(f"trials must be at most {MAX_TRIALS:,}, got {trials:,}")
     if deck.is_empty:

@@ -111,7 +111,7 @@ def _multiplicity_draws(
 ) -> Iterator[np.ndarray]:
     """Per-card-type multiplicities of random decks, one row per deck.
 
-    Columns follow ``all_cards`` order, and each entry is uniform in
+    Columns follow ``card_type_indices`` order, and each entry is uniform in
     {0..max}.  All-zero draws are rejected and redrawn, so every deck is
     nonempty.  Rows come in blocks, each drawn only when the caller asks
     for it: the first holds ``first_block`` rows and each later one twice
@@ -151,7 +151,7 @@ def random_deck_ensemble(
 
 
 def _value_counts(block: np.ndarray, n: int, v: int) -> np.ndarray:
-    """Per-variable value counts of multiplicity rows in ``all_cards`` order.
+    """Per-variable value counts of multiplicity rows in ``card_type_indices`` order.
 
     Column ``i*N + x`` sums a row over the card types that show value ``x``
     of variable ``i``.  The first variable is the slowest axis of that order:
@@ -196,13 +196,12 @@ def _count_rows(
 class ExactRowBasis:
     """Incremental row-echelon basis over the integers, fraction-free.
 
-    Rows can be fed one at a time (handy for streaming enumerations and
-    saturation checks); ``rank`` is exact, with no tolerance anywhere.
-    Rows of Fractions or floats are scaled to integers first, which leaves
-    the span unchanged.  Pivot rows are kept in insertion order; each was
-    reduced by all earlier pivots, so it is zero in their columns.  A new
-    row is reduced by each pivot ``p`` with ``r <- r*p[c] - r[c]*p``
-    (Bareiss 1968) and divided by the gcd of its entries.
+    Rows of ints are fed one at a time (handy for streaming enumerations
+    and saturation checks); ``rank`` is exact, with no tolerance anywhere.
+    Pivot rows are kept in insertion order; each was reduced by all earlier
+    pivots, so it is zero in their columns.  A new row is reduced by each
+    pivot ``p`` with ``r <- r*p[c] - r[c]*p`` (Bareiss 1968) and divided by
+    the gcd of its entries.
     """
 
     def __init__(self, width: int):
@@ -221,12 +220,8 @@ class ExactRowBasis:
             raise ValidationError(f"row has {len(row)} entries, expected {self.width}")
         try:
             reduced = [operator.index(x) for x in row]
-        except TypeError:  # Fractions or floats: scale by the denominators' LCM
-            if any(isinstance(x, float) and not math.isfinite(x) for x in row):
-                raise InvariantError("row contains NaN or infinity") from None
-            fractions = [Fraction(x) for x in row]
-            scale = math.lcm(*(f.denominator for f in fractions))
-            reduced = [f.numerator * (scale // f.denominator) for f in fractions]
+        except TypeError as exc:
+            raise ValidationError(f"row entries must be ints: {exc}") from None
         for col, pivot_row in self._pivots:
             factor = reduced[col]
             if factor:
@@ -239,17 +234,6 @@ class ExactRowBasis:
         col = next(i for i, a in enumerate(reduced) if a)
         self._pivots.append((col, reduced))
         return True
-
-
-def matrix_rank_exact(rows: Iterable[Sequence]) -> int:
-    """Exact rank of a matrix of ints, Fractions or floats (read exactly)."""
-    rows = list(rows)
-    if not rows:
-        raise ValidationError("matrix must have at least one row")
-    basis = ExactRowBasis(len(rows[0]))
-    for row in rows:
-        basis.add(row)
-    return basis.rank
 
 
 def _check_tolerance(tol: float) -> None:
@@ -292,21 +276,6 @@ def matrix_rank_numeric(rows, tol: float = RANK_TOL) -> int:
     if singular.size == 0 or singular[0] == 0.0:
         return 0
     return int(np.sum(singular > tol * singular[0]))
-
-
-def exhaustive_fiducial_rank(spec: SystemSpec) -> int:
-    """Exact rank of the fiducial vectors of every deck over ``spec``.
-
-    A deck's fiducial vector is by definition the multiplicity-weighted
-    average of its cards' indicator vectors, so any family of decks that
-    holds the single-card decks (all decks of multiplicity at most ``m``,
-    for any ``m >= 1``) spans exactly the space the single-card decks span.
-    The rank is taken over their count rows, one card each; the tests check
-    it against the literal enumeration of small families.
-    """
-    n, v = spec.values_per_variable, spec.num_variables
-    single_cards = np.eye(card_type_count(n, v), dtype=np.int8)
-    return matrix_rank_exact(_value_counts(single_cards, n, v).tolist())
 
 
 @dataclass(frozen=True)
@@ -407,6 +376,8 @@ def estimate_k_urn(
     rng: RandomStream,
 ) -> KReport:
     """K for the single-variable urn; the classical reference point K=N."""
+    if n >= 2:  # otherwise urn_as_cardbox names the bad count
+        _check_draw_limits(n, 1, max_multiplicity)  # before urn_as_cardbox builds n names
     return _estimate_k_classical(urn_as_cardbox(n), "urn", ensemble, max_multiplicity, rng)
 
 
@@ -504,6 +475,8 @@ def estimate_k(
     if kind == "cardbox":
         if v is None:
             raise ValidationError("cardbox systems need a variable count v")
+        if n >= 2 and v >= 1:  # otherwise cardbox_spec names the bad argument
+            _check_draw_limits(n, v, max_multiplicity)  # before cardbox_spec builds V names
         return estimate_k_cardbox(
             cardbox_spec(n, v),
             ensemble=ensemble,

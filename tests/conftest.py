@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from dofcount import (
     Outcome,
     RandomStream,
     SystemSpec,
-    all_cards,
     cardbox_spec,
     fiducial_vector_cardbox,
     filter_deck,
@@ -25,11 +25,16 @@ from dofcount import (
     measurement_distribution,
     observe,
     outcome_distribution,
+    sequence_distribution,
     uniform_deck,
+    urn_as_cardbox,
 )
+from dofcount.cardbox import card_type_count
 from dofcount.cli import UsageError, build_parser
 from dofcount.errors import InvariantError, SchemaViolationError, ValidationError
-from dofcount.quantum import _MAX_BASIS_ATTEMPTS, _PIVOT_TOL
+from dofcount.quantum import _MAX_BASIS_ATTEMPTS, _PIVOT_TOL, born_rows
+from dofcount.sequences import RepeatabilityResult
+from dofcount.tomography import _value_counts
 
 settings.register_profile("default", max_examples=40, deadline=None)
 settings.register_profile("thorough", max_examples=200, deadline=None)
@@ -63,6 +68,18 @@ def huge_deck(four_card_spec):
     )
 
 
+def all_cards(spec):
+    """Every possible card type, in canonical (lexicographic) order."""
+    return [card for card, _ in uniform_deck(spec).entries]
+
+
+def urn_deck(counts):
+    """Urn state from per-position multiplicities (one entry per position)."""
+    spec = urn_as_cardbox(len(counts))
+    ((_, values),) = spec.variables
+    return Deck.from_counts(spec, {(value,): count for value, count in zip(values, counts)})
+
+
 def spec_strategy(min_variables=1, max_variables=3, min_values=2, max_values=4):
     return st.builds(
         cardbox_spec,
@@ -93,7 +110,7 @@ def joint_card_frequency(deck, a: str, x: str, b: str, y: str) -> Fraction:
     matching = sum(
         count
         for card, count in deck.entries
-        if card.value(a) == x and card.value(b) == y
+        if card.assignment[a] == x and card.assignment[b] == y
     )
     return Fraction(matching, deck.total)
 
@@ -135,12 +152,12 @@ def literal_tree_sampler(deck, plan, trials, rng):
         for run, hits in level.items():
             cards = [
                 (card, count) for card, count in deck.entries
-                if not run or card.value(plan[i - 1]) == run[-1].value
+                if not run or card.assignment[plan[i - 1]] == run[-1].value
             ]
             total = sum(count for _, count in cards)
             shares = rng.multinomial(hits, [count / total for _, count in cards])
             for (card, _), share in zip(cards, shares.tolist()):
-                child = (*run, Outcome(variable, card.value(variable)))
+                child = (*run, Outcome(variable, card.assignment[variable]))
                 children[child] = children.get(child, 0) + share
         level = dict(sorted(
             children.items(),
@@ -180,7 +197,44 @@ def literal_random_decks(spec, count, max_multiplicity, rng):
 
 def count_row(deck):
     """A deck's per-variable value counts: its total times its fiducial vector."""
-    return [deck.total * p for p in fiducial_vector_cardbox(deck)]
+    return [(deck.total * p).numerator for p in fiducial_vector_cardbox(deck)]
+
+
+def integer_row(row):
+    """A row of ints, Fractions or floats (read exactly) times the LCM of its
+    denominators: a row of ints with the same span."""
+    if any(isinstance(x, float) and not math.isfinite(x) for x in row):
+        raise InvariantError("row contains NaN or infinity")
+    fractions = [Fraction(x) for x in row]
+    scale = math.lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (scale // f.denominator) for f in fractions]
+
+
+def matrix_rank_exact(rows):
+    """Rank oracle: a matrix of ints, Fractions or floats (read exactly), its
+    rows scaled by :func:`integer_row` and fed to one ``ExactRowBasis``."""
+    rows = list(rows)
+    if not rows:
+        raise ValidationError("matrix must have at least one row")
+    basis = ExactRowBasis(len(rows[0]))
+    for row in rows:
+        basis.add(integer_row(row))
+    return basis.rank
+
+
+def exhaustive_fiducial_rank(spec):
+    """Exact rank of the fiducial vectors of every deck over ``spec``.
+
+    A deck's fiducial vector is by definition the multiplicity-weighted
+    average of its cards' indicator vectors, so any family of decks that
+    holds the single-card decks (all decks of multiplicity at most ``m``,
+    for any ``m >= 1``) spans exactly the space the single-card decks span.
+    The rank is taken over their count rows, one card each; the tests check
+    it against the literal enumeration of small families.
+    """
+    n, v = spec.values_per_variable, spec.num_variables
+    single_cards = np.eye(card_type_count(n, v), dtype=np.int8)
+    return matrix_rank_exact(_value_counts(single_cards, n, v).tolist())
 
 
 def rank_growth(spec, count, max_multiplicity, rng):
@@ -264,6 +318,18 @@ def literal_pair_counts(deck):
             for col in shown:
                 pairs[row][col] += count
     return pairs
+
+
+def expanded_repeatability(deck):
+    """Repeatability oracle: each variable's ``[v, v]`` law expanded, and the
+    first run whose two labels differ, or a pass."""
+    if deck.is_empty:
+        raise ValidationError("cannot audit an empty deck")
+    for variable in deck.spec.variable_names:
+        for (first, second), p in sequence_distribution(deck, (variable, variable)).items():
+            if first.value != second.value:
+                return RepeatabilityResult(False, variable, (first, second), p)
+    return RepeatabilityResult(passed=True)
 
 
 def contradictory_repeat(run):
@@ -418,6 +484,20 @@ def complex_states(n, count, rng):
     parts = rng.standard_normal((count, 2, n))
     psi = parts[:, 0] + 1j * parts[:, 1]
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def pure_state_distributions(psi, bases):
+    """Born-row oracle: probabilities |<b_k|psi_e>|^2 of a stack of state vectors.
+
+    Row e holds the distributions of state ``psi[e]`` in each basis of a
+    ``MeasurementBasis`` or ``ObservableSet``, one after another, through
+    ``born_rows``: ``measurement_distribution`` without density matrices.
+    """
+    n = bases.vectors.shape[-1]
+    if psi.shape[-1] != n:
+        raise ValidationError(f"state dimension {psi.shape[-1]} != basis dimension {n}")
+    out = np.empty((len(psi), bases.vectors.size // n))
+    return born_rows(np.hstack([psi.real, psi.imag]), bases.vectors.reshape(-1, n, n), out)
 
 
 def whole_born_matrix(n, m, ensemble, seed, rng=None):

@@ -10,25 +10,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import joint_card_frequency
+from conftest import exhaustive_fiducial_rank, joint_card_frequency, urn_deck
 from dofcount import (
     RandomStream,
     cardbox_spec,
     check_repeatability,
     estimate_k_cardbox,
-    exhaustive_fiducial_rank,
     fiducial_vector_quantum,
     find_classicality_witness,
     k_sweep,
     matrix_rank_numeric,
-    pair_order_statistics,
     random_deck_ensemble,
     random_observable_set,
     random_pure_state,
     sequence_distribution,
     serialize_deck_file,
     uniform_deck,
-    urn_deck,
 )
 from dofcount.cli import cli_main
 from dofcount.errors import ValidationError
@@ -157,7 +154,7 @@ def test_criterion_7_pair_order_invariance(capsys):
             for b in spec.variable_names:
                 if a == b:
                     continue
-                ab, ba = pair_order_statistics(deck, a, b)
+                ab, ba = sequence_distribution(deck, (a, b)), sequence_distribution(deck, (b, a))
                 for x in spec.values_of(a):
                     for y in spec.values_of(b):
                         forward = ab.probability((Outcome(a, x), Outcome(b, y)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import deck_strategy, observe_sequence, spec_strategy
+from conftest import deck_strategy, observe_sequence, spec_strategy, urn_deck
 from dofcount import (
     BoxState,
     Card,
@@ -25,7 +25,6 @@ from dofcount import (
     simulate_plan,
     uniform_deck,
     urn_as_cardbox,
-    urn_deck,
 )
 from dofcount.errors import InvariantError, ValidationError
 
@@ -236,7 +235,7 @@ class TestFilterDeck:
         value = data.draw(st.sampled_from(deck.spec.values_of(variable)))
         kept = filter_deck(deck, variable, value)
         assert kept.entries == tuple(
-            (card, count) for card, count in deck.entries if card.value(variable) == value
+            (card, count) for card, count in deck.entries if card.assignment[variable] == value
         )
 
     def test_unknown_names(self, four_card_deck):
@@ -330,7 +329,7 @@ class TestObserve:
             running += count
             if pick < running:
                 break
-        assert outcome.value == card.value(variable)
+        assert outcome.value == card.assignment[variable]
 
     @pytest.mark.parametrize(
         "counts", [[2**62, 2**62 + 1], [2**70, 2**70 - 1], [3 * 2**68, 5 * 2**67 + 1]]
@@ -363,8 +362,9 @@ class TestObserve:
         assert sum(dist.values()) == Fraction(1)
         assert all(p >= 0 for p in dist.values())
         assert dist == {  # the literal scan of the cards
-            value: Fraction(sum(m for card, m in deck.entries if card.value(variable) == value),
-                            deck.total)
+            value: Fraction(
+                sum(m for card, m in deck.entries if card.assignment[variable] == value), deck.total
+            )
             for value in deck.spec.values_of(variable)
         }
 
@@ -508,14 +508,18 @@ class TestRandomStream:
 
     @pytest.mark.parametrize("upper", [0, -3, np.array([2, 0, 4])])
     def test_integers_below_rejects_nonpositive_bounds(self, upper):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"^upper must be positive$"):
             RandomStream(0).integers_below(upper, size=None if np.ndim(upper) else 3)
 
-    def test_substream_matches_direct_construction(self):
-        base = RandomStream(77)
-        derived = base.substream(3)
-        direct = RandomStream(77, 3)
-        assert derived.standard_normal(4).tolist() == direct.standard_normal(4).tolist()
+    @pytest.mark.parametrize("upper", [0, -1, -(2**70)])
+    def test_randint_below_rejects_nonpositive_bounds(self, upper):
+        with pytest.raises(ValidationError, match=r"^upper must be positive$"):
+            RandomStream(0).randint_below(upper)
+
+    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1)])
+    def test_negative_key_rejected(self, seed, stream_id):
+        with pytest.raises(ValidationError, match=r"^seed and stream_id must be non-negative$"):
+            RandomStream(seed, stream_id)
 
     @given(spec=spec_strategy())
     def test_repeat_observation_is_repeatable(self, spec):

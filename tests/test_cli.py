@@ -19,8 +19,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dofcount
-from conftest import deck_strategy, top_level_cli_main, tree_sequence_distribution
-from dofcount import Deck, Outcome, RandomStream, serialize_deck_file, urn_as_cardbox, urn_deck
+from conftest import deck_strategy, top_level_cli_main, tree_sequence_distribution, urn_deck
+from dofcount import Deck, Outcome, RandomStream, serialize_deck_file, urn_as_cardbox
 from dofcount import cli, sequences
 from dofcount.cli import CSV_HEADER, UsageError, cli_main
 from dofcount.errors import DofcountError, InvariantError, SchemaViolationError, ValidationError
@@ -805,6 +805,10 @@ ERROR_CONTRACT = [
              2, "error: an urn needs at least 2 positions, got 1"),
     _failure("cardbox-n", ["rank", "--system", "cardbox", "--n", "1", "--v", "2"],
              2, "error: need at least 1 variable of 2 values, got V=2, N=1"),
+    _failure("urn-card-types", ["rank", "--system", "urn", "--n", "100000000000"], 2,
+             "error: N**V = 100000000000**1 card types exceed the limit MAX_CARD_TYPES = 4,096"),
+    _failure("cardbox-card-types", ["rank", "--system", "cardbox", "--n", "3", "--v", "100000000"],
+             2, "error: N**V = 3**100000000 card types exceed the limit MAX_CARD_TYPES = 4,096"),
     _failure("quantum-n", ["rank", "--system", "quantum", "--n", "1"],
              2, "error: dimension must be at least 2, got 1"),
     _failure("duplicate-variable", WITNESS, 2, "error: duplicate variable names in ('A', 'A')",
@@ -857,6 +861,18 @@ def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
         yield from _subclasses(sub)
+
+
+def test_no_builtin_error_is_raised():
+    # every error the package raises is one of its own classes
+    raised = []
+    for path in sorted(Path(dofcount.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                    raised.append(f"{path.name}:{node.lineno}")
+    assert raised == []
 
 
 def test_one_error_class_per_exit_code():

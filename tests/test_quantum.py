@@ -5,6 +5,7 @@ from conftest import (
     DegenerateStream,
     collapse,
     complex_states,
+    pure_state_distributions,
     sequential_random_basis,
 )
 from dofcount import (
@@ -13,7 +14,6 @@ from dofcount import (
     ObservableSet,
     RandomStream,
     measurement_distribution,
-    pure_state_distributions,
     quantum,
     random_basis,
     random_observable_set,
@@ -250,7 +250,7 @@ class TestRandomBasis:
 
     def test_default_observable_count_is_dimension_plus_one(self):
         obs = random_observable_set(3, rng=RandomStream(0))
-        assert obs.num_bases == 4
+        assert obs.vectors.shape == (4, 3, 3)
 
 
 class TestRandomObservableSet:
@@ -313,7 +313,7 @@ class TestRandomObservableSet:
         obs = random_observable_set(3, 4, RandomStream(1))
         rebuilt = ObservableSet(tuple(MeasurementBasis(v) for v in obs.vectors))
         assert np.array_equal(rebuilt.vectors, obs.vectors)
-        assert (rebuilt.dimension, rebuilt.num_bases) == (3, 4)
+        assert rebuilt.vectors.shape == (4, 3, 3)
         with pytest.raises(ValueError):
             obs.vectors[0, 0, 0] = 1.0
 

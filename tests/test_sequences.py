@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -14,12 +15,14 @@ from conftest import (
     c_scan_witness,
     chain_counts,
     deck_strategy,
+    expanded_repeatability,
     joint_card_frequency,
     literal_pair_counts,
     literal_support_size,
     literal_tree_sampler,
     simulate_by_presses,
     tree_sequence_distribution,
+    urn_deck,
 )
 from dofcount import (
     BoxState,
@@ -31,16 +34,15 @@ from dofcount import (
     check_repeatability,
     filter_deck,
     find_classicality_witness,
-    pair_order_statistics,
     sequence_distribution,
     simulate_plan,
     uniform_deck,
-    urn_deck,
 )
 from dofcount.errors import InvariantError, ValidationError
 from dofcount.sequences import (
     MAX_SEQUENCES,
     MAX_TRIALS,
+    RepeatabilityResult,
     _exact_dtype,
     _pair_counts,
     _subdeck_rows,
@@ -88,7 +90,7 @@ class TestSequenceDistribution:
             sequence_distribution(four_card_deck, ("Suit", "Rank"))
 
     def test_empty_plan(self, four_card_deck):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"^plan must contain at least one step$"):
             sequence_distribution(four_card_deck, ())
 
     @given(deck=deck_strategy(max_variables=2, max_values=3), data=st.data())
@@ -284,9 +286,40 @@ class TestCheckRepeatability:
         assert check_repeatability(four_card_deck).passed
         assert check_repeatability(weighted_deck).passed
 
-    @given(deck=deck_strategy())
+    @given(deck=deck_strategy(max_multiplicity=2**70))
     def test_passes_on_random_decks(self, deck):
-        assert check_repeatability(deck)
+        passed = RepeatabilityResult(True)
+        assert check_repeatability(deck) == expanded_repeatability(deck) == passed
+
+    @given(deck=deck_strategy(max_multiplicity=2**70), data=st.data())
+    def test_failure_matches_the_expansion(self, deck, data):
+        # move k cards' weight off the diagonal of some rows of C's [a, a]
+        # blocks: each row still sums to its state's total, so the law's own
+        # integer checks pass, and the run a=x, a=y gets probability k / total
+        n = deck.spec.values_per_variable
+        pairs = _pair_counts(deck).copy()
+        moved = []
+        for col in np.flatnonzero(pairs[0]).tolist():  # col = a*N + x, n_a(x) > 0
+            if data.draw(st.booleans()):
+                a, x = divmod(col, n)
+                y = data.draw(st.sampled_from([y for y in range(n) if y != x]))
+                k = data.draw(st.integers(1, int(pairs[0, col])))
+                pairs[1 + col, col] -= k
+                pairs[1 + col, a * n + y] += k
+                moved.append((a, x, y, k))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sequences, "_pair_counts", lambda _: pairs)
+            result = check_repeatability(deck)
+            assert result == expanded_repeatability(deck)
+        if not moved:
+            assert result.passed
+            return
+        a, x, y, k = moved[0]  # the first variable's first row, in row-major order
+        variable, labels = deck.spec.variables[a]
+        assert result == RepeatabilityResult(
+            False, variable, outcomes((variable, labels[x]), (variable, labels[y])),
+            Fraction(k, deck.total),
+        )
 
     @given(deck=deck_strategy())
     def test_negative_control_narrowing_still_passes(self, deck):
@@ -307,8 +340,10 @@ class TestCheckRepeatability:
         assert tree_sequence_distribution(four_card_deck, plan, broken) != chain.probabilities
 
     def test_empty_deck(self, four_card_spec):
-        with pytest.raises(ValidationError, match=r"^cannot audit an empty deck$"):
-            check_repeatability(Deck.from_counts(four_card_spec, {}))
+        empty = Deck.from_counts(four_card_spec, {})
+        for audit in (check_repeatability, expanded_repeatability):
+            with pytest.raises(ValidationError, match=r"^cannot audit an empty deck$"):
+                audit(empty)
 
 
 @st.composite
@@ -433,47 +468,25 @@ class TestClassicalityWitness:
         _assert_matches_search(huge_deck)
 
 
-class TestPairOrderStatistics:
-    def test_weighted_deck_quarters(self, weighted_deck):
-        face_first, suit_first = pair_order_statistics(weighted_deck, "Face", "Suit")
-        # 1/2 * 1/2 one way, 1/4 * 1 the other
-        assert face_first.probability(
-            outcomes(("Face", "K"), ("Suit", "H"))
-        ) == Fraction(1, 4)
-        assert suit_first.probability(
-            outcomes(("Suit", "H"), ("Face", "K"))
-        ) == Fraction(1, 4)
-
-    def test_uniform_deck_all_quarters(self, four_card_deck):
-        face_first, suit_first = pair_order_statistics(four_card_deck, "Face", "Suit")
-        assert all(p == Fraction(1, 4) for _, p in face_first.items())
-        assert all(p == Fraction(1, 4) for _, p in suit_first.items())
-        assert len(face_first) == len(suit_first) == 4
-
-    def test_single_card_point_mass_both_orders(self, four_card_spec):
-        deck = Deck.from_counts(four_card_spec, {("Q", "S"): 3})
-        face_first, suit_first = pair_order_statistics(deck, "Face", "Suit")
-        assert face_first.probability(outcomes(("Face", "Q"), ("Suit", "S"))) == 1
-        assert suit_first.probability(outcomes(("Suit", "S"), ("Face", "Q"))) == 1
-
-    def test_same_variable_rejected(self, four_card_deck):
-        with pytest.raises(ValidationError, match=r"^need two distinct variables, got 'Suit' twice$"):
-            pair_order_statistics(four_card_deck, "Suit", "Suit")
-
-    @given(deck=deck_strategy(min_variables=2))
+class TestPairOrder:
+    @given(deck=deck_strategy(min_variables=2, max_multiplicity=2**70))
     def test_order_invariance_and_joint_frequency(self, deck):
-        names = deck.spec.variable_names
-        for a in names:
-            for b in names:
-                if a == b:
-                    continue
-                ab, ba = pair_order_statistics(deck, a, b)
-                for x in deck.spec.values_of(a):
-                    for y in deck.spec.values_of(b):
-                        forward = ab.probability(outcomes((a, x), (b, y)))
-                        backward = ba.probability(outcomes((b, y), (a, x)))
-                        expected = joint_card_frequency(deck, a, x, b, y)
-                        assert forward == backward == expected
+        # C[1 + a*N + x, b*N + y] counts the cards showing a=x and b=y, so it is
+        # symmetric, and both orders' laws give it over the deck total
+        spec, n = deck.spec, deck.spec.values_per_variable
+        pairs = _pair_counts(deck).tolist()
+        for (a, (name_a, labels_a)), (b, (name_b, labels_b)) in itertools.permutations(
+            enumerate(spec.variables), 2
+        ):
+            ab = sequence_distribution(deck, (name_a, name_b))
+            ba = sequence_distribution(deck, (name_b, name_a))
+            for x, y in itertools.product(range(n), repeat=2):
+                joint = joint_card_frequency(deck, name_a, labels_a[x], name_b, labels_b[y])
+                count = pairs[1 + a * n + x][b * n + y]
+                assert count == pairs[1 + b * n + y][a * n + x] == joint * deck.total
+                forward = ab.probability(outcomes((name_a, labels_a[x]), (name_b, labels_b[y])))
+                backward = ba.probability(outcomes((name_b, labels_b[y]), (name_a, labels_a[x])))
+                assert forward == backward == joint
 
 
 class TestSimulatePlan:
@@ -505,6 +518,11 @@ class TestSimulatePlan:
 
         with pytest.raises(ValidationError, match="100,000,000"):
             simulate_plan(four_card_deck, ("Suit",), MAX_TRIALS + 1, NoDraws())
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_must_be_positive(self, four_card_deck, trials):
+        with pytest.raises(ValidationError, match=r"^trials must be positive$"):
+            simulate_plan(four_card_deck, ("Suit",), trials, RandomStream(0))
 
     @pytest.mark.parametrize("fault", ["lost_trial", "off_subdeck"])
     def test_draw_off_its_run_or_subdeck(self, four_card_deck, fault):
@@ -578,7 +596,9 @@ class TestSimulatePlan:
         states = [None] + [(name, x) for name, labels in deck.spec.variables for x in labels]
         assert order.shape == probs.shape == (len(states), len(entries))
         for s, shown in enumerate(states):
-            inside = [shown is None or card.value(shown[0]) == shown[1] for card, _ in entries]
+            inside = [
+                shown is None or card.assignment[shown[0]] == shown[1] for card, _ in entries
+            ]
             kept = [e for e, keep in enumerate(inside) if keep]
             out = [e for e, keep in enumerate(inside) if not keep]
             total = sum(entries[e][1] for e in kept)

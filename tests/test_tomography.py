@@ -13,12 +13,17 @@ from hypothesis import strategies as st
 
 from conftest import (
     StuckStatesStream,
+    all_cards,
     complex_states,
     count_row,
     deck_strategy,
     enumerate_decks,
+    exhaustive_fiducial_rank,
     full_ensemble_k,
+    integer_row,
     literal_random_decks,
+    matrix_rank_exact,
+    pure_state_distributions,
     rank_growth,
     spec_strategy,
     whole_born_matrix,
@@ -27,19 +32,15 @@ from dofcount import (
     Deck,
     ExactRowBasis,
     RandomStream,
-    all_cards,
     cardbox_spec,
     estimate_k,
     estimate_k_cardbox,
     estimate_k_quantum,
     estimate_k_urn,
-    exhaustive_fiducial_rank,
     fiducial_vector_cardbox,
     fiducial_vector_quantum,
     k_sweep,
-    matrix_rank_exact,
     matrix_rank_numeric,
-    pure_state_distributions,
     random_deck_ensemble,
     random_observable_set,
     random_pure_state,
@@ -127,7 +128,7 @@ class TestFiducialVectorQuantum:
         obs = random_observable_set(3, rng=rng)
         for _ in range(20):
             vector = fiducial_vector_quantum(random_pure_state(3, rng), obs)
-            for m in range(obs.num_bases):
+            for m in range(len(obs.vectors)):
                 assert abs(float(np.sum(vector[m * 3 : (m + 1) * 3])) - 1.0) < 1e-10
 
 
@@ -483,7 +484,7 @@ class TestMatrixRankExact:
     def test_pivot_rows_stay_primitive_and_reduced(self, rows):
         basis = ExactRowBasis(len(rows[0]))
         for row in rows:
-            basis.add(row)
+            basis.add(integer_row(row))
         assert_pivot_structure(basis)
 
     def test_count_row_pivots_stay_primitive(self):
@@ -505,7 +506,7 @@ class TestMatrixRankExact:
         basis = ExactRowBasis(len(rows[0]))
         previous = 0
         for i, row in enumerate(rows):
-            basis.add(row)
+            basis.add(integer_row(row))
             assert previous <= basis.rank <= min(i + 1, len(rows[0]))
             previous = basis.rank
 
@@ -523,7 +524,21 @@ class TestMatrixRankExact:
         with pytest.raises(InvariantError, match=r"^row contains NaN or infinity$"):
             matrix_rank_exact([[bad, 1.0]])
         with pytest.raises(InvariantError, match=r"^row contains NaN or infinity$"):
-            ExactRowBasis(2).add([Fraction(1, 3), np.float64(bad)])
+            integer_row([Fraction(1, 3), np.float64(bad)])
+
+    @pytest.mark.parametrize(
+        "entry, kind",
+        [(Fraction(2, 1), "Fraction"), (2.0, "float"), (np.float64("nan"), "numpy.float64"),
+         ("2", "str"), (None, "NoneType")],
+    )
+    def test_basis_takes_ints_only(self, entry, kind):
+        # the rank reads int rows only; scaling other rows is the caller's
+        # (integer_row's) job
+        basis = ExactRowBasis(2)
+        with pytest.raises(ValidationError, match=rf"^row entries must be ints: '{kind}' object"):
+            basis.add([1, entry])
+        assert basis.rank == 0
+        assert basis.add([np.int64(1), 2]) and basis.rank == 1
 
     def test_span_membership(self):
         basis = ExactRowBasis(3)
@@ -638,8 +653,8 @@ class TestExhaustiveRank:
             deck.spec.num_variables * deck.spec.values_per_variable
         )
         for card in all_cards(deck.spec):
-            basis.add(fiducial_vector_cardbox(Deck.from_counts(deck.spec, {card: 1})))
-        assert not basis.add(fiducial_vector_cardbox(deck))
+            basis.add(integer_row(fiducial_vector_cardbox(Deck.from_counts(deck.spec, {card: 1}))))
+        assert not basis.add(integer_row(fiducial_vector_cardbox(deck)))
 
 
 class TestEstimates:
