@@ -20,7 +20,6 @@ from .cardbox import (
     observe,
     outcome_distribution,
     uniform_deck,
-    urn_as_cardbox,
 )
 from .deckfile import parse_deck_file, serialize_deck_file
 from .quantum import (
@@ -47,9 +46,6 @@ from .tomography import (
     ExactRowBasis,
     KReport,
     estimate_k,
-    estimate_k_cardbox,
-    estimate_k_quantum,
-    estimate_k_urn,
     fiducial_vector_cardbox,
     fiducial_vector_quantum,
     k_sweep,

@@ -360,17 +360,6 @@ def observe(
     return outcome, new_state
 
 
-def urn_as_cardbox(n: int) -> SystemSpec:
-    """The classical urn expressed as a one-variable card box.
-
-    A ball that can sit in one of ``n`` positions is a deck over the n
-    single-value card types; multiplicities encode the position distribution.
-    """
-    if n < 2:
-        raise ValidationError(f"an urn needs at least 2 positions, got {n}")
-    return SystemSpec((("Pos", tuple(f"p{i + 1}" for i in range(n))),))
-
-
 def cardbox_spec(num_values: int, num_variables: int) -> SystemSpec:
     """Generic spec with machine-made names: variables var1.., values val1..
 

@@ -193,8 +193,8 @@ def _cmd_witness(args) -> int:
 
 # rank flags that only some systems read: (flag, estimate_k keyword, systems)
 _RANK_ONLY_FOR = (
-    ("--v", "v", ("cardbox",)),
-    ("--m", "m", ("quantum",)),
+    ("--v", "v_or_m", ("cardbox",)),
+    ("--m", "v_or_m", ("quantum",)),
     ("--max-mult", "max_multiplicity", ("urn", "cardbox")),
     ("--tol", "tol", ("quantum",)),
 )

@@ -50,13 +50,9 @@ class RandomStream:
             if value < upper:
                 return value
 
-    def integers_below(self, upper, size=None) -> np.ndarray:
-        """Array of independent uniform integers in [0, upper).
-
-        ``upper`` is one bound drawn ``size`` times, or an int array of
-        bounds with one draw below each.
-        """
-        if upper <= 0 if isinstance(upper, int) else np.any(np.asarray(upper) <= 0):
+    def integers_below(self, upper: int, size=None) -> np.ndarray:
+        """Array of ``size`` independent uniform integers in [0, upper)."""
+        if upper <= 0:
             raise ValidationError("upper must be positive")
         return self._gen.integers(0, upper, size=size)
 

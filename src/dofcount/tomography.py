@@ -46,10 +46,8 @@ from .cardbox import (
     SystemSpec,
     card_type_count,
     card_type_indices,
-    cardbox_spec,
     initial_state,
     outcome_distribution,
-    urn_as_cardbox,
 )
 from .errors import InvariantError, ValidationError
 from .quantum import (
@@ -103,7 +101,8 @@ def _check_draw_limits(num_values: int, num_variables: int, max_multiplicity: in
 
 
 def _multiplicity_draws(
-    spec: SystemSpec,
+    n: int,
+    v: int,
     count: int,
     max_multiplicity: int,
     rng: RandomStream,
@@ -121,7 +120,7 @@ def _multiplicity_draws(
     """
     if count < 1:
         raise ValidationError("ensemble count must be at least 1")
-    types = _check_draw_limits(spec.values_per_variable, spec.num_variables, max_multiplicity)
+    types = _check_draw_limits(n, v, max_multiplicity)
     cap = max(1, _DRAW_BLOCK // types)
     block_rows = min(max(1, first_block), cap)
     remaining = count
@@ -145,7 +144,9 @@ def random_deck_ensemble(
     types = card_type_indices(spec)
     return [
         Deck(spec, types[mults > 0], mults[mults > 0])
-        for block in _multiplicity_draws(spec, count, max_multiplicity, rng)
+        for block in _multiplicity_draws(
+            spec.values_per_variable, spec.num_variables, count, max_multiplicity, rng
+        )
         for mults in block
     ]
 
@@ -170,7 +171,8 @@ def _value_counts(block: np.ndarray, n: int, v: int) -> np.ndarray:
 
 
 def _count_rows(
-    spec: SystemSpec,
+    n: int,
+    v: int,
     count: int,
     max_multiplicity: int,
     rng: RandomStream,
@@ -185,8 +187,7 @@ def _count_rows(
     ``_multiplicity_draws`` block at a time (the first ``first_block`` rows,
     then doubling), so a caller that stops early leaves the later blocks undrawn.
     """
-    n, v = spec.values_per_variable, spec.num_variables
-    for block in _multiplicity_draws(spec, count, max_multiplicity, rng, first_block):
+    for block in _multiplicity_draws(n, v, count, max_multiplicity, rng, first_block):
         counts = _value_counts(block, n, v)
         if (counts.reshape(len(block), v, n).sum(axis=2) != block.sum(axis=1)[:, None]).any():
             raise InvariantError("a count row's value blocks do not all sum to the deck total")
@@ -303,24 +304,16 @@ class KReport:
     seed: int
 
 
-def _base_ensemble(fiducials: int, ensemble: int | None) -> int:
-    base = 10 * fiducials if ensemble is None else ensemble
-    if base < 1:
-        raise ValidationError("ensemble size must be at least 1")
-    return base
-
-
 # Caps what a quantum run holds at once: its prefix, or, on the fallback, both halves.
 MAX_BORN_ENTRIES = 2**25  # float64 entries of a quantum K run's arrays: 268 MB
 
 
-def _quantum_head(n: int, m: int, ensemble: int | None) -> tuple[int, int, int]:
-    """``(base, c, head)``: the rows of each half of a quantum run, the
-    ceiling ``c = min(n**2, M*(n-1)+1)`` no rank exceeds, and the first-half
-    prefix ranked before any other row is drawn."""
-    base = _base_ensemble(n * m, ensemble)
+def _quantum_head(n: int, m: int, base: int) -> tuple[int, int]:
+    """``(c, head)``: the ceiling ``c = min(n**2, M*(n-1)+1)`` no rank of a
+    quantum run exceeds, and the first-half prefix ranked before any other
+    row is drawn."""
     ceiling = min(n * n, m * (n - 1) + 1)
-    return base, ceiling, min(base, ceiling + 16)
+    return ceiling, min(base, ceiling + 16)
 
 
 def _check_born_entries(n: int, m: int, rows: int) -> None:
@@ -333,23 +326,61 @@ def _check_born_entries(n: int, m: int, rows: int) -> None:
         )
 
 
+def _check_cell(
+    kind: str, n: int, v_or_m: int | None, ensemble: int | None, max_multiplicity: int, tol: float
+) -> tuple[int, int]:
+    """``(V_or_M, base ensemble)`` of one cell, once every limit known before
+    its first draw is checked.
+
+    The checks run in one order, so a cell with several faults always names
+    the same one: the kind and its shape (a quantum cell's tolerance first),
+    the random decks' ``_check_draw_limits`` (urn, card box), the ensemble,
+    then the quantum prefix's ``MAX_BORN_ENTRIES``.  An urn is the card box
+    with V = 1, a quantum cell has n+1 bases unless told otherwise, and the
+    base ensemble is ten members per fiducial probability unless told otherwise.
+    """
+    if kind == "quantum":
+        _check_tolerance(tol)
+        if n < 2:
+            raise ValidationError(f"dimension must be at least 2, got {n}")
+        v_or_m = n + 1 if v_or_m is None else v_or_m
+        if v_or_m < 1:
+            raise ValidationError("observable set needs at least one basis")
+    elif kind == "urn":
+        if v_or_m not in (None, 1):
+            raise ValidationError(f"an urn has one variable, got V={v_or_m}")
+        if n < 2:
+            raise ValidationError(f"an urn needs at least 2 positions, got {n}")
+        v_or_m = 1
+    elif kind == "cardbox":
+        if v_or_m is None:
+            raise ValidationError("cardbox systems need a variable count v")
+        if v_or_m < 1 or n < 2:
+            raise ValidationError(f"need at least 1 variable of 2 values, got V={v_or_m}, N={n}")
+    else:
+        raise ValidationError(f"unknown system kind {kind!r}")
+    if kind != "quantum":
+        _check_draw_limits(n, v_or_m, max_multiplicity)
+    base = 10 * n * v_or_m if ensemble is None else ensemble
+    if base < 1:
+        raise ValidationError("ensemble size must be at least 1")
+    if kind == "quantum":
+        _check_born_entries(n, v_or_m, _quantum_head(n, v_or_m, base)[1])
+    return v_or_m, base
+
+
 def _estimate_k_classical(
-    spec: SystemSpec,
-    kind: str,
-    ensemble: int | None,
-    max_multiplicity: int,
-    rng: RandomStream,
+    kind: str, n: int, v: int, base: int, max_multiplicity: int, rng: RandomStream
 ) -> KReport:
-    fiducials = spec.num_variables * spec.values_per_variable
+    fiducials = n * v
     # _count_rows checks that every row's V value blocks sum to the deck
     # total: V - 1 independent equations, so no row raises the rank past
     # this ceiling.  The draws stop once it is reached, and the first draw
     # block is just large enough to reach it.
-    ceiling = fiducials - (spec.num_variables - 1)
-    base = _base_ensemble(fiducials, ensemble)
+    ceiling = fiducials - (v - 1)
     basis = ExactRowBasis(fiducials)
     first_rank = ceiling  # the base ensemble's rank, unless it ends short of the ceiling
-    rows = _count_rows(spec, 2 * base, max_multiplicity, rng, first_block=ceiling + 1)
+    rows = _count_rows(n, v, 2 * base, max_multiplicity, rng, first_block=ceiling + 1)
     for fed, row in enumerate(rows, 1):
         if basis.add(row) and basis.rank == ceiling:
             break
@@ -357,8 +388,8 @@ def _estimate_k_classical(
             first_rank = basis.rank
     return KReport(
         kind=kind,
-        n=spec.values_per_variable,
-        v_or_m=spec.num_variables,
+        n=n,
+        v_or_m=v,
         k_rank=basis.rank,
         k_naive=fiducials,
         k_paper=fiducials,
@@ -368,54 +399,19 @@ def _estimate_k_classical(
     )
 
 
-def estimate_k_urn(
-    n: int,
-    *,
-    ensemble: int | None = None,
-    max_multiplicity: int = 2,
-    rng: RandomStream,
-) -> KReport:
-    """K for the single-variable urn; the classical reference point K=N."""
-    if n >= 2:  # otherwise urn_as_cardbox names the bad count
-        _check_draw_limits(n, 1, max_multiplicity)  # before urn_as_cardbox builds n names
-    return _estimate_k_classical(urn_as_cardbox(n), "urn", ensemble, max_multiplicity, rng)
-
-
-def estimate_k_cardbox(
-    spec: SystemSpec,
-    *,
-    ensemble: int | None = None,
-    max_multiplicity: int = 2,
-    rng: RandomStream,
-) -> KReport:
-    """K for a card-box system; the raw fiducial count N*V is the naive K."""
-    return _estimate_k_classical(spec, "cardbox", ensemble, max_multiplicity, rng)
-
-
-def estimate_k_quantum(
-    n: int,
-    num_bases: int | None = None,
-    *,
-    ensemble: int | None = None,
-    tol: float = RANK_TOL,
-    rng: RandomStream,
-) -> KReport:
-    """K for an n-dimensional quantum system measured in random bases.
+def _estimate_k_quantum(n: int, m: int, base: int, tol: float, rng: RandomStream) -> KReport:
+    """K for an n-dimensional quantum system measured in M random bases.
 
     The observable set is drawn once and shared by the whole ensemble of
-    random pure states.  With the default n+1 bases the rank saturates at
-    n**2, the quantum reference value.  No rank exceeds ``c = min(n**2,
-    M*(n-1)+1)``: a run stops once its first ``min(ensemble, c + 16)``
-    states reach ``c``, and a rank above ``c`` raises ``ValidationError``.
-    ``MAX_BORN_ENTRIES`` bounds that prefix before any draw, and both halves
+    random pure states.  With n+1 bases the rank saturates at n**2, the
+    quantum reference value.  No rank exceeds ``c = min(n**2, M*(n-1)+1)``:
+    a run stops once its first ``min(ensemble, c + 16)`` states reach ``c``,
+    and a rank above ``c`` raises ``ValidationError``.  ``MAX_BORN_ENTRIES``
+    bounds that prefix before any draw (``_check_cell``), and both halves
     before the fallback draws them.
     """
-    _check_tolerance(tol)
-    m = n + 1 if num_bases is None else num_bases
-    if n >= 2 and m >= 1:  # otherwise random_observable_set names the bad argument
-        _check_born_entries(n, m, _quantum_head(n, m, ensemble)[2])
     vectors = random_observable_set(n, m, rng=rng).vectors
-    base, ceiling, head = _quantum_head(n, m, ensemble)
+    ceiling, head = _quantum_head(n, m, base)
     prefix = np.empty((head, n * m))
     step = max(1, _DRAW_BLOCK // (n * m))
 
@@ -459,33 +455,26 @@ def estimate_k_quantum(
 def estimate_k(
     kind: str,
     n: int,
+    v_or_m: int | None = None,
     *,
-    v: int | None = None,
-    m: int | None = None,
     ensemble: int | None = None,
     max_multiplicity: int = 2,
     tol: float = RANK_TOL,
     rng: RandomStream,
 ) -> KReport:
-    """Dispatch on system kind: "urn", "cardbox", or "quantum"."""
-    if kind == "urn":
-        return estimate_k_urn(
-            n, ensemble=ensemble, max_multiplicity=max_multiplicity, rng=rng
-        )
-    if kind == "cardbox":
-        if v is None:
-            raise ValidationError("cardbox systems need a variable count v")
-        if n >= 2 and v >= 1:  # otherwise cardbox_spec names the bad argument
-            _check_draw_limits(n, v, max_multiplicity)  # before cardbox_spec builds V names
-        return estimate_k_cardbox(
-            cardbox_spec(n, v),
-            ensemble=ensemble,
-            max_multiplicity=max_multiplicity,
-            rng=rng,
-        )
+    """K of the cell ``(N, V_or_M)`` of a system kind: "urn", "cardbox" or "quantum".
+
+    ``v_or_m`` is a card box's variable count V (required), a quantum
+    system's basis count M (default n+1), and 1 for an urn: the classical
+    reference point, one variable whose K is N.  Classical cells rank random
+    decks with multiplicities up to ``max_multiplicity``; quantum cells count
+    singular values above ``tol``.  ``_check_cell`` checks the cell before
+    any draw.
+    """
+    v_or_m, base = _check_cell(kind, n, v_or_m, ensemble, max_multiplicity, tol)
     if kind == "quantum":
-        return estimate_k_quantum(n, m, ensemble=ensemble, tol=tol, rng=rng)
-    raise ValidationError(f"unknown system kind {kind!r}")
+        return _estimate_k_quantum(n, v_or_m, base, tol, rng)
+    return _estimate_k_classical(kind, n, v_or_m, base, max_multiplicity, rng)
 
 
 _KIND_CODES = {"cardbox": 0, "quantum": 1, "urn": 2}
@@ -552,14 +541,10 @@ def k_sweep(
         n = n_list[-1]
         v = v_values(kind, n)[-1]
         _stream_id(kind, n, v)
-        if kind == "quantum":
-            _check_tolerance(tol)
-            _check_born_entries(n, v, _quantum_head(n, v, ensemble)[2])
-        else:
-            _check_draw_limits(n, v, max_multiplicity)
+        _check_cell(kind, n, v, ensemble, max_multiplicity, tol)
 
     return [
-        estimate_k(kind, n, v=v, m=v, ensemble=ensemble, max_multiplicity=max_multiplicity,
+        estimate_k(kind, n, v, ensemble=ensemble, max_multiplicity=max_multiplicity,
                    tol=tol, rng=RandomStream(seed, _stream_id(kind, n, v)))
         for kind in kind_list
         for n in n_list

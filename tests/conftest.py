@@ -27,7 +27,6 @@ from dofcount import (
     outcome_distribution,
     sequence_distribution,
     uniform_deck,
-    urn_as_cardbox,
 )
 from dofcount.cardbox import card_type_count
 from dofcount.cli import UsageError, build_parser
@@ -73,9 +72,14 @@ def all_cards(spec):
     return [card for card, _ in uniform_deck(spec).entries]
 
 
+def urn_spec(n):
+    """The urn as a one-variable card box: variable ``Pos`` with values ``p1..pn``."""
+    return SystemSpec((("Pos", tuple(f"p{i + 1}" for i in range(n))),))
+
+
 def urn_deck(counts):
     """Urn state from per-position multiplicities (one entry per position)."""
-    spec = urn_as_cardbox(len(counts))
+    spec = urn_spec(len(counts))
     ((_, values),) = spec.variables
     return Deck.from_counts(spec, {(value,): count for value, count in zip(values, counts)})
 
@@ -501,7 +505,7 @@ def pure_state_distributions(psi, bases):
 
 
 def whole_born_matrix(n, m, ensemble, seed, rng=None):
-    """Whole-matrix oracle: ``estimate_k_quantum``'s draws on ``RandomStream(seed, n)``,
+    """Whole-matrix oracle: a quantum ``estimate_k``'s draws on ``RandomStream(seed, n)``,
     or on ``rng`` if one is given.
 
     The M bases one at a time, then all ``2 * ensemble`` complex states,

@@ -15,7 +15,7 @@ from dofcount import (
     RandomStream,
     cardbox_spec,
     check_repeatability,
-    estimate_k_cardbox,
+    estimate_k,
     fiducial_vector_quantum,
     find_classicality_witness,
     k_sweep,
@@ -66,7 +66,7 @@ def test_criterion_2_cardbox_k(capsys):
         spec = cardbox_spec(n, v)
         exact = exhaustive_fiducial_rank(spec)
         assert exact == v * (n - 1) + 1
-        report = estimate_k_cardbox(spec, rng=RandomStream(7))
+        report = estimate_k("cardbox", n, v, rng=RandomStream(7))
         assert report.k_naive == n * v
         assert report.k_rank == exact
         if v >= 2:

@@ -24,7 +24,6 @@ from dofcount import (
     sequence_distribution,
     simulate_plan,
     uniform_deck,
-    urn_as_cardbox,
 )
 from dofcount.errors import InvariantError, ValidationError
 
@@ -435,12 +434,6 @@ class TestInitialState:
 
 
 class TestUrn:
-    def test_spec_shape(self):
-        spec = urn_as_cardbox(3)
-        assert spec.num_variables == 1
-        assert spec.values_per_variable == 3
-        assert spec.values_of("Pos") == ("p1", "p2", "p3")
-
     def test_deterministic_single_ball(self):
         deck = urn_deck([1, 0])
         outcome, _ = observe(initial_state(deck), "Pos", RandomStream(9))
@@ -450,10 +443,6 @@ class TestUrn:
         deck = urn_deck([1, 3])
         dist = outcome_distribution(initial_state(deck), "Pos")
         assert dist == {"p1": Fraction(1, 4), "p2": Fraction(3, 4)}
-
-    def test_too_few_positions(self):
-        with pytest.raises(ValidationError, match=r"^an urn needs at least 2 positions, got 1$"):
-            urn_as_cardbox(1)
 
 
 class TestRandomStream:
@@ -499,17 +488,10 @@ class TestRandomStream:
         ).integers(7, size=20)
         assert RandomStream(5, 2).integers_below(7, size=20).tolist() == expected.tolist()
 
-    def test_integers_below_array_bounds(self):
-        highs = np.array([1, 2, 3, 1000] * 50)
-        draws = RandomStream(9).integers_below(highs)
-        assert draws.shape == highs.shape
-        assert ((draws >= 0) & (draws < highs)).all()
-        assert (draws[highs == 1] == 0).all()
-
-    @pytest.mark.parametrize("upper", [0, -3, np.array([2, 0, 4])])
+    @pytest.mark.parametrize("upper", [0, -3])
     def test_integers_below_rejects_nonpositive_bounds(self, upper):
         with pytest.raises(ValidationError, match=r"^upper must be positive$"):
-            RandomStream(0).integers_below(upper, size=None if np.ndim(upper) else 3)
+            RandomStream(0).integers_below(upper, size=3)
 
     @pytest.mark.parametrize("upper", [0, -1, -(2**70)])
     def test_randint_below_rejects_nonpositive_bounds(self, upper):

@@ -3,10 +3,12 @@ import contextlib
 import dataclasses
 import importlib
 import io
+import itertools
 import json
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -19,8 +21,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dofcount
-from conftest import deck_strategy, top_level_cli_main, tree_sequence_distribution, urn_deck
-from dofcount import Deck, Outcome, RandomStream, serialize_deck_file, urn_as_cardbox
+from conftest import (
+    deck_strategy, top_level_cli_main, tree_sequence_distribution, urn_deck, urn_spec
+)
+from dofcount import Deck, Outcome, RandomStream, SystemSpec, serialize_deck_file
 from dofcount import cli, sequences
 from dofcount.cli import CSV_HEADER, UsageError, cli_main
 from dofcount.errors import DofcountError, InvariantError, SchemaViolationError, ValidationError
@@ -42,7 +46,7 @@ def deck_file(tmp_path, four_card_spec, four_card_deck):
 def urn_file(tmp_path):
     deck = urn_deck([1, 2])
     path = tmp_path / "urn.json"
-    path.write_text(serialize_deck_file(urn_as_cardbox(2), deck))
+    path.write_text(serialize_deck_file(urn_spec(2), deck))
     return str(path)
 
 
@@ -303,9 +307,9 @@ class TestRankCommand:
         [
             (["--system", "urn", "--n", "3", "--max-mult", "5"], {"max_multiplicity": 5}),
             (["--system", "cardbox", "--n", "2", "--v", "3", "--max-mult", "4"],
-             {"v": 3, "max_multiplicity": 4}),
+             {"v_or_m": 3, "max_multiplicity": 4}),
             (["--system", "quantum", "--n", "2", "--m", "2", "--tol", "1e-6"],
-             {"m": 2, "tol": 1e-6}),
+             {"v_or_m": 2, "tol": 1e-6}),
             (["--system", "quantum", "--n", "2"], {}),
         ],
     )
@@ -326,6 +330,83 @@ class TestRankCommand:
         ) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[6] == "12"
+
+
+def rank_grid_argvs():
+    """The argvs of ``data/rank_grid.txt``: each system with only its own flags,
+    at valid, boundary and blow-up values, then sweeps that pass a bad flag to
+    mixes of systems."""
+    def flag(name, value):
+        return [] if value is None else [name, value]
+
+    ns, ensembles = ["-3", "1", "2", "3", "5000"], [None, "0", "1", "3", "40"]
+    for n, ensemble in itertools.product(ns, ensembles):
+        head = ["--n", n, *flag("--ensemble", ensemble)]
+        for max_mult in [None, "0", "3", str(2**63)]:
+            yield ["rank", "--system", "urn", *head, *flag("--max-mult", max_mult)]
+            for v in ["0", "2", "3", str(10**8)]:
+                yield ["rank", "--system", "cardbox", *head, "--v", v,
+                       *flag("--max-mult", max_mult)]
+        for m, tol in itertools.product([None, "0", "1", "3", str(10**7)], [None, "0", "1e-6"]):
+            yield ["rank", "--system", "quantum", *head, *flag("--m", m), *flag("--tol", tol)]
+    bad = [["--ensemble", "0"], ["--max-mult", "0"], ["--tol", "0"],
+           ["--ensemble", "0", "--tol", "0"], ["--max-mult", "0", "--tol", "0"],
+           ["--ensemble", "0", "--max-mult", "0"]]
+    mixes = ["cardbox", "urn", "quantum", "cardbox,quantum", "quantum,urn", "cardbox,quantum,urn"]
+    for systems, flags in itertools.product(mixes, bad):
+        yield ["sweep", "--systems", systems, "--n-range", "2..2", "--v-range", "2..2", *flags]
+
+
+def test_rank_grid_matches_its_file(capsys, monkeypatch):
+    # each line: the exit code, the argv, and the report row or the one stderr line
+    monkeypatch.delenv("DOFCOUNT_SEED", raising=False)
+    lines = [line.split("\t") for line in (DATA / "rank_grid.txt").read_text().splitlines()]
+    assert [shlex.split(argv) for _, argv, _ in lines] == list(rank_grid_argvs())
+    wrong = []
+    for code, argv, line in lines:
+        expected = (f"{CSV_HEADER}\n{line}\n", "") if code == "0" else ("", f"{line}\n")
+        got = cli_main(shlex.split(argv))
+        if (str(got), *capsys.readouterr()) != (code, *expected):
+            wrong.append(argv)
+    assert wrong == []
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("rank_urn_n3_ens1", "rank --system urn --n 3 --ensemble 1"),
+        ("rank_cardbox_n3_v3_mult3", "rank --system cardbox --n 3 --v 3 --max-mult 3"),
+        ("rank_quantum_n3_m3_ens1", "rank --system quantum --n 3 --ensemble 1 --m 3"),  # fallback
+    ],
+)
+def test_rank_matches_golden_file_and_grid(capsysbinary, monkeypatch, golden, argv):
+    monkeypatch.delenv("DOFCOUNT_SEED", raising=False)
+    assert cli_main(shlex.split(argv)) == 0
+    expected = (DATA / f"{golden}.txt").read_bytes()
+    assert capsysbinary.readouterr().out == expected
+    grid = (DATA / "rank_grid.txt").read_text()
+    assert f"0\t{argv}\t{expected.decode().splitlines()[1]}\n" in grid
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["rank", "--system", "urn", "--n", "4"], 0),
+        (["rank", "--system", "cardbox", "--n", "3", "--v", "2"], 0),
+        (["sweep", "--systems", "cardbox,urn", "--n-range", "2..3", "--v-range", "1..3"], 0),
+        (["rank", "--system", "urn", "--n", "100000000000"], 2),
+        (["rank", "--system", "cardbox", "--n", "3", "--v", "100000000"], 2),
+    ],
+)
+def test_classical_k_path_builds_no_spec(capsys, monkeypatch, argv, code):
+    # a classical K cell is its shape (N, V): no spec, so no value or
+    # variable names, which at 10**11 positions would fill the memory
+    def no_spec(spec):
+        raise AssertionError("the K path built a SystemSpec")
+
+    monkeypatch.setattr(SystemSpec, "__post_init__", no_spec)
+    assert cli_main(argv) == code
+    assert (capsys.readouterr().err == "") == (code == 0)
 
 
 class TestSimulateCommand:

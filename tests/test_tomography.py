@@ -26,6 +26,7 @@ from conftest import (
     pure_state_distributions,
     rank_growth,
     spec_strategy,
+    urn_spec,
     whole_born_matrix,
 )
 from dofcount import (
@@ -34,9 +35,6 @@ from dofcount import (
     RandomStream,
     cardbox_spec,
     estimate_k,
-    estimate_k_cardbox,
-    estimate_k_quantum,
-    estimate_k_urn,
     fiducial_vector_cardbox,
     fiducial_vector_quantum,
     k_sweep,
@@ -47,7 +45,6 @@ from dofcount import (
     random_state_rows,
     tomography,
     uniform_deck,
-    urn_as_cardbox,
 )
 from dofcount.cardbox import MAX_CARD_TYPES
 from dofcount.cli import cli_main
@@ -192,7 +189,7 @@ class TestCountRows:
             literal, skipped = literal_random_decks(spec, 120, max_mult, RandomStream(seed, 5))
             redrawn += skipped
             decks = random_deck_ensemble(spec, 120, max_mult, RandomStream(seed, 5))
-            rows = list(tomography._count_rows(spec, 120, max_mult, RandomStream(seed, 5)))
+            rows = list(tomography._count_rows(n, v, 120, max_mult, RandomStream(seed, 5)))
             assert decks == literal
             assert rows == [count_row(deck) for deck in decks]
         if n ** v == 2:
@@ -206,13 +203,13 @@ class TestCountRows:
     def test_rows_match_literal_decks(self, n, v, max_mult, count, first_block, seed):
         spec = cardbox_spec(n, v)
         decks, _ = literal_random_decks(spec, count, max_mult, RandomStream(seed))
-        rows = tomography._count_rows(spec, count, max_mult, RandomStream(seed), first_block)
+        rows = tomography._count_rows(n, v, count, max_mult, RandomStream(seed), first_block)
         assert list(rows) == [count_row(deck) for deck in decks]
 
     def test_empty_block_counts_to_no_rows(self):
         # at N=2, V=1, max 1 and seed 5 the one-row first block is drawn all
         # zero, so nothing of it is left to count
-        block = next(tomography._multiplicity_draws(cardbox_spec(2, 1), 40, 1, RandomStream(5), 1))
+        block = next(tomography._multiplicity_draws(2, 1, 40, 1, RandomStream(5), 1))
         assert block.shape == (0, 2)
         assert tomography._value_counts(block, 2, 1).shape == (0, 2)
         assert tomography._value_counts(np.zeros((0, 27), np.int64), 3, 3).shape == (0, 9)
@@ -220,11 +217,10 @@ class TestCountRows:
     def test_first_row_of_the_widest_urn_is_small(self):
         # the first block of urn(4,096) holds 16 rows of 4,096 multiplicities;
         # counting it through a 4,096 x 4,096 indicator matrix peaked at 257 MiB
-        spec = urn_as_cardbox(MAX_CARD_TYPES)
         tracemalloc.start()
         try:
             rows = tomography._count_rows(
-                spec, 20 * MAX_CARD_TYPES, 2, RandomStream(0), MAX_CARD_TYPES + 1
+                MAX_CARD_TYPES, 1, 20 * MAX_CARD_TYPES, 2, RandomStream(0), MAX_CARD_TYPES + 1
             )
             row = next(rows)
             peak = tracemalloc.get_traced_memory()[1]
@@ -237,12 +233,13 @@ class TestCountRows:
     def test_draws_do_not_depend_on_block_size(self, monkeypatch, block):
         # urn and card-box shapes; first blocks below, at and past the cap
         monkeypatch.setattr(tomography, "_DRAW_BLOCK", block)
-        for spec in (cardbox_spec(2, 1), urn_as_cardbox(4), cardbox_spec(3, 2), cardbox_spec(2, 3)):
+        for n, v in ((2, 1), (4, 1), (3, 2), (2, 3)):
+            spec = cardbox_spec(n, v)
             expected, _ = literal_random_decks(spec, 50, 2, RandomStream(3))
             assert random_deck_ensemble(spec, 50, 2, RandomStream(3)) == expected
             rows = [count_row(deck) for deck in expected]
             for first_block in (1, 2, 5, 64, 2**16):
-                drawn = tomography._count_rows(spec, 50, 2, RandomStream(3), first_block)
+                drawn = tomography._count_rows(n, v, 50, 2, RandomStream(3), first_block)
                 assert list(drawn) == rows
 
     @staticmethod
@@ -274,7 +271,7 @@ class TestCountRows:
         # cell that reaches the ceiling draws at most the first block plus
         # twice the rows it fed or redrew
         seen = self.record_draws(monkeypatch)
-        report = estimate_k(kind, n, v=v, rng=RandomStream(seed))
+        report = estimate_k(kind, n, v, rng=RandomStream(seed))
         ceiling = v * (n - 1) + 1
         first = min(ceiling + 1, 2**16 // n**v, 2 * report.ensemble)
         assert report.k_rank == ceiling
@@ -283,7 +280,7 @@ class TestCountRows:
 
     def test_cell_short_of_the_ceiling_draws_every_row(self, monkeypatch):
         seen = self.record_draws(monkeypatch)
-        report = estimate_k("cardbox", 5, v=4, ensemble=2, rng=RandomStream(0))
+        report = estimate_k("cardbox", 5, 4, ensemble=2, rng=RandomStream(0))
         assert report.k_rank < 17
         assert sum(seen["blocks"]) == seen["fed"] == 4
 
@@ -322,7 +319,7 @@ class TestCountRows:
             return add(basis, row)
 
         monkeypatch.setattr(ExactRowBasis, "add", record)
-        estimate_k(kind, n, v=v, ensemble=ensemble, rng=RandomStream(seed))
+        estimate_k(kind, n, v, ensemble=ensemble, rng=RandomStream(seed))
         assert fed == expected
         stop = len(expected)
         if reached == "never":
@@ -335,10 +332,10 @@ class TestCountRows:
         spec = cardbox_spec(2, 2)
         max_mult = (2**63 - 1) // 4  # a deck total of up to 2**63 - 4
         decks = random_deck_ensemble(spec, 10, max_mult, RandomStream(2))
-        rows = list(tomography._count_rows(spec, 10, max_mult, RandomStream(2)))
+        rows = list(tomography._count_rows(2, 2, 10, max_mult, RandomStream(2)))
         assert max(d.total for d in decks) > 2**62
         assert rows == [count_row(deck) for deck in decks]
-        report = estimate_k_cardbox(spec, max_multiplicity=max_mult, rng=RandomStream(2))
+        report = estimate_k("cardbox", 2, 2, max_multiplicity=max_mult, rng=RandomStream(2))
         assert (report.k_rank, report.saturated) == (3, True)
 
     def test_unbalanced_row_is_an_invariant_error(self, monkeypatch):
@@ -353,7 +350,7 @@ class TestCountRows:
         monkeypatch.setattr(tomography, "_value_counts", unbalanced)
         message = "a count row's value blocks do not all sum to the deck total"
         with pytest.raises(InvariantError, match=f"^{message}$"):
-            estimate_k_cardbox(cardbox_spec(2, 2), rng=RandomStream(0))
+            estimate_k("cardbox", 2, 2, rng=RandomStream(0))
 
 
 class TestDrawLimits:
@@ -370,7 +367,8 @@ class TestDrawLimits:
             lambda spec: tomography._check_draw_limits(spec.values_per_variable,
                                                        spec.num_variables, 2),
             lambda spec: random_deck_ensemble(spec, 1, 2, RandomStream(0)),
-            lambda spec: estimate_k_cardbox(spec, rng=RandomStream(0)),
+            lambda spec: estimate_k("cardbox", spec.values_per_variable, spec.num_variables,
+                                   rng=RandomStream(0)),
             lambda spec: exhaustive_fiducial_rank(spec),
         ],
     )
@@ -383,7 +381,7 @@ class TestDrawLimits:
 
     def test_urn_positions_count_as_card_types(self):
         with pytest.raises(ValidationError, match="MAX_CARD_TYPES"):
-            estimate_k_urn(MAX_CARD_TYPES + 1, rng=RandomStream(0))
+            estimate_k("urn", MAX_CARD_TYPES + 1, rng=RandomStream(0))
 
     @pytest.mark.parametrize("max_mult", [2**62, 2**63, (2**63 - 1) // 4 + 1])
     def test_deck_total_must_fit_int64(self, max_mult):
@@ -391,7 +389,7 @@ class TestDrawLimits:
         with pytest.raises(ValidationError, match=r"2\*\*63 - 1"):
             random_deck_ensemble(spec, 1, max_mult, RandomStream(0))
         with pytest.raises(ValidationError, match=r"2\*\*63 - 1"):
-            estimate_k_cardbox(spec, max_multiplicity=max_mult, rng=RandomStream(0))
+            estimate_k("cardbox", 2, 2, max_multiplicity=max_mult, rng=RandomStream(0))
 
     @pytest.mark.parametrize(
         "cells, max_mult",
@@ -406,7 +404,7 @@ class TestDrawLimits:
         def no_work(*args, **kwargs):
             raise AssertionError("a cell ran despite a later cell's limit")
 
-        for name in ("estimate_k_cardbox", "estimate_k_urn", "estimate_k_quantum"):
+        for name in ("_estimate_k_classical", "_estimate_k_quantum"):
             monkeypatch.setattr(tomography, name, no_work)
         with pytest.raises(ValidationError):
             k_sweep(*cells, 0, max_multiplicity=max_mult)
@@ -488,9 +486,8 @@ class TestMatrixRankExact:
         assert_pivot_structure(basis)
 
     def test_count_row_pivots_stay_primitive(self):
-        spec = cardbox_spec(5, 4)
         basis = ExactRowBasis(20)
-        for row in tomography._count_rows(spec, 200, 2, RandomStream(1)):
+        for row in tomography._count_rows(5, 4, 200, 2, RandomStream(1)):
             basis.add(row)
         assert basis.rank == 17
         assert_pivot_structure(basis)
@@ -644,7 +641,7 @@ class TestExhaustiveRank:
 
     def test_urn_exactness(self):
         for n in range(2, 9):
-            assert exhaustive_fiducial_rank(urn_as_cardbox(n)) == n
+            assert exhaustive_fiducial_rank(urn_spec(n)) == n
 
     @given(deck=deck_strategy(max_multiplicity=4))
     def test_every_deck_lies_in_single_card_span(self, deck):
@@ -659,7 +656,7 @@ class TestExhaustiveRank:
 
 class TestEstimates:
     def test_urn_four(self):
-        report = estimate_k_urn(4, rng=RandomStream(7))
+        report = estimate_k("urn", 4, rng=RandomStream(7))
         assert (report.k_rank, report.k_naive, report.k_paper) == (4, 4, 4)
         assert report.kind == "urn"
         assert report.v_or_m == 1
@@ -667,29 +664,29 @@ class TestEstimates:
         assert report.seed == 7
 
     def test_cardbox_two_by_two(self):
-        report = estimate_k_cardbox(cardbox_spec(2, 2), rng=RandomStream(7))
+        report = estimate_k("cardbox", 2, 2, rng=RandomStream(7))
         assert (report.k_rank, report.k_naive, report.k_paper) == (3, 4, 4)
         assert report.ensemble == 40
 
     def test_quantum_qubit(self):
-        report = estimate_k_quantum(2, 3, rng=RandomStream(7))
+        report = estimate_k("quantum", 2, 3, rng=RandomStream(7))
         assert (report.k_rank, report.k_naive, report.k_paper) == (4, 6, 4)
         assert report.v_or_m == 3
 
     def test_quantum_default_bases(self):
-        report = estimate_k_quantum(3, rng=RandomStream(2))
+        report = estimate_k("quantum", 3, rng=RandomStream(2))
         assert report.v_or_m == 4
         assert report.k_rank == 9
 
     def test_rank_never_exceeds_naive(self):
         for seed in range(5):
-            report = estimate_k_cardbox(cardbox_spec(3, 2), rng=RandomStream(seed))
+            report = estimate_k("cardbox", 3, 2, rng=RandomStream(seed))
             assert 1 <= report.k_rank <= report.k_naive
 
     def test_doubling_a_saturated_ensemble_keeps_rank(self):
-        first = estimate_k_cardbox(cardbox_spec(2, 2), ensemble=40, rng=RandomStream(5))
+        first = estimate_k("cardbox", 2, 2, ensemble=40, rng=RandomStream(5))
         assert first.saturated
-        doubled = estimate_k_cardbox(cardbox_spec(2, 2), ensemble=80, rng=RandomStream(5))
+        doubled = estimate_k("cardbox", 2, 2, ensemble=80, rng=RandomStream(5))
         assert doubled.k_rank == first.k_rank
 
     @staticmethod
@@ -709,7 +706,7 @@ class TestEstimates:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ExactRowBasis, "add", count)
-            report = estimate_k(kind, spec.values_per_variable, v=spec.num_variables,
+            report = estimate_k(kind, spec.values_per_variable, spec.num_variables,
                                 ensemble=ensemble, max_multiplicity=max_mult,
                                 rng=RandomStream(seed))
         assert (report.k_rank, report.saturated, report.ensemble) == oracle
@@ -725,7 +722,7 @@ class TestEstimates:
         seed=st.integers(0, 2**16),
     )
     def test_early_stop_equals_the_full_ensemble(self, kind, n, v, max_mult, ensemble, seed):
-        spec = urn_as_cardbox(n) if kind == "urn" else cardbox_spec(n, v)
+        spec = urn_spec(n) if kind == "urn" else cardbox_spec(n, v)
         self.early_stop_matches_full_ensemble(spec, kind, ensemble, max_mult, seed)
 
     def test_early_stop_equals_the_full_ensemble_on_every_branch(self):
@@ -744,18 +741,29 @@ class TestEstimates:
         # rank 64, 1.3 s when every row is reduced (2-core Xeon VM); the
         # bound leaves 8x headroom and still fails the full run by 2.6x
         start = time.perf_counter()
-        report = estimate_k_urn(64, rng=RandomStream(1))
+        report = estimate_k("urn", 64, rng=RandomStream(1))
         elapsed = time.perf_counter() - start
         assert (report.k_rank, report.saturated) == (64, True)
-        assert elapsed < 0.5, f"estimate_k_urn(64) took {elapsed:.2f} s"
+        assert elapsed < 0.5, f"estimate_k('urn', 64) took {elapsed:.2f} s"
 
     def test_dispatcher(self):
         report = estimate_k("urn", 3, rng=RandomStream(1))
         assert report.kind == "urn" and report.k_rank == 3
-        with pytest.raises(ValidationError):
-            estimate_k("cardbox", 3, rng=RandomStream(1))  # missing v
+        assert estimate_k("urn", 3, 1, rng=RandomStream(1)) == report
+        with pytest.raises(ValidationError, match="^cardbox systems need a variable count v$"):
+            estimate_k("cardbox", 3, rng=RandomStream(1))
         with pytest.raises(ValidationError):
             estimate_k("abacus", 3, rng=RandomStream(1))
+
+    @pytest.mark.parametrize("v_or_m", [0, 2, 3])
+    def test_urn_has_one_variable(self, v_or_m):
+        # an urn is the card box with V = 1: another count is an error, not ignored
+        with pytest.raises(ValidationError, match=rf"^an urn has one variable, got V={v_or_m}$"):
+            estimate_k("urn", 4, v_or_m, rng=RandomStream(0))
+
+    def test_urn_needs_two_positions(self):
+        with pytest.raises(ValidationError, match=r"^an urn needs at least 2 positions, got 1$"):
+            estimate_k("urn", 1, rng=RandomStream(0))
 
     def test_quantum_rank_margin(self):
         # sigma_K / sigma_1 shrinks with n (about 3e-4 at n=12 over all rows,
@@ -766,7 +774,7 @@ class TestEstimates:
         # its own rows.
         cases = [(n, seed) for n in range(2, 13) for seed in range(3)] + [(16, 0)]
         for n, seed in cases:
-            report = estimate_k_quantum(n, rng=RandomStream(seed, n))
+            report = estimate_k("quantum", n, rng=RandomStream(seed, n))
             rows, _ = whole_born_matrix(n, None, None, seed)
             k = n * n
             assert report.k_rank == k, f"n={n} seed={seed}"
@@ -788,12 +796,12 @@ class TestEstimates:
 
         monkeypatch.setattr(RandomStream, "standard_normal", no_draw)
         with pytest.raises(ValidationError, match="tolerance"):
-            estimate_k_quantum(3, tol=tol, rng=RandomStream(0))
+            estimate_k("quantum", 3, tol=tol, rng=RandomStream(0))
 
     def test_quantum_restricted_observables_reduce_rank(self):
         # two bases instead of three: only 1 + 2*(n-1) = 3 independent
         # probabilities survive for n=2, the superselection-style restriction
-        report = estimate_k_quantum(2, 2, rng=RandomStream(4))
+        report = estimate_k("quantum", 2, 2, rng=RandomStream(4))
         assert report.k_rank == 3
         assert report.k_paper == 4
 
@@ -805,7 +813,7 @@ def quantum_ceiling(n, m):
 
 
 def quantum_head(n, m, ensemble):
-    """Rows of the first-half prefix that ``estimate_k_quantum`` ranks first."""
+    """Rows of the first-half prefix that a quantum ``estimate_k`` ranks first."""
     base = 10 * n * (n + 1 if m is None else m) if ensemble is None else ensemble
     return min(base, quantum_ceiling(n, m) + 16)
 
@@ -822,8 +830,8 @@ class TestQuantumStop:
             c = quantum_ceiling(n, m)
             for ensemble in sorted({1, c - 1, c, c + 16}) + [None]:
                 for seed in range(3):
-                    report = estimate_k_quantum(n, m, ensemble=ensemble,
-                                                rng=RandomStream(seed, n))
+                    report = estimate_k("quantum", n, m, ensemble=ensemble,
+                                        rng=RandomStream(seed, n))
                     rows, base = whole_born_matrix(n, m, ensemble, seed)
                     rank = matrix_rank_numeric(rows)
                     saturated = rank == matrix_rank_numeric(rows[:base])
@@ -861,7 +869,7 @@ class TestQuantumStop:
         monkeypatch.setattr(tomography, "random_observable_set", bases)
         monkeypatch.setattr(np.linalg, "qr", record_qr)
         monkeypatch.setattr(RandomStream, "standard_normal", record_draw)
-        report = estimate_k_quantum(n, m, ensemble=ensemble, rng=RandomStream(1, n))
+        report = estimate_k("quantum", n, m, ensemble=ensemble, rng=RandomStream(1, n))
         assert (report.k_rank, report.saturated) == (quantum_ceiling(n, m), True)
         assert qr_inside and all(qr_inside)
         assert sum(state_entries) == quantum_head(n, m, ensemble) * 2 * n
@@ -874,7 +882,7 @@ class TestQuantumStop:
         for ensemble in (None, c - 1):
             with pytest.raises(ValidationError, match=rf"rank \d+ exceeds its ceiling .* = {c}: "
                                                       r"--tol 1e-17"):
-                estimate_k_quantum(n, ensemble=ensemble, tol=1e-17, rng=RandomStream(0, n))
+                estimate_k("quantum", n, ensemble=ensemble, tol=1e-17, rng=RandomStream(0, n))
             argv = ["rank", "--system", "quantum", "--n", str(n), "--tol", "1e-17"]
             if ensemble is not None:
                 argv += ["--ensemble", str(ensemble)]
@@ -902,7 +910,7 @@ class TestQuantumRankFromRFactors:
 
     @staticmethod
     def capture_halves(monkeypatch):
-        # each half's Born rows as estimate_k_quantum hands them to its QR
+        # each half's Born rows as a quantum estimate_k hands them to its QR
         halves, qr = [], np.linalg.qr
 
         def capture(rows, mode="reduced"):
@@ -924,8 +932,8 @@ class TestQuantumRankFromRFactors:
         monkeypatch.setattr(tomography, "matrix_rank_numeric", capture)
         halves = self.capture_halves(monkeypatch)
         for m, ensemble, seed, stuck in fallback_cases(n):
-            report = estimate_k_quantum(
-                n, m, ensemble=ensemble, rng=quantum_stream(n, m, ensemble, seed, stuck))
+            report = estimate_k(
+                "quantum", n, m, ensemble=ensemble, rng=quantum_stream(n, m, ensemble, seed, stuck))
             rows, base = whole_born_matrix(
                 n, m, ensemble, seed, quantum_stream(n, m, ensemble, seed, stuck))
             head = quantum_head(n, m, ensemble)
@@ -944,7 +952,7 @@ class TestQuantumRankFromRFactors:
 
 
 class TestBlockedQuantumRun:
-    """The blocked draws of estimate_k_quantum against one unblocked draw."""
+    """The blocked draws of a quantum estimate_k against one unblocked draw."""
 
     @pytest.mark.parametrize("rows_per_block", [1, 7, 50, 80])
     @pytest.mark.parametrize("ensemble, stuck", [(8, False), (50, True)])
@@ -961,7 +969,7 @@ class TestBlockedQuantumRun:
         rng = stream()
         random_observable_set(n, m, rng=rng)
         expected = random_state_rows(n, 2 * ensemble, rng)
-        unblocked = estimate_k_quantum(n, m, ensemble=ensemble, rng=stream())
+        unblocked = estimate_k("quantum", n, m, ensemble=ensemble, rng=stream())
         drawn = []
 
         def record(n, count, rng):
@@ -971,7 +979,7 @@ class TestBlockedQuantumRun:
         monkeypatch.setattr(tomography, "random_state_rows", record)
         monkeypatch.setattr(tomography, "_DRAW_BLOCK", rows_per_block * n * m)
         halves = TestQuantumRankFromRFactors.capture_halves(monkeypatch)
-        report = estimate_k_quantum(n, m, ensemble=ensemble, rng=stream())
+        report = estimate_k("quantum", n, m, ensemble=ensemble, rng=stream())
         parts = (head, ensemble - head, ensemble)  # the prefix, the rest of A, and B
         assert len(drawn) == sum(math.ceil(rows / rows_per_block) for rows in parts)
         assert np.array_equal(np.vstack(drawn), expected)
@@ -988,13 +996,13 @@ class TestBlockedQuantumRun:
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            report = estimate_k_quantum(4, 20_000, ensemble=1, rng=RandomStream(0))
+            report = estimate_k("quantum", 4, 20_000, ensemble=1, rng=RandomStream(0))
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (report.k_rank, report.k_naive, report.saturated) == (2, 80_000, False)
-        assert elapsed < 1.0, f"estimate_k_quantum(4, 20000) took {elapsed:.2f} s"
+        assert elapsed < 1.0, f"estimate_k('quantum', 4, 20000) took {elapsed:.2f} s"
         assert peak < 16 * 2**20, f"peak traced memory {peak:,} bytes"
 
 
@@ -1012,16 +1020,16 @@ class TestBornEntryLimit:
         # plus the bases' 2 * 2**2 * M floats are exactly MAX_BORN_ENTRIES at
         # M = 2**21
         with pytest.raises(Drew):
-            estimate_k_quantum(2, 2**21, ensemble=4, rng=RandomStream(0))
+            estimate_k("quantum", 2, 2**21, ensemble=4, rng=RandomStream(0))
         with pytest.raises(ValidationError, match="MAX_BORN_ENTRIES"):
-            estimate_k_quantum(2, 2**21 + 1, ensemble=4, rng=RandomStream(0))
+            estimate_k("quantum", 2, 2**21 + 1, ensemble=4, rng=RandomStream(0))
         # default ensembles size only their n**2 + 16 row prefix before any
         # draw: 33.0M entries at n = 75 and 34.8M at n = 76
         for n in (32, 36, 75):
             with pytest.raises(Drew):
-                estimate_k_quantum(n, rng=RandomStream(0))
+                estimate_k("quantum", n, rng=RandomStream(0))
         with pytest.raises(ValidationError, match="MAX_BORN_ENTRIES"):
-            estimate_k_quantum(76, rng=RandomStream(0))
+            estimate_k("quantum", 76, rng=RandomStream(0))
 
     @pytest.mark.parametrize("ensemble, refused", [(39_925, False), (39_926, True)])
     def test_fallback_sizes_both_halves_before_drawing_them(self, monkeypatch, ensemble, refused):
@@ -1041,7 +1049,7 @@ class TestBornEntryLimit:
         monkeypatch.setattr(tomography, "random_state_rows", record)
         rng = StuckStatesStream(0, n, m, head)
         with pytest.raises(ValidationError if refused else Drew):
-            estimate_k_quantum(n, m, ensemble=ensemble, rng=rng)
+            estimate_k("quantum", n, m, ensemble=ensemble, rng=rng)
         assert sum(drawn) == head
 
     def test_fallback_past_the_limit_exits_2(self, monkeypatch, capsys):
@@ -1072,28 +1080,28 @@ class TestKSweep:
             ("quantum", 2, 3), ("quantum", 3, 4), ("urn", 2, 1), ("urn", 3, 1),
         ]
         expected = [
-            estimate_k(kind, n, v=v, m=v, ensemble=7,
+            estimate_k(kind, n, v, ensemble=7,
                        rng=RandomStream(5, tomography._stream_id(kind, n, v)))
             for kind, n, v in cells
         ]
         calls = []
 
-        def record(kind, n, *, v, m, rng, **kwargs):
-            calls.append((kind, n, v, m, rng.seed, rng.stream_id))
-            return estimate_k(kind, n, v=v, m=m, rng=rng, **kwargs)
+        def record(kind, n, v_or_m, *, rng, **kwargs):
+            calls.append((kind, n, v_or_m, rng.seed, rng.stream_id))
+            return estimate_k(kind, n, v_or_m, rng=rng, **kwargs)
 
         monkeypatch.setattr(tomography, "estimate_k", record)
         reports = k_sweep([3, 2], [3, 1], ["urn", "quantum", "cardbox"], 5, ensemble=7)
         assert reports == expected
         assert calls == [
-            (kind, n, v, v, 5, tomography._stream_id(kind, n, v)) for kind, n, v in cells
+            (kind, n, v, 5, tomography._stream_id(kind, n, v)) for kind, n, v in cells
         ]
 
     def test_quantum_tolerance_checked_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("a cell ran despite an unusable tolerance")
 
-        for name in ("estimate_k_cardbox", "estimate_k_urn", "estimate_k_quantum"):
+        for name in ("_estimate_k_classical", "_estimate_k_quantum"):
             monkeypatch.setattr(tomography, name, no_work)
         with pytest.raises(ValidationError, match="tolerance"):
             k_sweep([2], [1], ["cardbox", "quantum"], 0, tol=float("nan"))
@@ -1208,5 +1216,6 @@ class TestKSweep:
 @given(spec=spec_strategy(max_variables=2, max_values=3))
 def test_estimates_saturate_to_exhaustive_rank(spec):
     # random-ensemble rank agrees with the exhaustive ground truth
-    report = estimate_k_cardbox(spec, rng=RandomStream(0))
+    report = estimate_k("cardbox", spec.values_per_variable, spec.num_variables,
+                        rng=RandomStream(0))
     assert report.k_rank == exhaustive_fiducial_rank(spec)
