@@ -14,7 +14,6 @@ from .cardbox import (
     Deck,
     Outcome,
     SystemSpec,
-    cardbox_spec,
     filter_deck,
     initial_state,
     observe,

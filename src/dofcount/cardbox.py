@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -135,9 +135,6 @@ class Card:
         return "/".join(f"{name}={value}" for name, value in self.items)
 
 
-CardKey = Union[Card, Sequence[str]]
-
-
 @dataclass(frozen=True, eq=False)
 class Deck:
     """A multiset of cards over one spec, held as two read-only arrays.
@@ -187,18 +184,15 @@ class Deck:
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def from_counts(cls, spec: SystemSpec, counts: Mapping[CardKey, int]) -> "Deck":
-        """Deck from counts keyed by ``Card`` or by value names in spec order.
-
-        Zero counts are dropped, once their key is checked.
+    def from_counts(cls, spec: SystemSpec, counts: Mapping[tuple[str, ...], int]) -> "Deck":
+        """Deck from counts keyed by value-name tuples in spec order, such as
+        ``card.values``.  Zero counts are dropped, once their key is checked.
         """
         names = spec.variable_names
         rows, kept = [], []
         for key, count in counts.items():
-            if isinstance(key, Card):
-                key = Card.from_assignment(spec, key.assignment).values  # checks its names
-            elif len(key) != len(names):
-                raise ValidationError(f"expected {len(names)} values, got {len(key)}")
+            if not isinstance(key, tuple) or len(key) != len(names):
+                raise ValidationError(f"expected a tuple of {len(names)} value names, got {key!r}")
             row = tuple(map(spec.value_index, names, key))
             if type(count) is not int or count != 0:
                 rows.append(row)
@@ -359,18 +353,3 @@ def observe(
     new_state = BoxState(deck=state.deck, subdeck=filter_deck(state.deck, variable, value))
     return outcome, new_state
 
-
-def cardbox_spec(num_values: int, num_variables: int) -> SystemSpec:
-    """Generic spec with machine-made names: variables var1.., values val1..
-
-    Used by sweeps and ensemble experiments where only the (N, V) shape
-    matters; hand-written decks come from JSON files with real names.
-    """
-    if num_variables < 1 or num_values < 2:
-        raise ValidationError(
-            f"need at least 1 variable of 2 values, got V={num_variables}, N={num_values}"
-        )
-    values = tuple(f"val{j + 1}" for j in range(num_values))
-    return SystemSpec(
-        tuple((f"var{i + 1}", values) for i in range(num_variables))
-    )

@@ -298,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--systems", default="cardbox,urn,quantum", help="comma-separated kinds")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    p.add_argument("--ensemble", type=int, default=None)
-    p.add_argument("--max-mult", type=int, default=2)
-    p.add_argument("--tol", type=float, default=RANK_TOL)
+    bad = "; a bad value exits 2 whatever --systems holds"
+    p.add_argument("--ensemble", type=int, default=None, help=f"base ensemble size (all systems){bad}")
+    p.add_argument("--max-mult", type=int, default=2, help=f"max card multiplicity (urn, cardbox){bad}")
+    p.add_argument("--tol", type=float, default=RANK_TOL, help=f"numeric rank threshold (quantum){bad}")
     add_seed(p)
     p.set_defaults(func=_cmd_sweep)
 

@@ -74,22 +74,19 @@ class ObservableSet:
 
     Restricting the number of bases below dimension+1 models a system with
     fewer physically measurable variables than the dimension admits.  Made
-    from ``MeasurementBasis`` objects or an ``(M, n, n)`` stack, it keeps
-    the stack: basis m's vectors are ``vectors[m]``.
+    from an ``(M, n, n)`` ndarray and nothing else, it keeps the checked
+    stack: basis m's vectors are ``vectors[m]``.
     """
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        bases = self.vectors
-        if len(bases) == 0:
+        if not isinstance(self.vectors, np.ndarray):
+            raise ValidationError(f"bases must be an ndarray, got {type(self.vectors).__name__}")
+        vectors = _checked_bases(self.vectors, 3)
+        if not len(vectors):
             raise ValidationError("observable set needs at least one basis")
-        if not isinstance(bases, np.ndarray):
-            dims = {basis.dimension for basis in bases}
-            if len(dims) != 1:
-                raise ValidationError(f"bases have mixed dimensions {sorted(dims)}")
-            bases = np.stack([basis.vectors for basis in bases])
-        object.__setattr__(self, "vectors", _checked_bases(bases, 3))
+        object.__setattr__(self, "vectors", vectors)
 
 
 _DRAW_BLOCK = 2**16  # entries drawn or multiplied per call: bounds memory whatever the run
@@ -148,13 +145,11 @@ _MAX_BASIS_ATTEMPTS = 8
 
 def random_basis(n: int, rng: RandomStream) -> MeasurementBasis:
     """One Haar-distributed basis, drawn as ``random_observable_set`` draws each."""
-    return MeasurementBasis(random_observable_set(n, 1, rng).vectors[0])
+    return MeasurementBasis(random_observable_set(n, 1, rng=rng).vectors[0])
 
 
-def random_observable_set(
-    n: int, num_bases: int | None = None, rng: RandomStream | None = None
-) -> ObservableSet:
-    """``num_bases`` Haar-distributed bases; defaults to n+1, enough for full tomography.
+def random_observable_set(n: int, m: int, *, rng: RandomStream) -> ObservableSet:
+    """``m`` Haar-distributed bases drawn from ``rng``; n+1 are enough for full tomography.
 
     n+1 bases contribute 1 + (n+1)(n-1) = n**2 independent outcome
     probabilities, matching the dimension of the space of states.
@@ -166,11 +161,8 @@ def random_observable_set(
     ``_MAX_BASIS_ATTEMPTS`` per basis.  Draws come in stacks of at most
     ``_DRAW_BLOCK`` entries, each factored by one stacked QR.
     """
-    if rng is None:
-        raise ValidationError("random_observable_set requires a RandomStream")
     if n < 2:
         raise ValidationError(f"dimension must be at least 2, got {n}")
-    m = n + 1 if num_bases is None else num_bases
     if m < 1:
         raise ValidationError("observable set needs at least one basis")
     vectors = np.empty((m, n, n), dtype=complex)

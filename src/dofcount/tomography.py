@@ -244,36 +244,23 @@ def _check_tolerance(tol: float) -> None:
         raise ValidationError(f"tolerance must be finite and in (0, 1), got {tol}")
 
 
-def matrix_rank_numeric(rows, tol: float = RANK_TOL) -> int:
-    """Numeric rank: singular values above ``tol`` times the largest.
+def matrix_rank_numeric(rows: np.ndarray, tol: float = RANK_TOL) -> int:
+    """Numeric rank of a 2-D float64 ndarray: singular values above ``tol``
+    times the largest.
 
-    The rank is taken over the reals, of a 2-D matrix.  A float ndarray
-    must be float64: at lower precision rounding noise alone clears the
-    default threshold.  A complex ndarray is rejected, not cast, and list
-    input is read at float64 precision.
+    Any other input raises ``ValidationError``, unconverted: at lower
+    precision rounding noise alone clears the default threshold, and a cast
+    of a complex matrix would drop its imaginary parts.
     """
     _check_tolerance(tol)
-    if isinstance(rows, np.ndarray) and rows.dtype != object:
-        if rows.dtype.kind in "fc" and rows.real.dtype.itemsize < 8:
-            raise ValidationError(f"matrix dtype {rows.dtype} is narrower than float64")
-        if rows.dtype.kind == "c":
-            raise ValidationError(f"matrix dtype {rows.dtype} is complex, not real")
-        matrix = rows.astype(float, copy=False)  # float64 input: no row list, no copy
-    else:
-        rows = list(rows)
-        if any(np.ndim(r) == 0 for r in rows):  # before len(r) can fail on a scalar
-            raise ValidationError("matrix must be 2-D, got 1-D")
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise ValidationError(f"rows have mixed lengths {sorted(widths)}")
-        matrix = np.asarray(rows, dtype=float)
-    if matrix.ndim != 2:
-        raise ValidationError(f"matrix must be 2-D, got {matrix.ndim}-D")
-    if len(matrix) == 0:
+    if not isinstance(rows, np.ndarray) or rows.dtype != np.float64 or rows.ndim != 2:
+        got = f"{rows.ndim}-D {rows.dtype}" if isinstance(rows, np.ndarray) else type(rows).__name__
+        raise ValidationError(f"matrix must be a 2-D float64 ndarray, got {got}")
+    if len(rows) == 0:
         raise ValidationError("matrix must have at least one row")
-    if not np.isfinite(matrix).all():
+    if not np.isfinite(rows).all():
         raise InvariantError("matrix contains NaN or infinity")
-    singular = np.linalg.svd(matrix, compute_uv=False)
+    singular = np.linalg.svd(rows, compute_uv=False)
     if singular.size == 0 or singular[0] == 0.0:
         return 0
     return int(np.sum(singular > tol * singular[0]))
@@ -335,9 +322,11 @@ def _check_cell(
     The checks run in one order, so a cell with several faults always names
     the same one: the kind and its shape (a quantum cell's tolerance first),
     the random decks' ``_check_draw_limits`` (urn, card box), the ensemble,
-    then the quantum prefix's ``MAX_BORN_ENTRIES``.  An urn is the card box
-    with V = 1, a quantum cell has n+1 bases unless told otherwise, and the
-    base ensemble is ten members per fiducial probability unless told otherwise.
+    the quantum prefix's ``MAX_BORN_ENTRIES``, then the value the kind does not
+    read (a classical ``tol``, a quantum ``max_multiplicity``), so a sweep
+    refuses it whatever its kinds.  An urn is the card box with V = 1, a
+    quantum cell has n+1 bases unless told otherwise, and the base ensemble
+    is ten members per fiducial probability unless told otherwise.
     """
     if kind == "quantum":
         _check_tolerance(tol)
@@ -366,6 +355,10 @@ def _check_cell(
         raise ValidationError("ensemble size must be at least 1")
     if kind == "quantum":
         _check_born_entries(n, v_or_m, _quantum_head(n, v_or_m, base)[1])
+        if max_multiplicity < 1:
+            raise ValidationError("max_multiplicity must be at least 1")
+    else:
+        _check_tolerance(tol)
     return v_or_m, base
 
 

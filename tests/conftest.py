@@ -18,7 +18,6 @@ from dofcount import (
     Outcome,
     RandomStream,
     SystemSpec,
-    cardbox_spec,
     fiducial_vector_cardbox,
     filter_deck,
     initial_state,
@@ -72,6 +71,12 @@ def all_cards(spec):
     return [card for card, _ in uniform_deck(spec).entries]
 
 
+def cardbox_spec(num_values, num_variables):
+    """Spec with machine-made names: variables ``var1..``, values ``val1..``."""
+    values = tuple(f"val{j + 1}" for j in range(num_values))
+    return SystemSpec(tuple((f"var{i + 1}", values) for i in range(num_variables)))
+
+
 def urn_spec(n):
     """The urn as a one-variable card box: variable ``Pos`` with values ``p1..pn``."""
     return SystemSpec((("Pos", tuple(f"p{i + 1}" for i in range(n))),))
@@ -105,7 +110,7 @@ def deck_strategy(draw, spec=None, max_multiplicity=3, **spec_kwargs):
         ).filter(any)
     )
     return Deck.from_counts(
-        spec, {card: m for card, m in zip(cards, mults) if m}
+        spec, {card.values: m for card, m in zip(cards, mults) if m}
     )
 
 
@@ -180,7 +185,7 @@ def enumerate_decks(spec, max_multiplicity):
     cards = all_cards(spec)
     for mults in itertools.product(range(max_multiplicity + 1), repeat=len(cards)):
         if any(mults):
-            yield Deck.from_counts(spec, dict(zip(cards, mults)))
+            yield Deck.from_counts(spec, {card.values: m for card, m in zip(cards, mults)})
 
 
 def literal_random_decks(spec, count, max_multiplicity, rng):
@@ -193,7 +198,7 @@ def literal_random_decks(spec, count, max_multiplicity, rng):
     while len(decks) < count:
         mults = rng.integers_below(max_multiplicity + 1, size=len(cards))
         if mults.any():
-            decks.append(Deck.from_counts(spec, {c: int(m) for c, m in zip(cards, mults) if m}))
+            decks.append(Deck.from_counts(spec, {c.values: int(m) for c, m in zip(cards, mults) if m}))
         else:
             redrawn += 1
     return decks, redrawn

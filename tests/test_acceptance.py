@@ -8,12 +8,12 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import exhaustive_fiducial_rank, joint_card_frequency, urn_deck
+from conftest import cardbox_spec, exhaustive_fiducial_rank, joint_card_frequency, urn_deck
 from dofcount import (
     RandomStream,
-    cardbox_spec,
     check_repeatability,
     estimate_k,
     fiducial_vector_quantum,
@@ -87,10 +87,10 @@ def test_criterion_3_quantum_k(capsys):
         for seed in range(10):
             rng = RandomStream(seed)
             observables = random_observable_set(n, n + 1, rng=rng)
-            rows = [
+            rows = np.array([
                 fiducial_vector_quantum(random_pure_state(n, rng), observables)
                 for _ in range(2 * n * n)
-            ]
+            ])
             assert matrix_rank_numeric(rows, tol=1e-9) == n * n
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"quantum criterion took {elapsed:.2f}s"

@@ -184,7 +184,7 @@ def test_cards_parse_as_card_by_card_lookups(cards):
         except ValidationError as exc:
             fault = f"cards[{i}].assignment: {exc}"
             break
-        counts[card] = counts.get(card, 0) + count
+        counts[card.values] = counts.get(card.values, 0) + count
     doc = doc_bytes(cards=[{"assignment": a, "count": c} for a, c in cards])
     if fault is not None:
         with pytest.raises(SchemaViolationError) as err:

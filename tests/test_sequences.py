@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_witness,
     c_scan_witness,
+    cardbox_spec,
     chain_counts,
     deck_strategy,
     expanded_repeatability,
@@ -30,7 +31,6 @@ from dofcount import (
     Outcome,
     RandomStream,
     SystemSpec,
-    cardbox_spec,
     check_repeatability,
     filter_deck,
     find_classicality_witness,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     StuckStatesStream,
     all_cards,
+    cardbox_spec,
     complex_states,
     count_row,
     deck_strategy,
@@ -30,10 +31,11 @@ from conftest import (
     whole_born_matrix,
 )
 from dofcount import (
+    Card,
     Deck,
     ExactRowBasis,
     RandomStream,
-    cardbox_spec,
+    SystemSpec,
     estimate_k,
     fiducial_vector_cardbox,
     fiducial_vector_quantum,
@@ -85,7 +87,7 @@ class TestFiducialVectorCardbox:
 
     @given(deck=deck_strategy(), factor=st.integers(1, 9))
     def test_scaling_invariance(self, deck, factor):
-        scaled = Deck.from_counts(deck.spec, {card: m * factor for card, m in deck.entries})
+        scaled = Deck.from_counts(deck.spec, {card.values: m * factor for card, m in deck.entries})
         assert fiducial_vector_cardbox(scaled) == fiducial_vector_cardbox(deck)
 
 
@@ -93,7 +95,7 @@ class TestFiducialVectorQuantum:
     def test_eigenstate_single_basis(self):
         from test_quantum import STANDARD_2, ket0_state
 
-        obs = ObservableSet((STANDARD_2,))
+        obs = ObservableSet(np.stack([STANDARD_2.vectors]))
         assert np.allclose(
             fiducial_vector_quantum(ket0_state(), obs), [1.0, 0.0], atol=1e-12
         )
@@ -109,7 +111,7 @@ class TestFiducialVectorQuantum:
     def test_standard_and_unbiased_bases(self):
         from test_quantum import STANDARD_2, UNBIASED_2, ket0_state
 
-        obs = ObservableSet((STANDARD_2, UNBIASED_2))
+        obs = ObservableSet(np.stack([STANDARD_2.vectors, UNBIASED_2.vectors]))
         assert np.allclose(
             fiducial_vector_quantum(ket0_state(), obs), [1, 0, 0.5, 0.5], atol=1e-12
         )
@@ -118,11 +120,11 @@ class TestFiducialVectorQuantum:
         from test_quantum import STANDARD_2, maximally_mixed
 
         with pytest.raises(ValidationError, match=r"^state dimension 3 != basis dimension 2$"):
-            fiducial_vector_quantum(maximally_mixed(3), ObservableSet((STANDARD_2,)))
+            fiducial_vector_quantum(maximally_mixed(3), ObservableSet(np.stack([STANDARD_2.vectors])))
 
     def test_block_normalization(self):
         rng = RandomStream(17)
-        obs = random_observable_set(3, rng=rng)
+        obs = random_observable_set(3, 4, rng=rng)
         for _ in range(20):
             vector = fiducial_vector_quantum(random_pure_state(3, rng), obs)
             for m in range(len(obs.vectors)):
@@ -148,7 +150,7 @@ class TestFiducialMatrixQuantum:
         assert np.max(np.abs(matrix - expected)) < 1e-12
 
     def test_dimension_mismatch(self):
-        obs = random_observable_set(2, rng=RandomStream(0))
+        obs = random_observable_set(2, 3, rng=RandomStream(0))
         with pytest.raises(ValidationError, match=r"^state dimension 3 != basis dimension 2$"):
             pure_state_distributions(complex_states(3, 4, RandomStream(1)), obs)
 
@@ -548,56 +550,48 @@ class TestMatrixRankExact:
 class TestMatrixRankNumeric:
     def test_identity_block(self):
         matrix = np.vstack([np.eye(4), np.eye(4)])
-        assert matrix_rank_numeric(matrix.tolist()) == 4
+        assert matrix_rank_numeric(matrix) == 4
 
     def test_tiny_noise_below_threshold(self):
         u = np.array([1.0, 2.0, 3.0])
         v = np.array([0.5, -1.0, 2.0, 4.0])
         matrix = np.outer(u, v) + 1e-15
-        assert matrix_rank_numeric(matrix.tolist(), tol=1e-9) == 1
+        assert matrix_rank_numeric(matrix, tol=1e-9) == 1
 
     def test_known_rank_products(self):
         gen = np.random.Generator(np.random.PCG64(12))
         for r in (1, 2, 3):
             matrix = gen.standard_normal((8, r)) @ gen.standard_normal((r, 5))
-            assert matrix_rank_numeric(matrix.tolist()) == r
+            assert matrix_rank_numeric(matrix) == r
 
     def test_quantum_desk_example(self):
         # 20 random pure states, 3 random bases, n=2: rank 4, cross-checked
         # against numpy's independent SVD-based rank.
         rng = RandomStream(123)
         obs = random_observable_set(2, 3, rng=rng)
-        rows = [
-            fiducial_vector_quantum(random_pure_state(2, rng), obs) for _ in range(20)
-        ]
+        rows = np.array(
+            [fiducial_vector_quantum(random_pure_state(2, rng), obs) for _ in range(20)]
+        )
         assert matrix_rank_numeric(rows) == 4
-        assert int(np.linalg.matrix_rank(np.array(rows))) == 4
+        assert int(np.linalg.matrix_rank(rows)) == 4
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvariantError, match=r"^matrix contains NaN or infinity$"):
-            matrix_rank_numeric([[1.0, float("nan")]])
-
-    def test_ragged_rejected(self):
-        with pytest.raises(ValidationError, match=r"^rows have mixed lengths \[1, 2\]$"):
-            matrix_rank_numeric([[1.0], [1.0, 2.0]])
+            matrix_rank_numeric(np.array([[1.0, float("nan")]]))
 
     def test_bad_tolerance(self):
         for tol in (0.0, -1e-9, float("nan"), float("inf"), -float("inf"), 1.0, 2.0):
             with pytest.raises(ValidationError):
-                matrix_rank_numeric([[1.0]], tol=tol)
+                matrix_rank_numeric(np.array([[1.0]]), tol=tol)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64])
     def test_narrow_float_array_rejected(self, dtype):
         # at float32 a rank-3 9x6 product reads as rank 6 against RANK_TOL
         gen = np.random.Generator(np.random.PCG64(5))
         matrix = gen.standard_normal((9, 3)) @ gen.standard_normal((3, 6))
-        with pytest.raises(ValidationError, match="narrower than float64"):
+        message = rf"^matrix must be a 2-D float64 ndarray, got 2-D {np.dtype(dtype)}$"
+        with pytest.raises(ValidationError, match=message):
             matrix_rank_numeric(matrix.astype(dtype))
-
-    def test_float_array_matches_row_list(self):
-        gen = np.random.Generator(np.random.PCG64(5))
-        matrix = gen.standard_normal((9, 3)) @ gen.standard_normal((3, 6))
-        assert matrix_rank_numeric(matrix) == matrix_rank_numeric(matrix.tolist()) == 3
 
     def test_float_array_checks(self):
         with pytest.raises(ValidationError):
@@ -607,23 +601,46 @@ class TestMatrixRankNumeric:
 
     def test_complex_array_rejected(self):
         # casting would drop the imaginary parts and read i*I as rank 0
-        with pytest.raises(ValidationError, match="complex128 is complex"):
+        with pytest.raises(ValidationError, match="got 2-D complex128$"):
             matrix_rank_numeric(np.array([[1j, 0], [0, 1j]]))
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
     def test_array_that_is_not_2d_rejected(self, shape):
-        with pytest.raises(ValidationError, match=f"must be 2-D, got {len(shape)}-D"):
+        with pytest.raises(ValidationError, match=f"got {len(shape)}-D float64$"):
             matrix_rank_numeric(np.ones(shape))
 
-    @pytest.mark.parametrize("rows", [[1.0, 2.0], [[1.0, 2.0], 3.0], []])
-    def test_row_list_that_is_not_2d_rejected(self, rows):
-        # a scalar row is caught before len() is taken of it
-        with pytest.raises(ValidationError, match="must be 2-D, got 1-D"):
-            matrix_rank_numeric(rows)
 
-    def test_integer_array_matches_float_array(self):
-        matrix = np.array([[1, 2], [2, 4], [0, 1]])
-        assert matrix_rank_numeric(matrix) == matrix_rank_numeric(matrix.astype(float)) == 2
+_FACE_SUIT = SystemSpec.from_mapping({"Face": ["K", "Q"], "Suit": ["S", "H"]})
+_KS = Card((("Face", "K"), ("Suit", "S")))
+_RANK_FORM = "matrix must be a 2-D float64 ndarray, got "
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: matrix_rank_numeric([[1.0, 0.0], [0.0, 1.0]]), _RANK_FORM + "list"),
+        (lambda: matrix_rank_numeric(3), _RANK_FORM + "int"),
+        (lambda: matrix_rank_numeric(np.eye(2, dtype=np.int64)), _RANK_FORM + "2-D int64"),
+        (lambda: matrix_rank_numeric(np.eye(2, dtype=np.float32)), _RANK_FORM + "2-D float32"),
+        (lambda: matrix_rank_numeric(np.eye(2, dtype=complex)), _RANK_FORM + "2-D complex128"),
+        (lambda: matrix_rank_numeric(np.ones(3)), _RANK_FORM + "1-D float64"),
+        (lambda: matrix_rank_numeric(np.ones((2, 2, 2))), _RANK_FORM + "3-D float64"),
+        (
+            lambda: ObservableSet((MeasurementBasis(np.eye(2)), MeasurementBasis(np.eye(2)))),
+            "bases must be an ndarray, got tuple",
+        ),
+        (
+            lambda: Deck.from_counts(_FACE_SUIT, {_KS: 1}),
+            f"expected a tuple of 2 value names, got {_KS!r}",
+        ),
+    ],
+    ids=["list", "int", "int64", "float32", "complex", "1-D", "3-D", "bases", "Card key"],
+)
+def test_narrowed_entry_points_refuse_the_dropped_forms(call, message):
+    # each takes the one form the program passes it, and refuses the rest unconverted
+    with pytest.raises(ValidationError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 class TestExhaustiveRank:
@@ -650,7 +667,7 @@ class TestExhaustiveRank:
             deck.spec.num_variables * deck.spec.values_per_variable
         )
         for card in all_cards(deck.spec):
-            basis.add(integer_row(fiducial_vector_cardbox(Deck.from_counts(deck.spec, {card: 1}))))
+            basis.add(integer_row(fiducial_vector_cardbox(Deck.from_counts(deck.spec, {card.values: 1}))))
         assert not basis.add(integer_row(fiducial_vector_cardbox(deck)))
 
 
