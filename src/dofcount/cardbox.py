@@ -144,13 +144,11 @@ class Deck:
     ``(E,)`` object array of their multiplicities, exact Python ints
     whatever their size.  ``Deck(spec, values, counts)`` takes rows and
     counts in any order, as sequences or arrays, and sorts the rows
-    lexicographically, so equal multisets make equal decks.  It raises
-    ``ValidationError`` for a row that is not ``V`` ints in ``0..N-1``, a
-    repeated row, a missing or extra count, and a count that is not an int
-    >= 1 (bool is no int).  ``entries``, the ``(Card, count)`` pairs, is
-    built only on first use.  A deck may be empty only as the transient
-    result of :func:`filter_deck`; every public entry point that takes a
-    deck rejects empty ones.
+    lexicographically, so equal multisets make equal decks.  A deck is
+    never empty: it raises ``ValidationError`` for no rows, a row that is
+    not ``V`` ints in ``0..N-1``, a repeated row, a missing or extra count,
+    and a count that is not an int >= 1 (bool is no int).  ``entries``, the
+    ``(Card, count)`` pairs, is built only on first use.
     """
 
     spec: SystemSpec
@@ -168,14 +166,16 @@ class Deck:
             order = None
         if order is None or len(rows) != len(counts) or set(map(len, rows)) - {v}:
             raise ValidationError(f"a deck takes one row of {v} value indices per count")
+        if not rows:
+            raise ValidationError("a deck needs at least one card")
         rows, counts = [rows[i] for i in order], [counts[i] for i in order]
         flat = [x for row in rows for x in row]
-        if not set(map(type, flat)) <= {int} or (flat and not 0 <= min(flat) <= max(flat) < n):
+        if not set(map(type, flat)) <= {int} or not 0 <= min(flat) <= max(flat) < n:
             raise ValidationError(f"value indices must be ints in 0..{n - 1}")
         if len(set(rows)) < len(rows):
             repeated = next(a for a, b in zip(rows, rows[1:]) if a == b)
             raise ValidationError(f"card {repeated} (value indices) listed twice")
-        if not set(map(type, counts)) <= {int} or min(counts, default=1) < 1:
+        if not set(map(type, counts)) <= {int} or min(counts) < 1:
             raise ValidationError("card counts must be ints >= 1")
         values = np.array(flat, dtype=np.int64).reshape(len(rows), v)
         counts = np.array(counts, dtype=object)
@@ -186,7 +186,8 @@ class Deck:
     @classmethod
     def from_counts(cls, spec: SystemSpec, counts: Mapping[tuple[str, ...], int]) -> "Deck":
         """Deck from counts keyed by value-name tuples in spec order, such as
-        ``card.values``.  Zero counts are dropped, once their key is checked.
+        ``card.values``.  Zero counts are dropped, once their key is checked;
+        counts that are all zero leave no card and raise ``ValidationError``.
         """
         names = spec.variable_names
         rows, kept = [], []
@@ -222,10 +223,6 @@ class Deck:
     def total(self) -> int:
         """Total multiplicity across all cards."""
         return sum(self.counts.tolist())
-
-    @property
-    def is_empty(self) -> bool:
-        return not len(self.counts)
 
     @cached_property
     def chain_weights(self) -> np.ndarray:
@@ -296,15 +293,15 @@ class BoxState:
 
 def initial_state(deck: Deck) -> BoxState:
     """Fresh device state; before any observation the subdeck is the full deck."""
-    if deck.is_empty:
-        raise ValidationError("cannot prepare a state from an empty deck")
     return BoxState(deck=deck, subdeck=deck)
 
 
 def filter_deck(deck: Deck, variable: str, value: str) -> Deck:
     """Cards of ``deck`` whose ``variable`` equals ``value``, full multiplicities.
 
-    The result may be empty; callers that need a live subdeck must check.
+    A deck is never empty, so a value no card shows raises ``ValidationError``.
+    :func:`observe` filters by the value of the card it drew, which that card
+    shows, so every subdeck the device reaches holds at least that card.
     """
     spec = deck.spec
     keep = deck.values[:, spec.variable_index(variable)] == spec.value_index(variable, value)
@@ -319,8 +316,6 @@ def outcome_distribution(state: BoxState, variable: str) -> dict[str, Fraction]:
     """
     subdeck = state.subdeck
     a = subdeck.spec.variable_index(variable)
-    if subdeck.is_empty:
-        raise InvariantError("state has an empty subdeck")
     labels = subdeck.spec.variables[a][1]
     counts = [0] * len(labels)
     for x, count in zip(subdeck.values[:, a].tolist(), subdeck.counts.tolist()):
@@ -341,8 +336,6 @@ def observe(
     """
     subdeck = state.subdeck
     a = subdeck.spec.variable_index(variable)
-    if subdeck.is_empty:
-        raise InvariantError("state has an empty subdeck")
     pick = rng.randint_below(subdeck.total)
     running = np.cumsum(subdeck.counts)  # Python ints: exact at any total
     row = np.searchsorted(running, pick, side="right")

@@ -92,11 +92,11 @@ def _load_deck(path: str):
         raise ValidationError(f"cannot read deck file {path}: {exc}")
 
 
-def _parse_plan(text: str) -> tuple[str, ...]:
-    steps = tuple(step for step in text.split(",") if step)
-    if not steps:
-        raise UsageError(f"plan must name at least one variable, got {text!r}")
-    return steps
+def _parse_names(text: str, flag: str, kind: str) -> tuple[str, ...]:
+    names = tuple(name for name in text.split(",") if name)
+    if not names:
+        raise UsageError(f"{flag} must name at least one {kind}, got {text!r}")
+    return names
 
 
 def _parse_range(text: str, flag: str) -> range:
@@ -151,7 +151,7 @@ def _cmd_simulate(args) -> int:
     if trials < 1:
         raise UsageError("--trials must be positive")
     _spec, deck = _load_deck(args.deck)
-    plan = _parse_plan(args.plan)
+    plan = _parse_names(args.plan, "plan", "variable")
     law, counts = simulate_plan(deck, plan, trials, RandomStream(seed))
 
     def line(head: str, a: int, b: int, hits: int) -> str:  # head: "<run> exact=<a/b>"
@@ -171,7 +171,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sequence(args) -> int:
     _spec, deck = _load_deck(args.deck)
-    plan = _parse_plan(args.plan)
+    plan = _parse_names(args.plan, "plan", "variable")
     dist = sequence_distribution(deck, plan)
     pieces = _run_pieces(dist, " = ", "\n")
     for start in range(0, len(pieces), _JOIN_ROWS):  # one block's text held at a time
@@ -224,7 +224,7 @@ def _cmd_sweep(args) -> int:
     reports = k_sweep(
         _parse_range(args.n_range, "--n-range"),
         _parse_range(args.v_range, "--v-range"),
-        [s for s in args.systems.split(",") if s],
+        _parse_names(args.systems, "--systems", "system kind"),
         seed,
         ensemble=args.ensemble,
         max_multiplicity=args.max_mult,

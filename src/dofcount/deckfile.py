@@ -18,7 +18,7 @@ import operator
 from typing import Union
 
 from .cardbox import Card, Deck, SystemSpec
-from .errors import InvariantError, SchemaViolationError, ValidationError
+from .errors import InvariantError, ValidationError
 
 _TOP_KEYS = {"variables", "cards"}
 _VARIABLE_KEYS = {"name", "values"}
@@ -33,13 +33,13 @@ def parse_deck_file(data: Union[bytes, str]) -> tuple[SystemSpec, Deck]:
         raise ValidationError(f"not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict):
-        raise SchemaViolationError("$", "top level must be an object")
+        raise ValidationError("$: top level must be an object")
     for key in doc:
         if key not in _TOP_KEYS:
-            raise SchemaViolationError(key, "unknown key")
+            raise ValidationError(f"{key}: unknown key")
     for key in _TOP_KEYS:
         if key not in doc:
-            raise SchemaViolationError(key, "missing")
+            raise ValidationError(f"{key}: missing")
 
     spec = _parse_variables(doc["variables"])
     deck = _parse_cards(doc["cards"], spec)
@@ -48,26 +48,26 @@ def parse_deck_file(data: Union[bytes, str]) -> tuple[SystemSpec, Deck]:
 
 def _parse_variables(raw) -> SystemSpec:
     if not isinstance(raw, list) or not raw:
-        raise SchemaViolationError("variables", "must be a nonempty array")
+        raise ValidationError("variables: must be a nonempty array")
     variables = []
     for i, item in enumerate(raw):
         where = f"variables[{i}]"
         if not isinstance(item, dict):
-            raise SchemaViolationError(where, "must be an object")
+            raise ValidationError(f"{where}: must be an object")
         for key in item:
             if key not in _VARIABLE_KEYS:
-                raise SchemaViolationError(f"{where}.{key}", "unknown key")
+                raise ValidationError(f"{where}.{key}: unknown key")
         name = item.get("name")
         values = item.get("values")
         if not isinstance(name, str) or not name:
-            raise SchemaViolationError(f"{where}.name", "must be a nonempty string")
+            raise ValidationError(f"{where}.name: must be a nonempty string")
         if (
             not isinstance(values, list)
             or not values
             or not all(isinstance(v, str) and v for v in values)
         ):
-            raise SchemaViolationError(
-                f"{where}.values", "must be a nonempty array of nonempty strings"
+            raise ValidationError(
+                f"{where}.values: must be a nonempty array of nonempty strings"
             )
         variables.append((name, tuple(values)))
     return SystemSpec(tuple(variables))
@@ -77,7 +77,7 @@ def _parse_cards(raw, spec: SystemSpec) -> Deck:
     """Cards by one ``itemgetter`` over the variable names and one dict lookup per value; only
     a card that fails it goes through the field-by-field checks, which name its first fault."""
     if not isinstance(raw, list) or not raw:
-        raise SchemaViolationError("cards", "must be a nonempty array")
+        raise ValidationError("cards: must be a nonempty array")
     names, positions = spec.variable_names, spec._value_positions
     read = operator.itemgetter(*names, names[0])  # a tuple even for V = 1; map stops at V
     counts: dict[tuple[int, ...], int] = {}  # value indices -> count
@@ -93,23 +93,23 @@ def _parse_cards(raw, spec: SystemSpec) -> Deck:
             continue
         where = f"cards[{i}]"
         if not isinstance(item, dict):
-            raise SchemaViolationError(where, "must be an object")
+            raise ValidationError(f"{where}: must be an object")
         for key in item:
             if key not in _CARD_KEYS:
-                raise SchemaViolationError(f"{where}.{key}", "unknown key")
+                raise ValidationError(f"{where}.{key}: unknown key")
         assignment, count = item.get("assignment"), item.get("count")
         if not isinstance(assignment, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in assignment.items()
         ):
-            raise SchemaViolationError(
-                f"{where}.assignment", "must be an object mapping variables to values"
+            raise ValidationError(
+                f"{where}.assignment: must be an object mapping variables to values"
             )
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise SchemaViolationError(f"{where}.count", "must be an integer >= 1")
+            raise ValidationError(f"{where}.count: must be an integer >= 1")
         try:  # the fault is the assignment's: Card names its first one, in its own order
             Card.from_assignment(spec, assignment)
         except ValidationError as exc:
-            raise SchemaViolationError(f"{where}.assignment", str(exc)) from exc
+            raise ValidationError(f"{where}.assignment: {exc}") from exc
         raise InvariantError(f"{where} failed the lookup but passes every check")
     return Deck(spec, counts.keys(), counts.values())
 

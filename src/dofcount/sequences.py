@@ -179,8 +179,6 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
     child, and its children must carry its probability; by telescoping,
     the leaves sum to 1.
     """
-    if deck.is_empty:
-        raise ValidationError("cannot compute sequence statistics for an empty deck")
     steps = tuple(plan)
     if not steps:
         raise ValidationError("plan must contain at least one step")
@@ -256,8 +254,6 @@ def check_repeatability(deck: Deck) -> RepeatabilityResult:
     first off-diagonal ``(x, y)`` in row-major order, the order of the
     ``[a, a]`` law's runs.
     """
-    if deck.is_empty:
-        raise ValidationError("cannot audit an empty deck")
     n = deck.spec.values_per_variable
     pairs = _pair_counts(deck)
     for a, (variable, labels) in enumerate(deck.spec.variables):
@@ -302,8 +298,6 @@ def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
     one (the tests check this against all plans up to length 4).  Returns
     None when the deck admits none.
     """
-    if deck.is_empty:
-        raise ValidationError("cannot search an empty deck")
     spec = deck.spec
     if spec.num_variables < 2:
         raise ValidationError(
@@ -375,8 +369,6 @@ def simulate_plan(
         raise ValidationError("trials must be positive")
     if trials > MAX_TRIALS:
         raise ValidationError(f"trials must be at most {MAX_TRIALS:,}, got {trials:,}")
-    if deck.is_empty:
-        raise ValidationError("cannot simulate an empty deck")
     spec = deck.spec
     law = sequence_distribution(deck, plan)
     order, probs = _subdeck_rows(deck)

@@ -116,11 +116,10 @@ def _multiplicity_draws(
     for it: the first holds ``first_block`` rows and each later one twice
     as many, all capped at ``_DRAW_BLOCK`` multiplicities, and no more rows
     are drawn than decks remain.  A block of k rows holds the same draws as
-    k one-row calls, so the decks do not depend on the block sizes.
+    k one-row calls, so the decks do not depend on the block sizes.  The
+    callers check ``count`` and ``_check_draw_limits`` first.
     """
-    if count < 1:
-        raise ValidationError("ensemble count must be at least 1")
-    types = _check_draw_limits(n, v, max_multiplicity)
+    types = n ** v
     cap = max(1, _DRAW_BLOCK // types)
     block_rows = min(max(1, first_block), cap)
     remaining = count
@@ -142,6 +141,9 @@ def random_deck_ensemble(
     All-zero draws are rejected and redrawn, so every deck is nonempty.
     """
     types = card_type_indices(spec)
+    if count < 1:
+        raise ValidationError("ensemble count must be at least 1")
+    _check_draw_limits(spec.values_per_variable, spec.num_variables, max_multiplicity)
     return [
         Deck(spec, types[mults > 0], mults[mults > 0])
         for block in _multiplicity_draws(

@@ -29,7 +29,7 @@ from dofcount import (
 )
 from dofcount.cardbox import card_type_count
 from dofcount.cli import UsageError, build_parser
-from dofcount.errors import InvariantError, SchemaViolationError, ValidationError
+from dofcount.errors import InvariantError, ValidationError
 from dofcount.quantum import _MAX_BASIS_ATTEMPTS, _PIVOT_TOL, born_rows
 from dofcount.sequences import RepeatabilityResult
 from dofcount.tomography import _value_counts
@@ -332,8 +332,6 @@ def literal_pair_counts(deck):
 def expanded_repeatability(deck):
     """Repeatability oracle: each variable's ``[v, v]`` law expanded, and the
     first run whose two labels differ, or a pass."""
-    if deck.is_empty:
-        raise ValidationError("cannot audit an empty deck")
     for variable in deck.spec.variable_names:
         for (first, second), p in sequence_distribution(deck, (variable, variable)).items():
             if first.value != second.value:
@@ -406,32 +404,32 @@ def field_by_field_cards(raw, spec):
     """Card-parse oracle: every field of every card checked in turn, and
     ``Card.from_assignment`` for an assignment that fails the value lookup."""
     if not isinstance(raw, list) or not raw:
-        raise SchemaViolationError("cards", "must be a nonempty array")
+        raise ValidationError("cards: must be a nonempty array")
     positions = tuple(zip(spec.variable_names, spec._value_positions))
     counts = {}  # value indices -> count
     for i, item in enumerate(raw):
         where = f"cards[{i}]"
         if not isinstance(item, dict):
-            raise SchemaViolationError(where, "must be an object")
+            raise ValidationError(f"{where}: must be an object")
         for key in item:
             if key not in _CARD_KEYS:
-                raise SchemaViolationError(f"{where}.{key}", "unknown key")
+                raise ValidationError(f"{where}.{key}: unknown key")
         assignment = item.get("assignment")
         count = item.get("count")
         if not isinstance(assignment, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in assignment.items()
         ):
-            raise SchemaViolationError(
-                f"{where}.assignment", "must be an object mapping variables to values"
+            raise ValidationError(
+                f"{where}.assignment: must be an object mapping variables to values"
             )
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise SchemaViolationError(f"{where}.count", "must be an integer >= 1")
+            raise ValidationError(f"{where}.count: must be an integer >= 1")
         index = tuple(values.get(assignment.get(name)) for name, values in positions)
         if None in index or len(assignment) != len(positions):
             try:  # Card names the assignment's first fault, in its own order
                 Card.from_assignment(spec, assignment)
             except ValidationError as exc:
-                raise SchemaViolationError(f"{where}.assignment", str(exc)) from exc
+                raise ValidationError(f"{where}.assignment: {exc}") from exc
         counts[index] = counts.get(index, 0) + count
     return Deck(spec, counts.keys(), counts.values())
 

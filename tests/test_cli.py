@@ -27,7 +27,7 @@ from conftest import (
 from dofcount import Deck, Outcome, RandomStream, SystemSpec, serialize_deck_file
 from dofcount import cli, sequences
 from dofcount.cli import CSV_HEADER, UsageError, cli_main
-from dofcount.errors import DofcountError, InvariantError, SchemaViolationError, ValidationError
+from dofcount.errors import DofcountError, InvariantError, ValidationError
 from dofcount.sequences import sequence_distribution
 from dofcount.tomography import estimate_k
 
@@ -924,6 +924,10 @@ ERROR_CONTRACT = [
              1, "usage error: --trials must be positive"),
     _failure("empty-plan", ["sequence", "--deck", CARDS4, "--plan", ","],
              1, "usage error: plan must name at least one variable, got ','"),
+    _failure("empty-systems", ["sweep", "--systems", ",", "--n-range", "2..2", "--v-range", "1..1"],
+             1, "usage error: --systems must name at least one system kind, got ','"),
+    _failure("range-not-integer", ["sweep", "--n-range", "2..x", "--v-range", "1"],
+             1, "usage error: --n-range expects A..B or a single integer, got '2..x'"),
 ]
 
 
@@ -966,7 +970,6 @@ def test_one_error_class_per_exit_code():
         UsageError: (DofcountError,),
         ValidationError: (DofcountError,),
         InvariantError: (DofcountError,),
-        SchemaViolationError: (ValidationError,),
     }
 
 
@@ -975,10 +978,9 @@ def test_one_error_class_per_exit_code():
     [
         (UsageError("boom"), 1, "usage error: "),
         (ValidationError("boom"), 2, "error: "),
-        (SchemaViolationError("cards", "boom"), 2, "error: cards: "),
         (InvariantError("boom"), 3, "internal error: "),
     ],
-    ids=["usage", "validation", "schema", "invariant"],
+    ids=["usage", "validation", "invariant"],
 )
 def test_each_error_class_has_its_exit_code(capsys, monkeypatch, error, code, prefix):
     def fail(deck):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import deck_strategy, field_by_field_cards
 from dofcount import Card, Deck, SystemSpec, parse_deck_file, serialize_deck_file, uniform_deck
 from dofcount.deckfile import _parse_cards
-from dofcount.errors import SchemaViolationError, ValidationError
+from dofcount.errors import InvariantError, ValidationError
 
 FOUR_CARD_DOC = {
     "variables": [
@@ -38,7 +39,7 @@ def test_parses_four_card_document():
 
 def test_zero_count_rejected():
     doc = doc_bytes(cards=[{"assignment": {"Face": "K", "Suit": "S"}, "count": 0}])
-    with pytest.raises(SchemaViolationError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_deck_file(doc)
     assert "count" in str(err.value)
 
@@ -47,22 +48,57 @@ def test_unknown_key_rejected():
     doc = doc_bytes(cards=[
         {"assignment": {"Face": "K", "Suit": "S"}, "count": 1, "color": "red"}
     ])
-    with pytest.raises(SchemaViolationError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_deck_file(doc)
     assert "color" in str(err.value)
 
 
 def test_unknown_top_level_key_rejected():
-    with pytest.raises(SchemaViolationError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_deck_file(doc_bytes(notes="hello"))
     assert "notes" in str(err.value)
 
 
 def test_missing_section_rejected():
     doc = {"variables": FOUR_CARD_DOC["variables"]}
-    with pytest.raises(SchemaViolationError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_deck_file(json.dumps(doc).encode())
     assert "cards" in str(err.value)
+
+
+_VARIABLE = {"name": "Face", "values": ["K", "Q"]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (b"[]", "$: top level must be an object"),
+        (doc_bytes(variables=["Face"]), "variables[0]: must be an object"),
+        (doc_bytes(variables=[{**_VARIABLE, "kind": "card"}]), "variables[0].kind: unknown key"),
+        (doc_bytes(variables=[{**_VARIABLE, "name": ""}]), "variables[0].name: must be a nonempty string"),
+        (doc_bytes(variables=[{**_VARIABLE, "values": ["K", ""]}]),
+         "variables[0].values: must be a nonempty array of nonempty strings"),
+        (doc_bytes(cards=[]), "cards: must be a nonempty array"),
+        (doc_bytes(cards=[7]), "cards[0]: must be an object"),
+        (doc_bytes(cards=[{"assignment": ["K", "S"], "count": 1}]),
+         "cards[0].assignment: must be an object mapping variables to values"),
+    ],
+)
+def test_each_schema_fault_names_its_field(doc, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_deck_file(doc)
+
+
+def test_a_card_that_fails_the_lookup_and_passes_every_check_is_an_invariant_error():
+    # JSON makes no int subclass: only a direct caller can hand over a count
+    # that the lookup refuses (its type is not int) and the field checks accept
+    class Count(int):
+        pass
+
+    spec, _deck = parse_deck_file(doc_bytes())
+    card = {"assignment": {"Face": "K", "Suit": "S"}, "count": Count(1)}
+    with pytest.raises(InvariantError, match=r"^cards\[0\] failed the lookup but passes every check$"):
+        _parse_cards([card], spec)
 
 
 def test_malformed_json():
@@ -73,20 +109,20 @@ def test_malformed_json():
 
 def test_unknown_variable_in_assignment():
     doc = doc_bytes(cards=[{"assignment": {"Face": "K", "Rank": "2"}, "count": 1}])
-    with pytest.raises(SchemaViolationError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_deck_file(doc)
     assert "cards[0].assignment" in str(err.value)
 
 
 def test_missing_variable_in_assignment():
     doc = doc_bytes(cards=[{"assignment": {"Face": "K"}, "count": 1}])
-    with pytest.raises(SchemaViolationError):
+    with pytest.raises(ValidationError):
         parse_deck_file(doc)
 
 
 def test_bad_count_type():
     doc = doc_bytes(cards=[{"assignment": {"Face": "K", "Suit": "S"}, "count": True}])
-    with pytest.raises(SchemaViolationError):
+    with pytest.raises(ValidationError):
         parse_deck_file(doc)
 
 
@@ -151,7 +187,7 @@ def test_assignment_fault_names_its_card(assignment, message):
         {"assignment": assignment, "count": 1},
         {"assignment": {"Face": "Z"}, "count": 1},  # a later fault is not reached
     ])
-    with pytest.raises(SchemaViolationError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_deck_file(doc)
     assert str(err.value) == f"cards[1].assignment: {message}"
     assert type(err.value.__cause__) is ValidationError
@@ -187,7 +223,7 @@ def test_cards_parse_as_card_by_card_lookups(cards):
         counts[card.values] = counts.get(card.values, 0) + count
     doc = doc_bytes(cards=[{"assignment": a, "count": c} for a, c in cards])
     if fault is not None:
-        with pytest.raises(SchemaViolationError) as err:
+        with pytest.raises(ValidationError) as err:
             parse_deck_file(doc)
         assert str(err.value) == fault
         assert type(err.value.__cause__) is ValidationError
@@ -265,9 +301,9 @@ def test_single_field_faults_name_the_oracles_fault(data, deck, mutation):
     cards = data.draw(st.permutations(cards))
     at = data.draw(st.integers(0, len(cards) - 1))
     cards[at] = MUTATIONS[mutation](cards[at], deck.spec)
-    with pytest.raises(SchemaViolationError) as expected:
+    with pytest.raises(ValidationError) as expected:
         field_by_field_cards(cards, deck.spec)
-    with pytest.raises(SchemaViolationError) as err:
+    with pytest.raises(ValidationError) as err:
         _parse_cards(cards, deck.spec)
     assert str(err.value) == str(expected.value)
     assert type(err.value.__cause__) is type(expected.value.__cause__)

@@ -58,6 +58,10 @@ def maximally_mixed(n):
 
 
 class TestDensityState:
+    def test_rejects_non_square(self):
+        with pytest.raises(ValidationError, match=r"^density matrix must be square, got shape \(1, 2\)$"):
+            DensityState(np.array([[0.5, 0.5]]))
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             DensityState(np.array([[0.5, 1.0], [0.0, 0.5]]))
@@ -96,6 +100,8 @@ class TestMeasurementBasis:
     def test_observable_set_needs_a_basis(self):
         with pytest.raises(ValidationError, match=r"^observable set needs at least one basis$"):
             ObservableSet(np.empty((0, 2, 2), dtype=complex))
+        with pytest.raises(ValidationError, match=r"^observable set needs at least one basis$"):
+            random_observable_set(2, 0, rng=RandomStream(0))
 
 
 class TestRandomPureState:
@@ -384,6 +390,10 @@ class TestPureStateDistributions:
     def test_non_finite_probabilities_are_invariant_errors(self, raw):
         with pytest.raises(InvariantError, match="NaN or infinity"):
             _checked_probabilities(np.array(raw))
+
+    def test_negative_probability_is_an_invariant_error(self):
+        with pytest.raises(InvariantError, match=r"^negative Born probability -0.5$"):
+            _checked_probabilities(np.array([1.5, -0.5]))
 
     def test_dimension_mismatch(self):
         psi = complex_states(3, 2, RandomStream(0))

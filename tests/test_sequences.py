@@ -81,10 +81,6 @@ class TestSequenceDistribution:
         assert len(dist) == 8
         assert all(p == Fraction(1, 8) for _, p in dist.items())
 
-    def test_empty_deck(self, four_card_spec):
-        with pytest.raises(ValidationError, match=r"^cannot compute sequence statistics for an empty deck$"):
-            sequence_distribution(Deck.from_counts(four_card_spec, {}), ("Suit",))
-
     def test_unknown_plan_variable(self, four_card_deck):
         with pytest.raises(ValidationError, match=r"^unknown variable 'Rank'$"):
             sequence_distribution(four_card_deck, ("Suit", "Rank"))
@@ -155,6 +151,13 @@ class TestSequenceDistribution:
         pairs[1 + x][2] = pairs[1 + x][3] = 0  # chain state Face=x (rows 1, 2) shows no Suit at all
         monkeypatch.setattr("dofcount.sequences._pair_counts", lambda deck: pairs)
         with pytest.raises(InvariantError, match=f"the run {run} has no next outcome"):
+            sequence_distribution(weighted_deck, ("Face", "Suit", "Face"))
+
+    def test_wrong_support_size_is_an_invariant_error(self, weighted_deck, monkeypatch):
+        # the expansion must end with as many runs as the support count said
+        size = _support_size
+        monkeypatch.setattr(sequences, "_support_size", lambda *args: size(*args) + 1)
+        with pytest.raises(InvariantError, match=r"^expanded 5 sequences, expected 6$"):
             sequence_distribution(weighted_deck, ("Face", "Suit", "Face"))
 
     def test_support_size_is_exact_at_the_limit(self, four_card_deck, weighted_deck):
@@ -338,12 +341,6 @@ class TestCheckRepeatability:
         chain = sequence_distribution(four_card_deck, plan)
         assert tree_sequence_distribution(four_card_deck, plan) == chain.probabilities
         assert tree_sequence_distribution(four_card_deck, plan, broken) != chain.probabilities
-
-    def test_empty_deck(self, four_card_spec):
-        empty = Deck.from_counts(four_card_spec, {})
-        for audit in (check_repeatability, expanded_repeatability):
-            with pytest.raises(ValidationError, match=r"^cannot audit an empty deck$"):
-                audit(empty)
 
 
 @st.composite

@@ -164,7 +164,6 @@ class TestRandomDeckEnsemble:
     def test_unit_multiplicity_gives_subsets(self, four_card_spec):
         for deck in random_deck_ensemble(four_card_spec, 30, 1, RandomStream(5)):
             assert all(m == 1 for _, m in deck.entries)
-            assert not deck.is_empty
 
     def test_fifty_decks_reach_rank_three(self, four_card_spec):
         decks = random_deck_ensemble(four_card_spec, 50, 2, RandomStream(1))
@@ -539,6 +538,10 @@ class TestMatrixRankExact:
         assert basis.rank == 0
         assert basis.add([np.int64(1), 2]) and basis.rank == 1
 
+    def test_width_must_be_positive(self):
+        with pytest.raises(ValidationError, match=r"^matrix width must be at least 1$"):
+            ExactRowBasis(0)
+
     def test_span_membership(self):
         basis = ExactRowBasis(3)
         basis.add([1, 0, 1])
@@ -551,6 +554,10 @@ class TestMatrixRankNumeric:
     def test_identity_block(self):
         matrix = np.vstack([np.eye(4), np.eye(4)])
         assert matrix_rank_numeric(matrix) == 4
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 0)])
+    def test_zero_and_columnless_matrices_have_rank_zero(self, shape):
+        assert matrix_rank_numeric(np.zeros(shape)) == 0
 
     def test_tiny_noise_below_threshold(self):
         u = np.array([1.0, 2.0, 3.0])
