@@ -34,7 +34,9 @@ def main() -> None:
 
     spec = SystemSpec.from_mapping({"Face": ["K", "Q"], "Suit": ["S", "H"]})
     deck = uniform_deck(spec)
-    print("deck: one card each of", ", ".join(str(c) for c, _ in deck.entries))
+    cards = ("/".join(f"{name}={values[x]}" for (name, values), x in zip(spec.variables, row))
+             for row in deck.values.tolist())
+    print("deck: one card each of", ", ".join(cards))
 
     show("repeat the same switch twice (off-diagonal terms vanish):",
          sequence_distribution(deck, ("Suit", "Suit")))

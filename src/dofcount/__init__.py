@@ -10,7 +10,6 @@ for the classical card box just as for quantum systems.
 
 from .cardbox import (
     BoxState,
-    Card,
     Deck,
     Outcome,
     SystemSpec,

@@ -14,10 +14,10 @@ re-randomizes everything else.  The urn (a single N-valued variable, V=1)
 is the degenerate case with nothing to disturb.
 
 A deck is its integer arrays: the value indices of each card type and its
-exact count (:class:`Deck`).  ``Card`` objects are made only on demand, for
-serialization, messages and tests.  All probabilities on this classical
-side are exact ``fractions.Fraction`` values; nothing here touches floating
-point.
+exact count (:class:`Deck`).  A card is one row of value indices; its
+names are the spec's labels at those indices.  All probabilities on this
+classical side are exact ``fractions.Fraction`` values; nothing here
+touches floating point.
 """
 
 from __future__ import annotations
@@ -92,47 +92,12 @@ class SystemSpec:
         except (KeyError, TypeError):  # an unhashable name matches none
             raise ValidationError(f"unknown variable {variable!r}") from None
 
-    def values_of(self, variable: str) -> tuple[str, ...]:
-        return self.variables[self.variable_index(variable)][1]
-
     def value_index(self, variable: str, value: str) -> int:
         positions = self._value_positions[self.variable_index(variable)]
         try:
             return positions[value]
         except (KeyError, TypeError):
             raise ValidationError(f"unknown value {value!r} for variable {variable!r}") from None
-
-
-@dataclass(frozen=True)
-class Card:
-    """One card: a total assignment of a value to every variable.
-
-    ``items`` holds ``(variable, value)`` pairs in spec variable order, so
-    cards are hashable and printable without a spec in hand.
-    """
-
-    items: tuple[tuple[str, str], ...]
-
-    @classmethod
-    def from_assignment(cls, spec: SystemSpec, assignment: Mapping[str, str]) -> "Card":
-        for variable in assignment:
-            spec.variable_index(variable)  # raises ValidationError
-        for name in spec.variable_names:
-            if name not in assignment:
-                raise ValidationError(f"no value for variable {name!r}")
-            spec.value_index(name, assignment[name])  # raises ValidationError
-        return cls(tuple((name, assignment[name]) for name in spec.variable_names))
-
-    @property
-    def assignment(self) -> dict[str, str]:
-        return dict(self.items)
-
-    @property
-    def values(self) -> tuple[str, ...]:
-        return tuple(value for _, value in self.items)
-
-    def __str__(self) -> str:
-        return "/".join(f"{name}={value}" for name, value in self.items)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +112,7 @@ class Deck:
     lexicographically, so equal multisets make equal decks.  A deck is
     never empty: it raises ``ValidationError`` for no rows, a row that is
     not ``V`` ints in ``0..N-1``, a repeated row, a missing or extra count,
-    and a count that is not an int >= 1 (bool is no int).  ``entries``, the
-    ``(Card, count)`` pairs, is built only on first use.
+    and a count that is not an int >= 1 (bool is no int).
     """
 
     spec: SystemSpec
@@ -185,9 +149,9 @@ class Deck:
 
     @classmethod
     def from_counts(cls, spec: SystemSpec, counts: Mapping[tuple[str, ...], int]) -> "Deck":
-        """Deck from counts keyed by value-name tuples in spec order, such as
-        ``card.values``.  Zero counts are dropped, once their key is checked;
-        counts that are all zero leave no card and raise ``ValidationError``.
+        """Deck from counts keyed by value-name tuples in spec order.  Zero
+        counts are dropped, once their key is checked; counts that are all
+        zero leave no card and raise ``ValidationError``.
         """
         names = spec.variable_names
         rows, kept = [], []
@@ -209,15 +173,6 @@ class Deck:
     @property
     def _contents(self) -> tuple:  # equal specs give equal widths, so equal bytes are equal rows
         return self.spec, self.values.tobytes(), tuple(self.counts.tolist())
-
-    @cached_property
-    def entries(self) -> tuple[tuple[Card, int], ...]:
-        """``(Card, count)`` pairs, one per row, in canonical order."""
-        names, labels = self.spec.variable_names, [values for _, values in self.spec.variables]
-        return tuple(
-            (Card(tuple(zip(names, map(tuple.__getitem__, labels, row)))), count)
-            for row, count in zip(self.values.tolist(), self.counts.tolist())
-        )
 
     @cached_property
     def total(self) -> int:

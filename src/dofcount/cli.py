@@ -10,9 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 input-validation error, 3 internal
 invariant failure; the console entry exits 141 without a traceback when
-the reader closes stdout early.  ``--seed`` falls back to the
-``DOFCOUNT_SEED`` environment variable, then to 0; output is byte-identical
-for identical arguments and seed.
+the reader closes stdout early.  ``--seed`` defaults to 0; output is
+byte-identical for identical arguments.
 """
 
 from __future__ import annotations
@@ -70,15 +69,7 @@ def render_json(reports: list[KReport]) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("DOFCOUNT_SEED")
-        if env is None:
-            return 0
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValidationError(f"DOFCOUNT_SEED must be an integer, got {env!r}")
+def _check_seed(value: int) -> int:
     if value < 0:
         raise ValidationError("seed must be non-negative")
     return value
@@ -146,11 +137,11 @@ def _write_text(text: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = _check_seed(args.seed)
     trials = args.trials
     if trials < 1:
         raise UsageError("--trials must be positive")
-    _spec, deck = _load_deck(args.deck)
+    deck = _load_deck(args.deck)
     plan = _parse_names(args.plan, "plan", "variable")
     law, counts = simulate_plan(deck, plan, trials, RandomStream(seed))
 
@@ -170,7 +161,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    _spec, deck = _load_deck(args.deck)
+    deck = _load_deck(args.deck)
     plan = _parse_names(args.plan, "plan", "variable")
     dist = sequence_distribution(deck, plan)
     pieces = _run_pieces(dist, " = ", "\n")
@@ -180,7 +171,7 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    _spec, deck = _load_deck(args.deck)
+    deck = _load_deck(args.deck)
     witness = find_classicality_witness(deck)
     if witness is None:
         print("none")
@@ -201,7 +192,7 @@ _RANK_ONLY_FOR = (
 
 
 def _cmd_rank(args) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = _check_seed(args.seed)
     options = {}
     for flag, keyword, systems in _RANK_ONLY_FOR:
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -220,7 +211,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = _check_seed(args.seed)
     reports = k_sweep(
         _parse_range(args.n_range, "--n-range"),
         _parse_range(args.v_range, "--v-range"),
@@ -254,12 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="master seed (default: $DOFCOUNT_SEED, then 0)",
-        )
+        p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
 
     p = commands.add_parser("simulate", help="Monte Carlo runs vs exact sequence law")
     p.add_argument("--deck", required=True, help="deck JSON file")

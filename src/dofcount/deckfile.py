@@ -8,7 +8,9 @@ Schema (strict -- unknown keys are rejected so typos surface immediately):
     }
 
 Counts must be integers >= 1.  Two card objects with the same assignment
-are merged by summing their counts (a deck is a multiset).
+are merged by summing their counts (a deck is a multiset).  A file is read
+into a ``Deck`` and written from one: each card's row of value indices and
+the labels of ``deck.spec``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import operator
 from typing import Union
 
-from .cardbox import Card, Deck, SystemSpec
+from .cardbox import Deck, SystemSpec
 from .errors import InvariantError, ValidationError
 
 _TOP_KEYS = {"variables", "cards"}
@@ -25,7 +27,7 @@ _VARIABLE_KEYS = {"name", "values"}
 _CARD_KEYS = {"assignment", "count"}
 
 
-def parse_deck_file(data: Union[bytes, str]) -> tuple[SystemSpec, Deck]:
+def parse_deck_file(data: Union[bytes, str]) -> Deck:
     """Parse and validate a deck document; errors name the offending field."""
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -41,9 +43,7 @@ def parse_deck_file(data: Union[bytes, str]) -> tuple[SystemSpec, Deck]:
         if key not in doc:
             raise ValidationError(f"{key}: missing")
 
-    spec = _parse_variables(doc["variables"])
-    deck = _parse_cards(doc["cards"], spec)
-    return spec, deck
+    return _parse_cards(doc["cards"], _parse_variables(doc["variables"]))
 
 
 def _parse_variables(raw) -> SystemSpec:
@@ -104,25 +104,29 @@ def _parse_cards(raw, spec: SystemSpec) -> Deck:
             raise ValidationError(
                 f"{where}.assignment: must be an object mapping variables to values"
             )
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        if type(count) is not int or count < 1:
             raise ValidationError(f"{where}.count: must be an integer >= 1")
-        try:  # the fault is the assignment's: Card names its first one, in its own order
-            Card.from_assignment(spec, assignment)
+        try:  # the assignment's first fault: an unknown variable, else a missing one, else a value
+            for variable in assignment:
+                spec.variable_index(variable)
+            for name in names:
+                if name not in assignment:
+                    raise ValidationError(f"no value for variable {name!r}")
+                spec.value_index(name, assignment[name])
         except ValidationError as exc:
             raise ValidationError(f"{where}.assignment: {exc}") from exc
         raise InvariantError(f"{where} failed the lookup but passes every check")
     return Deck(spec, counts.keys(), counts.values())
 
 
-def serialize_deck_file(spec: SystemSpec, deck: Deck) -> str:
-    """Canonical JSON for a spec+deck; parse(serialize(x)) == x."""
+def serialize_deck_file(deck: Deck) -> str:
+    """Canonical JSON for a deck and its spec; parse(serialize(x)) == x."""
+    variables = deck.spec.variables
+    assignments = [
+        {name: values[x] for (name, values), x in zip(variables, row)} for row in deck.values.tolist()
+    ]
     doc = {
-        "variables": [
-            {"name": name, "values": list(values)} for name, values in spec.variables
-        ],
-        "cards": [
-            {"assignment": card.assignment, "count": count}
-            for card, count in deck.entries
-        ],
+        "variables": [{"name": name, "values": list(values)} for name, values in variables],
+        "cards": [{"assignment": a, "count": n} for a, n in zip(assignments, deck.counts.tolist())],
     }
     return json.dumps(doc, indent=2) + "\n"

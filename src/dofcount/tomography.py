@@ -67,11 +67,8 @@ from .rng import RandomStream
 def fiducial_vector_cardbox(deck: Deck) -> tuple[Fraction, ...]:
     """Exact probabilities of every value of every variable, spec order."""
     state = initial_state(deck)
-    entries: list[Fraction] = []
-    for variable in deck.spec.variable_names:
-        dist = outcome_distribution(state, variable)
-        entries.extend(dist[value] for value in deck.spec.values_of(variable))
-    return tuple(entries)
+    dists = (outcome_distribution(state, variable) for variable in deck.spec.variable_names)
+    return tuple(p for dist in dists for p in dist.values())  # each dist in label order
 
 
 def fiducial_vector_quantum(state: DensityState, observables: ObservableSet) -> np.ndarray:

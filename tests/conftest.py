@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from dofcount import (
     BoxState,
-    Card,
     ClassicalityWitness,
     DensityState,
     Deck,
@@ -66,9 +66,57 @@ def huge_deck(four_card_spec):
     )
 
 
+@dataclass(frozen=True)
+class Card:
+    """Name-keyed card oracle: a total assignment of a value to every variable.
+
+    ``items`` holds ``(variable, value)`` pairs in spec variable order, so
+    cards are hashable and printable without a spec in hand.
+    """
+
+    items: tuple[tuple[str, str], ...]
+
+    @classmethod
+    def from_assignment(cls, spec, assignment):
+        """The card of a name-keyed assignment; ``ValidationError`` names its
+        first fault: an unknown variable, else a missing one, else a value."""
+        for variable in assignment:
+            spec.variable_index(variable)  # raises ValidationError
+        for name in spec.variable_names:
+            if name not in assignment:
+                raise ValidationError(f"no value for variable {name!r}")
+            spec.value_index(name, assignment[name])  # raises ValidationError
+        return cls(tuple((name, assignment[name]) for name in spec.variable_names))
+
+    @property
+    def assignment(self):
+        return dict(self.items)
+
+    @property
+    def values(self):
+        return tuple(value for _, value in self.items)
+
+    def __str__(self):
+        return "/".join(f"{name}={value}" for name, value in self.items)
+
+
+def entries(deck):
+    """A deck's ``(Card, count)`` pairs, one per row, in canonical order."""
+    variables = deck.spec.variables
+    return tuple(
+        (Card(tuple((name, values[x]) for (name, values), x in zip(variables, row))), count)
+        for row, count in zip(deck.values.tolist(), deck.counts.tolist())
+    )
+
+
+def labels(spec, variable):
+    """The value names of ``variable``, in spec order."""
+    return dict(spec.variables)[variable]
+
+
 def all_cards(spec):
     """Every possible card type, in canonical (lexicographic) order."""
-    return [card for card, _ in uniform_deck(spec).entries]
+    return [card for card, _ in entries(uniform_deck(spec))]
 
 
 def cardbox_spec(num_values, num_variables):
@@ -118,7 +166,7 @@ def joint_card_frequency(deck, a: str, x: str, b: str, y: str) -> Fraction:
     """Independent oracle: fraction of deck cards with a=x and b=y."""
     matching = sum(
         count
-        for card, count in deck.entries
+        for card, count in entries(deck)
         if card.assignment[a] == x and card.assignment[b] == y
     )
     return Fraction(matching, deck.total)
@@ -148,19 +196,19 @@ def literal_tree_sampler(deck, plan, trials, rng):
 
     Walks the runs one step at a time, each level in lexicographic value
     order.  A run shares its trials over the cards of its subdeck, read from
-    ``deck.entries`` (every card at the first press, else the cards showing
+    ``entries(deck)`` (every card at the first press, else the cards showing
     the run's last value), each at its count over the subdeck total, and
     each card's share goes to the child run its face on the pressed
     variable names.  Makes the same draws as ``simulate_plan``.  Returns the
     ``Outcome``-tuple counts, zeros left out.
     """
-    spec = deck.spec
+    spec, deck_cards = deck.spec, entries(deck)
     level = {(): trials}
     for i, variable in enumerate(plan):
         children = {}
         for run, hits in level.items():
             cards = [
-                (card, count) for card, count in deck.entries
+                (card, count) for card, count in deck_cards
                 if not run or card.assignment[plan[i - 1]] == run[-1].value
             ]
             total = sum(count for _, count in cards)
@@ -170,7 +218,7 @@ def literal_tree_sampler(deck, plan, trials, rng):
                 children[child] = children.get(child, 0) + share
         level = dict(sorted(
             children.items(),
-            key=lambda item: [spec.values_of(o.variable).index(o.value) for o in item[0]],
+            key=lambda item: [labels(spec, o.variable).index(o.value) for o in item[0]],
         ))
     return {run: hits for run, hits in level.items() if hits}
 
@@ -321,7 +369,7 @@ def literal_pair_counts(deck):
     spec = deck.spec
     n = spec.values_per_variable
     pairs = [[0] * (spec.num_variables * n) for _ in range(1 + spec.num_variables * n)]
-    for card, count in deck.entries:
+    for card, count in entries(deck):
         shown = [a * n + spec.value_index(name, value) for a, (name, value) in enumerate(card.items)]
         for row in [0] + [1 + col for col in shown]:
             for col in shown:
@@ -422,7 +470,7 @@ def field_by_field_cards(raw, spec):
             raise ValidationError(
                 f"{where}.assignment: must be an object mapping variables to values"
             )
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        if type(count) is not int or count < 1:
             raise ValidationError(f"{where}.count: must be an integer >= 1")
         index = tuple(values.get(assignment.get(name)) for name, values in positions)
         if None in index or len(assignment) != len(positions):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import cardbox_spec, exhaustive_fiducial_rank, joint_card_frequency, urn_deck
+from conftest import cardbox_spec, exhaustive_fiducial_rank, joint_card_frequency, labels, urn_deck
 from dofcount import (
     RandomStream,
     check_repeatability,
@@ -40,7 +40,7 @@ def _report(number: int, text: str) -> None:
 def four_card_file(tmp_path, four_card_spec):
     deck = uniform_deck(four_card_spec)
     path = tmp_path / "cards4.json"
-    path.write_text(serialize_deck_file(four_card_spec, deck))
+    path.write_text(serialize_deck_file(deck))
     return str(path)
 
 
@@ -155,8 +155,8 @@ def test_criterion_7_pair_order_invariance(capsys):
                 if a == b:
                     continue
                 ab, ba = sequence_distribution(deck, (a, b)), sequence_distribution(deck, (b, a))
-                for x in spec.values_of(a):
-                    for y in spec.values_of(b):
+                for x in labels(spec, a):
+                    for y in labels(spec, b):
                         forward = ab.probability((Outcome(a, x), Outcome(b, y)))
                         backward = ba.probability((Outcome(b, y), Outcome(a, x)))
                         assert forward == backward == joint_card_frequency(deck, a, x, b, y)

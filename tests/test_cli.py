@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import dofcount
 from conftest import (
-    deck_strategy, top_level_cli_main, tree_sequence_distribution, urn_deck, urn_spec
+    deck_strategy, top_level_cli_main, tree_sequence_distribution, urn_deck
 )
 from dofcount import Deck, Outcome, RandomStream, SystemSpec, serialize_deck_file
 from dofcount import cli, sequences
@@ -36,9 +36,9 @@ DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
-def deck_file(tmp_path, four_card_spec, four_card_deck):
+def deck_file(tmp_path, four_card_deck):
     path = tmp_path / "cards4.json"
-    path.write_text(serialize_deck_file(four_card_spec, four_card_deck))
+    path.write_text(serialize_deck_file(four_card_deck))
     return str(path)
 
 
@@ -46,7 +46,7 @@ def deck_file(tmp_path, four_card_spec, four_card_deck):
 def urn_file(tmp_path):
     deck = urn_deck([1, 2])
     path = tmp_path / "urn.json"
-    path.write_text(serialize_deck_file(urn_spec(2), deck))
+    path.write_text(serialize_deck_file(deck))
     return str(path)
 
 
@@ -54,7 +54,7 @@ def urn_file(tmp_path):
 def single_card_file(tmp_path, four_card_spec):
     deck = Deck.from_counts(four_card_spec, {("K", "H"): 1})
     path = tmp_path / "single.json"
-    path.write_text(serialize_deck_file(four_card_spec, deck))
+    path.write_text(serialize_deck_file(deck))
     return str(path)
 
 
@@ -130,7 +130,7 @@ class TestSequenceCommand:
         ids=["one-step", "probability-one", "large-multiplicity", "many-slices"],
     )
     def test_shipped_decks_match_law_items(self, deck, plan):
-        _spec, deck = dofcount.parse_deck_file(deck.read_bytes())
+        deck = dofcount.parse_deck_file(deck.read_bytes())
         writes = _assert_sequence_lines_match_law(deck, plan)
         if len(plan) == 14:  # several join blocks, many write slices
             assert "".join(writes).count("\n") > 3 * cli._JOIN_ROWS and len(writes) > 50
@@ -150,7 +150,7 @@ def _sequence_writes(deck, plan) -> list[str]:
     """The texts CLI ``sequence`` writes to stdout, one per write call."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "deck.json"
-        path.write_text(serialize_deck_file(deck.spec, deck))
+        path.write_text(serialize_deck_file(deck))
         writes = _Writes()
         with contextlib.redirect_stdout(writes):
             assert cli_main(["sequence", "--deck", str(path), "--plan", ",".join(plan)]) == 0
@@ -357,9 +357,8 @@ def rank_grid_argvs():
         yield ["sweep", "--systems", systems, "--n-range", "2..2", "--v-range", "2..2", *flags]
 
 
-def test_rank_grid_matches_its_file(capsys, monkeypatch):
+def test_rank_grid_matches_its_file(capsys):
     # each line: the exit code, the argv, and the report row or the one stderr line
-    monkeypatch.delenv("DOFCOUNT_SEED", raising=False)
     lines = [line.split("\t") for line in (DATA / "rank_grid.txt").read_text().splitlines()]
     assert [shlex.split(argv) for _, argv, _ in lines] == list(rank_grid_argvs())
     wrong = []
@@ -379,8 +378,7 @@ def test_rank_grid_matches_its_file(capsys, monkeypatch):
         ("rank_quantum_n3_m3_ens1", "rank --system quantum --n 3 --ensemble 1 --m 3"),  # fallback
     ],
 )
-def test_rank_matches_golden_file_and_grid(capsysbinary, monkeypatch, golden, argv):
-    monkeypatch.delenv("DOFCOUNT_SEED", raising=False)
+def test_rank_matches_golden_file_and_grid(capsysbinary, golden, argv):
     assert cli_main(shlex.split(argv)) == 0
     expected = (DATA / f"{golden}.txt").read_bytes()
     assert capsysbinary.readouterr().out == expected
@@ -824,8 +822,7 @@ class TestDispatch:
         return code, out.getvalue(), err.getvalue()
 
     @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
-    def test_matches_the_top_level_parser(self, argv, monkeypatch):
-        monkeypatch.delenv("DOFCOUNT_SEED", raising=False)
+    def test_matches_the_top_level_parser(self, argv):
         assert self._captured(cli_main, argv) == self._captured(top_level_cli_main, argv)
 
     def test_known_command_is_parsed_by_its_own_parser_only(self, monkeypatch):
@@ -835,25 +832,18 @@ class TestDispatch:
 
 
 class TestSeedResolution:
-    def test_env_seed_used_as_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("DOFCOUNT_SEED", "9")
-        assert cli_main(["rank", "--system", "urn", "--n", "2"]) == 0
-        assert capsys.readouterr().out.splitlines()[1].endswith(",9")
-
-    def test_flag_wins_over_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DOFCOUNT_SEED", "9")
-        assert cli_main(["rank", "--system", "urn", "--n", "2", "--seed", "3"]) == 0
-        assert capsys.readouterr().out.splitlines()[1].endswith(",3")
-
-    def test_default_seed_is_zero(self, capsys, monkeypatch):
-        monkeypatch.delenv("DOFCOUNT_SEED", raising=False)
+    def test_default_seed_is_zero(self, capsys):
         assert cli_main(["rank", "--system", "urn", "--n", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[1].endswith(",0")
 
-    def test_invalid_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("DOFCOUNT_SEED", "not-a-number")
-        assert cli_main(["rank", "--system", "urn", "--n", "2"]) == 2
-        assert "DOFCOUNT_SEED" in capsys.readouterr().err
+    def test_flag_sets_the_seed(self, capsys):
+        assert cli_main(["rank", "--system", "urn", "--n", "2", "--seed", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",3")
+
+    def test_the_environment_does_not_set_the_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("DOFCOUNT_SEED", "9")  # the variable the seed once fell back to
+        assert cli_main(["rank", "--system", "urn", "--n", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",0")
 
 
 def _deck_json(variables, cards):
@@ -933,7 +923,6 @@ ERROR_CONTRACT = [
 
 @pytest.mark.parametrize("argv, deck, patch, code, line", ERROR_CONTRACT)
 def test_error_contract(tmp_path, capsys, monkeypatch, argv, deck, patch, code, line):
-    monkeypatch.delenv("DOFCOUNT_SEED", raising=False)
     if deck is not None:
         (tmp_path / "deck.json").write_text(deck)
     if patch is not None:

@@ -1,14 +1,17 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import deck_strategy, field_by_field_cards
-from dofcount import Card, Deck, SystemSpec, parse_deck_file, serialize_deck_file, uniform_deck
+from conftest import Card, deck_strategy, entries, field_by_field_cards, labels
+from dofcount import Deck, SystemSpec, parse_deck_file, serialize_deck_file, uniform_deck
 from dofcount.deckfile import _parse_cards
 from dofcount.errors import InvariantError, ValidationError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FOUR_CARD_DOC = {
     "variables": [
@@ -30,10 +33,10 @@ def doc_bytes(**overrides):
 
 
 def test_parses_four_card_document():
-    spec, deck = parse_deck_file(doc_bytes())
-    assert spec.num_variables == 2
-    assert spec.values_per_variable == 2
-    assert len(deck.entries) == 4
+    deck = parse_deck_file(doc_bytes())
+    assert deck.spec.num_variables == 2
+    assert deck.spec.values_per_variable == 2
+    assert len(deck.counts) == 4
     assert deck.total == 4
 
 
@@ -89,14 +92,26 @@ def test_each_schema_fault_names_its_field(doc, message):
         parse_deck_file(doc)
 
 
-def test_a_card_that_fails_the_lookup_and_passes_every_check_is_an_invariant_error():
-    # JSON makes no int subclass: only a direct caller can hand over a count
-    # that the lookup refuses (its type is not int) and the field checks accept
+def test_an_int_subclass_count_is_a_count_fault():
+    # JSON makes no int subclass: only a direct caller can hand one over, and
+    # the field check takes the lookup's rule, so it names the count
     class Count(int):
         pass
 
-    spec, _deck = parse_deck_file(doc_bytes())
+    spec = parse_deck_file(doc_bytes()).spec
     card = {"assignment": {"Face": "K", "Suit": "S"}, "count": Count(1)}
+    with pytest.raises(ValidationError, match=r"^cards\[0\]\.count: must be an integer >= 1$"):
+        _parse_cards([card], spec)
+    with pytest.raises(ValidationError, match=r"^cards\[0\]\.count: must be an integer >= 1$"):
+        field_by_field_cards([card], spec)
+
+
+def test_a_card_that_fails_the_lookup_and_passes_every_check_is_an_invariant_error():
+    # a spec whose name positions know a variable its variables lack: the
+    # lookup refuses the extra variable, and the field checks let it pass
+    spec = parse_deck_file(doc_bytes()).spec
+    spec.__dict__["_variable_positions"] = {"Face": 0, "Suit": 1, "Rank": 2}
+    card = {"assignment": {"Face": "K", "Suit": "S", "Rank": "2"}, "count": 1}
     with pytest.raises(InvariantError, match=r"^cards\[0\] failed the lookup but passes every check$"):
         _parse_cards([card], spec)
 
@@ -140,8 +155,8 @@ def test_duplicate_assignments_merge_counts():
         {"assignment": {"Face": "K", "Suit": "S"}, "count": 1},
         {"assignment": {"Face": "K", "Suit": "S"}, "count": 2},
     ])
-    _spec, deck = parse_deck_file(doc)
-    assert len(deck.entries) == 1
+    deck = parse_deck_file(doc)
+    assert len(deck.counts) == 1
     assert deck.total == 3
 
 
@@ -153,22 +168,29 @@ def test_value_names_may_repeat_across_variables():
         ],
         cards=[{"assignment": {"A": "x", "B": "x"}, "count": 1}],
     )
-    spec, deck = parse_deck_file(doc)
-    assert spec.values_of("A") == spec.values_of("B") == ("x", "y")
+    deck = parse_deck_file(doc)
+    assert labels(deck.spec, "A") == labels(deck.spec, "B") == ("x", "y")
     assert deck.total == 1
 
 
 def test_round_trip(four_card_spec, weighted_deck):
-    text = serialize_deck_file(four_card_spec, weighted_deck)
-    spec, deck = parse_deck_file(text)
-    assert spec == four_card_spec
+    deck = parse_deck_file(serialize_deck_file(weighted_deck))
+    assert deck.spec == four_card_spec
     assert deck == weighted_deck
 
 
 def test_round_trip_uniform(four_card_spec):
     deck = uniform_deck(four_card_spec)
-    spec2, deck2 = parse_deck_file(serialize_deck_file(four_card_spec, deck))
-    assert (spec2, deck2) == (four_card_spec, deck)
+    assert parse_deck_file(serialize_deck_file(deck)) == deck
+
+
+SHIPPED_DECKS = sorted([*ROOT.glob("decks/*.json"), *ROOT.glob("tests/data/decks/*.json")])
+
+
+@pytest.mark.parametrize("path", SHIPPED_DECKS, ids=lambda path: path.name)
+def test_shipped_deck_files_round_trip_byte_for_byte(path):
+    raw = path.read_text(encoding="utf-8")
+    assert serialize_deck_file(parse_deck_file(raw)) == raw
 
 
 @pytest.mark.parametrize(
@@ -211,7 +233,7 @@ ASSIGNMENTS = st.one_of(
 
 @given(st.lists(st.tuples(ASSIGNMENTS, st.integers(1, 3)), min_size=1, max_size=6))
 def test_cards_parse_as_card_by_card_lookups(cards):
-    # oracle: Card.from_assignment on each card in turn, counts merged by Card
+    # oracle: Card.from_assignment on each card in turn, counts merged by card
     spec = SystemSpec(tuple((v["name"], tuple(v["values"])) for v in SPEC_DOC))
     counts, fault = {}, None
     for i, (assignment, count) in enumerate(cards):
@@ -228,14 +250,13 @@ def test_cards_parse_as_card_by_card_lookups(cards):
         assert str(err.value) == fault
         assert type(err.value.__cause__) is ValidationError
         return
-    _spec, deck = parse_deck_file(doc)
-    assert deck == Deck.from_counts(spec, counts)
+    assert parse_deck_file(doc) == Deck.from_counts(spec, counts)
 
 
 def _document(deck):
     """The deck's spec and cards as a deck document's parts, in canonical order."""
     variables = [{"name": name, "values": list(values)} for name, values in deck.spec.variables]
-    cards = [{"assignment": card.assignment, "count": count} for card, count in deck.entries]
+    cards = [{"assignment": card.assignment, "count": count} for card, count in entries(deck)]
     return variables, cards
 
 
@@ -251,9 +272,9 @@ def test_shuffled_split_documents_load_to_the_deck(data, deck):
         split += [{"assignment": card["assignment"], "count": part} for part in parts]
     split = data.draw(st.permutations(split))
     doc = json.dumps({"variables": variables, "cards": split}).encode()
-    spec, parsed = parse_deck_file(doc)
+    parsed = parse_deck_file(doc)
     assert parsed == deck
-    assert parsed == field_by_field_cards(split, spec)
+    assert parsed == field_by_field_cards(split, deck.spec)
     assert parsed.values.tolist() == deck.values.tolist()
     assert parsed.counts.tolist() == deck.counts.tolist()
 

@@ -28,6 +28,7 @@ def test_disturbance_demo():
     result = run_script("run_disturbance_demo.py", "--trials", "2000", "--seed", "3")
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
+    assert "deck: one card each of Face=K/Suit=S, Face=K/Suit=H, Face=Q/Suit=S, Face=Q/Suit=H" in lines
     assert "repeatability audit: pass" in lines
     assert "witness run: Face=K -> Suit=S -> Face=Q (probability 1/8)" in lines
     assert "  variable 'Face' observed as 'K' at step 1 and 'Q' at step 3" in lines

@@ -16,6 +16,7 @@ from conftest import (
     cardbox_spec,
     chain_counts,
     deck_strategy,
+    entries,
     expanded_repeatability,
     joint_card_frequency,
     literal_pair_counts,
@@ -589,18 +590,18 @@ class TestSimulatePlan:
         # each state's cards: those its subdeck leaves out, then its own in
         # deck order, each at its exact count over the subdeck total
         order, probs = _subdeck_rows(deck)
-        entries = deck.entries
+        cards = entries(deck)
         states = [None] + [(name, x) for name, labels in deck.spec.variables for x in labels]
-        assert order.shape == probs.shape == (len(states), len(entries))
+        assert order.shape == probs.shape == (len(states), len(cards))
         for s, shown in enumerate(states):
             inside = [
-                shown is None or card.assignment[shown[0]] == shown[1] for card, _ in entries
+                shown is None or card.assignment[shown[0]] == shown[1] for card, _ in cards
             ]
             kept = [e for e, keep in enumerate(inside) if keep]
             out = [e for e, keep in enumerate(inside) if not keep]
-            total = sum(entries[e][1] for e in kept)
+            total = sum(cards[e][1] for e in kept)
             assert order[s].tolist() == out + kept
-            assert probs[s].tolist() == [0.0] * len(out) + [entries[e][1] / total for e in kept]
+            assert probs[s].tolist() == [0.0] * len(out) + [cards[e][1] / total for e in kept]
 
     @given(mult=st.sampled_from([3, 2**40, 2**58]), data=st.data())
     def test_subdeck_rows_are_correctly_rounded_quotients(self, mult, data):
@@ -627,7 +628,7 @@ class TestSimulatePlan:
         deck = random_deck_ensemble(cardbox_spec(3, 3), 1, 3, RandomStream(8))[0]
         plan = ("var1", "var2", "var1", "var3")
         _, whole = simulate_plan(deck, plan, 50_000, RandomStream(19))
-        monkeypatch.setattr(sequences, "_DRAW_BLOCK", runs * len(deck.entries))
+        monkeypatch.setattr(sequences, "_DRAW_BLOCK", runs * len(deck.counts))
         _, blocked = simulate_plan(deck, plan, 50_000, RandomStream(19))
         assert np.array_equal(blocked, whole)
 
@@ -650,7 +651,7 @@ class TestSimulatePlan:
             simulate_plan(deck, plan, trials, streams[-1])
         assert streams[0].shapes == streams[1].shapes
         runs = [1, *map(len, law.values[:-1])]
-        assert streams[0].shapes == [(count, len(deck.entries)) for count in runs]
+        assert streams[0].shapes == [(count, len(deck.counts)) for count in runs]
 
     @given(deck=deck_strategy(), data=st.data())
     def test_immediate_repress_repeats(self, deck, data):
