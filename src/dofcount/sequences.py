@@ -46,6 +46,8 @@ from .rng import RandomStream
 MAX_TRIALS = 10**8
 # Most positive-probability runs ``sequence_distribution`` will expand.
 MAX_SEQUENCES = 2**18
+# Most V*N of a deck: the pair counts and the witness's marks grow with its square.
+MAX_CHAIN_VALUES = 2**11
 # Card entries of one multinomial call: a step's arrays stay this size whatever the run.
 _DRAW_BLOCK = 2**12
 
@@ -124,6 +126,14 @@ def _exact_dtype(total: int, power: int = 1):
     return np.int64 if total.bit_length() * power <= 63 else object
 
 
+def _check_chain_values(deck: Deck) -> None:
+    """Refuse ``V*N`` past ``MAX_CHAIN_VALUES`` before any array that grows with its square."""
+    v, n = deck.spec.num_variables, deck.spec.values_per_variable
+    if v * n > MAX_CHAIN_VALUES:
+        raise ValidationError(f"V*N = {v}*{n} variable values exceed the limit "
+                              f"MAX_CHAIN_VALUES = {MAX_CHAIN_VALUES:,}")
+
+
 def _pair_counts(deck: Deck) -> np.ndarray:
     """``C[s, b*N + y]``: multiplicity of chain state ``s``'s cards showing b=y.
 
@@ -133,8 +143,9 @@ def _pair_counts(deck: Deck) -> np.ndarray:
     ``y`` with probability ``C[s, b*N + y]`` over the state's total.  No
     count, nor any partial sum of one, exceeds the deck total, so the
     ``(1 + V*N, V*N)`` array is int64 whenever :func:`_exact_dtype` admits
-    the total.
+    the total.  A deck past ``MAX_CHAIN_VALUES`` raises ``ValidationError``.
     """
+    _check_chain_values(deck)
     weights = deck.chain_weights.astype(_exact_dtype(deck.total))
     return weights @ (weights[1:] > 0).T
 
@@ -290,19 +301,20 @@ def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
     witness is the first seen and shared ``(a, b, x, y)`` in variable, then
     value order (``a == b`` never shares), with the smallest seen ``z != x``.
     Its probability ``n_ab(x, y) * n_ab(z, y) / (total * n_b(y))`` sums
-    Python ints over its cards.  Time and memory are ``O(V*V*(E + N*N))``.
-    A witness exists iff some value of some ``b`` occurs on cards with two
-    different values of some ``a``.  Longer plans add nothing: without such
-    a value, every value shown fixes every other variable's value on all
-    cards of the next subdeck, so no later press can contradict an earlier
-    one (the tests check this against all plans up to length 4).  Returns
-    None when the deck admits none.
+    Python ints over its cards.  Time and memory are ``O(V*V*(E + N*N))``,
+    after a ``MAX_CHAIN_VALUES`` check.  A witness exists iff some value of
+    some ``b`` occurs on cards with two different values of some ``a``.
+    Longer plans add nothing: without such a value, every value shown fixes
+    every other variable's value on all cards of the next subdeck, so no
+    later press can contradict an earlier one (the tests check this against
+    all plans up to length 4).  Returns None when the deck admits none.
     """
     spec = deck.spec
     if spec.num_variables < 2:
         raise ValidationError(
             "a single-variable (urn) system cannot produce a contradictory repeat"
         )
+    _check_chain_values(deck)
     n, v = spec.values_per_variable, spec.num_variables
     shown, counts = deck.values.T, deck.counts  # shown[a]: variable a's value on every card
     seen = np.zeros((v, v, n, n), dtype=bool)

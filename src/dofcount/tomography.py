@@ -362,8 +362,9 @@ def _check_cell(
 
 
 def _estimate_k_classical(
-    kind: str, n: int, v: int, base: int, max_multiplicity: int, rng: RandomStream
-) -> KReport:
+    n: int, v: int, base: int, max_multiplicity: int, rng: RandomStream
+) -> tuple[int, int]:
+    """``(rank, first_rank)``: exact ranks of the doubled and the base ensemble's count rows."""
     fiducials = n * v
     # _count_rows checks that every row's V value blocks sum to the deck
     # total: V - 1 independent equations, so no row raises the rank past
@@ -378,23 +379,15 @@ def _estimate_k_classical(
             break
         if fed == base:
             first_rank = basis.rank
-    return KReport(
-        kind=kind,
-        n=n,
-        v_or_m=v,
-        k_rank=basis.rank,
-        k_naive=fiducials,
-        k_paper=fiducials,
-        ensemble=base,
-        saturated=basis.rank == first_rank,
-        seed=rng.seed,
-    )
+    return basis.rank, first_rank
 
 
-def _estimate_k_quantum(n: int, m: int, base: int, tol: float, rng: RandomStream) -> KReport:
-    """K for an n-dimensional quantum system measured in M random bases.
+def _estimate_k_quantum(
+    n: int, m: int, base: int, tol: float, rng: RandomStream
+) -> tuple[int, int]:
+    """``(rank, first_rank)``: numeric ranks of the doubled and the base ensemble's Born rows.
 
-    The observable set is drawn once and shared by the whole ensemble of
+    The M random bases are drawn once and shared by the whole ensemble of
     random pure states.  With n+1 bases the rank saturates at n**2, the
     quantum reference value.  No rank exceeds ``c = min(n**2, M*(n-1)+1)``:
     a run stops once its first ``min(ensemble, c + 16)`` states reach ``c``,
@@ -431,17 +424,7 @@ def _estimate_k_quantum(n: int, m: int, base: int, tol: float, rng: RandomStream
             f"numeric rank {rank} exceeds its ceiling c = min(n**2, M*(n-1)+1) = {ceiling}: "
             f"--tol {tol:g} counts round-off singular values"
         )
-    return KReport(
-        kind="quantum",
-        n=n,
-        v_or_m=m,
-        k_rank=rank,
-        k_naive=n * m,
-        k_paper=n * n,
-        ensemble=base,
-        saturated=rank == first_rank,
-        seed=rng.seed,
-    )
+    return rank, first_rank
 
 
 def estimate_k(
@@ -456,17 +439,22 @@ def estimate_k(
 ) -> KReport:
     """K of the cell ``(N, V_or_M)`` of a system kind: "urn", "cardbox" or "quantum".
 
-    ``v_or_m`` is a card box's variable count V (required), a quantum
-    system's basis count M (default n+1), and 1 for an urn: the classical
-    reference point, one variable whose K is N.  Classical cells rank random
-    decks with multiplicities up to ``max_multiplicity``; quantum cells count
-    singular values above ``tol``.  ``_check_cell`` checks the cell before
-    any draw.
+    ``v_or_m`` is a card box's variable count V (required), a quantum system's
+    basis count M (default n+1), and 1 for an urn: the classical reference
+    point, one variable whose K is N.  Classical cells rank random decks with
+    multiplicities up to ``max_multiplicity``; quantum cells count singular
+    values above ``tol``.  ``_check_cell`` checks the cell before any draw.
     """
     v_or_m, base = _check_cell(kind, n, v_or_m, ensemble, max_multiplicity, tol)
     if kind == "quantum":
-        return _estimate_k_quantum(n, v_or_m, base, tol, rng)
-    return _estimate_k_classical(kind, n, v_or_m, base, max_multiplicity, rng)
+        rank, first_rank = _estimate_k_quantum(n, v_or_m, base, tol, rng)
+    else:
+        rank, first_rank = _estimate_k_classical(n, v_or_m, base, max_multiplicity, rng)
+    return KReport(
+        kind=kind, n=n, v_or_m=v_or_m, k_rank=rank, k_naive=n * v_or_m,
+        k_paper=n * (n if kind == "quantum" else v_or_m), ensemble=base,
+        saturated=rank == first_rank, seed=rng.seed,
+    )
 
 
 _KIND_CODES = {"cardbox": 0, "quantum": 1, "urn": 2}
@@ -485,17 +473,9 @@ def _stream_id(kind: str, n: int, v: int) -> int:
     return (_KIND_CODES[kind] << (2 * _STREAM_FIELD_BITS)) | (n << _STREAM_FIELD_BITS) | v
 
 
-def _sorted_distinct(values: Iterable[int]) -> Sequence[int]:
-    # a range with a positive step is sorted and distinct already, and its
-    # bounds are read without listing it
-    if isinstance(values, range) and values.step > 0:
-        return values
-    return sorted(set(values))
-
-
 def k_sweep(
-    n_values: Iterable[int],
-    v_values: Iterable[int],
+    n_values: range,
+    v_values: range,
     kinds: Iterable[str],
     seed: int,
     *,
@@ -503,35 +483,35 @@ def k_sweep(
     max_multiplicity: int = 2,
     tol: float = RANK_TOL,
 ) -> list[KReport]:
-    """One KReport per (kind, N, V) cell, in deterministic sorted order.
+    """One KReport per (kind, N, V) cell: kinds sorted, then N and V ascending.
 
-    Urn and quantum systems have no free V: the urn is always V=1 and the
-    quantum reference always uses the full n+1 tomographic bases, so those
-    kinds contribute one row per N.
+    N and V are ranges with step 1, read without listing them.  Urn and
+    quantum systems have no free V: the urn is always V=1 and the quantum
+    reference always uses the full n+1 tomographic bases, so those kinds
+    contribute one row per N.
     """
-    n_list = _sorted_distinct(n_values)
-    v_list = _sorted_distinct(v_values)
+    for values in (n_values, v_values):
+        if not isinstance(values, range) or values.step != 1:
+            raise ValidationError(f"sweep N and V must be ranges with step 1, got {values!r}")
     kind_list = sorted(set(kinds))
-    if not n_list or not v_list or not kind_list:
+    if not n_values or not v_values or not kind_list:
         raise ValidationError("sweep ranges must be nonempty")
     for kind in kind_list:
         if kind not in _KIND_CODES:
             raise ValidationError(f"unknown system kind {kind!r}")
-    if n_list[0] < 2:
+    if n_values[0] < 2:
         raise ValidationError("N must be at least 2")
-    if v_list[0] < 1:
+    if v_values[0] < 1:
         raise ValidationError("V must be at least 1")
 
-    def v_values(kind: str, n: int) -> Sequence[int]:
-        if kind == "cardbox":
-            return v_list
-        return [1 if kind == "urn" else n + 1]
+    def cell_vs(kind: str, n: int) -> Sequence[int]:
+        return v_values if kind == "cardbox" else [1 if kind == "urn" else n + 1]
 
     # A kind's largest cell (max N, max V) is the first to pass any limit,
     # so checking it checks every cell, before any cell is listed or run.
     for kind in kind_list:
-        n = n_list[-1]
-        v = v_values(kind, n)[-1]
+        n = n_values[-1]
+        v = cell_vs(kind, n)[-1]
         _stream_id(kind, n, v)
         _check_cell(kind, n, v, ensemble, max_multiplicity, tol)
 
@@ -539,6 +519,6 @@ def k_sweep(
         estimate_k(kind, n, v, ensemble=ensemble, max_multiplicity=max_multiplicity,
                    tol=tol, rng=RandomStream(seed, _stream_id(kind, n, v)))
         for kind in kind_list
-        for n in n_list
-        for v in v_values(kind, n)
+        for n in n_values
+        for v in cell_vs(kind, n)
     ]

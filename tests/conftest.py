@@ -9,30 +9,27 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from dofcount import (
+from dofcount import Deck, Outcome, RandomStream, SystemSpec, sequence_distribution, uniform_deck
+from dofcount.cardbox import (
     BoxState,
-    ClassicalityWitness,
-    DensityState,
-    Deck,
-    ExactRowBasis,
-    Outcome,
-    RandomStream,
-    SystemSpec,
-    fiducial_vector_cardbox,
+    card_type_count,
     filter_deck,
     initial_state,
-    measurement_distribution,
     observe,
     outcome_distribution,
-    sequence_distribution,
-    uniform_deck,
 )
-from dofcount.cardbox import card_type_count
 from dofcount.cli import UsageError, build_parser
 from dofcount.errors import InvariantError, ValidationError
-from dofcount.quantum import _MAX_BASIS_ATTEMPTS, _PIVOT_TOL, born_rows
-from dofcount.sequences import RepeatabilityResult
-from dofcount.tomography import _value_counts
+from dofcount.quantum import (
+    _MAX_BASIS_ATTEMPTS,
+    _PIVOT_TOL,
+    RANK_TOL,
+    DensityState,
+    born_rows,
+    measurement_distribution,
+)
+from dofcount.sequences import ClassicalityWitness, RepeatabilityResult
+from dofcount.tomography import ExactRowBasis, _value_counts, fiducial_vector_cardbox
 
 settings.register_profile("default", max_examples=40, deadline=None)
 settings.register_profile("thorough", max_examples=200, deadline=None)
@@ -553,6 +550,22 @@ def pure_state_distributions(psi, bases):
         raise ValidationError(f"state dimension {psi.shape[-1]} != basis dimension {n}")
     out = np.empty((len(psi), bases.vectors.size // n))
     return born_rows(np.hstack([psi.real, psi.imag]), bases.vectors.reshape(-1, n, n), out)
+
+
+def frame_rank(vectors):
+    """Frame oracle: the dimension of the span of the measured effects.
+
+    Each vector ``b`` of the ``(M, n, n)`` stack of bases gives its projector
+    ``|b><b|``, flattened to the real row ``[Re | Im]`` of length ``2 * n**2``;
+    the result is the numeric rank of the ``(n * M, 2 * n**2)`` stack at
+    ``RANK_TOL``.  A Born row is each effect's trace against one state, so no
+    Born matrix over these bases has a larger rank, and a generic ensemble
+    reaches it.
+    """
+    b = vectors.reshape(-1, vectors.shape[-1])
+    projectors = (b[:, :, None] * b.conj()[:, None, :]).reshape(len(b), -1)
+    singular = np.linalg.svd(np.hstack([projectors.real, projectors.imag]), compute_uv=False)
+    return int(np.sum(singular > RANK_TOL * singular[0]))
 
 
 def whole_born_matrix(n, m, ensemble, seed, rng=None):

@@ -16,20 +16,17 @@ from dofcount import (
     RandomStream,
     check_repeatability,
     estimate_k,
-    fiducial_vector_quantum,
     find_classicality_witness,
     k_sweep,
-    matrix_rank_numeric,
-    random_deck_ensemble,
-    random_observable_set,
-    random_pure_state,
     sequence_distribution,
-    serialize_deck_file,
     uniform_deck,
 )
 from dofcount.cli import cli_main
+from dofcount.deckfile import serialize_deck_file
 from dofcount.errors import ValidationError
+from dofcount.quantum import random_observable_set, random_pure_state
 from dofcount.sequences import Outcome
+from dofcount.tomography import fiducial_vector_quantum, matrix_rank_numeric, random_deck_ensemble
 
 
 def _report(number: int, text: str) -> None:
@@ -101,7 +98,7 @@ def test_criterion_3_quantum_k(capsys):
 
 
 def test_criterion_4_v_dependence(capsys):
-    reports = k_sweep([3], [1, 2, 3], ["cardbox"], 42)
+    reports = k_sweep(range(3, 4), range(1, 4), ["cardbox"], 42)
     ranks = {r.v_or_m: r.k_rank for r in reports}
     assert [ranks[v] for v in (1, 2, 3)] == [3, 5, 7]
     assert ranks[2] != ranks[1]

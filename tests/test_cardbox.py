@@ -9,18 +9,9 @@ from hypothesis import strategies as st
 from conftest import (
     cardbox_spec, deck_strategy, entries, labels, observe_sequence, spec_strategy, urn_deck
 )
-from dofcount import (
-    BoxState,
-    Deck,
-    RandomStream,
-    SystemSpec,
-    filter_deck,
-    initial_state,
-    observe,
-    outcome_distribution,
-    parse_deck_file,
-    uniform_deck,
-)
+from dofcount import Deck, RandomStream, SystemSpec, uniform_deck
+from dofcount.cardbox import BoxState, filter_deck, initial_state, observe, outcome_distribution
+from dofcount.deckfile import parse_deck_file
 from dofcount.errors import InvariantError, ValidationError
 
 

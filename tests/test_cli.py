@@ -24,9 +24,10 @@ import dofcount
 from conftest import (
     deck_strategy, top_level_cli_main, tree_sequence_distribution, urn_deck
 )
-from dofcount import Deck, Outcome, RandomStream, SystemSpec, serialize_deck_file
+from dofcount import Deck, Outcome, RandomStream, SystemSpec
 from dofcount import cli, sequences
 from dofcount.cli import CSV_HEADER, UsageError, cli_main
+from dofcount.deckfile import parse_deck_file, serialize_deck_file
 from dofcount.errors import DofcountError, InvariantError, ValidationError
 from dofcount.sequences import sequence_distribution
 from dofcount.tomography import estimate_k
@@ -130,7 +131,7 @@ class TestSequenceCommand:
         ids=["one-step", "probability-one", "large-multiplicity", "many-slices"],
     )
     def test_shipped_decks_match_law_items(self, deck, plan):
-        deck = dofcount.parse_deck_file(deck.read_bytes())
+        deck = parse_deck_file(deck.read_bytes())
         writes = _assert_sequence_lines_match_law(deck, plan)
         if len(plan) == 14:  # several join blocks, many write slices
             assert "".join(writes).count("\n") > 3 * cli._JOIN_ROWS and len(writes) > 50
@@ -863,6 +864,10 @@ def _failure(name, argv, code, line, deck=None, patch=None):
 _XY = ["x", "y"]
 _AB = [("A", _XY), ("B", _XY)]
 WITNESS = ["witness", "--deck", "{deck}"]
+# two cards on two variables of 9,000 values: a 160 KB file past MAX_CHAIN_VALUES
+_WIDE = _deck_json([(name, [f"v{i}" for i in range(9000)]) for name in "AB"],
+                   [{"A": "v0", "B": "v0"}, {"A": "v1", "B": "v1"}])
+_TOO_WIDE = "error: V*N = 2*9000 variable values exceed the limit MAX_CHAIN_VALUES = 2,048"
 ERROR_CONTRACT = [
     _failure("unknown-plan-variable", ["sequence", "--deck", CARDS4, "--plan", "Suit,Rank"],
              2, "error: unknown variable 'Rank'"),
@@ -916,6 +921,11 @@ ERROR_CONTRACT = [
              1, "usage error: plan must name at least one variable, got ','"),
     _failure("empty-systems", ["sweep", "--systems", ",", "--n-range", "2..2", "--v-range", "1..1"],
              1, "usage error: --systems must name at least one system kind, got ','"),
+    _failure("wide-sequence", ["sequence", "--deck", "{deck}", "--plan", "A,B"], 2, _TOO_WIDE,
+             deck=_WIDE),
+    _failure("wide-simulate", ["simulate", "--deck", "{deck}", "--plan", "A,B"], 2, _TOO_WIDE,
+             deck=_WIDE),
+    _failure("wide-witness", WITNESS, 2, _TOO_WIDE, deck=_WIDE),
     _failure("range-not-integer", ["sweep", "--n-range", "2..x", "--v-range", "1"],
              1, "usage error: --n-range expects A..B or a single integer, got '2..x'"),
 ]
@@ -927,7 +937,9 @@ def test_error_contract(tmp_path, capsys, monkeypatch, argv, deck, patch, code, 
         (tmp_path / "deck.json").write_text(deck)
     if patch is not None:
         monkeypatch.setattr(f"dofcount.{patch[0]}", patch[1])
+    start = time.perf_counter()
     assert cli_main([arg.format(deck=tmp_path / "deck.json") for arg in argv]) == code
+    assert time.perf_counter() - start < 1.0  # every refusal comes before the work it refuses
     assert capsys.readouterr() == ("", line + "\n")
 
 

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import Card, deck_strategy, entries, field_by_field_cards, labels
-from dofcount import Deck, SystemSpec, parse_deck_file, serialize_deck_file, uniform_deck
-from dofcount.deckfile import _parse_cards
+from dofcount import Deck, SystemSpec, uniform_deck
+from dofcount.deckfile import _parse_cards, parse_deck_file, serialize_deck_file
 from dofcount.errors import InvariantError, ValidationError
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -8,20 +8,21 @@ from conftest import (
     pure_state_distributions,
     sequential_random_basis,
 )
-from dofcount import (
+from dofcount import RandomStream, quantum
+from dofcount.errors import InvariantError, ValidationError
+from dofcount.quantum import (
+    _MAX_BASIS_ATTEMPTS,
+    _PIVOT_TOL,
     DensityState,
     MeasurementBasis,
     ObservableSet,
-    RandomStream,
+    _checked_probabilities,
     measurement_distribution,
-    quantum,
     random_basis,
     random_observable_set,
     random_pure_state,
     random_state_rows,
 )
-from dofcount.errors import InvariantError, ValidationError
-from dofcount.quantum import _MAX_BASIS_ATTEMPTS, _PIVOT_TOL, _checked_probabilities
 
 # Entries of unit vectors and probabilities are at most 1, so a few ulps of
 # float64 bound any rounding difference between two summation orders.

@@ -1,10 +1,12 @@
 """Smoke tests: the example scripts run end to end with small arguments, and
 README's Python examples run as written."""
 
+import ast
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import dofcount
@@ -49,3 +51,22 @@ def test_readme_python_blocks():
     assert blocks
     for block in blocks:  # optimize=0: the block's asserts run under python -O too
         exec(compile(block, "README.md", "exec", optimize=0), {})
+
+
+def test_package_exports_what_readme_and_scripts_import():
+    # the top-level namespace holds exactly the names README's Python block
+    # and scripts/ import from it; everything else is read from its module
+    sources = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    sources += [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
+    imported = {
+        alias.name
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "dofcount"
+        for alias in node.names
+    }
+    public = {
+        name for name, value in vars(dofcount).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == imported

@@ -27,18 +27,17 @@ from conftest import (
     urn_deck,
 )
 from dofcount import (
-    BoxState,
     Deck,
     Outcome,
     RandomStream,
     SystemSpec,
     check_repeatability,
-    filter_deck,
     find_classicality_witness,
     sequence_distribution,
     simulate_plan,
     uniform_deck,
 )
+from dofcount.cardbox import BoxState, filter_deck
 from dofcount.errors import InvariantError, ValidationError
 from dofcount.sequences import (
     MAX_SEQUENCES,

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +23,7 @@ from conftest import (
     entries,
     enumerate_decks,
     exhaustive_fiducial_rank,
+    frame_rank,
     full_ensemble_k,
     integer_row,
     literal_random_decks,
@@ -32,27 +34,26 @@ from conftest import (
     urn_spec,
     whole_born_matrix,
 )
-from dofcount import (
-    Deck,
-    ExactRowBasis,
-    RandomStream,
-    SystemSpec,
-    estimate_k,
-    fiducial_vector_cardbox,
-    fiducial_vector_quantum,
-    k_sweep,
-    matrix_rank_numeric,
-    random_deck_ensemble,
-    random_observable_set,
-    random_pure_state,
-    random_state_rows,
-    tomography,
-    uniform_deck,
-)
+from dofcount import Deck, RandomStream, SystemSpec, estimate_k, k_sweep, tomography, uniform_deck
 from dofcount.cardbox import MAX_CARD_TYPES
 from dofcount.cli import cli_main
 from dofcount.errors import InvariantError, ValidationError
-from dofcount.quantum import RANK_TOL, DensityState, MeasurementBasis, ObservableSet
+from dofcount.quantum import (
+    RANK_TOL,
+    DensityState,
+    MeasurementBasis,
+    ObservableSet,
+    random_observable_set,
+    random_pure_state,
+    random_state_rows,
+)
+from dofcount.tomography import (
+    ExactRowBasis,
+    fiducial_vector_cardbox,
+    fiducial_vector_quantum,
+    matrix_rank_numeric,
+    random_deck_ensemble,
+)
 
 DATA = Path(__file__).parent / "data"
 cached_exhaustive_rank = functools.cache(exhaustive_fiducial_rank)
@@ -396,10 +397,10 @@ class TestDrawLimits:
     @pytest.mark.parametrize(
         "cells, max_mult",
         [
-            (([2, 10], [8], ["cardbox"]), 2),  # (10, 8) comes after (2, 8)
-            (([2, 5000], [1], ["quantum", "urn"]), 2),  # urn of 5,000 positions
-            (([2], [1], ["quantum", "urn"]), 2**63),  # quantum cells come first
-            (([2, 76], [1], ["quantum"]), 2),  # n=76's prefix passes MAX_BORN_ENTRIES
+            ((range(2, 11), range(8, 9), ["cardbox"]), 2),  # (10, 8) comes after (2, 8)
+            ((range(2, 5001), range(1, 2), ["quantum", "urn"]), 2),  # urn of 5,000 positions
+            ((range(2, 3), range(1, 2), ["quantum", "urn"]), 2**63),  # quantum cells come first
+            ((range(2, 77), range(1, 2), ["quantum"]), 2),  # n=76's prefix passes MAX_BORN_ENTRIES
         ],
     )
     def test_sweep_checks_every_cell_before_any_work(self, monkeypatch, cells, max_mult):
@@ -823,6 +824,14 @@ class TestEstimates:
         with pytest.raises(ValidationError, match="tolerance"):
             estimate_k("quantum", 3, tol=tol, rng=RandomStream(0))
 
+    @given(n=st.integers(2, 7), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_quantum_k_rank_is_the_frame_rank(self, n, data, seed):
+        # K_rank, the span of the drawn bases' projectors and the ceiling all agree
+        m = data.draw(st.integers(1, n + 1), label="M")
+        report = estimate_k("quantum", n, m, rng=RandomStream(seed))
+        vectors = random_observable_set(n, m, rng=RandomStream(seed)).vectors
+        assert report.k_rank == frame_rank(vectors) == min(n * n, m * (n - 1) + 1)
+
     def test_quantum_restricted_observables_reduce_rank(self):
         # two bases instead of three: only 1 + 2*(n-1) = 3 independent
         # probabilities survive for n=2, the superselection-style restriction
@@ -1101,7 +1110,8 @@ class TestKSweep:
         # one estimate_k call per cell, in sorted cell order, each on the
         # stream its (kind, N, V_or_M) names
         cells = [
-            ("cardbox", 2, 1), ("cardbox", 2, 3), ("cardbox", 3, 1), ("cardbox", 3, 3),
+            ("cardbox", 2, 1), ("cardbox", 2, 2), ("cardbox", 2, 3),
+            ("cardbox", 3, 1), ("cardbox", 3, 2), ("cardbox", 3, 3),
             ("quantum", 2, 3), ("quantum", 3, 4), ("urn", 2, 1), ("urn", 3, 1),
         ]
         expected = [
@@ -1116,7 +1126,7 @@ class TestKSweep:
             return estimate_k(kind, n, v_or_m, rng=rng, **kwargs)
 
         monkeypatch.setattr(tomography, "estimate_k", record)
-        reports = k_sweep([3, 2], [3, 1], ["urn", "quantum", "cardbox"], 5, ensemble=7)
+        reports = k_sweep(range(2, 4), range(1, 4), ["urn", "quantum", "cardbox"], 5, ensemble=7)
         assert reports == expected
         assert calls == [
             (kind, n, v, 5, tomography._stream_id(kind, n, v)) for kind, n, v in cells
@@ -1129,32 +1139,38 @@ class TestKSweep:
         for name in ("_estimate_k_classical", "_estimate_k_quantum"):
             monkeypatch.setattr(tomography, name, no_work)
         with pytest.raises(ValidationError, match="tolerance"):
-            k_sweep([2], [1], ["cardbox", "quantum"], 0, tol=float("nan"))
+            k_sweep(range(2, 3), range(1, 2), ["cardbox", "quantum"], 0, tol=float("nan"))
 
     def test_v_dependence_at_n3(self):
-        reports = k_sweep([3], [1, 2, 3], ["cardbox"], 42)
+        reports = k_sweep(range(3, 4), range(1, 4), ["cardbox"], 42)
         assert [r.k_rank for r in reports] == [3, 5, 7]
 
     def test_single_variable_cardbox_matches_urn(self):
-        reports = k_sweep([2], [1], ["cardbox", "urn"], 42)
+        reports = k_sweep(range(2, 3), range(1, 2), ["cardbox", "urn"], 42)
         by_kind = {r.kind: r for r in reports}
         assert by_kind["cardbox"].k_rank == by_kind["urn"].k_rank == 2
 
     def test_quantum_exceeds_cardbox_exceeds_urn_at_n2(self):
-        reports = k_sweep([2], [2], ["cardbox", "urn", "quantum"], 42)
+        reports = k_sweep(range(2, 3), range(2, 3), ["cardbox", "urn", "quantum"], 42)
         ranks = {r.kind: r.k_rank for r in reports}
         assert ranks["quantum"] == 4
         assert ranks["cardbox"] == 3
         assert ranks["urn"] == 2
 
     def test_rows_sorted_and_deterministic(self):
-        a = k_sweep([3, 2], [2, 1], ["urn", "cardbox"], 9)
-        b = k_sweep([2, 3], [1, 2], ["cardbox", "urn"], 9)
+        a = k_sweep(range(2, 4), range(1, 3), ["urn", "cardbox"], 9)
+        b = k_sweep(range(2, 4), range(1, 3), ("cardbox", "urn", "urn"), 9)
         assert a == b
-        assert k_sweep(range(2, 4), range(1, 3), ("urn", "cardbox"), 9) == a
-        assert k_sweep(range(3, 1, -1), iter([2, 1, 2]), ["urn", "cardbox"], 9) == a
         keys = [(r.kind, r.n, r.v_or_m) for r in a]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n_values", [range(3, 1, -1), range(2, 6, 2), [2, 3]])
+    def test_n_and_v_must_be_ranges_with_step_1(self, n_values):
+        message = r"sweep N and V must be ranges with step 1, got "
+        with pytest.raises(ValidationError, match=message + re.escape(repr(n_values))):
+            k_sweep(n_values, range(1, 2), ["urn"], 0)
+        with pytest.raises(ValidationError, match=message + re.escape(repr(n_values))):
+            k_sweep(range(2, 3), n_values, ["cardbox"], 0)
 
     @pytest.mark.parametrize("flags, suffix", [([], "csv"), (["--json"], "json")])
     def test_classical_sweep_matches_golden_file(self, capsys, flags, suffix):
@@ -1201,7 +1217,11 @@ class TestKSweep:
 
     @pytest.mark.parametrize(
         "n_values, v_values, kind",
-        [([2**20], [1], "urn"), ([2], [2**20], "cardbox"), ([2**20 - 1], [1], "quantum")],
+        [
+            (range(2**20, 2**20 + 1), range(1, 2), "urn"),
+            (range(2, 3), range(2**20, 2**20 + 1), "cardbox"),
+            (range(2**20 - 1, 2**20), range(1, 2), "quantum"),
+        ],
     )
     def test_stream_id_fields_fail_fast(self, n_values, v_values, kind):
         # each would collide with another cell's stream; none may start work
@@ -1229,13 +1249,13 @@ class TestKSweep:
 
     def test_range_validation(self):
         with pytest.raises(ValidationError):
-            k_sweep([], [1], ["urn"], 0)
+            k_sweep(range(2, 2), range(1, 2), ["urn"], 0)
         with pytest.raises(ValidationError):
-            k_sweep([1], [1], ["urn"], 0)
+            k_sweep(range(1, 2), range(1, 2), ["urn"], 0)
         with pytest.raises(ValidationError):
-            k_sweep([2], [0], ["cardbox"], 0)
+            k_sweep(range(2, 3), range(0, 1), ["cardbox"], 0)
         with pytest.raises(ValidationError):
-            k_sweep([2], [1], ["abacus"], 0)
+            k_sweep(range(2, 3), range(1, 2), ["abacus"], 0)
 
 
 @given(spec=spec_strategy(max_variables=2, max_values=3))
