@@ -151,17 +151,19 @@ def _pair_counts(deck: Deck) -> np.ndarray:
 
 
 def _support_size(pairs: np.ndarray, pressed: list[int], n: int) -> int:
-    """Number of positive-probability runs, one vector-matrix product per step.
+    """Number of positive-probability runs, counted per chain state that holds runs.
 
-    ``pressed`` holds each step's variable index.  The live runs per chain
-    state, from one in state 0, are Python ints over the pattern of
-    ``C > 0``, so they stay exact however many runs there are.
+    ``pressed`` holds each step's variable index.  ``runs[x]`` is the number
+    of live runs that end in the chain state of the last step's value ``x``,
+    a Python int, so it stays exact however many runs there are.  A step
+    reads only the rows of ``C > 0`` of the states that hold runs, so it
+    costs their number times N, not N**2.
     """
-    live = (pairs > 0).astype(object)
-    runs, states = np.ones(1, dtype=object), slice(0, 1)
+    runs, states = np.ones(1, dtype=object), np.zeros(1, dtype=np.intp)
     for a in pressed:
-        runs = runs @ live[states, a * n : (a + 1) * n]
-        states = slice(1 + a * n, 1 + (a + 1) * n)
+        held = runs != 0
+        runs = runs[held] @ (pairs[states[held], a * n : (a + 1) * n] > 0)
+        states = 1 + a * n + np.arange(n)
     return int(runs.sum())
 
 

@@ -18,21 +18,27 @@ Two counts are always reported side by side:
   normalization.
 
 Both counts grow with the number of variables V at fixed N, which is the
-point: K is not a function of N alone.  Classical ranks are computed with
-fraction-free integer Gaussian elimination (no tolerances) on count rows, a
-random deck's multiplicities summed per value of each variable.  Every row
-is checked to satisfy the V-1 normalization equations, which proves the
-ceiling V*(N-1)+1, so a classical ensemble stops drawing once its rank
-reaches it.  Its rows are drawn on demand: a first block of ceiling+1 rows,
-then blocks that double up to 65,536 multiplicities each.  Quantum ranks
-count singular values above a threshold, and stop once a prefix reaches
-their ceiling min(n**2, M*(n-1)+1).  Otherwise each half of the Born matrix
-is filled in row blocks, one real GEMM each, and reduced once to the R
-factor of its QR factorization, whose stack has the singular values of all rows.
+point: K is not a function of N alone.  Classical ranks are exact, with no
+tolerance, on count rows: a random deck's multiplicities summed per value of
+each variable.  Every row is checked to satisfy the V-1 normalization
+equations, which proves the ceiling c = V*(N-1)+1, so a classical ensemble
+stops drawing once its rank reaches it.  Its rows are drawn on demand: a
+first block of c+1 rows, then blocks that double up to 65,536 multiplicities
+each.  From c = 12 on, when the base ensemble holds more than c rows, the
+first c+1 rows are ranked over GF(p), p = 2**31 - 1, in int64.  That rank
+never exceeds the rank over Q, so reaching c certifies K = c exactly.
+Smaller cells, and cells whose GF(p) rank falls short, are ranked by
+fraction-free integer Gaussian elimination (Bareiss), the same rows in the
+same order.  Quantum ranks count singular values above a threshold, and
+stop once a prefix reaches their ceiling min(n**2, M*(n-1)+1).  Otherwise
+each half of the Born matrix is filled in row blocks, one real GEMM each,
+and reduced once to the R factor of its QR factorization, whose stack has
+the singular values of all rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -169,28 +175,68 @@ def _value_counts(block: np.ndarray, n: int, v: int) -> np.ndarray:
     return np.concatenate(counts, axis=1)
 
 
-def _count_rows(
+def _count_blocks(
     n: int,
     v: int,
     count: int,
     max_multiplicity: int,
     rng: RandomStream,
     first_block: int = _DRAW_BLOCK,
-) -> Iterator[list[int]]:
-    """Per-variable value counts of random decks, one row per deck as drawn.
+) -> Iterator[np.ndarray]:
+    """Per-variable value counts of random decks, one int64 block per draw block.
 
-    Row ``e`` is the ``e``-th deck ``random_deck_ensemble`` draws from the
-    same stream, its multiplicities summed per value (:func:`_value_counts`):
-    ``deck.total * fiducial_vector_cardbox(deck)``, so the rows span the same
-    space as the fiducial vectors.  Rows are drawn, counted and checked one
-    ``_multiplicity_draws`` block at a time (the first ``first_block`` rows,
-    then doubling), so a caller that stops early leaves the later blocks undrawn.
+    Row ``e`` of the joined blocks is the ``e``-th deck ``random_deck_ensemble``
+    draws from the same stream, its multiplicities summed per value
+    (:func:`_value_counts`): ``deck.total * fiducial_vector_cardbox(deck)``,
+    so the rows span the same space as the fiducial vectors.  Rows are
+    drawn, counted and checked one ``_multiplicity_draws`` block at a time
+    (the first ``first_block`` rows, then doubling), so a caller that stops
+    early leaves the later blocks undrawn.
     """
     for block in _multiplicity_draws(n, v, count, max_multiplicity, rng, first_block):
         counts = _value_counts(block, n, v)
         if (counts.reshape(len(block), v, n).sum(axis=2) != block.sum(axis=1)[:, None]).any():
             raise InvariantError("a count row's value blocks do not all sum to the deck total")
-        yield from counts.tolist()
+        yield counts
+
+
+# A prime below 2**31: residues stay below it, so a product of two fits int64.
+_MODULUS = 2**31 - 1
+# Smallest ceiling c whose cells are ranked mod p first: below it Bareiss is
+# as fast or faster.  On the first c + 1 count rows (in-process medians, 2-core
+# Xeon VM), Bareiss took 85 us and GF(p) 101 us on urn(11); 105 and 103 us on
+# urn(12); 114 and 117 us on (N, V) = (4, 3), c = 10; 253 and 147 us on (4, 4).
+_MODULAR_MIN_CEILING = 12
+
+
+def _rank_mod_p(rows: np.ndarray, ceiling: int) -> int:
+    """Rank over GF(p), p = ``_MODULUS``, of a 2-D int64 block, stopping at ``ceiling``.
+
+    Gaussian elimination one pivot column at a time over the whole block:
+    the pivot row is scaled to a leading 1, and every row subtracts its
+    entry in the pivot column times it.  The pivot row zeroes itself, so no
+    row is ever swapped, and every earlier column is zero in every row.
+    An integer matrix's rank over GF(p) is at most its rank over Q (a
+    minor that vanishes over Z vanishes mod p), so a result equal to a
+    proven upper bound on the rational rank is that rank exactly.
+    """
+    if not len(rows):
+        return 0
+    reduced = rows % _MODULUS
+    rank = 0
+    for col in range(reduced.shape[1]):
+        if rank == ceiling:
+            break
+        head = reduced[:, col].copy()
+        lead = head.argmax()
+        if not head[lead]:
+            continue
+        rest = reduced[:, col:]
+        pivot = rest[lead] * pow(int(head[lead]), -1, _MODULUS) % _MODULUS
+        rest -= head[:, None] * pivot
+        rest %= _MODULUS
+        rank += 1
+    return rank
 
 
 class ExactRowBasis:
@@ -364,21 +410,42 @@ def _check_cell(
 def _estimate_k_classical(
     n: int, v: int, base: int, max_multiplicity: int, rng: RandomStream
 ) -> tuple[int, int]:
-    """``(rank, first_rank)``: exact ranks of the doubled and the base ensemble's count rows."""
+    """``(rank, first_rank)``: exact ranks of the doubled and the base ensemble's count rows.
+
+    A cell with ``c >= _MODULAR_MIN_CEILING`` and a base ensemble of more
+    than ``c`` rows ranks its first ``c + 1`` rows mod p and reports
+    ``(c, c)`` when that rank is ``c``.  Every other cell, and one whose
+    GF(p) rank falls short, feeds ``ExactRowBasis`` the same rows in draw
+    order, then the rest of the stream, so both give the same report.
+    """
     fiducials = n * v
-    # _count_rows checks that every row's V value blocks sum to the deck
+    # _count_blocks checks that every row's V value blocks sum to the deck
     # total: V - 1 independent equations, so no row raises the rank past
     # this ceiling.  The draws stop once it is reached, and the first draw
     # block is just large enough to reach it.
     ceiling = fiducials - (v - 1)
+    blocks = _count_blocks(n, v, 2 * base, max_multiplicity, rng, first_block=ceiling + 1)
+    head: list[np.ndarray] = []  # the draw blocks that hold the first ceiling + 1 rows
+    if ceiling >= _MODULAR_MIN_CEILING and base > ceiling:
+        # those rows all belong to the base ensemble, so reaching the
+        # ceiling mod p proves both ranks; the draw blocks are joined when
+        # _DRAW_BLOCK caps one below ceiling + 1 rows (urns past N = 255)
+        for block in blocks:
+            head.append(block)
+            if sum(map(len, head)) > ceiling:
+                break
+        if _rank_mod_p(np.concatenate(head)[: ceiling + 1], ceiling) == ceiling:
+            return ceiling, ceiling
     basis = ExactRowBasis(fiducials)
     first_rank = ceiling  # the base ensemble's rank, unless it ends short of the ceiling
-    rows = _count_rows(n, v, 2 * base, max_multiplicity, rng, first_block=ceiling + 1)
-    for fed, row in enumerate(rows, 1):
-        if basis.add(row) and basis.rank == ceiling:
-            break
-        if fed == base:
-            first_rank = basis.rank
+    fed = 0
+    for block in itertools.chain(head, blocks):
+        for row in block.tolist():
+            fed += 1
+            if basis.add(row) and basis.rank == ceiling:
+                return ceiling, first_rank
+            if fed == base:
+                first_rank = basis.rank
     return basis.rank, first_rank
 
 
@@ -494,7 +561,9 @@ def k_sweep(
         if not isinstance(values, range) or values.step != 1:
             raise ValidationError(f"sweep N and V must be ranges with step 1, got {values!r}")
     kind_list = sorted(set(kinds))
-    if not n_values or not v_values or not kind_list:
+    if not kind_list:
+        raise ValidationError("sweep needs at least one system kind")
+    if not n_values or not v_values:
         raise ValidationError("sweep ranges must be nonempty")
     for kind in kind_list:
         if kind not in _KIND_CODES:

@@ -29,7 +29,7 @@ from dofcount.quantum import (
     measurement_distribution,
 )
 from dofcount.sequences import ClassicalityWitness, RepeatabilityResult
-from dofcount.tomography import ExactRowBasis, _value_counts, fiducial_vector_cardbox
+from dofcount.tomography import ExactRowBasis, _count_blocks, _value_counts, fiducial_vector_cardbox
 
 settings.register_profile("default", max_examples=40, deadline=None)
 settings.register_profile("thorough", max_examples=200, deadline=None)
@@ -252,6 +252,12 @@ def literal_random_decks(spec, count, max_multiplicity, rng):
 def count_row(deck):
     """A deck's per-variable value counts: its total times its fiducial vector."""
     return [(deck.total * p).numerator for p in fiducial_vector_cardbox(deck)]
+
+
+def drawn_count_rows(*args):
+    """The rows of ``_count_blocks(*args)`` as lists of ints, drawn a block at a time."""
+    for block in _count_blocks(*args):
+        yield from block.tolist()
 
 
 def integer_row(row):
@@ -624,4 +630,21 @@ class StuckStatesStream:
         flat = out.reshape(-1)
         flat[max(self._lo - self._at, 0) : max(self._hi - self._at, 0)] = 1.0
         self._at += flat.size
+        return out
+
+
+class StuckDecksStream:
+    """A ``RandomStream(seed)`` whose first ``stuck`` multiplicity rows are all ones.
+
+    Rows are counted across calls, so the stuck decks are one deck however
+    the draws are blocked, and their count rows have rank 1.
+    """
+
+    def __init__(self, seed, stuck):
+        self.seed, self._rng, self._left = seed, RandomStream(seed), stuck
+
+    def integers_below(self, upper, size):
+        out = self._rng.integers_below(upper, size=size)
+        out[: self._left] = 1
+        self._left = max(self._left - len(out), 0)
         return out

@@ -9,17 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
     Card,
+    StuckDecksStream,
     StuckStatesStream,
     all_cards,
     cardbox_spec,
     complex_states,
     count_row,
     deck_strategy,
+    drawn_count_rows,
     entries,
     enumerate_decks,
     exhaustive_fiducial_rank,
@@ -192,7 +195,7 @@ class TestCountRows:
             literal, skipped = literal_random_decks(spec, 120, max_mult, RandomStream(seed, 5))
             redrawn += skipped
             decks = random_deck_ensemble(spec, 120, max_mult, RandomStream(seed, 5))
-            rows = list(tomography._count_rows(n, v, 120, max_mult, RandomStream(seed, 5)))
+            rows = list(drawn_count_rows(n, v, 120, max_mult, RandomStream(seed, 5)))
             assert decks == literal
             assert rows == [count_row(deck) for deck in decks]
         if n ** v == 2:
@@ -206,7 +209,7 @@ class TestCountRows:
     def test_rows_match_literal_decks(self, n, v, max_mult, count, first_block, seed):
         spec = cardbox_spec(n, v)
         decks, _ = literal_random_decks(spec, count, max_mult, RandomStream(seed))
-        rows = tomography._count_rows(n, v, count, max_mult, RandomStream(seed), first_block)
+        rows = drawn_count_rows(n, v, count, max_mult, RandomStream(seed), first_block)
         assert list(rows) == [count_row(deck) for deck in decks]
 
     def test_empty_block_counts_to_no_rows(self):
@@ -222,7 +225,7 @@ class TestCountRows:
         # counting it through a 4,096 x 4,096 indicator matrix peaked at 257 MiB
         tracemalloc.start()
         try:
-            rows = tomography._count_rows(
+            rows = drawn_count_rows(
                 MAX_CARD_TYPES, 1, 20 * MAX_CARD_TYPES, 2, RandomStream(0), MAX_CARD_TYPES + 1
             )
             row = next(rows)
@@ -242,7 +245,7 @@ class TestCountRows:
             assert random_deck_ensemble(spec, 50, 2, RandomStream(3)) == expected
             rows = [count_row(deck) for deck in expected]
             for first_block in (1, 2, 5, 64, 2**16):
-                drawn = tomography._count_rows(n, v, 50, 2, RandomStream(3), first_block)
+                drawn = drawn_count_rows(n, v, 50, 2, RandomStream(3), first_block)
                 assert list(drawn) == rows
 
     @staticmethod
@@ -335,7 +338,7 @@ class TestCountRows:
         spec = cardbox_spec(2, 2)
         max_mult = (2**63 - 1) // 4  # a deck total of up to 2**63 - 4
         decks = random_deck_ensemble(spec, 10, max_mult, RandomStream(2))
-        rows = list(tomography._count_rows(2, 2, 10, max_mult, RandomStream(2)))
+        rows = list(drawn_count_rows(2, 2, 10, max_mult, RandomStream(2)))
         assert max(d.total for d in decks) > 2**62
         assert rows == [count_row(deck) for deck in decks]
         report = estimate_k("cardbox", 2, 2, max_multiplicity=max_mult, rng=RandomStream(2))
@@ -490,7 +493,7 @@ class TestMatrixRankExact:
 
     def test_count_row_pivots_stay_primitive(self):
         basis = ExactRowBasis(20)
-        for row in tomography._count_rows(5, 4, 200, 2, RandomStream(1)):
+        for row in drawn_count_rows(5, 4, 200, 2, RandomStream(1)):
             basis.add(row)
         assert basis.rank == 17
         assert_pivot_structure(basis)
@@ -550,6 +553,148 @@ class TestMatrixRankExact:
         basis.add([0, 1, 1])
         assert not basis.add([2, 3, 5])  # in the span: rank unchanged
         assert basis.add([0, 0, 1])
+
+
+P = tomography._MODULUS
+
+
+def gf_rank(rows, p):
+    """Rank over GF(p) from sympy's ``DomainMatrix``."""
+    if not rows:
+        return 0
+    field = sympy.GF(p)
+    return DomainMatrix([[field(x) for x in row] for row in rows], (len(rows), len(rows[0])),
+                        field).rank()
+
+
+@st.composite
+def int64_matrices(draw):
+    """Int64 blocks of 0 to 6 rows: small entries, entries at and past p, and
+    multiplicities up to the int64 limit."""
+    width = draw(st.integers(1, 6))
+    entry = (st.integers(-3, 3) | st.sampled_from([P - 1, P, P + 1, 2 * P, 2**62, 2**63 - 1])
+             | st.integers(0, 2**63 - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+def bareiss_alone(monkeypatch):
+    """Rank every classical cell with ``ExactRowBasis`` only."""
+    monkeypatch.setattr(tomography, "_MODULAR_MIN_CEILING", math.inf)
+
+
+class TestModularRank:
+    @given(rows=int64_matrices(), ceiling=st.integers(0, 7))
+    @example(rows=np.zeros((0, 3), np.int64), ceiling=3)
+    @example(rows=np.array([[P, 2 * P]]), ceiling=2)  # rank 1 over Q, 0 mod p
+    @example(rows=np.array([[2**63 - 1, 1], [1, 2**63 - 1]]), ceiling=2)
+    def test_equals_the_sympy_rank_mod_p_and_never_exceeds_the_rank_over_q(self, rows, ceiling):
+        listed = rows.tolist()
+        rational = sympy.Matrix(listed).rank() if listed else 0
+        basis = ExactRowBasis(rows.shape[1])
+        for row in listed:
+            basis.add(row)
+        modular = tomography._rank_mod_p(rows, ceiling)
+        assert modular == min(gf_rank(listed, P), ceiling)
+        assert modular <= basis.rank == rational
+        assert rows.tolist() == listed  # the block is not reduced in place
+
+    def test_small_blocks(self):
+        assert tomography._rank_mod_p(np.zeros((0, 4), np.int64), 4) == 0
+        assert tomography._rank_mod_p(np.zeros((1, 4), np.int64), 4) == 0
+        assert tomography._rank_mod_p(np.array([[0, 3, 2**63 - 1]]), 3) == 1
+        assert tomography._rank_mod_p(np.array([[0, P, 5 * P]]), 3) == 0
+
+    def record(self, monkeypatch):
+        """The ceilings and GF(p) ranks of the cells ranked mod p, and the rows fed to a basis."""
+        seen = {"modular": [], "fed": []}
+        rank_mod_p, add = tomography._rank_mod_p, ExactRowBasis.add
+
+        def record_rank(rows, ceiling):
+            rank = rank_mod_p(rows, ceiling)
+            seen["modular"].append((ceiling, rank))
+            return rank
+
+        def record_add(basis, row):
+            seen["fed"].append(list(row))
+            return add(basis, row)
+
+        monkeypatch.setattr(tomography, "_rank_mod_p", record_rank)
+        monkeypatch.setattr(ExactRowBasis, "add", record_add)
+        return seen
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_prime_that_divides_a_minor_falls_back_to_bareiss(self, monkeypatch, p):
+        cells = [("cardbox", 4, 4), ("cardbox", 5, 4), ("cardbox", 3, 6), ("urn", 13, 1)]
+        outcomes = set()
+        for kind, n, v in cells:
+            for seed in range(8):
+                with pytest.MonkeyPatch.context() as patch:
+                    bareiss_alone(patch)
+                    expected = estimate_k(kind, n, v, rng=RandomStream(seed))
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(tomography, "_MODULUS", p)
+                    seen = self.record(patch)
+                    report = estimate_k(kind, n, v, rng=RandomStream(seed))
+                ceiling = v * (n - 1) + 1
+                ((ranked, modular),) = seen["modular"]
+                assert report == expected and ranked == ceiling
+                assert bool(seen["fed"]) == (modular < ceiling)
+                outcomes.add(modular < ceiling)
+        assert outcomes == {True, False}  # both the certificate and the fallback ran
+
+    @pytest.mark.parametrize("n, v, stuck, block", [
+        (4, 4, 10, None), (5, 4, 60, None),
+        (4, 4, 10, 64),  # one row per draw block, so the first 14 rows join 14 blocks
+    ])
+    def test_rows_short_of_the_ceiling_fall_back_to_bareiss(self, monkeypatch, n, v, stuck, block):
+        # the first rows are one deck, so the first ceiling + 1 rank short
+        # over Q; Bareiss reads those rows again, then the rest of the stream
+        if block:
+            monkeypatch.setattr(tomography, "_DRAW_BLOCK", block)
+        ceiling = v * (n - 1) + 1
+        with pytest.MonkeyPatch.context() as patch:
+            bareiss_alone(patch)
+            fed = self.record(patch)["fed"]
+            expected = estimate_k("cardbox", n, v, rng=StuckDecksStream(4, stuck))
+        seen = self.record(monkeypatch)
+        report = estimate_k("cardbox", n, v, rng=StuckDecksStream(4, stuck))
+        assert report == expected and (report.k_rank, report.saturated) == (ceiling, True)
+        assert seen["modular"] == [(ceiling, 1 + max(ceiling + 1 - stuck, 0))]
+        assert seen["fed"] == fed
+
+    @pytest.mark.parametrize("kind, n, v, modular", [
+        ("urn", tomography._MODULAR_MIN_CEILING - 1, 1, False),
+        ("urn", tomography._MODULAR_MIN_CEILING, 1, True),
+        ("cardbox", 4, 3, False),  # c = 10
+        ("cardbox", 4, 4, True),
+        ("urn", 300, 1, True),  # the draw blocks are joined: 218 rows each
+    ])
+    def test_a_saturated_cell_above_the_threshold_feeds_no_row_to_bareiss(
+        self, monkeypatch, kind, n, v, modular
+    ):
+        seen = self.record(monkeypatch)
+        report = estimate_k(kind, n, v, rng=RandomStream(1))
+        ceiling = v * (n - 1) + 1
+        assert (report.k_rank, report.saturated) == (ceiling, True)
+        assert seen["modular"] == ([(ceiling, ceiling)] if modular else [])
+        assert bool(seen["fed"]) != modular
+
+    @given(
+        kind=st.sampled_from(["urn", "cardbox"]),
+        n=st.integers(2, 16),
+        v=st.integers(1, 4),
+        ensemble=st.none() | st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_both_engines_give_equal_reports(self, kind, n, v, ensemble, seed):
+        n, v = (n, 1) if kind == "urn" else (min(n, 6), v)
+        reports = []
+        for threshold in (1, math.inf):  # GF(p) wherever the base ensemble passes the ceiling; never
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tomography, "_MODULAR_MIN_CEILING", threshold)
+                reports.append(estimate_k(kind, n, v, ensemble=ensemble, rng=RandomStream(seed)))
+        assert reports[0] == reports[1]
 
 
 class TestMatrixRankNumeric:
@@ -1246,6 +1391,12 @@ class TestKSweep:
             for v in (0, 1, top)
         }
         assert len(ids) == 27
+
+    def test_no_kinds_is_not_an_empty_range(self):
+        with pytest.raises(ValidationError, match="^sweep needs at least one system kind$"):
+            k_sweep(range(2, 3), range(1, 2), [], 0)
+        with pytest.raises(ValidationError, match="^sweep ranges must be nonempty$"):
+            k_sweep(range(2, 3), range(1, 1), ["cardbox"], 0)
 
     def test_range_validation(self):
         with pytest.raises(ValidationError):
