@@ -30,10 +30,14 @@ never exceeds the rank over Q, so reaching c certifies K = c exactly.
 Smaller cells, and cells whose GF(p) rank falls short, are ranked by
 fraction-free integer Gaussian elimination (Bareiss), the same rows in the
 same order.  Quantum ranks count singular values above a threshold, and
-stop once a prefix reaches their ceiling min(n**2, M*(n-1)+1).  Otherwise
-each half of the Born matrix is filled in row blocks, one real GEMM each,
-and reduced once to the R factor of its QR factorization, whose stack has
-the singular values of all rows.
+stop once a prefix reaches their ceiling c = min(n**2, M*(n-1)+1).  The
+prefix is first certified without an SVD: its block-sum residual bounds
+sigma_(c+1), and a shifted Cholesky of the Gram of c of its columns bounds
+sigma_c, so that the SVD would count exactly c.  When the certificate
+declines, the prefix's SVD runs as the check instead.  A prefix short of c
+sends the run on: each half of the Born matrix is filled in row blocks, one
+real GEMM each, and reduced once to the R factor of its QR factorization,
+whose stack has the singular values of all rows.
 """
 
 from __future__ import annotations
@@ -348,6 +352,83 @@ def _quantum_head(n: int, m: int, base: int) -> tuple[int, int]:
     return ceiling, min(base, ceiling + 16)
 
 
+# Factors of the quantum ceiling certificate; _certify_quantum_ceiling derives them.
+_GRAM_SLACK = 2
+_CERTIFICATE_MARGIN = 2
+
+
+def _certify_quantum_ceiling(prefix: np.ndarray, n: int, m: int, tol: float) -> bool:
+    """True only if ``matrix_rank_numeric(prefix, tol)`` would count exactly
+    ``c = M*(n-1)+1`` singular values; False declines and proves nothing.
+
+    ``X = prefix`` holds ``h`` rows of ``M`` basis blocks of ``n`` entries,
+    ``w = n*M`` columns.  With ``M <= n+1``, ``c = min(n**2, M*(n-1)+1)`` is
+    the count of the columns ``K`` kept once the last column of blocks 2..M
+    is dropped.  Rebuilding each dropped column from the identity "block j
+    sums to what block 1 sums to" gives ``Y = K T`` of rank at most ``c``.
+    ``X - Y`` is zero outside the dropped columns, which hold the
+    differences ``s_j - s_1`` of each row's block sums; their norm ``r``
+    bounds ``sigma_{c+1}(X)``.  ``T`` contains ``I_c``, so ``T T^T >= I``,
+    ``sigma_c(Y) >= sigma_min(K)`` and, by Weyl, ``sigma_c(X) >=
+    sigma_min(K) - r``.
+
+    The SVD is backward stable: LAPACK bounds the error of each singular
+    value by ``p(h, w)*eps*sigma_1`` with a modest ``p`` (LAPACK Users'
+    Guide, section 4.9).  Here ``d = h*w*eps*F``, ``F >= ||X||_F >=
+    sigma_1``: the worst-case growth of a Householder reduction's backward
+    error (Higham 2002, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 19).  The all-ones vector's Rayleigh quotient gives ``sigma_1 >= S
+    = ||X 1|| / sqrt(w)``, about ``0.7 F`` on Born rows.  Two checks prove
+    the count:
+
+    * ``r + d*(1+tol) <= tol*S / _CERTIFICATE_MARGIN``.  The computed
+      ``sigma_{c+1}`` is at most ``r + d``, and the computed threshold at
+      least ``tol*(S - d)*(1 - eps/2)``; the margin 2 covers that rounding.
+    * A Cholesky factorization of ``K^T K - shift*I`` succeeds, with shift
+      ``(2*tol*F)**2 + _GRAM_SLACK*(h+c)*eps*F**2``.  The computed Gram is
+      off by at most ``h*u*F**2`` in 2-norm (``u = eps/2``, ch. 3), and a
+      Cholesky that runs to completion factors its input up to ``(c+1)*u``
+      times its trace (ch. 10).  With the shift's own rounding these take
+      ``(h+c+3)*u*F**2``, at most half the slack.  So ``sigma_min(K) >=
+      2*tol*F``, and the computed ``sigma_c >= 2*tol*F - r - d`` clears
+      the computed threshold ``tol*(F + d)*(1 + u)`` by the first check.
+
+    ``F``, ``r`` and ``S`` are sums of at most ``h*w`` terms, each off by
+    at most ``h*w*eps`` relative (ch. 3).  Rounding the block sums adds
+    ``n*eps*sqrt(n)*(1 + sqrt(M-1))*F`` to ``r``: a block's absolute sum
+    is at most ``sqrt(n)`` times its 2-norm.  Rounding the row sums takes
+    ``w*eps*F`` off ``S``.  It declines past ``M = n+1``, with fewer than
+    ``c`` rows, with a ``tol`` too close to ``eps``, and with rows too close
+    to singular for the Gram.
+    """
+    h, width = prefix.shape
+    ceiling = m * (n - 1) + 1
+    if m > n + 1 or h < ceiling:
+        return False
+    eps = float(np.finfo(np.float64).eps)
+    rel = prefix.size * eps
+    frob = math.sqrt(np.vdot(prefix, prefix)) * (1 + rel)
+    blocks = prefix.reshape(h, m, n)
+    sums = (blocks.reshape(h * m, n) @ np.ones(n)).reshape(h, m)
+    spread = sums[:, 1:] - sums[:, :1]
+    residual = (math.sqrt(np.vdot(spread, spread)) * (1 + rel)
+                + n * eps * math.sqrt(n) * (1 + math.sqrt(m - 1)) * frob)
+    row_sums = sums @ np.ones(m)
+    sigma_low = math.sqrt(np.vdot(row_sums, row_sums) / width) * (1 - rel) - width * eps * frob
+    svd_error = h * width * eps * frob
+    # written so that a NaN anywhere declines
+    if not residual + svd_error * (1 + tol) <= tol * sigma_low / _CERTIFICATE_MARGIN:
+        return False
+    kept = np.concatenate([blocks[:, 0], blocks[:, 1:, :-1].reshape(h, -1)], axis=1)
+    gram = kept.T @ kept
+    gram.flat[:: ceiling + 1] -= (2 * tol * frob) ** 2 + _GRAM_SLACK * (h + ceiling) * eps * frob**2
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _check_born_entries(n: int, m: int, rows: int) -> None:
     """``rows`` rows of ``n·M`` Born probabilities and the ``M`` complex
     ``n × n`` bases (``2·n²·M`` floats) must fit together."""
@@ -458,7 +539,10 @@ def _estimate_k_quantum(
     random pure states.  With n+1 bases the rank saturates at n**2, the
     quantum reference value.  No rank exceeds ``c = min(n**2, M*(n-1)+1)``:
     a run stops once its first ``min(ensemble, c + 16)`` states reach ``c``,
-    and a rank above ``c`` raises ``ValidationError``.  ``MAX_BORN_ENTRIES``
+    and a rank above ``c`` raises ``ValidationError``.  That prefix goes to
+    ``_certify_quantum_ceiling`` first, which proves without an SVD that
+    ``matrix_rank_numeric`` would count exactly ``c``; only when it
+    declines does the SVD rank the prefix.  ``MAX_BORN_ENTRIES``
     bounds that prefix before any draw (``_check_cell``), and both halves
     before the fallback draws them.
     """
@@ -472,6 +556,8 @@ def _estimate_k_quantum(
             born_rows(random_state_rows(n, len(block), rng), vectors, block)
 
     fill(prefix)
+    if _certify_quantum_ceiling(prefix, n, m, tol):
+        return ceiling, ceiling
     rank = first_rank = matrix_rank_numeric(prefix, tol)
     if rank < ceiling:
         _check_born_entries(n, m, 2 * base)  # both halves, before either is drawn

@@ -1068,6 +1068,89 @@ class TestQuantumStop:
             assert cli_main(argv) == 2
 
 
+CERTIFICATE_TOLS = [1e-9, 1e-6, 1e-12, 1e-15, 0.5]
+
+
+def certificate_prefix(n, m, ensemble, seed):
+    """The whole-matrix oracle's first ``quantum_head`` rows, and its ``m``."""
+    m = n + 1 if m is None else m
+    rows, _ = whole_born_matrix(n, m, ensemble, seed)
+    return rows[: quantum_head(n, m, ensemble)], m
+
+
+def run_or_refusal(*args, **kwargs):
+    """A quantum ``estimate_k`` report, or the message it is refused with."""
+    try:
+        return estimate_k("quantum", *args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestQuantumCeilingCertificate:
+    """The SVD-free proof that a quantum prefix's numeric rank is its ceiling."""
+
+    @given(n=st.integers(2, 12), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           tol=st.sampled_from(CERTIFICATE_TOLS))
+    def test_accepts_only_prefixes_the_svd_counts_at_the_ceiling(self, n, data, seed, tol):
+        prefix, m = certificate_prefix(n, data.draw(st.integers(1, n + 1), label="M"), None, seed)
+        if tomography._certify_quantum_ceiling(prefix, n, m, tol):
+            assert matrix_rank_numeric(prefix, tol) == quantum_ceiling(n, m)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_certifies_every_default_prefix(self, n):
+        for m in sorted({1, 2, n, n + 1}):
+            for seed in range(3):
+                prefix, m = certificate_prefix(n, m, None, seed)
+                assert tomography._certify_quantum_ceiling(prefix, n, m, RANK_TOL), (m, seed)
+
+    @pytest.mark.parametrize("n, m, ensemble, tol", [
+        (4, 6, None, RANK_TOL),  # M = n+2: the ceiling n**2 is below the kept columns
+        (5, None, 20, RANK_TOL),  # 20 rows, below the ceiling 25
+        (6, None, None, 1e-15),  # the SVD's rounding clears the threshold
+        (6, None, None, 0.5),  # no Gram clears its shift
+    ])
+    def test_declines(self, n, m, ensemble, tol):
+        prefix, m = certificate_prefix(n, m, ensemble, 0)
+        assert not tomography._certify_quantum_ceiling(prefix, n, m, tol)
+
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_declines_when_a_block_sum_moves(self, n):
+        # block 2's sums off by 1e-6 in every other row (a shift of every
+        # row would stay in the column span): the SVD counts one more, and
+        # the residual that would have bounded it declines the certificate
+        prefix, m = certificate_prefix(n, None, None, 0)
+        prefix[::2, n] += 1e-6
+        assert matrix_rank_numeric(prefix) == quantum_ceiling(n, m) + 1
+        assert not tomography._certify_quantum_ceiling(prefix, n, m, RANK_TOL)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_reports_equal_the_svd_path(self, monkeypatch, n):
+        cells = [(m, ensemble, tol) for m in sorted({1, 2, n, n + 1, n + 2})
+                 for ensemble in (None, 20) for tol in CERTIFICATE_TOLS]
+        certified = [run_or_refusal(n, m, ensemble=ensemble, tol=tol, rng=RandomStream(1, n))
+                     for m, ensemble, tol in cells]
+        monkeypatch.setattr(tomography, "_certify_quantum_ceiling", lambda *args: False)
+        for (m, ensemble, tol), report in zip(cells, certified):
+            assert run_or_refusal(
+                n, m, ensemble=ensemble, tol=tol, rng=RandomStream(1, n)) == report, (m, ensemble, tol)
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_default_rank_runs_no_svd(self, monkeypatch, capsys, n):
+        calls, svd = [], np.linalg.svd
+
+        def count(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", count)
+        argv = ["rank", "--system", "quantum", "--n", str(n)]
+        assert cli_main(argv) == 0 and calls == []
+        # M = n+2 is past the certificate: the prefix's SVD is the check
+        assert cli_main(argv + ["--m", str(n + 2)]) == 0
+        assert calls == [(n * n + 16, n * (n + 2))]
+        capsys.readouterr()
+
+
 def quantum_stream(n, m, ensemble, seed, stuck):
     """A fresh ``RandomStream(seed, n)``; if ``stuck``, its prefix states are one state."""
     if not stuck:
