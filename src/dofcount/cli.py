@@ -30,7 +30,6 @@ import numpy as np
 
 from .deckfile import parse_deck_file
 from .errors import DofcountError, InvariantError, ValidationError
-from .quantum import RANK_TOL
 from .rng import RandomStream
 from .sequences import find_classicality_witness, sequence_distribution, simulate_plan
 from .tomography import STREAM_FIELD_LIMIT, KReport, estimate_k, k_sweep
@@ -187,7 +186,6 @@ _RANK_ONLY_FOR = (
     ("--v", "v_or_m", ("cardbox",)),
     ("--m", "v_or_m", ("quantum",)),
     ("--max-mult", "max_multiplicity", ("urn", "cardbox")),
-    ("--tol", "tol", ("quantum",)),
 )
 
 
@@ -219,7 +217,6 @@ def _cmd_sweep(args) -> int:
         seed,
         ensemble=args.ensemble,
         max_multiplicity=args.max_mult,
-        tol=args.tol,
     )
     text = render_json(reports) if args.json else render_csv(reports)
     if args.out:
@@ -272,9 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-mult", type=int, default=None, help="max per-card multiplicity (urn, cardbox; default 2)"
     )
-    p.add_argument(
-        "--tol", type=float, default=None, help=f"numeric rank threshold (quantum; default {RANK_TOL:g})"
-    )
     add_seed(p)
     p.set_defaults(func=_cmd_rank)
 
@@ -287,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     bad = "; a bad value exits 2 whatever --systems holds"
     p.add_argument("--ensemble", type=int, default=None, help=f"base ensemble size (all systems){bad}")
     p.add_argument("--max-mult", type=int, default=2, help=f"max card multiplicity (urn, cardbox){bad}")
-    p.add_argument("--tol", type=float, default=RANK_TOL, help=f"numeric rank threshold (quantum){bad}")
     add_seed(p)
     p.set_defaults(func=_cmd_sweep)
 

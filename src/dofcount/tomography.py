@@ -24,20 +24,22 @@ each variable.  Every row is checked to satisfy the V-1 normalization
 equations, which proves the ceiling c = V*(N-1)+1, so a classical ensemble
 stops drawing once its rank reaches it.  Its rows are drawn on demand: a
 first block of c+1 rows, then blocks that double up to 65,536 multiplicities
-each.  From c = 12 on, when the base ensemble holds more than c rows, the
-first c+1 rows are ranked over GF(p), p = 2**31 - 1, in int64.  That rank
-never exceeds the rank over Q, so reaching c certifies K = c exactly.
+each.  From c = 12 on, the first min(2*ensemble, c+1) rows are ranked
+over GF(p), p = 2**31 - 1, in int64.  That rank never exceeds the rank over
+Q, so reaching its bound min(2*ensemble, c) certifies the rank exactly; a
+base ensemble of at most c rows is certified by its own GF(p) rank.
 Smaller cells, and cells whose GF(p) rank falls short, are ranked by
 fraction-free integer Gaussian elimination (Bareiss), the same rows in the
-same order.  Quantum ranks count singular values above a threshold, and
-stop once a prefix reaches their ceiling c = min(n**2, M*(n-1)+1).  The
-prefix is first certified without an SVD: its block-sum residual bounds
-sigma_(c+1), and a shifted Cholesky of the Gram of c of its columns bounds
-sigma_c, so that the SVD would count exactly c.  When the certificate
-declines, the prefix's SVD runs as the check instead.  A prefix short of c
-sends the run on: each half of the Born matrix is filled in row blocks, one
-real GEMM each, and reduced once to the R factor of its QR factorization,
-whose stack has the singular values of all rows.
+same order.  Quantum ranks count singular values above RANK_TOL = 1e-9
+times the largest, and stop once a prefix reaches their ceiling
+c = min(n**2, M*(n-1)+1).  The prefix is first certified without an SVD:
+its block-sum residual bounds sigma_(c+1), and a shifted Cholesky of the
+Gram of c of its columns bounds sigma_c, so that the SVD would count
+exactly c.  When the certificate declines, the prefix's SVD runs as the
+check instead.  A prefix short of c sends the run on: each half of the
+Born matrix is filled in row blocks, one real GEMM each, and reduced once
+to the R factor of its QR factorization, whose stack has the singular
+values of all rows.
 """
 
 from __future__ import annotations
@@ -286,13 +288,6 @@ class ExactRowBasis:
         return True
 
 
-def _check_tolerance(tol: float) -> None:
-    # a relative threshold of 1 or more counts no singular value, not even
-    # the largest; the chained comparison is False for NaN
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"tolerance must be finite and in (0, 1), got {tol}")
-
-
 def matrix_rank_numeric(rows: np.ndarray, tol: float = RANK_TOL) -> int:
     """Numeric rank of a 2-D float64 ndarray: singular values above ``tol``
     times the largest.
@@ -301,7 +296,10 @@ def matrix_rank_numeric(rows: np.ndarray, tol: float = RANK_TOL) -> int:
     precision rounding noise alone clears the default threshold, and a cast
     of a complex matrix would drop its imaginary parts.
     """
-    _check_tolerance(tol)
+    # a relative threshold of 1 or more counts no singular value, not even
+    # the largest; the chained comparison is False for NaN
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"tolerance must be finite and in (0, 1), got {tol}")
     if not isinstance(rows, np.ndarray) or rows.dtype != np.float64 or rows.ndim != 2:
         got = f"{rows.ndim}-D {rows.dtype}" if isinstance(rows, np.ndarray) else type(rows).__name__
         raise ValidationError(f"matrix must be a 2-D float64 ndarray, got {got}")
@@ -440,22 +438,21 @@ def _check_born_entries(n: int, m: int, rows: int) -> None:
 
 
 def _check_cell(
-    kind: str, n: int, v_or_m: int | None, ensemble: int | None, max_multiplicity: int, tol: float
+    kind: str, n: int, v_or_m: int | None, ensemble: int | None, max_multiplicity: int
 ) -> tuple[int, int]:
     """``(V_or_M, base ensemble)`` of one cell, once every limit known before
     its first draw is checked.
 
     The checks run in one order, so a cell with several faults always names
-    the same one: the kind and its shape (a quantum cell's tolerance first),
-    the random decks' ``_check_draw_limits`` (urn, card box), the ensemble,
-    the quantum prefix's ``MAX_BORN_ENTRIES``, then the value the kind does not
-    read (a classical ``tol``, a quantum ``max_multiplicity``), so a sweep
-    refuses it whatever its kinds.  An urn is the card box with V = 1, a
-    quantum cell has n+1 bases unless told otherwise, and the base ensemble
-    is ten members per fiducial probability unless told otherwise.
+    the same one: the kind and its shape, the random decks'
+    ``_check_draw_limits`` (urn, card box), the ensemble, then the quantum
+    prefix's ``MAX_BORN_ENTRIES`` and the ``max_multiplicity`` a quantum
+    cell does not read, so a sweep refuses it whatever its kinds.  An urn
+    is the card box with V = 1, a quantum cell has n+1 bases unless told
+    otherwise, and the base ensemble is ten members per fiducial
+    probability unless told otherwise.
     """
     if kind == "quantum":
-        _check_tolerance(tol)
         if n < 2:
             raise ValidationError(f"dimension must be at least 2, got {n}")
         v_or_m = n + 1 if v_or_m is None else v_or_m
@@ -483,8 +480,6 @@ def _check_cell(
         _check_born_entries(n, v_or_m, _quantum_head(n, v_or_m, base)[1])
         if max_multiplicity < 1:
             raise ValidationError("max_multiplicity must be at least 1")
-    else:
-        _check_tolerance(tol)
     return v_or_m, base
 
 
@@ -493,11 +488,15 @@ def _estimate_k_classical(
 ) -> tuple[int, int]:
     """``(rank, first_rank)``: exact ranks of the doubled and the base ensemble's count rows.
 
-    A cell with ``c >= _MODULAR_MIN_CEILING`` and a base ensemble of more
-    than ``c`` rows ranks its first ``c + 1`` rows mod p and reports
-    ``(c, c)`` when that rank is ``c``.  Every other cell, and one whose
-    GF(p) rank falls short, feeds ``ExactRowBasis`` the same rows in draw
-    order, then the rest of the stream, so both give the same report.
+    A cell with ``c >= _MODULAR_MIN_CEILING`` ranks its first ``want =
+    min(2 * base, c + 1)`` rows mod p.  A GF(p) rank equal to the bound
+    ``min(want, c)`` on their rank over Q is that rank, and the doubled
+    ensemble's.  The base ensemble's is ``c`` when it holds all ``want``
+    rows, and its row count when twice it fits under ``c`` (its rows are
+    among independent ones) or when its own GF(p) rank reaches it.  Every
+    other cell, and one whose GF(p) rank falls short, feeds
+    ``ExactRowBasis`` the same rows in draw order, then the rest of the
+    stream, so both give the same report.
     """
     fiducials = n * v
     # _count_blocks checks that every row's V value blocks sum to the deck
@@ -506,17 +505,20 @@ def _estimate_k_classical(
     # block is just large enough to reach it.
     ceiling = fiducials - (v - 1)
     blocks = _count_blocks(n, v, 2 * base, max_multiplicity, rng, first_block=ceiling + 1)
-    head: list[np.ndarray] = []  # the draw blocks that hold the first ceiling + 1 rows
-    if ceiling >= _MODULAR_MIN_CEILING and base > ceiling:
-        # those rows all belong to the base ensemble, so reaching the
-        # ceiling mod p proves both ranks; the draw blocks are joined when
-        # _DRAW_BLOCK caps one below ceiling + 1 rows (urns past N = 255)
+    head: list[np.ndarray] = []  # the draw blocks that hold the first want rows
+    if ceiling >= _MODULAR_MIN_CEILING:
+        # the draw blocks are joined when _DRAW_BLOCK caps one below want
+        # rows (urns past N = 255)
+        want = min(2 * base, ceiling + 1)
         for block in blocks:
             head.append(block)
-            if sum(map(len, head)) > ceiling:
+            if sum(map(len, head)) >= want:
                 break
-        if _rank_mod_p(np.concatenate(head)[: ceiling + 1], ceiling) == ceiling:
-            return ceiling, ceiling
+        rows, bound = np.concatenate(head)[:want], min(want, ceiling)
+        if _rank_mod_p(rows, bound) == bound and (
+            base > ceiling or 2 * base <= ceiling or _rank_mod_p(rows[:base], base) == base
+        ):
+            return bound, min(base, ceiling)
     basis = ExactRowBasis(fiducials)
     first_rank = ceiling  # the base ensemble's rank, unless it ends short of the ceiling
     fed = 0
@@ -530,16 +532,15 @@ def _estimate_k_classical(
     return basis.rank, first_rank
 
 
-def _estimate_k_quantum(
-    n: int, m: int, base: int, tol: float, rng: RandomStream
-) -> tuple[int, int]:
+def _estimate_k_quantum(n: int, m: int, base: int, rng: RandomStream) -> tuple[int, int]:
     """``(rank, first_rank)``: numeric ranks of the doubled and the base ensemble's Born rows.
 
+    Every rank counts singular values above ``RANK_TOL`` times the largest.
     The M random bases are drawn once and shared by the whole ensemble of
     random pure states.  With n+1 bases the rank saturates at n**2, the
     quantum reference value.  No rank exceeds ``c = min(n**2, M*(n-1)+1)``:
     a run stops once its first ``min(ensemble, c + 16)`` states reach ``c``,
-    and a rank above ``c`` raises ``ValidationError``.  That prefix goes to
+    and a rank above ``c`` raises ``InvariantError``.  That prefix goes to
     ``_certify_quantum_ceiling`` first, which proves without an SVD that
     ``matrix_rank_numeric`` would count exactly ``c``; only when it
     declines does the SVD rank the prefix.  ``MAX_BORN_ENTRIES``
@@ -556,9 +557,9 @@ def _estimate_k_quantum(
             born_rows(random_state_rows(n, len(block), rng), vectors, block)
 
     fill(prefix)
-    if _certify_quantum_ceiling(prefix, n, m, tol):
+    if _certify_quantum_ceiling(prefix, n, m, RANK_TOL):
         return ceiling, ceiling
-    rank = first_rank = matrix_rank_numeric(prefix, tol)
+    rank = first_rank = matrix_rank_numeric(prefix, RANK_TOL)
     if rank < ceiling:
         _check_born_entries(n, m, 2 * base)  # both halves, before either is drawn
         rows = np.empty((base, n * m))  # one half's Born rows; the halves take turns
@@ -570,12 +571,11 @@ def _estimate_k_quantum(
         # [A; B] = diag(Q1, Q2)·[R1; R2], and diag(Q1, Q2) has orthonormal
         # columns: the stacked R factors have the singular values of all rows,
         # and R1 those of the first half, so each half is reduced only once.
-        first_rank = matrix_rank_numeric(factors[0], tol)
-        rank = matrix_rank_numeric(np.vstack(factors), tol)
+        first_rank = matrix_rank_numeric(factors[0], RANK_TOL)
+        rank = matrix_rank_numeric(np.vstack(factors), RANK_TOL)
     if rank > ceiling:
-        raise ValidationError(
-            f"numeric rank {rank} exceeds its ceiling c = min(n**2, M*(n-1)+1) = {ceiling}: "
-            f"--tol {tol:g} counts round-off singular values"
+        raise InvariantError(
+            f"numeric rank {rank} exceeds its ceiling c = min(n**2, M*(n-1)+1) = {ceiling}"
         )
     return rank, first_rank
 
@@ -587,7 +587,6 @@ def estimate_k(
     *,
     ensemble: int | None = None,
     max_multiplicity: int = 2,
-    tol: float = RANK_TOL,
     rng: RandomStream,
 ) -> KReport:
     """K of the cell ``(N, V_or_M)`` of a system kind: "urn", "cardbox" or "quantum".
@@ -595,12 +594,13 @@ def estimate_k(
     ``v_or_m`` is a card box's variable count V (required), a quantum system's
     basis count M (default n+1), and 1 for an urn: the classical reference
     point, one variable whose K is N.  Classical cells rank random decks with
-    multiplicities up to ``max_multiplicity``; quantum cells count singular
-    values above ``tol``.  ``_check_cell`` checks the cell before any draw.
+    multiplicities up to ``max_multiplicity``, exactly; quantum cells count
+    singular values above the fixed relative threshold ``RANK_TOL``.
+    ``_check_cell`` checks the cell before any draw.
     """
-    v_or_m, base = _check_cell(kind, n, v_or_m, ensemble, max_multiplicity, tol)
+    v_or_m, base = _check_cell(kind, n, v_or_m, ensemble, max_multiplicity)
     if kind == "quantum":
-        rank, first_rank = _estimate_k_quantum(n, v_or_m, base, tol, rng)
+        rank, first_rank = _estimate_k_quantum(n, v_or_m, base, rng)
     else:
         rank, first_rank = _estimate_k_classical(n, v_or_m, base, max_multiplicity, rng)
     return KReport(
@@ -634,7 +634,6 @@ def k_sweep(
     *,
     ensemble: int | None = None,
     max_multiplicity: int = 2,
-    tol: float = RANK_TOL,
 ) -> list[KReport]:
     """One KReport per (kind, N, V) cell: kinds sorted, then N and V ascending.
 
@@ -668,11 +667,11 @@ def k_sweep(
         n = n_values[-1]
         v = cell_vs(kind, n)[-1]
         _stream_id(kind, n, v)
-        _check_cell(kind, n, v, ensemble, max_multiplicity, tol)
+        _check_cell(kind, n, v, ensemble, max_multiplicity)
 
     return [
         estimate_k(kind, n, v, ensemble=ensemble, max_multiplicity=max_multiplicity,
-                   tol=tol, rng=RandomStream(seed, _stream_id(kind, n, v)))
+                   rng=RandomStream(seed, _stream_id(kind, n, v)))
         for kind in kind_list
         for n in n_values
         for v in cell_vs(kind, n)

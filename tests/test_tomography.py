@@ -285,10 +285,12 @@ class TestCountRows:
         assert sum(seen["blocks"]) <= 2 * (seen["fed"] + seen["zero"]) + first
 
     def test_cell_short_of_the_ceiling_draws_every_row(self, monkeypatch):
+        # the GF(p) rank of the four rows proves them independent, so none
+        # is fed to Bareiss
         seen = self.record_draws(monkeypatch)
         report = estimate_k("cardbox", 5, 4, ensemble=2, rng=RandomStream(0))
-        assert report.k_rank < 17
-        assert sum(seen["blocks"]) == seen["fed"] == 4
+        assert (report.k_rank, report.saturated) == (4, False)
+        assert sum(seen["blocks"]) == 4 and seen["fed"] == 0
 
     def test_stream_continues_where_the_draws_stopped(self):
         # two ensembles drawn one after the other from one stream, as the
@@ -306,8 +308,10 @@ class TestCountRows:
         ("cardbox", 5, 4, 2, 0, "never"),  # every drawn row is fed
     ])
     def test_k_path_feeds_rows_to_exhaustion(self, monkeypatch, kind, n, v, ensemble, seed, reached):
-        # the rows fed are the literal decks' count rows in draw order, up to
-        # the first at which a separate basis reaches the exhaustive rank
+        # the rows Bareiss is fed are the literal decks' count rows in draw
+        # order, up to the first at which a separate basis reaches the
+        # exhaustive rank; on the default path the GF(p) rank certifies the
+        # (5, 4) cells, c = 17, and feeds it none, with the same report
         spec = cardbox_spec(n, v)
         decks, _ = literal_random_decks(spec, 2 * ensemble, 2, RandomStream(seed))
         drawn = [count_row(deck) for deck in decks]
@@ -325,7 +329,13 @@ class TestCountRows:
             return add(basis, row)
 
         monkeypatch.setattr(ExactRowBasis, "add", record)
-        estimate_k(kind, n, v, ensemble=ensemble, rng=RandomStream(seed))
+        report = estimate_k(kind, n, v, ensemble=ensemble, rng=RandomStream(seed))
+        assert fed == ([] if exhausted >= tomography._MODULAR_MIN_CEILING else expected)
+        assert (report.k_rank, report.saturated, ensemble) == full_ensemble_k(
+            spec, ensemble, 2, RandomStream(seed))
+        fed.clear()
+        bareiss_alone(monkeypatch)
+        assert estimate_k(kind, n, v, ensemble=ensemble, rng=RandomStream(seed)) == report
         assert fed == expected
         stop = len(expected)
         if reached == "never":
@@ -583,6 +593,15 @@ def bareiss_alone(monkeypatch):
     monkeypatch.setattr(tomography, "_MODULAR_MIN_CEILING", math.inf)
 
 
+def modular_certifies(ranks, ceiling, ensemble):
+    """Whether a classical cell's GF(p) ranks settle it with no row fed to
+    Bareiss, read off its rank over Q after each of its ``2 * ensemble``
+    rows, for a prime that divides none of their minors."""
+    want = min(2 * ensemble, ceiling + 1)
+    return (ceiling >= tomography._MODULAR_MIN_CEILING and ranks[want - 1] == min(want, ceiling)
+            and (ensemble > ceiling or 2 * ensemble <= ceiling or ranks[ensemble - 1] == ensemble))
+
+
 class TestModularRank:
     @given(rows=int64_matrices(), ceiling=st.integers(0, 7))
     @example(rows=np.zeros((0, 3), np.int64), ceiling=3)
@@ -694,6 +713,31 @@ class TestModularRank:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(tomography, "_MODULAR_MIN_CEILING", threshold)
                 reports.append(estimate_k(kind, n, v, ensemble=ensemble, rng=RandomStream(seed)))
+        assert reports[0] == reports[1]
+
+    @given(
+        cell=st.integers(12, 40).map(lambda n: ("urn", n, 1))
+        | st.sampled_from([("cardbox", n, v) for n, v in [(2, 11), (3, 6), (4, 4), (5, 3), (7, 2)]]),
+        data=st.data(),
+        one_row_blocks=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_small_ensembles_give_the_bareiss_reports(self, cell, data, one_row_blocks, seed):
+        # cells with c >= 12 and base ensembles of 1..c+1 rows: twice the
+        # ensemble at most c, the base rows ranked on their own, and c + 1;
+        # draw blocks of one row each make the GF(p) rank join its rows
+        kind, n, v = cell
+        ceiling = v * (n - 1) + 1
+        ensemble = data.draw(st.integers(1, ceiling + 1), label="ensemble")
+        reports = []
+        for threshold in (tomography._MODULAR_MIN_CEILING, math.inf):
+            with pytest.MonkeyPatch.context() as patch:
+                if one_row_blocks:
+                    patch.setattr(tomography, "_DRAW_BLOCK", n**v)
+                patch.setattr(tomography, "_MODULAR_MIN_CEILING", threshold)
+                seen = self.record(patch)
+                reports.append(estimate_k(kind, n, v, ensemble=ensemble, rng=RandomStream(seed)))
+            assert bool(seen["modular"]) == (threshold < math.inf)
         assert reports[0] == reports[1]
 
 
@@ -881,7 +925,7 @@ class TestEstimates:
                                 ensemble=ensemble, max_multiplicity=max_mult,
                                 rng=RandomStream(seed))
         assert (report.k_rank, report.saturated, report.ensemble) == oracle
-        assert len(calls) == needed
+        assert len(calls) == (0 if modular_certifies(ranks, exhausted, ensemble) else needed)
         return report.saturated, report.k_rank == exhausted
 
     @given(
@@ -926,6 +970,13 @@ class TestEstimates:
         with pytest.raises(ValidationError):
             estimate_k("abacus", 3, rng=RandomStream(1))
 
+    def test_the_rank_threshold_is_not_a_keyword(self):
+        # quantum ranks count singular values above the fixed RANK_TOL
+        with pytest.raises(TypeError, match="'tol'"):
+            estimate_k("quantum", 2, tol=1e-9, rng=RandomStream(0))
+        with pytest.raises(TypeError, match="'tol'"):
+            k_sweep(range(2, 3), range(1, 2), ["quantum"], 0, tol=1e-9)
+
     @pytest.mark.parametrize("v_or_m", [0, 2, 3])
     def test_urn_has_one_variable(self, v_or_m):
         # an urn is the card box with V = 1: another count is an error, not ignored
@@ -959,15 +1010,6 @@ class TestEstimates:
                 )
                 assert k_ratio > 100 * RANK_TOL, message
                 assert k1_ratio < RANK_TOL / 100, message
-
-    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf"), 1.0])
-    def test_quantum_tolerance_checked_before_any_draw(self, monkeypatch, tol):
-        def no_draw(self, size):
-            raise AssertionError("drew states under an unusable tolerance")
-
-        monkeypatch.setattr(RandomStream, "standard_normal", no_draw)
-        with pytest.raises(ValidationError, match="tolerance"):
-            estimate_k("quantum", 3, tol=tol, rng=RandomStream(0))
 
     @given(n=st.integers(2, 7), data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_quantum_k_rank_is_the_frame_rank(self, n, data, seed):
@@ -1054,18 +1096,21 @@ class TestQuantumStop:
         assert sum(state_entries) == quantum_head(n, m, ensemble) * 2 * n
 
     @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_rank_above_the_ceiling_is_an_error(self, n):
-        # at tol 1e-17 round-off singular values clear the threshold; the
-        # stop path (default ensemble) and the fallback (c - 1) both refuse
+    def test_rank_above_the_ceiling_is_an_error(self, monkeypatch, capsys, n):
+        # at RANK_TOL 1e-17 round-off singular values clear the threshold;
+        # the stop path (default ensemble) and the fallback (c - 1) both refuse
+        monkeypatch.setattr(tomography, "RANK_TOL", 1e-17)
         c = quantum_ceiling(n, None)
+        message = rf"numeric rank \d+ exceeds its ceiling c = min\(n\*\*2, M\*\(n-1\)\+1\) = {c}"
         for ensemble in (None, c - 1):
-            with pytest.raises(ValidationError, match=rf"rank \d+ exceeds its ceiling .* = {c}: "
-                                                      r"--tol 1e-17"):
-                estimate_k("quantum", n, ensemble=ensemble, tol=1e-17, rng=RandomStream(0, n))
-            argv = ["rank", "--system", "quantum", "--n", str(n), "--tol", "1e-17"]
+            with pytest.raises(InvariantError, match=f"^{message}$"):
+                estimate_k("quantum", n, ensemble=ensemble, rng=RandomStream(0, n))
+            argv = ["rank", "--system", "quantum", "--n", str(n)]
             if ensemble is not None:
                 argv += ["--ensemble", str(ensemble)]
-            assert cli_main(argv) == 2
+            assert cli_main(argv) == 3
+            captured = capsys.readouterr()
+            assert re.fullmatch(f"internal error: {message}\n", captured.err) and captured.out == ""
 
 
 CERTIFICATE_TOLS = [1e-9, 1e-6, 1e-12, 1e-15, 0.5]
@@ -1079,10 +1124,10 @@ def certificate_prefix(n, m, ensemble, seed):
 
 
 def run_or_refusal(*args, **kwargs):
-    """A quantum ``estimate_k`` report, or the message it is refused with."""
+    """A quantum ``estimate_k`` report, or the message of its rank above the ceiling."""
     try:
         return estimate_k("quantum", *args, **kwargs)
-    except ValidationError as exc:
+    except InvariantError as exc:
         return str(exc)
 
 
@@ -1125,14 +1170,16 @@ class TestQuantumCeilingCertificate:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_reports_equal_the_svd_path(self, monkeypatch, n):
-        cells = [(m, ensemble, tol) for m in sorted({1, 2, n, n + 1, n + 2})
-                 for ensemble in (None, 20) for tol in CERTIFICATE_TOLS]
-        certified = [run_or_refusal(n, m, ensemble=ensemble, tol=tol, rng=RandomStream(1, n))
-                     for m, ensemble, tol in cells]
-        monkeypatch.setattr(tomography, "_certify_quantum_ceiling", lambda *args: False)
-        for (m, ensemble, tol), report in zip(cells, certified):
-            assert run_or_refusal(
-                n, m, ensemble=ensemble, tol=tol, rng=RandomStream(1, n)) == report, (m, ensemble, tol)
+        cells = [(m, ensemble) for m in sorted({1, 2, n, n + 1, n + 2}) for ensemble in (None, 20)]
+        for tol in CERTIFICATE_TOLS:
+            monkeypatch.setattr(tomography, "RANK_TOL", tol)
+            certified = [run_or_refusal(n, m, ensemble=ensemble, rng=RandomStream(1, n))
+                         for m, ensemble in cells]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tomography, "_certify_quantum_ceiling", lambda *args: False)
+                for (m, ensemble), report in zip(cells, certified):
+                    assert run_or_refusal(
+                        n, m, ensemble=ensemble, rng=RandomStream(1, n)) == report, (m, ensemble, tol)
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_default_rank_runs_no_svd(self, monkeypatch, capsys, n):
@@ -1359,15 +1406,6 @@ class TestKSweep:
         assert calls == [
             (kind, n, v, 5, tomography._stream_id(kind, n, v)) for kind, n, v in cells
         ]
-
-    def test_quantum_tolerance_checked_before_any_work(self, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a cell ran despite an unusable tolerance")
-
-        for name in ("_estimate_k_classical", "_estimate_k_quantum"):
-            monkeypatch.setattr(tomography, name, no_work)
-        with pytest.raises(ValidationError, match="tolerance"):
-            k_sweep(range(2, 3), range(1, 2), ["cardbox", "quantum"], 0, tol=float("nan"))
 
     def test_v_dependence_at_n3(self):
         reports = k_sweep(range(3, 4), range(1, 4), ["cardbox"], 42)
