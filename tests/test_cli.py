@@ -750,15 +750,18 @@ class TestExitCodes:
         assert fault in captured.err
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["rank", "--system", "quantum", "--n", "3", "--tol", "1e-9"],
-        ["sweep", "--n-range", "2..3", "--v-range", "1", "--tol", "1e-9"],
-    ], ids=["rank", "sweep"])
-    def test_tol_is_not_a_flag(self, capsys, argv):
-        # quantum ranks count singular values above the fixed RANK_TOL
-        assert cli_main(argv) == 1
+    @pytest.mark.parametrize("head, tol", [
+        *[(["rank", "--system", system, "--n", "3"], "1e-9") for system in ("quantum", "urn", "cardbox")],
+        *[(["rank", "--system", "quantum", "--n", "3"], tol) for tol in ("nan", "inf", "1", "2.5", "0")],
+        *[(["sweep", "--n-range", "2..3", "--v-range", "1"], tol) for tol in ("1e-9", "nan", "inf", "1")],
+    ])
+    def test_tol_is_not_a_flag(self, capsys, head, tol):
+        # quantum ranks count singular values above the fixed RANK_TOL; a
+        # value once refused as a bad tolerance (exit 2) is now refused with
+        # the flag, and so is the flag for systems that never read it
+        assert cli_main([*head, "--tol", tol]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "usage error: unrecognized arguments: --tol 1e-9\n"
+        assert captured.err == f"usage error: unrecognized arguments: --tol {tol}\n"
         assert captured.out == ""
 
     def test_help_exits_zero(self, capsys):

@@ -777,10 +777,16 @@ class TestMatrixRankNumeric:
         with pytest.raises(InvariantError, match=r"^matrix contains NaN or infinity$"):
             matrix_rank_numeric(np.array([[1.0, float("nan")]]))
 
-    def test_bad_tolerance(self):
-        for tol in (0.0, -1e-9, float("nan"), float("inf"), -float("inf"), 1.0, 2.0):
-            with pytest.raises(ValidationError):
-                matrix_rank_numeric(np.array([[1.0]]), tol=tol)
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf"), -float("inf"), 1.0, 2.0])
+    def test_bad_tolerance(self, monkeypatch, tol):
+        # a threshold that is not finite, or not below 1, would count no
+        # singular value; it is refused before any SVD runs
+        def no_svd(*args, **kwargs):
+            raise AssertionError("ran an SVD under an unusable tolerance")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with pytest.raises(ValidationError, match=r"^tolerance must be finite and in \(0, 1\), got "):
+            matrix_rank_numeric(np.array([[1.0]]), tol=tol)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64])
     def test_narrow_float_array_rejected(self, dtype):
