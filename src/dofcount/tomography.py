@@ -24,21 +24,20 @@ each variable.  Every row is checked to satisfy the V-1 normalization
 equations, which proves the ceiling c = V*(N-1)+1, so a classical ensemble
 stops drawing once its rank reaches it.  Its rows are drawn on demand: a
 first block of c+1 rows, then blocks that double up to 65,536 multiplicities
-each.  From c = 12 on, the first min(2*ensemble, c+1) rows are ranked
-over GF(p), p = 2**31 - 1, in int64.  That rank never exceeds the rank over
-Q, so reaching its bound min(2*ensemble, c) certifies the rank exactly; a
-base ensemble of at most c rows is certified by its own GF(p) rank.
-Smaller cells, and cells whose GF(p) rank falls short, are ranked by
-fraction-free integer Gaussian elimination (Bareiss), the same rows in the
-same order.  Quantum ranks count singular values above RANK_TOL = 1e-9
+each.  From c = 5 on, the first min(2*ensemble, c+1+c//256) rows are
+certified in floating point: a shifted Cholesky factorization of the Gram of
+the c columns that the normalization equations leave free proves their rank
+over Q full.  Smaller cells, and cells the certificate declines, are ranked
+by fraction-free integer Gaussian elimination (Bareiss), the same rows in
+the same order.  Quantum ranks count singular values above RANK_TOL = 1e-9
 times the largest, and stop once a prefix reaches their ceiling
-c = min(n**2, M*(n-1)+1).  The prefix is first certified without an SVD:
-its block-sum residual bounds sigma_(c+1), and a shifted Cholesky of the
-Gram of c of its columns bounds sigma_c, so that the SVD would count
-exactly c.  When the certificate declines, the prefix's SVD runs as the
-check instead.  A prefix short of c sends the run on: each half of the
-Born matrix is filled in row blocks, one real GEMM each, and reduced once
-to the R factor of its QR factorization, whose stack has the singular
+c = min(n**2, M*(n-1)+1).  The prefix is first certified without an SVD: its
+block-sum residual bounds sigma_(c+1), and a shifted Cholesky of the Gram of
+c of its columns (the classical certificate) bounds sigma_c, so that the SVD
+would count exactly c.  When the certificate declines, the prefix's SVD runs
+as the check instead.  A prefix short of c sends the run on: each half of
+the Born matrix is filled in row blocks, one real GEMM each, and reduced
+once to the R factor of its QR factorization, whose stack has the singular
 values of all rows.
 """
 
@@ -206,43 +205,11 @@ def _count_blocks(
         yield counts
 
 
-# A prime below 2**31: residues stay below it, so a product of two fits int64.
-_MODULUS = 2**31 - 1
-# Smallest ceiling c whose cells are ranked mod p first: below it Bareiss is
-# as fast or faster.  On the first c + 1 count rows (in-process medians, 2-core
-# Xeon VM), Bareiss took 85 us and GF(p) 101 us on urn(11); 105 and 103 us on
-# urn(12); 114 and 117 us on (N, V) = (4, 3), c = 10; 253 and 147 us on (4, 4).
-_MODULAR_MIN_CEILING = 12
-
-
-def _rank_mod_p(rows: np.ndarray, ceiling: int) -> int:
-    """Rank over GF(p), p = ``_MODULUS``, of a 2-D int64 block, stopping at ``ceiling``.
-
-    Gaussian elimination one pivot column at a time over the whole block:
-    the pivot row is scaled to a leading 1, and every row subtracts its
-    entry in the pivot column times it.  The pivot row zeroes itself, so no
-    row is ever swapped, and every earlier column is zero in every row.
-    An integer matrix's rank over GF(p) is at most its rank over Q (a
-    minor that vanishes over Z vanishes mod p), so a result equal to a
-    proven upper bound on the rational rank is that rank exactly.
-    """
-    if not len(rows):
-        return 0
-    reduced = rows % _MODULUS
-    rank = 0
-    for col in range(reduced.shape[1]):
-        if rank == ceiling:
-            break
-        head = reduced[:, col].copy()
-        lead = head.argmax()
-        if not head[lead]:
-            continue
-        rest = reduced[:, col:]
-        pivot = rest[lead] * pow(int(head[lead]), -1, _MODULUS) % _MODULUS
-        rest -= head[:, None] * pivot
-        rest %= _MODULUS
-        rank += 1
-    return rank
+# Smallest ceiling c whose cells are certified before Bareiss runs.  Whole default
+# cells, in-process medians of 200 interleaved seeds (2-core Xeon VM): certificate
+# 67 vs Bareiss 58 us at c = 4 (urn(4)); 61 vs 57, 69 vs 73 and 93 vs 104 us at c = 5
+# (urn(5), (N, V) = (3, 2), (2, 4)).
+_CERTIFY_MIN_CEILING = 5
 
 
 class ExactRowBasis:
@@ -350,9 +317,58 @@ def _quantum_head(n: int, m: int, base: int) -> tuple[int, int]:
     return ceiling, min(base, ceiling + 16)
 
 
-# Factors of the quantum ceiling certificate; _certify_quantum_ceiling derives them.
+# Factors of the rank certificates; _certify_full_rank and _certify_quantum_ceiling derive them.
 _GRAM_SLACK = 2
 _CERTIFICATE_MARGIN = 2
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _certify_full_rank(
+    blocks: Iterable[np.ndarray], h: int, n: int, m: int, tol: float, frob: float | None = None
+) -> bool:
+    """True only if ``K`` has every singular value at least ``2*tol*frob``;
+    False declines and proves nothing.
+
+    ``K`` is the first ``h`` rows of ``blocks`` (``M`` blocks of ``n``
+    entries each) less the last column of blocks 2..M: ``c = M*(n-1)+1``
+    columns, copied a row block at a time into one float64 array, and ``F =
+    frob >= ||K||_F`` (by default that array's own).  A Cholesky
+    factorization of its Gram ``G`` (``K^T K`` if ``h >= c``, else ``K
+    K^T``) less ``(2*tol*F)**2 + _GRAM_SLACK*(h+c)*eps*F**2`` times ``I``
+    must succeed.  The computed Gram is off by at most its inner dimension
+    times ``u*F**2`` in 2-norm (``u = eps/2``; Higham 2002, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3), and a Cholesky that runs to
+    completion factors its input up to its size plus 1 times ``u`` times
+    its trace (ch. 10; Rump 2006, "Verification of positive definiteness",
+    BIT 46:433-452).  With the shift's own rounding these take
+    ``(h+c+3)*u*F**2``, at most half the slack, so ``G``'s smallest
+    eigenvalue is at least ``(2*tol*F)**2``.
+
+    Integer rows (the classical count rows) pass ``tol = eps`` and no
+    ``frob``.  Converting ``K`` to float64 is exact below ``2**53`` and off
+    by at most ``u`` relative per entry above, so ``||K - fl(K)||_2 <=
+    u*||K||_F <= u*F/(1-u)``, less than the ``2*eps*F`` the factorization
+    proves of ``sigma_min(fl(K))``: by Weyl, ``sigma_min(K) > 0``, and the
+    rank of ``K`` is exactly ``min(h, c)``.
+    """
+    c = m * (n - 1) + 1
+    kept = np.empty((h, c))
+    at = 0
+    for block in blocks:
+        part = block[: h - at].reshape(-1, m, n)
+        kept[at : at + len(part), :n] = part[:, 0]
+        kept[at : at + len(part), n:] = part[:, 1:, :-1].reshape(len(part), c - n)
+        at += len(part)
+    if frob is None:
+        frob = math.sqrt(np.vdot(kept, kept)) * (1 + kept.size * _EPS)
+    gram = kept.T @ kept if h >= c else kept @ kept.T
+    del kept  # the factorization copies the Gram twice: urn(4096) needs the room
+    gram.flat[:: len(gram) + 1] -= (2 * tol * frob) ** 2 + _GRAM_SLACK * (h + c) * _EPS * frob**2
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _certify_quantum_ceiling(prefix: np.ndarray, n: int, m: int, tol: float) -> bool:
@@ -374,22 +390,17 @@ def _certify_quantum_ceiling(prefix: np.ndarray, n: int, m: int, tol: float) -> 
     value by ``p(h, w)*eps*sigma_1`` with a modest ``p`` (LAPACK Users'
     Guide, section 4.9).  Here ``d = h*w*eps*F``, ``F >= ||X||_F >=
     sigma_1``: the worst-case growth of a Householder reduction's backward
-    error (Higham 2002, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 19).  The all-ones vector's Rayleigh quotient gives ``sigma_1 >= S
-    = ||X 1|| / sqrt(w)``, about ``0.7 F`` on Born rows.  Two checks prove
-    the count:
+    error (Higham 2002, ch. 19).  The all-ones vector's Rayleigh quotient
+    gives ``sigma_1 >= S = ||X 1|| / sqrt(w)``, about ``0.7 F`` on Born
+    rows.  Two checks prove the count:
 
     * ``r + d*(1+tol) <= tol*S / _CERTIFICATE_MARGIN``.  The computed
       ``sigma_{c+1}`` is at most ``r + d``, and the computed threshold at
       least ``tol*(S - d)*(1 - eps/2)``; the margin 2 covers that rounding.
-    * A Cholesky factorization of ``K^T K - shift*I`` succeeds, with shift
-      ``(2*tol*F)**2 + _GRAM_SLACK*(h+c)*eps*F**2``.  The computed Gram is
-      off by at most ``h*u*F**2`` in 2-norm (``u = eps/2``, ch. 3), and a
-      Cholesky that runs to completion factors its input up to ``(c+1)*u``
-      times its trace (ch. 10).  With the shift's own rounding these take
-      ``(h+c+3)*u*F**2``, at most half the slack.  So ``sigma_min(K) >=
-      2*tol*F``, and the computed ``sigma_c >= 2*tol*F - r - d`` clears
-      the computed threshold ``tol*(F + d)*(1 + u)`` by the first check.
+    * ``_certify_full_rank`` accepts ``K`` with ``frob = F``.  So
+      ``sigma_min(K) >= 2*tol*F``, and the computed ``sigma_c >= 2*tol*F -
+      r - d`` clears the computed threshold ``tol*(F + d)*(1 + u)`` by the
+      first check.
 
     ``F``, ``r`` and ``S`` are sums of at most ``h*w`` terms, each off by
     at most ``h*w*eps`` relative (ch. 3).  Rounding the block sums adds
@@ -403,28 +414,19 @@ def _certify_quantum_ceiling(prefix: np.ndarray, n: int, m: int, tol: float) -> 
     ceiling = m * (n - 1) + 1
     if m > n + 1 or h < ceiling:
         return False
-    eps = float(np.finfo(np.float64).eps)
-    rel = prefix.size * eps
+    rel = prefix.size * _EPS
     frob = math.sqrt(np.vdot(prefix, prefix)) * (1 + rel)
-    blocks = prefix.reshape(h, m, n)
-    sums = (blocks.reshape(h * m, n) @ np.ones(n)).reshape(h, m)
+    sums = (prefix.reshape(h * m, n) @ np.ones(n)).reshape(h, m)
     spread = sums[:, 1:] - sums[:, :1]
     residual = (math.sqrt(np.vdot(spread, spread)) * (1 + rel)
-                + n * eps * math.sqrt(n) * (1 + math.sqrt(m - 1)) * frob)
+                + n * _EPS * math.sqrt(n) * (1 + math.sqrt(m - 1)) * frob)
     row_sums = sums @ np.ones(m)
-    sigma_low = math.sqrt(np.vdot(row_sums, row_sums) / width) * (1 - rel) - width * eps * frob
-    svd_error = h * width * eps * frob
+    sigma_low = math.sqrt(np.vdot(row_sums, row_sums) / width) * (1 - rel) - width * _EPS * frob
+    svd_error = h * width * _EPS * frob
     # written so that a NaN anywhere declines
     if not residual + svd_error * (1 + tol) <= tol * sigma_low / _CERTIFICATE_MARGIN:
         return False
-    kept = np.concatenate([blocks[:, 0], blocks[:, 1:, :-1].reshape(h, -1)], axis=1)
-    gram = kept.T @ kept
-    gram.flat[:: ceiling + 1] -= (2 * tol * frob) ** 2 + _GRAM_SLACK * (h + ceiling) * eps * frob**2
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _certify_full_rank([prefix], h, n, m, tol, frob)
 
 
 def _check_born_entries(n: int, m: int, rows: int) -> None:
@@ -488,37 +490,35 @@ def _estimate_k_classical(
 ) -> tuple[int, int]:
     """``(rank, first_rank)``: exact ranks of the doubled and the base ensemble's count rows.
 
-    A cell with ``c >= _MODULAR_MIN_CEILING`` ranks its first ``want =
-    min(2 * base, c + 1)`` rows mod p.  A GF(p) rank equal to the bound
-    ``min(want, c)`` on their rank over Q is that rank, and the doubled
-    ensemble's.  The base ensemble's is ``c`` when it holds all ``want``
-    rows, and its row count when twice it fits under ``c`` (its rows are
-    among independent ones) or when its own GF(p) rank reaches it.  Every
-    other cell, and one whose GF(p) rank falls short, feeds
-    ``ExactRowBasis`` the same rows in draw order, then the rest of the
-    stream, so both give the same report.
+    ``_count_blocks`` checks in integers that each row's V value blocks sum
+    to the deck total, so the last column of blocks 2..V is a combination
+    of the others: the rows' rank is that of ``K``, the ``c = V*(N-1)+1``
+    columns left, and never passes ``c``.  The draws stop once it is
+    reached.  A cell with ``c >= _CERTIFY_MIN_CEILING`` hands its first
+    ``want = min(2 * base, c + 1 + c // 256)`` rows to
+    ``_certify_full_rank``; when it accepts, their rank, and the doubled
+    ensemble's, is ``min(want, c)``.  The base ensemble's is ``c`` when it
+    holds all ``want`` rows, and its row count when twice it fits under
+    ``c`` (its rows are among independent ones) or when the certificate
+    accepts its own rows.  Every other cell, and one the certificate
+    declines, feeds ``ExactRowBasis`` the same rows in draw order, then
+    the rest of the stream, so both give the same report.
     """
     fiducials = n * v
-    # _count_blocks checks that every row's V value blocks sum to the deck
-    # total: V - 1 independent equations, so no row raises the rank past
-    # this ceiling.  The draws stop once it is reached, and the first draw
-    # block is just large enough to reach it.
     ceiling = fiducials - (v - 1)
     blocks = _count_blocks(n, v, 2 * base, max_multiplicity, rng, first_block=ceiling + 1)
     head: list[np.ndarray] = []  # the draw blocks that hold the first want rows
-    if ceiling >= _MODULAR_MIN_CEILING:
-        # the draw blocks are joined when _DRAW_BLOCK caps one below want
-        # rows (urns past N = 255)
-        want = min(2 * base, ceiling + 1)
-        for block in blocks:
-            head.append(block)
+    if ceiling >= _CERTIFY_MIN_CEILING:
+        # c // 256 more rows than c + 1 keep the widest urns' Gram clear of its shift
+        want = min(2 * base, ceiling + 1 + ceiling // 256)
+        for block in blocks:  # held in the narrowest dtype: urn(4096) holds 4,113 x 4,096
+            head.append(block.astype(np.min_scalar_type(block.max(initial=0)), copy=False))
             if sum(map(len, head)) >= want:
                 break
-        rows, bound = np.concatenate(head)[:want], min(want, ceiling)
-        if _rank_mod_p(rows, bound) == bound and (
-            base > ceiling or 2 * base <= ceiling or _rank_mod_p(rows[:base], base) == base
+        if _certify_full_rank(head, want, n, v, _EPS) and (
+            base >= want or 2 * base <= ceiling or _certify_full_rank(head, base, n, v, _EPS)
         ):
-            return bound, min(base, ceiling)
+            return min(want, ceiling), min(base, ceiling)
     basis = ExactRowBasis(fiducials)
     first_rank = ceiling  # the base ensemble's rank, unless it ends short of the ceiling
     fed = 0
