@@ -56,11 +56,8 @@ class RandomStream:
             raise ValidationError("upper must be positive")
         return self._gen.integers(0, upper, size=size)
 
-    def multinomial(self, trials, pvals) -> np.ndarray:
-        """Counts of ``trials[j]`` picks over the outcomes of row ``j`` of ``pvals``.
-
-        One 2-D call makes the same draws as one call per row, in row order.
-        """
+    def multinomial(self, trials: int, pvals) -> np.ndarray:
+        """Counts of ``trials`` picks over outcomes of probabilities ``pvals``."""
         return self._gen.multinomial(trials, pvals)
 
     def standard_normal(self, size) -> np.ndarray:

@@ -23,14 +23,15 @@ state (``Deck.chain_weights``) and the pair counts built from them
 product, expanded one plan step at a time over integer arrays that cannot
 wrap (:func:`_exact_dtype`); ``Fraction`` values are made only when a
 caller asks for the ``Outcome`` map.  Monte Carlo enters only through
-``simulate_plan``, which splits the trials along the exact law's runs with
-one multinomial draw per run and step over the per-card weights, so its
+``simulate_plan``, which shares the trials over the exact law's runs with
+one multinomial draw, each run weighted from the per-card weights, so its
 counts line up with the values they are checked against, at a cost that
 does not grow with the number of trials.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -48,8 +49,6 @@ MAX_TRIALS = 10**8
 MAX_SEQUENCES = 2**18
 # Most V*N of a deck: the pair counts and the witness's marks grow with its square.
 MAX_CHAIN_VALUES = 2**11
-# Card entries of one multinomial call: a step's arrays stay this size whatever the run.
-_DRAW_BLOCK = 2**12
 
 # A measurement plan is just an ordered tuple of variable names.
 MeasurementPlan = tuple[str, ...]
@@ -340,44 +339,38 @@ def find_classicality_witness(deck: Deck) -> ClassicalityWitness | None:
     )
 
 
-def _subdeck_rows(deck: Deck) -> tuple[np.ndarray, np.ndarray]:
-    """Every chain state's cards and card probabilities: ``(order, probs)``.
-
-    Row ``s`` of ``order`` lists the card indices, first those chain state
-    ``s``'s subdeck leaves out (see ``Deck.chain_weights``), then its own
-    in canonical deck order; row ``s`` of ``probs`` gives each card's
-    multiplicity over the subdeck total, correctly rounded.  A card of
-    probability 0 ahead of the subdeck takes no multinomial draw, and the
-    remainder, the last column, lands on a subdeck card.  A state no card
-    reaches keeps a row of zeros.
-    """
-    weights = deck.chain_weights  # Python ints: each quotient is rounded once
-    probs = (weights / np.maximum(weights.sum(axis=1), 1)[:, None]).astype(float)
-    order = np.argsort(probs > 0, axis=1, kind="stable")
-    return order, np.take_along_axis(probs, order, axis=1)
-
-
 def simulate_plan(
     deck: Deck, plan: Sequence[str], trials: int, rng: RandomStream
 ) -> tuple[SequenceDistribution, np.ndarray]:
     """Seeded Monte Carlo runs of a plan: ``(law, counts)``.
 
     ``law`` is ``sequence_distribution(deck, plan)``, and ``counts[j]`` is
-    the int64 number of trials that took its ``j``-th run.  The trials are
-    split along the law's runs one plan step at a time, not trial by trial:
-    a run holding ``hits`` trials in chain state ``s`` shares them over the
-    cards of its subdeck with one multinomial draw (the conditional
-    distribution method; Devroye 1986, *Non-Uniform Random Variate
-    Generation*; Davis 1993), each card at its multiplicity over the
-    subdeck total (:func:`_subdeck_rows`).  Summed by the value the pressed
-    variable shows on each card, the counts go to the child runs through
-    the law's ``(parent, value)`` links.  The cost does not grow with
-    ``trials``.  Runs are drawn ``_DRAW_BLOCK`` card entries at a time,
-    which does not change the draws.  Counts that do not sum to their run's
-    trials, that fall on a card outside the subdeck, or that reach a run of
-    probability 0 raise ``InvariantError``.  More than ``MAX_TRIALS``
-    trials or ``MAX_SEQUENCES`` possible runs raise ``ValidationError``
-    before any draw.
+    the int64 number of trials that took its ``j``-th run.  Trials are
+    independent runs of the chain, so their counts over the law's runs are
+    Multinomial(``trials``, run probabilities): one ``rng.multinomial``
+    call, whose cost does not grow with ``trials`` (numpy draws it by the
+    conditional distribution method, one binomial per run; Devroye 1986,
+    *Non-Uniform Random Variate Generation*).  Each run's probability is
+    built from the cards, not from the law's pair counts.  At each step,
+    the weights of each chain state a run can be in (``Deck.chain_weights``)
+    are summed by the value the pressed variable shows on each card
+    (``Deck.values``) and divided once by the state's total, a correctly
+    rounded quotient of Python ints; a run's probability is its parent's
+    times its value's quotient, in plan order from 1.
+
+    For a plan of ``L`` presses, each run's probability is ``L`` rounded
+    quotients and ``L - 1`` rounded products, so it is within about a
+    relative ``(2L - 1) * 2**-53`` of its exact value, and their sum is as close to
+    1.  Divided by that sum's correctly rounded ``math.fsum``, they sum to
+    1 within a few ``2**-53`` whatever ``L``, far inside the ``1 + 1e-12``
+    numpy allows for ``sum(pvals[:-1])``.
+
+    Before the draw, at every step, the values of positive card weight
+    must be exactly the law's children of each run, so the sampler still
+    cross-checks the law; a mismatch raises ``InvariantError`` naming the
+    run, and so do counts that do not sum to ``trials``.  More than
+    ``MAX_TRIALS`` trials or ``MAX_SEQUENCES`` possible runs raise
+    ``ValidationError`` before any draw.
     """
     if trials < 1:
         raise ValidationError("trials must be positive")
@@ -385,34 +378,36 @@ def simulate_plan(
         raise ValidationError(f"trials must be at most {MAX_TRIALS:,}, got {trials:,}")
     spec = deck.spec
     law = sequence_distribution(deck, plan)
-    order, probs = _subdeck_rows(deck)
-    n, width = spec.values_per_variable, len(deck.counts)
-    step = max(1, _DRAW_BLOCK // width)
-    pressed = [spec.variable_index(variable) for variable in law.plan]
-    hits = np.array([trials], dtype=np.int64)
-    state = np.zeros(1, dtype=np.intp)
-    for i, (a, parent, value) in enumerate(zip(pressed, law.parents, law.values)):
-        shown = np.empty((len(state), n), dtype=np.int64)  # trials per run and value
-        for lo in range(0, len(state), step):
-            block = slice(lo, lo + step)
-            p = probs[state[block]]
-            cards = rng.multinomial(hits[block], p)
-            if np.any(cards.sum(axis=1) != hits[block]) or cards[p == 0].any():
-                raise InvariantError("a multinomial draw lost trials or left its subdeck")
-            # each card's key: run j's slot for its value; float sums <= MAX_TRIALS are exact
-            keys = deck.values[order[state[block]], a]
-            keys += n * np.arange(len(p))[:, None]
-            shown[block] = np.bincount(
-                keys.ravel(), weights=cards.ravel(), minlength=len(p) * n
-            ).reshape(-1, n)
-        hits = shown[parent, value]
-        if hits.sum() != trials:  # some trials showed a value the law has no run for
-            shown[parent, value] = 0
-            j, x = np.argwhere(shown)[0]
-            seen = [f"{law.plan[i]}={law.labels[i][x]}"]
+    n = spec.values_per_variable
+    weights = deck.chain_weights.astype(_exact_dtype(deck.total))  # no sum passes the total
+    rows = np.zeros(1, dtype=np.intp)  # the chain states a step's runs can be in
+    last = np.zeros(1, dtype=np.intp)  # each run's state, as an index into ``rows``
+    run_p = np.ones(1)
+    for i, (variable, parent, value) in enumerate(zip(law.plan, law.parents, law.values)):
+        a = spec.variable_index(variable)
+        shown = np.zeros((len(rows), n), dtype=weights.dtype)  # each state's weight per value
+        np.add.at(shown, (slice(None), deck.values[:, a]), weights[rows])
+        positive = shown > 0
+        # each run's children are distinct values, so equal numbers and no
+        # child of weight 0 make them the values of positive weight
+        wrong = np.bincount(parent, minlength=len(last)) != positive.sum(axis=1)[last]
+        wrong[parent[~positive[last[parent], value]]] = True
+        if wrong.any():
+            j = int(np.argmax(wrong))
+            allowed = set(np.flatnonzero(positive[last[j]]).tolist())
+            x = min(allowed ^ set(value[parent == j].tolist()))
+            run = f"{variable}={law.labels[i][x]}"
             if i:
-                levels = law.parents[:i], law.values[:i]
-                seen.insert(0, _run_text(law.plan, law.labels, *levels, j))
-            raise InvariantError(f"a trial took the impossible run {', '.join(seen)}")
-        state = 1 + a * n + value
-    return law, hits
+                run = f"{_run_text(law.plan, law.labels, law.parents[:i], law.values[:i], j)}, {run}"
+            raise InvariantError(f"the cards allow the impossible run {run}" if x in allowed
+                                 else f"no card gives the law's run {run}")
+        held = shown.sum(axis=1)  # each state's total
+        state, x = np.nonzero(positive)
+        p = np.zeros(shown.shape)
+        p[state, x] = [w / t for w, t in zip(shown[state, x].tolist(), held[state].tolist())]
+        run_p = run_p[parent] * p[last[parent], value]
+        rows, last = 1 + a * n + np.arange(n), value
+    counts = rng.multinomial(trials, run_p / math.fsum(run_p))
+    if counts.sum() != trials:
+        raise InvariantError(f"the multinomial draw holds {counts.sum()} of {trials} trials")
+    return law, counts

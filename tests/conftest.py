@@ -189,35 +189,37 @@ def simulate_by_presses(deck, plan, trials, rng):
 
 
 def literal_tree_sampler(deck, plan, trials, rng):
-    """Draw-for-draw sampler oracle: one ``multinomial`` per run, in plain loops.
+    """Draw-for-draw sampler oracle: the literal run tree, then one ``multinomial``.
 
-    Walks the runs one step at a time, each level in lexicographic value
-    order.  A run shares its trials over the cards of its subdeck, read from
-    ``entries(deck)`` (every card at the first press, else the cards showing
-    the run's last value), each at its count over the subdeck total, and
-    each card's share goes to the child run its face on the pressed
-    variable names.  Makes the same draws as ``simulate_plan``.  Returns the
-    ``Outcome``-tuple counts, zeros left out.
+    Expands the runs one step at a time, each level in lexicographic value
+    order.  A run's subdeck is read from ``entries(deck)``: every card at
+    the first press, else the cards showing the run's last value.  Each
+    value of the pressed variable that some subdeck card shows extends the
+    run, with the probability of its cards' counts over the subdeck total,
+    a quotient of Python ints, times the run's own, from 1.0 in plan order.
+    The probabilities, divided by their ``math.fsum``, take one
+    ``multinomial`` draw of all the trials.  Makes the same draw as
+    ``simulate_plan``.  Returns the ``Outcome``-tuple counts, zeros left
+    out.
     """
     spec, deck_cards = deck.spec, entries(deck)
-    level = {(): trials}
+    level = {(): 1.0}
     for i, variable in enumerate(plan):
         children = {}
-        for run, hits in level.items():
+        for run, p in level.items():
             cards = [
                 (card, count) for card, count in deck_cards
                 if not run or card.assignment[plan[i - 1]] == run[-1].value
             ]
             total = sum(count for _, count in cards)
-            shares = rng.multinomial(hits, [count / total for _, count in cards])
-            for (card, _), share in zip(cards, shares.tolist()):
-                child = (*run, Outcome(variable, card.assignment[variable]))
-                children[child] = children.get(child, 0) + share
-        level = dict(sorted(
-            children.items(),
-            key=lambda item: [labels(spec, o.variable).index(o.value) for o in item[0]],
-        ))
-    return {run: hits for run, hits in level.items() if hits}
+            for value in labels(spec, variable):
+                weight = sum(count for card, count in cards if card.assignment[variable] == value)
+                if weight:
+                    children[(*run, Outcome(variable, value))] = p * (weight / total)
+        level = children
+    total = math.fsum(level.values())
+    shares = rng.multinomial(trials, [p / total for p in level.values()])
+    return {run: hits for run, hits in zip(level, shares.tolist()) if hits}
 
 
 def chain_counts(law, counts):

@@ -16,7 +16,6 @@ from conftest import (
     cardbox_spec,
     chain_counts,
     deck_strategy,
-    entries,
     expanded_repeatability,
     joint_card_frequency,
     literal_pair_counts,
@@ -45,7 +44,6 @@ from dofcount.sequences import (
     RepeatabilityResult,
     _exact_dtype,
     _pair_counts,
-    _subdeck_rows,
     _support_size,
 )
 from dofcount import sequences
@@ -54,6 +52,17 @@ from dofcount.tomography import random_deck_ensemble
 
 def outcomes(*pairs):
     return tuple(Outcome(variable, value) for variable, value in pairs)
+
+
+class RecordingStream:
+    """A seeded ``RandomStream`` that keeps the ``pvals`` of every ``multinomial`` call."""
+
+    def __init__(self, seed):
+        self.rng, self.pvals = RandomStream(seed), []
+
+    def multinomial(self, trials, pvals):
+        self.pvals.append(pvals)
+        return self.rng.multinomial(trials, pvals)
 
 
 class TestSequenceDistribution:
@@ -535,19 +544,42 @@ class TestSimulatePlan:
         with pytest.raises(ValidationError, match=r"^trials must be positive$"):
             simulate_plan(four_card_deck, ("Suit",), trials, RandomStream(0))
 
-    @pytest.mark.parametrize("fault", ["lost_trial", "off_subdeck"])
-    def test_draw_off_its_run_or_subdeck(self, four_card_deck, fault):
-        # all of a run's trials on its first card, which after the first
-        # press is one the subdeck leaves out (its cards come last); or one
-        # trial fewer than the run holds
-        class OverflowStream:
+    def test_draw_that_loses_trials(self, four_card_deck):
+        class LosingStream:
             def multinomial(self, trials, pvals):
-                counts = np.zeros(np.shape(pvals), dtype=np.int64)
-                counts[:, 0] = trials - (fault == "lost_trial")
+                counts = np.zeros(len(pvals), dtype=np.int64)
+                counts[0] = trials - 1
                 return counts
 
-        with pytest.raises(InvariantError, match="lost trials or left its subdeck"):
-            simulate_plan(four_card_deck, ("Face", "Suit"), 10, OverflowStream())
+        with pytest.raises(InvariantError, match="holds 9 of 10 trials"):
+            simulate_plan(four_card_deck, ("Face", "Suit"), 10, LosingStream())
+
+    @pytest.mark.parametrize("sampled, law_of, message", [
+        # the four-card deck has QH, which the weighted deck's law lacks
+        ("four_card_deck", "weighted_deck", "the cards allow the impossible run Face=Q, Suit=H"),
+        ("weighted_deck", "four_card_deck", "no card gives the law's run Face=Q, Suit=H"),
+    ])
+    def test_cards_and_law_disagree_before_any_draw(
+        self, request, monkeypatch, sampled, law_of, message
+    ):
+        class NoDraws:
+            def multinomial(self, trials, pvals):
+                raise AssertionError("drew despite a law the cards contradict")
+
+        exact = sequences.sequence_distribution
+        other = request.getfixturevalue(law_of)
+        monkeypatch.setattr(sequences, "sequence_distribution", lambda deck, plan: exact(other, plan))
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            simulate_plan(request.getfixturevalue(sampled), ("Face", "Suit"), 10, NoDraws())
+
+    def test_first_step_disagreement_names_its_value(self, four_card_deck, monkeypatch):
+        deck = Deck.from_counts(four_card_deck.spec, {("K", "S"): 1, ("K", "H"): 2})
+        exact = sequences.sequence_distribution
+        monkeypatch.setattr(
+            sequences, "sequence_distribution", lambda _, plan: exact(four_card_deck, plan)
+        )
+        with pytest.raises(InvariantError, match="^no card gives the law's run Face=Q$"):
+            simulate_plan(deck, ("Face", "Suit"), 10, RandomStream(0))
 
     @pytest.mark.parametrize("mults", [
         {("K", "S"): 2**62},
@@ -598,27 +630,19 @@ class TestSimulatePlan:
         literal = literal_tree_sampler(deck, plan, trials, RandomStream(seed))
         assert chain_counts(law, counts) == literal
 
-    @staticmethod
-    def check_subdeck_rows(deck):
-        # each state's cards: those its subdeck leaves out, then its own in
-        # deck order, each at its exact count over the subdeck total
-        order, probs = _subdeck_rows(deck)
-        cards = entries(deck)
-        states = [None] + [(name, x) for name, labels in deck.spec.variables for x in labels]
-        assert order.shape == probs.shape == (len(states), len(cards))
-        for s, shown in enumerate(states):
-            inside = [
-                shown is None or card.assignment[shown[0]] == shown[1] for card, _ in cards
-            ]
-            kept = [e for e, keep in enumerate(inside) if keep]
-            out = [e for e, keep in enumerate(inside) if not keep]
-            total = sum(cards[e][1] for e in kept)
-            assert order[s].tolist() == out + kept
-            assert probs[s].tolist() == [0.0] * len(out) + [cards[e][1] / total for e in kept]
-
-    @given(mult=st.sampled_from([3, 2**40, 2**58]), data=st.data())
-    def test_subdeck_rows_are_correctly_rounded_quotients(self, mult, data):
-        self.check_subdeck_rows(data.draw(deck_strategy(max_multiplicity=mult)))
+    @given(mult=st.sampled_from([3, 2**40, 2**70]), data=st.data())
+    def test_draw_weights_are_the_law_within_rounding(self, mult, data):
+        # each run's weight is L correctly rounded factors and L - 1 rounded
+        # products, each within a relative (2L - 1) * 2**-53 of the law, so
+        # their sum is too; divided by its rounded fsum and rounded again,
+        # each is within 4L such steps, a relative (4L + 1) * 2**-53
+        deck = data.draw(deck_strategy(max_multiplicity=mult))
+        plan = data.draw(st.lists(st.sampled_from(deck.spec.variable_names), min_size=1, max_size=6))
+        stream = RecordingStream(0)
+        law, _ = simulate_plan(deck, plan, 100, stream)
+        exact = [Fraction(a, b) for a, b in zip(law.numerators.tolist(), law.denominators.tolist())]
+        for p, q in zip(stream.pvals[0].tolist(), exact):
+            assert abs(Fraction(p) - q) <= q * (4 * len(plan) + 1) * Fraction(2) ** -53
 
     def test_probabilities_past_2_53_are_exact_quotients(self, four_card_spec):
         # float64 rounds these counts, and its quotients of them differ from
@@ -628,43 +652,20 @@ class TestSimulatePlan:
         deck = Deck.from_counts(four_card_spec, mults)
         total = deck.total
         assert [m / total for m in mults.values()] != [float(m) / float(total) for m in mults.values()]
-        self.check_subdeck_rows(deck)
         plan = ("Face", "Suit", "Face", "Suit")
         law, counts = simulate_plan(deck, plan, MAX_TRIALS, RandomStream(29))
         literal = literal_tree_sampler(deck, plan, MAX_TRIALS, RandomStream(29))
         assert chain_counts(law, counts) == literal
 
-    @pytest.mark.parametrize("runs", [1, 2, 7])
-    def test_draws_do_not_depend_on_the_draw_block(self, monkeypatch, runs):
-        # blocks of 1, 2 or 7 runs of 23 cards; the steps hold 1, 3, 9 and
-        # 27 runs, so block edges fall inside every step after the first
-        deck = random_deck_ensemble(cardbox_spec(3, 3), 1, 3, RandomStream(8))[0]
-        plan = ("var1", "var2", "var1", "var3")
-        _, whole = simulate_plan(deck, plan, 50_000, RandomStream(19))
-        monkeypatch.setattr(sequences, "_DRAW_BLOCK", runs * len(deck.counts))
-        _, blocked = simulate_plan(deck, plan, 50_000, RandomStream(19))
-        assert np.array_equal(blocked, whole)
-
     def test_draws_do_not_depend_on_the_trial_count(self):
-        # one multinomial row per run of the law, whatever the trials
-        class CountingStream:
-            def __init__(self):
-                self.rng, self.shapes = RandomStream(3), []
-
-            def multinomial(self, trials, pvals):
-                self.shapes.append(np.shape(pvals))
-                return self.rng.multinomial(trials, pvals)
-
+        # one multinomial over the law's runs, whatever the trials
         deck = random_deck_ensemble(cardbox_spec(4, 3), 1, 3, RandomStream(5))[0]
         plan = ("var1", "var2", "var1")
         law = sequence_distribution(deck, plan)
-        streams = []
         for trials in (10**3, 10**8):
-            streams.append(CountingStream())
-            simulate_plan(deck, plan, trials, streams[-1])
-        assert streams[0].shapes == streams[1].shapes
-        runs = [1, *map(len, law.values[:-1])]
-        assert streams[0].shapes == [(count, len(deck.counts)) for count in runs]
+            stream = RecordingStream(3)
+            simulate_plan(deck, plan, trials, stream)
+            assert [np.shape(pvals) for pvals in stream.pvals] == [(len(law),)]
 
     @given(deck=deck_strategy(), data=st.data())
     def test_immediate_repress_repeats(self, deck, data):
@@ -703,6 +704,17 @@ class TestSimulatePlan:
         seen = chain_counts(law, counts)
         assert {len({o.value for o in run}) for run in seen} == {1}
         assert len(seen) == 2
+
+    def test_widest_admitted_plan_at_the_trial_cap(self, four_card_deck):
+        # 18 alternating presses on the four-card deck: 2**18 runs, the
+        # support limit, each of probability 2**-18 from 18 factors of 1/2
+        stream = RecordingStream(7)
+        law, counts = simulate_plan(four_card_deck, ("Suit", "Face") * 9, MAX_TRIALS, stream)
+        assert len(law) == len(counts) == MAX_SEQUENCES
+        assert counts.sum() == MAX_TRIALS
+        (pvals,) = stream.pvals
+        assert abs(math.fsum(pvals) - 1) <= 2**-50
+        assert sum(pvals[:-1]) <= 1 + 1e-12
 
 
 def _family_wise_within_bound(counts, exact, trials, alpha=1e-6):
