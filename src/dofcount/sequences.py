@@ -16,13 +16,13 @@ each machine-checkable:
 
 The subdeck is rebuilt from the full deck on every press, so the device is
 a Markov chain on the last (variable, value) shown.  The law and sampler
-come from one statement of that chain, the per-card weights of each chain
-state (``Deck.chain_weights``) and the pair counts built from them
-(:func:`_pair_counts`); the witness reads only the deck's own arrays,
-``Deck.values`` and ``Deck.counts``.  Ground truth is the exact chain
-product, expanded one plan step at a time over integer arrays that cannot
-wrap (:func:`_exact_dtype`); ``Fraction`` values are made only when a
-caller asks for the ``Outcome`` map.  Monte Carlo enters only through
+come from one statement of that chain, each state's pair counts
+(:func:`_pair_counts`) and per-card weights (``Deck.chain_weights``); the
+witness reads only ``Deck.values`` and ``Deck.counts``.  Ground truth is
+the exact chain product, checked once per state that holds runs
+(:func:`_support_size`) and expanded one plan step at a time over integer
+arrays that cannot wrap (:func:`_exact_dtype`); ``Fraction`` values are
+made only for the ``Outcome`` map.  Monte Carlo enters only through
 ``simulate_plan``, which shares the trials over the exact law's runs with
 one multinomial draw, each run weighted from the per-card weights, so its
 counts line up with the values they are checked against, at a cost that
@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cardbox import Deck, Outcome
+from .cardbox import Deck, Outcome, _exact_dtype
 from .errors import InvariantError, ValidationError
 from .rng import RandomStream
 
@@ -110,19 +110,9 @@ def _runs(parents, values, index: np.ndarray) -> np.ndarray:
     return np.stack(columns[::-1], axis=1)
 
 
-def _run_text(plan, labels, parents, values, index: int) -> str:
-    """The last level's run at ``index`` as ``variable=value`` steps."""
-    (run,) = _runs(parents, values, np.array([index])).tolist()
-    return ", ".join(f"{plan[i]}={labels[i][x]}" for i, x in enumerate(run))
-
-
-def _exact_dtype(total: int, power: int = 1):
-    """``np.int64`` when every integer up to ``total**power`` fits, else ``object``.
-
-    ``total.bit_length() * power <= 63`` gives ``total**power < 2**63``.
-    The object side holds Python ints, exact at any size.
-    """
-    return np.int64 if total.bit_length() * power <= 63 else object
+def _run_text(variables, run) -> str:
+    """A run's value indices as ``variable=value`` steps, given each step's ``(name, labels)``."""
+    return ", ".join(f"{name}={labels[x]}" for (name, labels), x in zip(variables, run))
 
 
 def _check_chain_values(deck: Deck) -> None:
@@ -139,31 +129,57 @@ def _pair_counts(deck: Deck) -> np.ndarray:
     Row ``s`` is chain state ``s`` (``Deck.chain_weights``): row 0, the
     full deck, holds the single counts ``n_b(y)``, and row ``1 + a*N + x``
     the cards showing a=x and b=y.  Pressing ``b`` in state ``s`` shows
-    ``y`` with probability ``C[s, b*N + y]`` over the state's total.  No
-    count, nor any partial sum of one, exceeds the deck total, so the
-    ``(1 + V*N, V*N)`` array is int64 whenever :func:`_exact_dtype` admits
-    the total.  A deck past ``MAX_CHAIN_VALUES`` raises ``ValidationError``.
+    ``y`` with probability ``C[s, b*N + y]`` over the state's total.  Each
+    card adds its count at its ``V*V`` value pairs, in scatters of at most
+    ``max(E*V, 2**16)`` indices: ``O(E*V*V)`` time, ``O(E*V + (V*N)**2)``
+    memory.  No count passes the total, so the dtype is that of
+    ``Deck.chain_weights``.  A deck past ``MAX_CHAIN_VALUES`` raises ``ValidationError``.
     """
     _check_chain_values(deck)
-    weights = deck.chain_weights.astype(_exact_dtype(deck.total))
-    return weights @ (weights[1:] > 0).T
+    n, (e, v) = deck.spec.values_per_variable, deck.values.shape
+    columns = deck.values + n * np.arange(v)  # a*N + x, per card and variable
+    counts = deck.counts.astype(_exact_dtype(deck.total))[:, None, None]
+    pairs = np.zeros((1 + v * n, v * n), dtype=counts.dtype)
+    step = max(1, 2**16 // (e * v))  # variables per scatter
+    for a in range(0, v, step):
+        np.add.at(pairs, (1 + columns[:, a : a + step, None], columns[:, None]), counts)
+    pairs[0] = pairs[1 : 1 + n].sum(axis=0)
+    return pairs
 
 
-def _support_size(pairs: np.ndarray, pressed: list[int], n: int) -> int:
-    """Number of positive-probability runs, counted per chain state that holds runs.
+def _support_size(deck: Deck, pairs: np.ndarray, pressed: list[int]) -> int:
+    """Number of positive-probability runs, checking each chain state that holds runs.
 
-    ``pressed`` holds each step's variable index.  ``runs[x]`` is the number
-    of live runs that end in the chain state of the last step's value ``x``,
-    a Python int, so it stays exact however many runs there are.  A step
-    reads only the rows of ``C > 0`` of the states that hold runs, so it
-    costs their number times N, not N**2.
+    ``live[s]`` is the number of live runs that end in chain state ``s``, a
+    Python int, and the first of them in lexicographic order, the order the
+    states are walked in.  A step reads only their rows of ``C`` (listed
+    once): N per state, not N**2.  Each row must have a positive entry, and
+    its positive entries must sum to the state's total (the deck's for state
+    0, ``C[0, a*N + x]`` for ``1 + a*N + x``).  A run's children and their
+    sum depend only on its state, so this checks every live run;
+    ``InvariantError`` names the first run that ends in a broken state.
     """
-    runs, states = np.ones(1, dtype=object), np.zeros(1, dtype=np.intp)
-    for a in pressed:
-        held = runs != 0
-        runs = runs[held] @ (pairs[states[held], a * n : (a + 1) * n] > 0)
-        states = 1 + a * n + np.arange(n)
-    return int(runs.sum())
+    n, rows = deck.spec.values_per_variable, pairs.tolist()
+    totals, live = [deck.total, *rows[0]], {0: [1, ()]}
+    for i, a in enumerate(pressed):
+        runs, broken = {}, {}
+        for state, (count, first) in live.items():
+            block = rows[state][a * n : (a + 1) * n]
+            children = [y for y, c in enumerate(block) if c > 0]
+            if not children or sum(block[y] for y in children) != totals[state]:
+                broken.setdefault(bool(children), first)
+            for y in children:
+                if y not in runs:
+                    runs[y] = [0, first + (y,)]
+                runs[y][0] += count
+        if broken:  # a childless run is named before one whose children do not carry it
+            has_children, run = min(broken.items())
+            run = _run_text(map(deck.spec.variables.__getitem__, pressed), run)
+            raise InvariantError("first-step probabilities do not sum to 1" if not i else
+                                 f"the runs after {run} do not carry its probability" if has_children
+                                 else f"the run {run} has no next outcome")
+        live = {1 + a * n + y: held for y, held in runs.items()}
+    return sum(count for count, _ in live.values())
 
 
 def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistribution:
@@ -180,58 +196,35 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
     ``np.gcd`` reduces the leaves.
 
     Every entry of ``C`` is at most ``T = deck.total``, so after ``i``
-    steps each numerator and denominator, and each children's sum checked
-    against its parent, is at most ``T**i <= T**L`` for a plan of length
-    ``L``.  The arrays are int64 when ``T.bit_length() * L <= 63``
-    (:func:`_exact_dtype`), where ``T**L < 2**63`` and nothing can wrap,
-    and object arrays of Python ints otherwise, exact at any multiplicity.
-    Both sides run the same code.  More than ``MAX_SEQUENCES``
-    positive-probability runs raise ``ValidationError`` before any
-    expansion.  In integers, every run, the root included, must have a
-    child, and its children must carry its probability; by telescoping,
-    the leaves sum to 1.
+    steps each numerator and denominator is at most ``T**i <= T**L`` for a
+    plan of length ``L``.  The arrays are int64 when ``T.bit_length() * L
+    <= 63`` (:func:`_exact_dtype`), where ``T**L < 2**63`` and nothing can
+    wrap, and object arrays of Python ints otherwise, exact at any
+    multiplicity.  Both sides run the same code.  :func:`_support_size`
+    first checks in integers that every run, the root included, has a child
+    and that its children carry its probability, so by telescoping the leaves
+    sum to 1; more than ``MAX_SEQUENCES`` runs raise ``ValidationError``.
     """
     steps = tuple(plan)
     if not steps:
         raise ValidationError("plan must contain at least one step")
-    spec = deck.spec
+    spec, n = deck.spec, deck.spec.values_per_variable
     pressed = [spec.variable_index(variable) for variable in steps]
-    n = spec.values_per_variable
     pairs = _pair_counts(deck)
-    size = _support_size(pairs, pressed, n)
+    size = _support_size(deck, pairs, pressed)
     if size > MAX_SEQUENCES:
-        raise ValidationError(
-            f"plan has {size:,} possible outcome sequences, more than the "
-            f"limit of {MAX_SEQUENCES:,}"
-        )
+        raise ValidationError(f"plan has {size:,} possible outcome sequences, more than the "
+                              f"limit of {MAX_SEQUENCES:,}")
     labels = tuple(spec.variables[a][1] for a in pressed)
     counts = pairs.astype(_exact_dtype(deck.total, len(steps)), copy=False)
-    # each chain state's total: the deck's for state 0, n_a(x) for 1 + a*N + x
     totals = np.concatenate((np.array([deck.total], dtype=counts.dtype), counts[0]))
-    state = np.zeros(1, dtype=np.intp)
     numerators = denominators = np.ones(1, dtype=counts.dtype)
-    parents, values = [], []
-
-    def broken(index: int, message: str) -> InvariantError:
-        if not parents:  # the root run: the first press
-            return InvariantError("first-step probabilities do not sum to 1")
-        return InvariantError(message.format(_run_text(steps, labels, parents, values, index)))
-
+    state, parents, values = np.zeros(1, dtype=np.intp), [], []
     for a in pressed:
         block = counts[state, a * n : (a + 1) * n]  # row j: the j-th run's next press
-        held = totals[state]
         parent, value = np.nonzero(block > 0)
-        children = np.bincount(parent, minlength=len(block))
-        if not children.all():  # reduceat would misalign every later run
-            raise broken(np.argmin(children), "the run {} has no next outcome")
-        carried = numerators[parent] * block[parent, value]
-        # the children's probabilities sum to their parent's: with a common
-        # denominator times ``held``, their numerators sum to numerators * held
-        sums = np.add.reduceat(carried, np.cumsum(children) - children)
-        wrong = sums != numerators * held
-        if wrong.any():
-            raise broken(np.argmax(wrong), "the runs after {} do not carry its probability")
-        numerators, denominators = carried, (denominators * held)[parent]
+        numerators = numerators[parent] * block[parent, value]
+        denominators = (denominators * totals[state])[parent]
         state = 1 + a * n + value
         parents.append(parent)
         values.append(value)
@@ -379,7 +372,7 @@ def simulate_plan(
     spec = deck.spec
     law = sequence_distribution(deck, plan)
     n = spec.values_per_variable
-    weights = deck.chain_weights.astype(_exact_dtype(deck.total))  # no sum passes the total
+    weights = deck.chain_weights  # int64 or object: no sum passes the total
     rows = np.zeros(1, dtype=np.intp)  # the chain states a step's runs can be in
     last = np.zeros(1, dtype=np.intp)  # each run's state, as an index into ``rows``
     run_p = np.ones(1)
@@ -388,18 +381,15 @@ def simulate_plan(
         shown = np.zeros((len(rows), n), dtype=weights.dtype)  # each state's weight per value
         np.add.at(shown, (slice(None), deck.values[:, a]), weights[rows])
         positive = shown > 0
-        # each run's children are distinct values, so equal numbers and no
-        # child of weight 0 make them the values of positive weight
-        wrong = np.bincount(parent, minlength=len(last)) != positive.sum(axis=1)[last]
-        wrong[parent[~positive[last[parent], value]]] = True
+        # the law's (parent, value) pairs are distinct, so these marks are its children
+        children = np.zeros((len(last), n), dtype=bool)
+        children[parent, value] = True
+        wrong = children != positive[last]
         if wrong.any():
-            j = int(np.argmax(wrong))
-            allowed = set(np.flatnonzero(positive[last[j]]).tolist())
-            x = min(allowed ^ set(value[parent == j].tolist()))
-            run = f"{variable}={law.labels[i][x]}"
-            if i:
-                run = f"{_run_text(law.plan, law.labels, law.parents[:i], law.values[:i], j)}, {run}"
-            raise InvariantError(f"the cards allow the impossible run {run}" if x in allowed
+            j, x = map(int, np.unravel_index(np.argmax(wrong), wrong.shape))
+            head = _runs(law.parents[:i], law.values[:i], np.array([j]))[0].tolist() if i else []
+            run = _run_text(zip(law.plan, law.labels), head + [x])
+            raise InvariantError(f"the cards allow the impossible run {run}" if positive[last[j], x]
                                  else f"no card gives the law's run {run}")
         held = shown.sum(axis=1)  # each state's total
         state, x = np.nonzero(positive)

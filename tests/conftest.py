@@ -382,6 +382,19 @@ def literal_pair_counts(deck):
     return pairs
 
 
+def product_pair_counts(deck):
+    """Pair-count oracle: the per-card chain weights times their own pattern.
+
+    Row ``s`` of ``Deck.chain_weights`` holds each card's count in chain
+    state ``s``; its product with the 0/1 pattern of the states ``1 + b*N +
+    y`` sums the counts of the state's cards that show b=y.  This was the
+    library's own construction, ``O(E*(V*N)**2)`` integer work; it keeps
+    the dtype of the weights.
+    """
+    weights = deck.chain_weights
+    return weights @ (weights[1:] > 0).T
+
+
 def expanded_repeatability(deck):
     """Repeatability oracle: each variable's ``[v, v]`` law expanded, and the
     first run whose two labels differ, or a pass."""

@@ -98,8 +98,11 @@ class TestSequenceCommand:
             (DATA / "decks" / "single_card.json", "Face,Suit,Suit,Face", "single_card"),  # "= 1"
             (DATA / "decks" / "large_mult.json", "Colour,Shape,Colour,Shape",
              "large_mult"),  # multiplicities near 2**40: the law runs on Python ints
+            (DATA / "decks" / "total_2_63.json", "Colour,Shape,Colour,Shape",
+             "total_2_63"),  # total 2**63 + 16: the pair counts are Python ints too
         ],
-        ids=["alternating", "immediate-repeats", "probability-one", "large-multiplicity"],
+        ids=["alternating", "immediate-repeats", "probability-one", "large-multiplicity",
+             "total-past-int64"],
     )
     def test_matches_golden_file(self, capsysbinary, deck, plan, golden):
         assert cli_main(["sequence", "--deck", str(deck), "--plan", plan]) == 0
@@ -206,6 +209,7 @@ class TestWitnessCommand:
             REPO / "decks" / "cards4.json",
             DATA / "decks" / "weighted3.json",
             DATA / "decks" / "large_mult.json",  # multiplicities near 2**40
+            DATA / "decks" / "total_2_63.json",  # total 2**63 + 16
             DATA / "decks" / "single_card.json",  # "none"
             DATA / "decks" / "diagonal_200.json",  # "none" over 200 values per variable
         ],
@@ -468,8 +472,10 @@ class TestSimulateCommand:
              "weighted3_65537"),  # a repeated switch on unequal multiplicities
             (DATA / "decks" / "large_mult.json", "Shape,Colour,Shape,Colour", 30_000, 3,
              "large_mult"),  # multiplicities near 2**40
+            (DATA / "decks" / "total_2_63.json", "Shape,Colour,Shape", 20_000, 11,
+             "total_2_63"),  # total 2**63 + 16: object chain weights
         ],
-        ids=["readme", "repeated-switch", "large-multiplicity"],
+        ids=["readme", "repeated-switch", "large-multiplicity", "total-past-int64"],
     )
     def test_matches_golden_file(self, capsysbinary, deck, plan, trials, seed, golden):
         argv = ["simulate", "--deck", str(deck), "--plan", plan, "--trials", str(trials),

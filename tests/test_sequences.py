@@ -21,6 +21,7 @@ from conftest import (
     literal_pair_counts,
     literal_support_size,
     literal_tree_sampler,
+    product_pair_counts,
     simulate_by_presses,
     tree_sequence_distribution,
     urn_deck,
@@ -162,6 +163,89 @@ class TestSequenceDistribution:
         with pytest.raises(InvariantError, match=f"the run {run} has no next outcome"):
             sequence_distribution(weighted_deck, ("Face", "Suit", "Face"))
 
+    @pytest.mark.parametrize("childless", [True, False])
+    def test_broken_state_first_reached_late_names_the_first_run_into_it(self, monkeypatch,
+                                                                          childless):
+        # state var3=val3 is first reached at step 3, so only the fourth press
+        # reads its row; no card shows var1=val1 and var3=val3, nor var2=val1
+        # and var3=val3, so the first run into it does not start val1, val1
+        spec, n = cardbox_spec(3, 3), 3
+        cards = [c for c in itertools.product(range(n), repeat=3)
+                 if c[2] != 2 or (c[0] != 0 and c[1] != 0)]
+        deck = Deck(spec, cards, [1 + i % 3 for i in range(len(cards))])
+        plan = ("var1", "var2", "var3", "var1")
+        pairs = _pair_counts(deck)
+        row = 1 + 2 * n + 2  # chain state var3=val3
+        if childless:
+            pairs[row, :n] = 0  # it shows no var1 value at all
+        else:
+            pairs[row, 1] += 1  # one var1=val2 card too many
+        monkeypatch.setattr(sequences, "_pair_counts", lambda _: pairs)
+        first = next(run for run in tree_sequence_distribution(deck, plan[:3])
+                     if run[-1].value == "val3")
+        text = ", ".join(map(str, first))
+        assert text == "var1=val1, var2=val2, var3=val3"
+        message = (f"the run {text} has no next outcome" if childless
+                   else f"the runs after {text} do not carry its probability")
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            sequence_distribution(deck, plan)
+        assert len(sequence_distribution(deck, plan[:3])) == len(tree_sequence_distribution(
+            deck, plan[:3]))  # no run presses var1 in that state before step 4
+
+    @pytest.mark.parametrize(
+        "plan, row",
+        [
+            (("Face", "Suit", "Face"), 2),  # no card shows Face=Q, so no run ends in it
+            (("Suit", "Suit", "Suit"), 1),  # no run presses Face, so none ends in Face=K
+        ],
+    )
+    def test_broken_state_that_no_run_reaches_does_not_raise(self, four_card_spec, monkeypatch,
+                                                            plan, row):
+        deck = Deck.from_counts(four_card_spec, {("K", "S"): 2, ("K", "H"): 1})
+        pairs = _pair_counts(deck)
+        pairs[row] = [0, 5, 0, 0]  # a wrong Face total, and no Suit value at all
+        monkeypatch.setattr(sequences, "_pair_counts", lambda _: pairs)
+        assert list(sequence_distribution(deck, plan).items()) == list(
+            tree_sequence_distribution(deck, plan).items())
+
+    @given(deck=deck_strategy(max_multiplicity=2**70), data=st.data())
+    def test_broken_state_names_the_first_run_into_it(self, deck, data):
+        # break one state's block for one variable; the law must fail at the
+        # first step that presses that variable in that state, naming the
+        # first run of the tree oracle that ends there, or not fail at all.
+        # Row 0 also holds the other states' totals, so it stays intact here
+        spec, n = deck.spec, deck.spec.values_per_variable
+        plan = data.draw(st.lists(st.sampled_from(spec.variable_names), min_size=1, max_size=4))
+        pairs = _pair_counts(deck).copy()
+        state = data.draw(st.integers(1, len(pairs) - 1))
+        a = data.draw(st.integers(0, spec.num_variables - 1))
+        childless = data.draw(st.booleans())
+        if childless:
+            pairs[state, a * n : (a + 1) * n] = 0
+        else:
+            pairs[state, a * n + data.draw(st.integers(0, n - 1))] += 1
+        expected = None
+        for k, variable in enumerate(plan):
+            if k == 0 or spec.variable_index(variable) != a:
+                continue  # the first press is in state 0
+            b, last = spec.variable_index(plan[k - 1]), plan[k - 1]
+            into = [run for run in tree_sequence_distribution(deck, plan[:k])
+                    if 1 + b * n + spec.value_index(last, run[-1].value) == state]
+            if into:
+                text = ", ".join(map(str, into[0]))
+                expected = (f"the run {text} has no next outcome" if childless
+                            else f"the runs after {text} do not carry its probability")
+                break
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sequences, "_pair_counts", lambda _: pairs)
+            if expected is None:
+                assert list(sequence_distribution(deck, plan).items()) == list(
+                    tree_sequence_distribution(deck, plan).items())
+            else:
+                with pytest.raises(InvariantError) as raised:
+                    sequence_distribution(deck, plan)
+                assert str(raised.value) == expected
+
     def test_wrong_support_size_is_an_invariant_error(self, weighted_deck, monkeypatch):
         # the expansion must end with as many runs as the support count said
         size = _support_size
@@ -173,9 +257,10 @@ class TestSequenceDistribution:
         pairs = _pair_counts(four_card_deck)
         for steps, size in ((18, MAX_SEQUENCES), (70, 2**70)):  # 2**70: no count wraps
             pressed = [i % 2 for i in range(steps)]  # Face, Suit, ... on N=2
-            assert _support_size(pairs, pressed, 2) == literal_support_size(pairs, pressed, 2) == size
+            assert _support_size(four_card_deck, pairs, pressed) == size
+            assert literal_support_size(pairs, pressed, 2) == size
         # weighted: no QH card, so Face=Q forces Suit=S
-        assert _support_size(_pair_counts(weighted_deck), [0, 1], 2) == 3
+        assert _support_size(weighted_deck, _pair_counts(weighted_deck), [0, 1]) == 3
 
     def test_support_size_grows_with_the_runs_not_the_values(self):
         # two cards over two variables of 1,024 values: a law of 2 runs.  A
@@ -198,7 +283,7 @@ class TestSequenceDistribution:
         n = deck.spec.values_per_variable
         pressed = [deck.spec.variable_index(variable) for variable in plan]
         pairs = _pair_counts(deck)
-        assert _support_size(pairs, pressed, n) == literal_support_size(pairs, pressed, n)
+        assert _support_size(deck, pairs, pressed) == literal_support_size(pairs, pressed, n)
         assert literal_support_size(pairs, pressed, n) == len(tree_sequence_distribution(deck, plan))
 
     @given(
@@ -209,9 +294,47 @@ class TestSequenceDistribution:
         scaled = Deck(deck.spec, deck.values, deck.counts * scale)
         pairs = _pair_counts(scaled)
         # every pair count is at most the total: int64 exactly when it fits
+        assert pairs.dtype == scaled.chain_weights.dtype
         assert pairs.dtype == (np.int64 if scaled.total < 2**63 else object)
         assert pairs.tolist() == literal_pair_counts(scaled)
         assert all(type(x) is int for row in pairs.tolist() for x in row)
+
+    @given(
+        deck=deck_strategy(max_multiplicity=7),
+        scale=st.sampled_from([1, 3, 2**59, 2**60 + 1, 2**61, 2**62, 2**66]),
+    )
+    def test_pair_counts_match_the_product_of_chain_weights(self, deck, scale):
+        # the card-pair scatter against the weights-times-pattern product it
+        # replaced, with totals on both sides of 2**63
+        scaled = Deck(deck.spec, deck.values, deck.counts * scale)
+        pairs, product = _pair_counts(scaled), product_pair_counts(scaled)
+        assert pairs.dtype == product.dtype == (np.int64 if scaled.total < 2**63 else object)
+        assert np.array_equal(pairs, product)
+
+    @pytest.mark.parametrize("total, dtype", [(2**63 - 1, np.int64), (2**63, object)])
+    def test_chain_weights_dtype_boundary(self, four_card_spec, total, dtype):
+        deck = Deck.from_counts(four_card_spec, {("K", "S"): total - 3, ("K", "H"): 1,
+                                                 ("Q", "S"): 2})
+        assert deck.total == total
+        assert deck.chain_weights.dtype == _pair_counts(deck).dtype == dtype
+        assert deck.chain_weights.tolist() == [
+            [total - 3, 1, 2],  # canonical order: KS, KH, QS
+            [total - 3, 1, 0], [0, 0, 2],  # Face=K, Face=Q
+            [total - 3, 0, 2], [0, 1, 0],  # Suit=S, Suit=H
+        ]
+        assert _pair_counts(deck).tolist() == literal_pair_counts(deck)
+
+    def test_widest_urn_law_and_sampler_are_fast(self):
+        # an urn of 2,048 values, the widest MAX_CHAIN_VALUES admits: as the
+        # product of the chain weights with their pattern (8.6e9 multiply-adds)
+        # the pair counts took about a minute; scattered from the cards, the
+        # law and the draw took 0.4 s (in-process, 2-core Xeon VM)
+        deck = urn_deck([1] * 2048)
+        start = time.perf_counter()
+        law, counts = simulate_plan(deck, ("Pos", "Pos"), 10_000, RandomStream(1))
+        elapsed = time.perf_counter() - start
+        assert len(law) == 2048 and counts.sum() == 10_000
+        assert elapsed < 5, f"the 2,048-value urn took {elapsed:.2f} s"
 
     def test_dtype_rule_boundaries(self):
         assert _exact_dtype(2**63 - 1) is np.int64
