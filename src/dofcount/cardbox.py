@@ -179,28 +179,6 @@ class Deck:
         """Total multiplicity across all cards."""
         return sum(self.counts.tolist())
 
-    @cached_property
-    def chain_weights(self) -> np.ndarray:
-        """Per-card multiplicities of every state of the press chain.
-
-        State 0 is the full deck, state ``1 + a*N + x`` the subdeck kept after
-        variable ``a`` showed value ``x``.  Row ``s`` of this read-only ``(1 +
-        V*N, E)`` array holds each card's exact multiplicity in state ``s``, in
-        canonical deck order, 0 for cards the state leaves out: int64 when
-        :func:`_exact_dtype` admits the total, which no row sum passes, else object.
-        """
-        counts = self.counts.astype(_exact_dtype(self.total))
-        keep = self.values.T[:, None, :] == np.arange(self.spec.values_per_variable)[:, None]
-        weights = np.vstack([counts, (keep * counts).reshape(-1, len(counts))])
-        weights.flags.writeable = False
-        return weights
-
-
-def _exact_dtype(total: int, power: int = 1):
-    """``np.int64`` when ``total.bit_length() * power <= 63``, which gives
-    ``total**power < 2**63``; else ``object``, Python ints exact at any size."""
-    return np.int64 if total.bit_length() * power <= 63 else object
-
 
 MAX_CARD_TYPES = 2**12
 

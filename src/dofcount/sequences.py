@@ -15,18 +15,17 @@ each machine-checkable:
   models (``find_classicality_witness``).
 
 The subdeck is rebuilt from the full deck on every press, so the device is
-a Markov chain on the last (variable, value) shown.  The law and sampler
-come from one statement of that chain, each state's pair counts
-(:func:`_pair_counts`) and per-card weights (``Deck.chain_weights``); the
-witness reads only ``Deck.values`` and ``Deck.counts``.  Ground truth is
-the exact chain product, checked once per state that holds runs
-(:func:`_support_size`) and expanded one plan step at a time over integer
-arrays that cannot wrap (:func:`_exact_dtype`); ``Fraction`` values are
-made only for the ``Outcome`` map.  Monte Carlo enters only through
-``simulate_plan``, which shares the trials over the exact law's runs with
-one multinomial draw, each run weighted from the per-card weights, so its
-counts line up with the values they are checked against, at a cost that
-does not grow with the number of trials.
+a Markov chain on the last (variable, value) shown.  The law and the
+repeatability check read one statement of that chain, each state's pair
+counts (:func:`_pair_counts`); the witness reads only ``Deck.values`` and
+``Deck.counts``.  Ground truth is the exact chain product, checked once
+per state that holds runs (:func:`_support_size`) and expanded one plan
+step at a time over integer arrays that cannot wrap (:func:`_exact_dtype`);
+``Fraction`` values are made only for the ``Outcome`` map.  Monte Carlo
+enters only through ``simulate_plan``, which shares the trials over the
+exact law's runs with one multinomial draw, each run weighted by its exact
+probability rounded once, so its counts line up with the values they are
+checked against, at a cost that does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cardbox import Deck, Outcome, _exact_dtype
+from .cardbox import Deck, Outcome
 from .errors import InvariantError, ValidationError
 from .rng import RandomStream
 
@@ -115,6 +114,12 @@ def _run_text(variables, run) -> str:
     return ", ".join(f"{name}={labels[x]}" for (name, labels), x in zip(variables, run))
 
 
+def _exact_dtype(total: int, power: int = 1):
+    """``np.int64`` when ``total.bit_length() * power <= 63``, which gives
+    ``total**power < 2**63``; else ``object``, Python ints exact at any size."""
+    return np.int64 if total.bit_length() * power <= 63 else object
+
+
 def _check_chain_values(deck: Deck) -> None:
     """Refuse ``V*N`` past ``MAX_CHAIN_VALUES`` before any array that grows with its square."""
     v, n = deck.spec.num_variables, deck.spec.values_per_variable
@@ -126,14 +131,15 @@ def _check_chain_values(deck: Deck) -> None:
 def _pair_counts(deck: Deck) -> np.ndarray:
     """``C[s, b*N + y]``: multiplicity of chain state ``s``'s cards showing b=y.
 
-    Row ``s`` is chain state ``s`` (``Deck.chain_weights``): row 0, the
-    full deck, holds the single counts ``n_b(y)``, and row ``1 + a*N + x``
-    the cards showing a=x and b=y.  Pressing ``b`` in state ``s`` shows
-    ``y`` with probability ``C[s, b*N + y]`` over the state's total.  Each
-    card adds its count at its ``V*V`` value pairs, in scatters of at most
-    ``max(E*V, 2**16)`` indices: ``O(E*V*V)`` time, ``O(E*V + (V*N)**2)``
-    memory.  No count passes the total, so the dtype is that of
-    ``Deck.chain_weights``.  A deck past ``MAX_CHAIN_VALUES`` raises ``ValidationError``.
+    Row ``s`` is chain state ``s``: row 0, the full deck, holds the single
+    counts ``n_b(y)``, and row ``1 + a*N + x``, the subdeck kept after
+    variable ``a`` showed ``x``, the cards showing a=x and b=y.  Pressing
+    ``b`` in state ``s`` shows ``y`` with probability ``C[s, b*N + y]``
+    over the state's total.  Each card adds its count at its ``V*V`` value
+    pairs, in scatters of at most ``max(E*V, 2**16)`` indices: ``O(E*V*V)``
+    time, ``O(E*V + (V*N)**2)`` memory.  No count passes the total, so the
+    dtype is :func:`_exact_dtype` of the total.  A deck past
+    ``MAX_CHAIN_VALUES`` raises ``ValidationError``.
     """
     _check_chain_values(deck)
     n, (e, v) = deck.spec.values_per_variable, deck.values.shape
@@ -343,61 +349,30 @@ def simulate_plan(
     Multinomial(``trials``, run probabilities): one ``rng.multinomial``
     call, whose cost does not grow with ``trials`` (numpy draws it by the
     conditional distribution method, one binomial per run; Devroye 1986,
-    *Non-Uniform Random Variate Generation*).  Each run's probability is
-    built from the cards, not from the law's pair counts.  At each step,
-    the weights of each chain state a run can be in (``Deck.chain_weights``)
-    are summed by the value the pressed variable shows on each card
-    (``Deck.values``) and divided once by the state's total, a correctly
-    rounded quotient of Python ints; a run's probability is its parent's
-    times its value's quotient, in plan order from 1.
+    *Non-Uniform Random Variate Generation*).
 
-    For a plan of ``L`` presses, each run's probability is ``L`` rounded
-    quotients and ``L - 1`` rounded products, so it is within about a
-    relative ``(2L - 1) * 2**-53`` of its exact value, and their sum is as close to
-    1.  Divided by that sum's correctly rounded ``math.fsum``, they sum to
-    1 within a few ``2**-53`` whatever ``L``, far inside the ``1 + 1e-12``
-    numpy allows for ``sum(pvals[:-1])``.
-
-    Before the draw, at every step, the values of positive card weight
-    must be exactly the law's children of each run, so the sampler still
-    cross-checks the law; a mismatch raises ``InvariantError`` naming the
-    run, and so do counts that do not sum to ``trials``.  More than
-    ``MAX_TRIALS`` trials or ``MAX_SEQUENCES`` possible runs raise
-    ``ValidationError`` before any draw.
+    Run ``j`` is weighted by ``numerators[j] / denominators[j]``, the law's
+    lowest terms divided as Python ints: the correctly rounded float of its
+    exact probability, within a relative ``2**-53`` whatever the plan's
+    length, for deck totals past ``2**63`` too.  The law's probabilities sum
+    to exactly 1 (:func:`_support_size`), so the weights' ``math.fsum`` is
+    within ``2**-52`` of 1; divided by it, each weight is within a relative
+    ``5 * 2**-53`` of the law, far inside the ``1 + 1e-12`` numpy allows for
+    ``sum(pvals[:-1])``.  A sum more than ``2**-50`` from 1 raises
+    ``InvariantError`` before any draw, and counts that do not sum to
+    ``trials`` raise it after the draw.  More than ``MAX_TRIALS`` trials or ``MAX_SEQUENCES``
+    possible runs raise ``ValidationError`` before any draw.
     """
     if trials < 1:
         raise ValidationError("trials must be positive")
     if trials > MAX_TRIALS:
         raise ValidationError(f"trials must be at most {MAX_TRIALS:,}, got {trials:,}")
-    spec = deck.spec
     law = sequence_distribution(deck, plan)
-    n = spec.values_per_variable
-    weights = deck.chain_weights  # int64 or object: no sum passes the total
-    rows = np.zeros(1, dtype=np.intp)  # the chain states a step's runs can be in
-    last = np.zeros(1, dtype=np.intp)  # each run's state, as an index into ``rows``
-    run_p = np.ones(1)
-    for i, (variable, parent, value) in enumerate(zip(law.plan, law.parents, law.values)):
-        a = spec.variable_index(variable)
-        shown = np.zeros((len(rows), n), dtype=weights.dtype)  # each state's weight per value
-        np.add.at(shown, (slice(None), deck.values[:, a]), weights[rows])
-        positive = shown > 0
-        # the law's (parent, value) pairs are distinct, so these marks are its children
-        children = np.zeros((len(last), n), dtype=bool)
-        children[parent, value] = True
-        wrong = children != positive[last]
-        if wrong.any():
-            j, x = map(int, np.unravel_index(np.argmax(wrong), wrong.shape))
-            head = _runs(law.parents[:i], law.values[:i], np.array([j]))[0].tolist() if i else []
-            run = _run_text(zip(law.plan, law.labels), head + [x])
-            raise InvariantError(f"the cards allow the impossible run {run}" if positive[last[j], x]
-                                 else f"no card gives the law's run {run}")
-        held = shown.sum(axis=1)  # each state's total
-        state, x = np.nonzero(positive)
-        p = np.zeros(shown.shape)
-        p[state, x] = [w / t for w, t in zip(shown[state, x].tolist(), held[state].tolist())]
-        run_p = run_p[parent] * p[last[parent], value]
-        rows, last = 1 + a * n + np.arange(n), value
-    counts = rng.multinomial(trials, run_p / math.fsum(run_p))
+    run_p = np.array([a / b for a, b in zip(law.numerators.tolist(), law.denominators.tolist())])
+    total = math.fsum(run_p)
+    if abs(total - 1) > 2**-50:
+        raise InvariantError(f"the law's run probabilities sum to {total}, not 1")
+    counts = rng.multinomial(trials, run_p / total)
     if counts.sum() != trials:
         raise InvariantError(f"the multinomial draw holds {counts.sum()} of {trials} trials")
     return law, counts

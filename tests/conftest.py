@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -195,15 +196,15 @@ def literal_tree_sampler(deck, plan, trials, rng):
     order.  A run's subdeck is read from ``entries(deck)``: every card at
     the first press, else the cards showing the run's last value.  Each
     value of the pressed variable that some subdeck card shows extends the
-    run, with the probability of its cards' counts over the subdeck total,
-    a quotient of Python ints, times the run's own, from 1.0 in plan order.
-    The probabilities, divided by their ``math.fsum``, take one
-    ``multinomial`` draw of all the trials.  Makes the same draw as
-    ``simulate_plan``.  Returns the ``Outcome``-tuple counts, zeros left
-    out.
+    run, with the exact ``Fraction`` of its cards' counts over the subdeck
+    total, times the run's own, from 1 in plan order.  Each run's
+    probability is rounded to a float once; the floats, divided by their
+    ``math.fsum``, take one ``multinomial`` draw of all the trials.  Makes
+    the same draw as ``simulate_plan``.  Returns the ``Outcome``-tuple
+    counts, zeros left out.
     """
     spec, deck_cards = deck.spec, entries(deck)
-    level = {(): 1.0}
+    level = {(): Fraction(1)}
     for i, variable in enumerate(plan):
         children = {}
         for run, p in level.items():
@@ -215,11 +216,24 @@ def literal_tree_sampler(deck, plan, trials, rng):
             for value in labels(spec, variable):
                 weight = sum(count for card, count in cards if card.assignment[variable] == value)
                 if weight:
-                    children[(*run, Outcome(variable, value))] = p * (weight / total)
+                    children[(*run, Outcome(variable, value))] = p * Fraction(weight, total)
         level = children
-    total = math.fsum(level.values())
-    shares = rng.multinomial(trials, [p / total for p in level.values()])
+    weights = [float(p) for p in level.values()]
+    total = math.fsum(weights)
+    shares = rng.multinomial(trials, [w / total for w in weights])
     return {run: hits for run, hits in zip(level, shares.tolist()) if hits}
+
+
+def without_last_run(law):
+    """``law`` with its last full run dropped, so its probabilities sum to less than 1."""
+    keep = slice(0, len(law) - 1)
+    return dataclasses.replace(
+        law,
+        parents=(*law.parents[:-1], law.parents[-1][keep]),
+        values=(*law.values[:-1], law.values[-1][keep]),
+        numerators=law.numerators[keep],
+        denominators=law.denominators[keep],
+    )
 
 
 def chain_counts(law, counts):
@@ -385,13 +399,23 @@ def literal_pair_counts(deck):
 def product_pair_counts(deck):
     """Pair-count oracle: the per-card chain weights times their own pattern.
 
-    Row ``s`` of ``Deck.chain_weights`` holds each card's count in chain
-    state ``s``; its product with the 0/1 pattern of the states ``1 + b*N +
-    y`` sums the counts of the state's cards that show b=y.  This was the
-    library's own construction, ``O(E*(V*N)**2)`` integer work; it keeps
-    the dtype of the weights.
+    Row ``s`` of the weights holds each card's count in chain state ``s``,
+    read from the literal subdecks: every card in state 0, and in state
+    ``1 + a*N + x`` the cards ``filter_deck`` keeps after a=x, 0 for the
+    rest (all 0 when no card shows a=x).  Their product with the 0/1
+    pattern of the states ``1 + b*N + y`` sums the counts of the state's
+    cards that show b=y.  This was the library's own construction,
+    ``O(E*(V*N)**2)`` integer work, on int64 weights when the total is
+    below ``2**63`` and Python ints otherwise.
     """
-    weights = deck.chain_weights
+    cards = entries(deck)
+    rows = [[count for _, count in cards]]
+    for variable, values in deck.spec.variables:
+        for value in values:
+            shown = any(card.assignment[variable] == value for card, _ in cards)
+            kept = dict(entries(filter_deck(deck, variable, value))) if shown else {}
+            rows.append([kept.get(card, 0) for card, _ in cards])
+    weights = np.array(rows, dtype=np.int64 if deck.total < 2**63 else object)
     return weights @ (weights[1:] > 0).T
 
 

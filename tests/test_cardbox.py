@@ -202,23 +202,6 @@ class TestDeck:
         assert four_card_deck != "deck" and four_card_deck != entries(four_card_deck)
         assert len({four_card_deck, uniform_deck(four_card_deck.spec), weighted_deck}) == 2
 
-    @given(deck=deck_strategy(max_multiplicity=2**70))
-    def test_chain_weights_are_the_literal_subdecks(self, deck):
-        # row 0 the full deck, then for each variable and value the subdeck
-        # filter_deck keeps, as each card's multiplicity (0 if left out)
-        cards = entries(deck)
-        expected = [[count for _, count in cards]]
-        for variable, values in deck.spec.variables:
-            for value in values:  # a value no card shows keeps no card: all zero
-                shown = any(card.assignment[variable] == value for card, _ in cards)
-                kept = dict(entries(filter_deck(deck, variable, value))) if shown else {}
-                expected.append([kept.get(card, 0) for card, _ in cards])
-        weights = deck.chain_weights
-        assert weights.tolist() == expected
-        assert deck.chain_weights is weights  # built once per deck
-        with pytest.raises(ValueError):
-            weights[0, 0] = 0
-
 
 class TestFilterDeck:
     def test_uniform_filter_suit(self, four_card_deck, four_card_spec):

@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import dataclasses
 import importlib
 import io
 import itertools
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 
 import dofcount
 from conftest import (
-    deck_strategy, top_level_cli_main, tree_sequence_distribution, urn_deck
+    deck_strategy, top_level_cli_main, tree_sequence_distribution, urn_deck, without_last_run
 )
 from dofcount import Deck, Outcome, RandomStream, SystemSpec
 from dofcount import cli, sequences
@@ -442,26 +441,14 @@ class TestSimulateCommand:
         assert captured.out == ""
 
     def test_impossible_run_is_internal_error(self, deck_file, capsys, monkeypatch):
-        # a law missing its last leaf, H,H: the sampler takes a run the law
-        # gives probability 0
+        # a law missing its last leaf, H,H: its runs sum to 1/2
         exact = sequences.sequence_distribution
-
-        def missing_leaf(deck, plan):
-            law = exact(deck, plan)
-            keep = slice(0, len(law) - 1)
-            return dataclasses.replace(
-                law,
-                parents=(*law.parents[:-1], law.parents[-1][keep]),
-                values=(*law.values[:-1], law.values[-1][keep]),
-                numerators=law.numerators[keep],
-                denominators=law.denominators[keep],
-            )
-
-        monkeypatch.setattr(sequences, "sequence_distribution", missing_leaf)
+        monkeypatch.setattr(sequences, "sequence_distribution",
+                            lambda deck, plan: without_last_run(exact(deck, plan)))
         argv = ["simulate", "--deck", deck_file, "--plan", "Suit,Suit", "--trials", "100"]
         assert cli_main(argv) == 3
         captured = capsys.readouterr()
-        assert "impossible run Suit=H, Suit=H" in captured.err
+        assert "the law's run probabilities sum to 0.5, not 1" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from conftest import (
     simulate_by_presses,
     tree_sequence_distribution,
     urn_deck,
+    without_last_run,
 )
 from dofcount import (
     Deck,
@@ -294,7 +295,7 @@ class TestSequenceDistribution:
         scaled = Deck(deck.spec, deck.values, deck.counts * scale)
         pairs = _pair_counts(scaled)
         # every pair count is at most the total: int64 exactly when it fits
-        assert pairs.dtype == scaled.chain_weights.dtype
+        assert pairs.dtype == _exact_dtype(scaled.total)
         assert pairs.dtype == (np.int64 if scaled.total < 2**63 else object)
         assert pairs.tolist() == literal_pair_counts(scaled)
         assert all(type(x) is int for row in pairs.tolist() for x in row)
@@ -312,17 +313,13 @@ class TestSequenceDistribution:
         assert np.array_equal(pairs, product)
 
     @pytest.mark.parametrize("total, dtype", [(2**63 - 1, np.int64), (2**63, object)])
-    def test_chain_weights_dtype_boundary(self, four_card_spec, total, dtype):
+    def test_pair_counts_dtype_boundary(self, four_card_spec, total, dtype):
         deck = Deck.from_counts(four_card_spec, {("K", "S"): total - 3, ("K", "H"): 1,
                                                  ("Q", "S"): 2})
         assert deck.total == total
-        assert deck.chain_weights.dtype == _pair_counts(deck).dtype == dtype
-        assert deck.chain_weights.tolist() == [
-            [total - 3, 1, 2],  # canonical order: KS, KH, QS
-            [total - 3, 1, 0], [0, 0, 2],  # Face=K, Face=Q
-            [total - 3, 0, 2], [0, 1, 0],  # Suit=S, Suit=H
-        ]
-        assert _pair_counts(deck).tolist() == literal_pair_counts(deck)
+        pairs = _pair_counts(deck)
+        assert pairs.dtype == dtype
+        assert pairs.tolist() == literal_pair_counts(deck)
 
     def test_widest_urn_law_and_sampler_are_fast(self):
         # an urn of 2,048 values, the widest MAX_CHAIN_VALUES admits: as the
@@ -579,10 +576,6 @@ class TestClassicalityWitness:
     def test_sparse_decks_match_the_search(self, deck):
         _assert_matches_search(deck)
 
-    def test_search_builds_no_chain_weights(self, weighted_deck):
-        assert find_classicality_witness(weighted_deck) is not None
-        assert "chain_weights" not in weighted_deck.__dict__
-
     def test_wide_witness_free_deck_is_fast(self):
         values = tuple(f"v{j}" for j in range(200))
         spec = SystemSpec((("Row", values), ("Column", values)))
@@ -677,32 +670,16 @@ class TestSimulatePlan:
         with pytest.raises(InvariantError, match="holds 9 of 10 trials"):
             simulate_plan(four_card_deck, ("Face", "Suit"), 10, LosingStream())
 
-    @pytest.mark.parametrize("sampled, law_of, message", [
-        # the four-card deck has QH, which the weighted deck's law lacks
-        ("four_card_deck", "weighted_deck", "the cards allow the impossible run Face=Q, Suit=H"),
-        ("weighted_deck", "four_card_deck", "no card gives the law's run Face=Q, Suit=H"),
-    ])
-    def test_cards_and_law_disagree_before_any_draw(
-        self, request, monkeypatch, sampled, law_of, message
-    ):
+    def test_law_that_does_not_sum_to_1_fails_before_any_draw(self, four_card_deck, monkeypatch):
         class NoDraws:
             def multinomial(self, trials, pvals):
-                raise AssertionError("drew despite a law the cards contradict")
+                raise AssertionError("drew despite a law that does not sum to 1")
 
         exact = sequences.sequence_distribution
-        other = request.getfixturevalue(law_of)
-        monkeypatch.setattr(sequences, "sequence_distribution", lambda deck, plan: exact(other, plan))
-        with pytest.raises(InvariantError, match=f"^{message}$"):
-            simulate_plan(request.getfixturevalue(sampled), ("Face", "Suit"), 10, NoDraws())
-
-    def test_first_step_disagreement_names_its_value(self, four_card_deck, monkeypatch):
-        deck = Deck.from_counts(four_card_deck.spec, {("K", "S"): 1, ("K", "H"): 2})
-        exact = sequences.sequence_distribution
-        monkeypatch.setattr(
-            sequences, "sequence_distribution", lambda _, plan: exact(four_card_deck, plan)
-        )
-        with pytest.raises(InvariantError, match="^no card gives the law's run Face=Q$"):
-            simulate_plan(deck, ("Face", "Suit"), 10, RandomStream(0))
+        monkeypatch.setattr(sequences, "sequence_distribution",
+                            lambda deck, plan: without_last_run(exact(deck, plan)))
+        with pytest.raises(InvariantError, match="^the law's run probabilities sum to 0.75, not 1$"):
+            simulate_plan(four_card_deck, ("Face", "Suit"), 10, NoDraws())
 
     @pytest.mark.parametrize("mults", [
         {("K", "S"): 2**62},
@@ -710,7 +687,7 @@ class TestSimulatePlan:
     ])
     def test_deck_total_of_2_62_is_sampled(self, four_card_spec, mults):
         # (V+1) * total = 3 * 2**62 is past int64, but the sampler never
-        # forms it: each card's probability is a quotient of Python ints
+        # forms it: each run's probability is a quotient of Python ints
         deck = Deck.from_counts(four_card_spec, mults)
         assert deck.total == 2**62
         plan = ("Face", "Suit", "Face")
@@ -755,17 +732,16 @@ class TestSimulatePlan:
 
     @given(mult=st.sampled_from([3, 2**40, 2**70]), data=st.data())
     def test_draw_weights_are_the_law_within_rounding(self, mult, data):
-        # each run's weight is L correctly rounded factors and L - 1 rounded
-        # products, each within a relative (2L - 1) * 2**-53 of the law, so
-        # their sum is too; divided by its rounded fsum and rounded again,
-        # each is within 4L such steps, a relative (4L + 1) * 2**-53
+        # each run's weight is its exact probability rounded once, so their
+        # fsum is within 2**-52 of 1; divided by it and rounded again, each
+        # is within a relative 5 * 2**-53 of the law, whatever the plan's length
         deck = data.draw(deck_strategy(max_multiplicity=mult))
         plan = data.draw(st.lists(st.sampled_from(deck.spec.variable_names), min_size=1, max_size=6))
         stream = RecordingStream(0)
         law, _ = simulate_plan(deck, plan, 100, stream)
         exact = [Fraction(a, b) for a, b in zip(law.numerators.tolist(), law.denominators.tolist())]
         for p, q in zip(stream.pvals[0].tolist(), exact):
-            assert abs(Fraction(p) - q) <= q * (4 * len(plan) + 1) * Fraction(2) ** -53
+            assert abs(Fraction(p) - q) <= q * 5 * Fraction(2) ** -53
 
     def test_probabilities_past_2_53_are_exact_quotients(self, four_card_spec):
         # float64 rounds these counts, and its quotients of them differ from
