@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -680,6 +681,48 @@ class TestSimulatePlan:
                             lambda deck, plan: without_last_run(exact(deck, plan)))
         with pytest.raises(InvariantError, match="^the law's run probabilities sum to 0.75, not 1$"):
             simulate_plan(four_card_deck, ("Face", "Suit"), 10, NoDraws())
+
+    @staticmethod
+    def _shift_last_run(monkeypatch, offset):
+        """Make ``sequence_distribution`` move its law's last run by ``offset``, exactly."""
+        exact = sequences.sequence_distribution
+
+        def shifted(deck, plan):
+            law = exact(deck, plan)
+            last = Fraction(int(law.numerators[-1]), int(law.denominators[-1])) + offset
+            numerators, denominators = law.numerators.copy(), law.denominators.copy()
+            numerators[-1], denominators[-1] = last.numerator, last.denominator
+            return dataclasses.replace(law, numerators=numerators, denominators=denominators)
+
+        monkeypatch.setattr(sequences, "sequence_distribution", shifted)
+
+    @pytest.mark.parametrize("offset", [Fraction(1, 2**49), -Fraction(1, 2**49), Fraction(1, 4)])
+    def test_law_past_2_50_from_1_fails_before_any_draw(
+        self, four_card_deck, monkeypatch, offset
+    ):
+        class NoDraws:
+            def multinomial(self, trials, pvals):
+                raise AssertionError("drew despite a law more than 2**-50 from 1")
+
+        # each run of Face,Suit is 1/4, so the shifted sum is exactly 1 + offset
+        self._shift_last_run(monkeypatch, offset)
+        message = f"^the law's run probabilities sum to {float(1 + offset)}, not 1$"
+        with pytest.raises(InvariantError, match=message):
+            simulate_plan(four_card_deck, ("Face", "Suit"), 10, NoDraws())
+
+    @pytest.mark.parametrize("offset", [Fraction(1, 2**50), -Fraction(1, 2**50)])
+    def test_law_within_2_50_of_1_is_drawn(self, four_card_deck, monkeypatch, offset):
+        # the bound is inclusive: a sum exactly 2**-50 from 1 is drawn, with
+        # every weight divided by that sum
+        self._shift_last_run(monkeypatch, offset)
+        stream = RecordingStream(0)
+        law, counts = simulate_plan(four_card_deck, ("Face", "Suit"), 100, stream)
+        assert counts.sum() == 100
+        (pvals,) = stream.pvals
+        weights = [Fraction(a, b) for a, b in zip(law.numerators.tolist(), law.denominators.tolist())]
+        assert sum(weights) == 1 + offset
+        for p, w in zip(pvals.tolist(), weights):
+            assert abs(Fraction(p) - w / (1 + offset)) <= w * Fraction(2) ** -52
 
     @pytest.mark.parametrize("mults", [
         {("K", "S"): 2**62},
