@@ -144,8 +144,7 @@ def _cmd_simulate(args) -> int:
     plan = _parse_names(args.plan, "plan", "variable")
     law, counts = simulate_plan(deck, plan, trials, RandomStream(seed))
 
-    def line(head: str, a: int, b: int, hits: int) -> str:  # head: "<run> exact=<a/b>"
-        p = a / b  # Fraction.__float__: correctly rounded
+    def line(head: str, p: float, hits: int) -> str:  # head: "<run> exact=<a/b>", p: a / b
         freq = hits / trials
         bound = 3.0 * math.sqrt(p * (1.0 - p) / trials)
         delta = abs(freq - p)
@@ -153,8 +152,7 @@ def _cmd_simulate(args) -> int:
         return f"{head} observed={freq:.6f} delta={delta:.6f} bound={bound:.6f} {status}\n"
 
     heads = map("".join, _run_pieces(law, " exact=", "").tolist())
-    fractions = law.numerators.tolist(), law.denominators.tolist()
-    lines = map(line, heads, *fractions, counts.tolist())
+    lines = map(line, heads, law._floats.tolist(), counts.tolist())
     _write_text("".join([f"# plan={','.join(plan)} trials={trials} seed={seed}\n", *lines]))
     return 0
 

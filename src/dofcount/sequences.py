@@ -18,14 +18,15 @@ The subdeck is rebuilt from the full deck on every press, so the device is
 a Markov chain on the last (variable, value) shown.  The law and the
 repeatability check read one statement of that chain, each state's pair
 counts (:func:`_pair_counts`); the witness reads only ``Deck.values`` and
-``Deck.counts``.  Ground truth is the exact chain product, checked once
-per state that holds runs (:func:`_support_size`) and expanded one plan
-step at a time over integer arrays that cannot wrap (:func:`_exact_dtype`);
-``Fraction`` values are made only for the ``Outcome`` map.  Monte Carlo
-enters only through ``simulate_plan``, which shares the trials over the
-exact law's runs with one multinomial draw, each run weighted by its exact
-probability rounded once, so its counts line up with the values they are
-checked against, at a cost that does not grow with the number of trials.
+``Deck.counts``.  Ground truth is the exact chain product, expanded one
+plan step at a time over integer arrays that cannot wrap
+(:func:`_exact_dtype`) and checked, counted and bounded at each step from
+one table of the chain states' children; ``Fraction`` values are made only
+for the ``Outcome`` map.  Monte Carlo enters only through
+``simulate_plan``, which shares the trials over the exact law's runs with
+one multinomial draw, each run weighted by its exact probability rounded
+once, so its counts line up with the values they are checked against, at
+a cost that does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -90,6 +91,12 @@ class SequenceDistribution:
             for run, a, b in zip(runs.tolist(), self.numerators.tolist(), self.denominators.tolist())
         }
 
+    @cached_property
+    def _floats(self) -> np.ndarray:
+        """Each run's probability as the correctly rounded quotient of its lowest terms."""
+        fractions = zip(self.numerators.tolist(), self.denominators.tolist())
+        return np.array([a / b for a, b in fractions])
+
     def probability(self, outcomes: Sequence[Outcome]) -> Fraction:
         return self.probabilities.get(tuple(outcomes), Fraction(0))
 
@@ -107,11 +114,6 @@ def _runs(parents, values, index: np.ndarray) -> np.ndarray:
         columns.append(value[index])
         index = parent[index]
     return np.stack(columns[::-1], axis=1)
-
-
-def _run_text(variables, run) -> str:
-    """A run's value indices as ``variable=value`` steps, given each step's ``(name, labels)``."""
-    return ", ".join(f"{name}={labels[x]}" for (name, labels), x in zip(variables, run))
 
 
 def _exact_dtype(total: int, power: int = 1):
@@ -153,63 +155,31 @@ def _pair_counts(deck: Deck) -> np.ndarray:
     return pairs
 
 
-def _support_size(deck: Deck, pairs: np.ndarray, pressed: list[int]) -> int:
-    """Number of positive-probability runs, checking each chain state that holds runs.
-
-    ``live[s]`` is the number of live runs that end in chain state ``s``, a
-    Python int, and the first of them in lexicographic order, the order the
-    states are walked in.  A step reads only their rows of ``C`` (listed
-    once): N per state, not N**2.  Each row must have a positive entry, and
-    its positive entries must sum to the state's total (the deck's for state
-    0, ``C[0, a*N + x]`` for ``1 + a*N + x``).  A run's children and their
-    sum depend only on its state, so this checks every live run;
-    ``InvariantError`` names the first run that ends in a broken state.
-    """
-    n, rows = deck.spec.values_per_variable, pairs.tolist()
-    totals, live = [deck.total, *rows[0]], {0: [1, ()]}
-    for i, a in enumerate(pressed):
-        runs, broken = {}, {}
-        for state, (count, first) in live.items():
-            block = rows[state][a * n : (a + 1) * n]
-            children = [y for y, c in enumerate(block) if c > 0]
-            if not children or sum(block[y] for y in children) != totals[state]:
-                broken.setdefault(bool(children), first)
-            for y in children:
-                if y not in runs:
-                    runs[y] = [0, first + (y,)]
-                runs[y][0] += count
-        if broken:  # a childless run is named before one whose children do not carry it
-            has_children, run = min(broken.items())
-            run = _run_text(map(deck.spec.variables.__getitem__, pressed), run)
-            raise InvariantError("first-step probabilities do not sum to 1" if not i else
-                                 f"the runs after {run} do not carry its probability" if has_children
-                                 else f"the run {run} has no next outcome")
-        live = {1 + a * n + y: held for y, held in runs.items()}
-    return sum(count for count, _ in live.values())
-
-
 def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistribution:
     """Exact distribution of the outcome sequence for ``plan``.
 
     With ``C`` the pair counts of :func:`_pair_counts`, a run through the
     chain states ``s_0 = 0, s_1, ...`` has the product of
-    ``C[s_i, a_(i+1)*N + x_(i+1)] / total(s_i)``.  The runs are expanded one
-    plan step at a time over whole arrays, from one root run in state 0
-    with probability ``1/1``: one ``np.nonzero`` over the rows of ``C > 0``
-    that the live runs end in gives every ``(parent, value)`` child in
-    lexicographic order, each child's numerator and denominator are its
-    parent's times one entry of ``C`` and its state's total, and one
-    ``np.gcd`` reduces the leaves.
+    ``C[s_i, a_(i+1)*N + x_(i+1)] / total(s_i)``, the total being the
+    deck's for state 0 and ``C[0, a*N + x]`` for ``1 + a*N + x``.  The runs
+    are expanded one plan step at a time over whole arrays, from one root
+    run in state 0 with probability ``1/1``: one ``np.nonzero`` over the
+    rows of ``C > 0`` that the live runs end in gives every ``(parent,
+    value)`` child in lexicographic order, its numerator and denominator
+    are its parent's times one entry of ``C`` and its state's total, and
+    one ``np.gcd`` reduces the leaves.  No entry of ``C`` passes ``T =
+    deck.total``, so all are at most ``T**L`` for a plan of length ``L``:
+    int64 when ``T.bit_length() * L <= 63`` (:func:`_exact_dtype`), Python
+    ints in object arrays otherwise, with the same code on both sides.
 
-    Every entry of ``C`` is at most ``T = deck.total``, so after ``i``
-    steps each numerator and denominator is at most ``T**i <= T**L`` for a
-    plan of length ``L``.  The arrays are int64 when ``T.bit_length() * L
-    <= 63`` (:func:`_exact_dtype`), where ``T**L < 2**63`` and nothing can
-    wrap, and object arrays of Python ints otherwise, exact at any
-    multiplicity.  Both sides run the same code.  :func:`_support_size`
-    first checks in integers that every run, the root included, has a child
-    and that its children carry its probability, so by telescoping the leaves
-    sum to 1; more than ``MAX_SEQUENCES`` runs raise ``ValidationError``.
+    ``children[b, s]`` counts the positive entries of block ``b`` of row
+    ``s``: -1 where there are none, 0 where they do not sum to the state's
+    total or one passes ``T`` (so each sum is exact).  Its gather at the
+    runs' states checks before each step that every run has a child and
+    that its children carry its probability, so by telescoping the leaves
+    sum to 1 (``InvariantError`` names the first run that fails, a
+    childless one first), and counts the next step's runs: past
+    ``MAX_SEQUENCES``, ``ValidationError`` comes before they are built.
     """
     steps = tuple(plan)
     if not steps:
@@ -217,16 +187,30 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
     spec, n = deck.spec, deck.spec.values_per_variable
     pressed = [spec.variable_index(variable) for variable in steps]
     pairs = _pair_counts(deck)
-    size = _support_size(deck, pairs, pressed)
-    if size > MAX_SEQUENCES:
-        raise ValidationError(f"plan has {size:,} possible outcome sequences, more than the "
-                              f"limit of {MAX_SEQUENCES:,}")
+    blocks = np.where(pairs > 0, pairs, 0).reshape(len(pairs), -1, n).swapaxes(0, 1)
+    totals = np.concatenate(([deck.total], pairs[0]))  # each chain state's
+    carried = blocks.sum(axis=2, dtype=_exact_dtype(deck.total * n)) == totals
+    carried &= blocks.max(axis=2) <= deck.total
+    children = (blocks > 0).sum(axis=2)
+    children = np.where(children == 0, -1, np.where(carried, children, 0))
     labels = tuple(spec.variables[a][1] for a in pressed)
     counts = pairs.astype(_exact_dtype(deck.total, len(steps)), copy=False)
-    totals = np.concatenate((np.array([deck.total], dtype=counts.dtype), counts[0]))
+    totals = totals.astype(counts.dtype, copy=False)
     numerators = denominators = np.ones(1, dtype=counts.dtype)
     state, parents, values = np.zeros(1, dtype=np.intp), [], []
-    for a in pressed:
+    for i, a in enumerate(pressed):
+        held = children[a].take(state)
+        first = int(held.argmin())  # runs are in lexicographic order
+        if held[first] < 1:
+            if not i:
+                raise InvariantError("first-step probabilities do not sum to 1")
+            run = _runs(parents, values, np.array([first]))[0]
+            run = ", ".join(f"{steps[k]}={labels[k][x]}" for k, x in enumerate(run))
+            raise InvariantError(f"the run {run} has no next outcome" if held[first] else
+                                 f"the runs after {run} do not carry its probability")
+        if (size := int(held.sum())) > MAX_SEQUENCES:
+            raise ValidationError(f"plan has more than {MAX_SEQUENCES:,} possible outcome "
+                                  f"sequences ({size:,} after {i + 1} of its {len(steps)} presses)")
         block = counts[state, a * n : (a + 1) * n]  # row j: the j-th run's next press
         parent, value = np.nonzero(block > 0)
         numerators = numerators[parent] * block[parent, value]
@@ -234,8 +218,6 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
         state = 1 + a * n + value
         parents.append(parent)
         values.append(value)
-    if len(numerators) != size:
-        raise InvariantError(f"expanded {len(numerators)} sequences, expected {size}")
     common = np.gcd(numerators, denominators)
     return SequenceDistribution(
         steps, labels, tuple(parents), tuple(values), numerators // common, denominators // common
@@ -352,10 +334,11 @@ def simulate_plan(
     *Non-Uniform Random Variate Generation*).
 
     Run ``j`` is weighted by ``numerators[j] / denominators[j]``, the law's
-    lowest terms divided as Python ints: the correctly rounded float of its
-    exact probability, within a relative ``2**-53`` whatever the plan's
-    length, for deck totals past ``2**63`` too.  The law's probabilities sum
-    to exactly 1 (:func:`_support_size`), so the weights' ``math.fsum`` is
+    lowest terms divided once per law as Python ints (``law._floats``, which
+    the CLI prints too): the correctly rounded float of its exact
+    probability, within a relative ``2**-53`` whatever the plan's length,
+    for deck totals past ``2**63`` too.  The law's probabilities sum to
+    exactly 1 (:func:`sequence_distribution`), so the weights' ``math.fsum`` is
     within ``2**-52`` of 1; divided by it, each weight is within a relative
     ``5 * 2**-53`` of the law, far inside the ``1 + 1e-12`` numpy allows for
     ``sum(pvals[:-1])``.  A sum more than ``2**-50`` from 1 raises
@@ -368,11 +351,10 @@ def simulate_plan(
     if trials > MAX_TRIALS:
         raise ValidationError(f"trials must be at most {MAX_TRIALS:,}, got {trials:,}")
     law = sequence_distribution(deck, plan)
-    run_p = np.array([a / b for a, b in zip(law.numerators.tolist(), law.denominators.tolist())])
-    total = math.fsum(run_p)
+    total = math.fsum(law._floats)
     if abs(total - 1) > 2**-50:
         raise InvariantError(f"the law's run probabilities sum to {total}, not 1")
-    counts = rng.multinomial(trials, run_p / total)
+    counts = rng.multinomial(trials, law._floats / total)
     if counts.sum() != trials:
         raise InvariantError(f"the multinomial draw holds {counts.sum()} of {trials} trials")
     return law, counts

@@ -47,7 +47,6 @@ from dofcount.sequences import (
     RepeatabilityResult,
     _exact_dtype,
     _pair_counts,
-    _support_size,
 )
 from dofcount import sequences
 from dofcount.tomography import random_deck_ensemble
@@ -126,13 +125,15 @@ class TestSequenceDistribution:
         assert list(chain.items()) == list(tree_sequence_distribution(huge_deck, plan).items())
 
     def test_support_limit_fails_before_expansion(self, four_card_deck, monkeypatch):
-        # every step's runs come from one nonzero scan; the probe forbids both
-        monkeypatch.setattr("dofcount.sequences.np", _NumpyWithoutNonzero())
-        with pytest.raises(AssertionError, match="expanded runs"):
-            sequence_distribution(four_card_deck, ("Suit", "Face"))  # the probe sees expansion
+        # every press's runs come from one nonzero scan; the probe counts them.
+        # Each press doubles the runs, so 18 presses expand 2**18 runs and the
+        # 19th is refused before its scan
+        probe = _CountingNonzero()
+        monkeypatch.setattr("dofcount.sequences.np", probe)
         plan = ("Suit", "Face") * 10  # 2**20 possible runs
-        with pytest.raises(ValidationError, match=f"{MAX_SEQUENCES:,}"):
+        with pytest.raises(ValidationError, match=f"more than {MAX_SEQUENCES:,}"):
             sequence_distribution(four_card_deck, plan)
+        assert probe.calls == 18
 
     @pytest.mark.parametrize(
         "entry, match",
@@ -210,6 +211,18 @@ class TestSequenceDistribution:
         assert list(sequence_distribution(deck, plan).items()) == list(
             tree_sequence_distribution(deck, plan).items())
 
+    def test_block_sum_that_wraps_int64_is_an_invariant_error(self, monkeypatch):
+        # 2 * (2**63 - 1) + 5 sums to 3, state var1=val1's total, modulo 2**64;
+        # no entry of a correct table passes the deck total, so the state is broken
+        deck = Deck(cardbox_spec(3, 2), list(itertools.product(range(3), repeat=2)), [1] * 9)
+        pairs = _pair_counts(deck)
+        assert pairs.dtype == np.int64
+        pairs[1, 3:] = [2**63 - 1, 2**63 - 1, 5]  # row 1: state var1=val1; columns 3-5: var2
+        monkeypatch.setattr(sequences, "_pair_counts", lambda _: pairs)
+        with pytest.raises(InvariantError,
+                           match=r"^the runs after var1=val1 do not carry its probability$"):
+            sequence_distribution(deck, ("var1", "var2"))
+
     @given(deck=deck_strategy(max_multiplicity=2**70), data=st.data())
     def test_broken_state_names_the_first_run_into_it(self, deck, data):
         # break one state's block for one variable; the law must fail at the
@@ -248,21 +261,18 @@ class TestSequenceDistribution:
                     sequence_distribution(deck, plan)
                 assert str(raised.value) == expected
 
-    def test_wrong_support_size_is_an_invariant_error(self, weighted_deck, monkeypatch):
-        # the expansion must end with as many runs as the support count said
-        size = _support_size
-        monkeypatch.setattr(sequences, "_support_size", lambda *args: size(*args) + 1)
-        with pytest.raises(InvariantError, match=r"^expanded 5 sequences, expected 6$"):
-            sequence_distribution(weighted_deck, ("Face", "Suit", "Face"))
-
     def test_support_size_is_exact_at_the_limit(self, four_card_deck, weighted_deck):
         pairs = _pair_counts(four_card_deck)
-        for steps, size in ((18, MAX_SEQUENCES), (70, 2**70)):  # 2**70: no count wraps
-            pressed = [i % 2 for i in range(steps)]  # Face, Suit, ... on N=2
-            assert _support_size(four_card_deck, pairs, pressed) == size
-            assert literal_support_size(pairs, pressed, 2) == size
+        plan = ("Face", "Suit") * 35  # on N=2 every press doubles the runs
+        law = sequence_distribution(four_card_deck, plan[:18])
+        assert len(law) == literal_support_size(pairs, [i % 2 for i in range(18)], 2) == MAX_SEQUENCES
+        for steps in (19, 70):  # refused at the 19th press, so no count reaches 2**70 to wrap
+            message = (f"^plan has more than {MAX_SEQUENCES:,} possible outcome sequences "
+                       f"\\(524,288 after 19 of its {steps} presses\\)$")
+            with pytest.raises(ValidationError, match=message):
+                sequence_distribution(four_card_deck, plan[:steps])
         # weighted: no QH card, so Face=Q forces Suit=S
-        assert _support_size(weighted_deck, _pair_counts(weighted_deck), [0, 1]) == 3
+        assert len(sequence_distribution(weighted_deck, ("Face", "Suit"))) == 3
 
     def test_support_size_grows_with_the_runs_not_the_values(self):
         # two cards over two variables of 1,024 values: a law of 2 runs.  A
@@ -285,7 +295,7 @@ class TestSequenceDistribution:
         n = deck.spec.values_per_variable
         pressed = [deck.spec.variable_index(variable) for variable in plan]
         pairs = _pair_counts(deck)
-        assert _support_size(deck, pairs, pressed) == literal_support_size(pairs, pressed, n)
+        assert len(sequence_distribution(deck, plan)) == literal_support_size(pairs, pressed, n)
         assert literal_support_size(pairs, pressed, n) == len(tree_sequence_distribution(deck, plan))
 
     @given(
@@ -361,12 +371,17 @@ class TestSequenceDistribution:
         assert all(type(p.numerator) is int for _, p in dist.items())
 
 
-class _NumpyWithoutNonzero:
-    """``numpy`` as ``sequences`` sees it, minus the scans that expand runs."""
+class _CountingNonzero:
+    """``numpy`` as ``sequences`` sees it, counting the scans that expand runs."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def nonzero(self, *args):
+        self.calls += 1
+        return np.nonzero(*args)
 
     def __getattr__(self, name):
-        if name in ("nonzero", "flatnonzero"):
-            raise AssertionError(f"expanded runs with np.{name}")
         return getattr(np, name)
 
 
