@@ -20,8 +20,9 @@ class RandomStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise ValidationError("seed and stream_id must be non-negative")
+        for name, value in (("seed", seed), ("stream_id", stream_id)):
+            if value < 0:
+                raise ValidationError(f"{name} must be non-negative")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))

@@ -49,6 +49,7 @@ MAX_TRIALS = 10**8
 MAX_SEQUENCES = 2**18
 # Most V*N of a deck: the pair counts and the witness's marks grow with its square.
 MAX_CHAIN_VALUES = 2**11
+_GATHER = 2**16  # most pair counts ``sequence_distribution`` gathers at once
 
 # A measurement plan is just an ordered tuple of variable names.
 MeasurementPlan = tuple[str, ...]
@@ -116,6 +117,10 @@ def _runs(parents, values, index: np.ndarray) -> np.ndarray:
     return np.stack(columns[::-1], axis=1)
 
 
+def _joined(pieces: list) -> np.ndarray:  # np.concatenate, without copying a lone piece
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
 def _exact_dtype(total: int, power: int = 1):
     """``np.int64`` when ``total.bit_length() * power <= 63``, which gives
     ``total**power < 2**63``; else ``object``, Python ints exact at any size."""
@@ -163,23 +168,25 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
     ``C[s_i, a_(i+1)*N + x_(i+1)] / total(s_i)``, the total being the
     deck's for state 0 and ``C[0, a*N + x]`` for ``1 + a*N + x``.  The runs
     are expanded one plan step at a time over whole arrays, from one root
-    run in state 0 with probability ``1/1``: one ``np.nonzero`` over the
-    rows of ``C > 0`` that the live runs end in gives every ``(parent,
-    value)`` child in lexicographic order, its numerator and denominator
-    are its parent's times one entry of ``C`` and its state's total, and
-    one ``np.gcd`` reduces the leaves.  No entry of ``C`` passes ``T =
-    deck.total``, so all are at most ``T**L`` for a plan of length ``L``:
-    int64 when ``T.bit_length() * L <= 63`` (:func:`_exact_dtype`), Python
-    ints in object arrays otherwise, with the same code on both sides.
+    run in state 0 with probability ``1/1``: the positive entries of the
+    rows of ``C`` that the live runs end in, gathered in row blocks of at
+    most ``_GATHER`` entries, give every ``(parent, value)`` child in
+    lexicographic order, its numerator and denominator are its parent's
+    times one entry of ``C`` and its state's total, and one ``np.gcd``
+    reduces the leaves.  No entry of ``C`` passes ``T = deck.total``, so
+    all are at most ``T**L`` for a plan of length ``L``: int64 when
+    ``T.bit_length() * L <= 63`` (:func:`_exact_dtype`), Python ints in
+    object arrays otherwise, with the same code on both sides.
 
-    ``children[b, s]`` counts the positive entries of block ``b`` of row
-    ``s``: -1 where there are none, 0 where they do not sum to the state's
-    total or one passes ``T`` (so each sum is exact).  Its gather at the
-    runs' states checks before each step that every run has a child and
-    that its children carry its probability, so by telescoping the leaves
-    sum to 1 (``InvariantError`` names the first run that fails, a
-    childless one first), and counts the next step's runs: past
-    ``MAX_SEQUENCES``, ``ValidationError`` comes before they are built.
+    ``children[b, s]``, from one ``C > 0`` mask over the pressed ``b``,
+    counts the positive entries of block ``b`` of row ``s``: -1 where there
+    are none, 0 where they do not sum to the state's total or one passes
+    ``T`` (so each sum is exact).  Its gather at the runs' states checks
+    before each step that every run has a child and that its children
+    carry its probability, so by telescoping the leaves sum to 1
+    (``InvariantError`` names the first run that fails, a childless one
+    first), and counts the next step's runs: past ``MAX_SEQUENCES``,
+    ``ValidationError`` comes before they are built.
     """
     steps = tuple(plan)
     if not steps:
@@ -187,19 +194,24 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
     spec, n = deck.spec, deck.spec.values_per_variable
     pressed = [spec.variable_index(variable) for variable in steps]
     pairs = _pair_counts(deck)
-    blocks = np.where(pairs > 0, pairs, 0).reshape(len(pairs), -1, n).swapaxes(0, 1)
-    totals = np.concatenate(([deck.total], pairs[0]))  # each chain state's
-    carried = blocks.sum(axis=2, dtype=_exact_dtype(deck.total * n)) == totals
-    carried &= blocks.max(axis=2) <= deck.total
-    children = (blocks > 0).sum(axis=2)
-    children = np.where(children == 0, -1, np.where(carried, children, 0))
-    labels = tuple(spec.variables[a][1] for a in pressed)
     counts = pairs.astype(_exact_dtype(deck.total, len(steps)), copy=False)
-    totals = totals.astype(counts.dtype, copy=False)
+    totals = np.concatenate(([deck.total], counts[0]))  # each chain state's
+    used = sorted(set(pressed))
+    blocks = pairs.reshape(len(pairs), -1, n).swapaxes(0, 1)  # blocks[b, s]: block b of row s
+    if len(used) < len(blocks):  # the pressed variables' blocks only
+        blocks = blocks[used]
+    positive = blocks > 0
+    shown = np.where(positive, blocks, 0)
+    carried = shown.sum(axis=2, dtype=_exact_dtype(deck.total * n)) == totals
+    carried &= shown.max(axis=2) <= deck.total
+    children = positive.sum(axis=2)
+    children = np.where(children == 0, -1, np.where(carried, children, 0))  # row k: used[k]
+    labels = tuple(spec.variables[a][1] for a in pressed)
     numerators = denominators = np.ones(1, dtype=counts.dtype)
     state, parents, values = np.zeros(1, dtype=np.intp), [], []
+    rows = _GATHER // n  # runs per gather of their next press's N counts (N <= 2**11)
     for i, a in enumerate(pressed):
-        held = children[a].take(state)
+        held = children[used.index(a)].take(state)
         first = int(held.argmin())  # runs are in lexicographic order
         if held[first] < 1:
             if not i:
@@ -211,9 +223,14 @@ def sequence_distribution(deck: Deck, plan: Sequence[str]) -> SequenceDistributi
         if (size := int(held.sum())) > MAX_SEQUENCES:
             raise ValidationError(f"plan has more than {MAX_SEQUENCES:,} possible outcome "
                                   f"sequences ({size:,} after {i + 1} of its {len(steps)} presses)")
-        block = counts[state, a * n : (a + 1) * n]  # row j: the j-th run's next press
-        parent, value = np.nonzero(block > 0)
-        numerators = numerators[parent] * block[parent, value]
+        hits, weights = [], []  # hit j*N + x: the j-th run's next press can show x
+        for start in range(0, len(state), rows):
+            block = counts[state[start : start + rows], a * n : (a + 1) * n].ravel()
+            k = (block > 0).nonzero()[0]
+            hits.append(k + start * n if start else k)
+            weights.append(block[k])
+        parent, value = np.divmod(_joined(hits), n)
+        numerators = numerators[parent] * _joined(weights)
         denominators = (denominators * totals[state])[parent]
         state = 1 + a * n + value
         parents.append(parent)

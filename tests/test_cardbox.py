@@ -454,7 +454,8 @@ class TestRandomStream:
 
     @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1)])
     def test_negative_key_rejected(self, seed, stream_id):
-        with pytest.raises(ValidationError, match=r"^seed and stream_id must be non-negative$"):
+        name = "seed" if seed < 0 else "stream_id"
+        with pytest.raises(ValidationError, match=f"^{name} must be non-negative$"):
             RandomStream(seed, stream_id)
 
     @given(spec=spec_strategy())

@@ -427,7 +427,8 @@ class TestSimulateCommand:
     def test_bad_trials(self, deck_file, capsys):
         assert cli_main(
             ["simulate", "--deck", deck_file, "--plan", "Suit", "--trials", "0"]
-        ) == 1
+        ) == 2
+        assert capsys.readouterr() == ("", "error: trials must be positive\n")
 
     def test_trials_above_cap_is_validation_error(self, deck_file, capsys, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -515,9 +516,10 @@ def test_card_type_limit_fails_fast(capsys, argv):
     [
         (["--n-range", "2..1000000", "--v-range", "1..4"], "MAX_CARD_TYPES"),
         (["--n-range", "2..1000", "--v-range", "1..1000"], "MAX_CARD_TYPES"),
-        (["--n-range", f"2..{10**9}", "--v-range", "1"], "0..1048575"),
-        (["--n-range", "2", "--v-range", f"1..{2**20}"], "0..1048575"),
-        ([f"--n-range={-10**9}..3", "--v-range", "1"], "0..1048575"),
+        (["--n-range", f"2..{10**9}", "--v-range", "1"], r"2\*\*20 .* N=1000000000, V_or_M=1$"),
+        (["--n-range", "2", "--v-range", f"1..{2**20}"], r"2\*\*20 .* N=2, V_or_M=1048576$"),
+        ([f"--n-range={-10**9}..3", "--v-range", "1"], "N must be at least 2"),
+        (["--n-range", "2", f"--v-range={-10**9}..3"], "V must be at least 1"),
         (["--systems", "quantum", "--n-range", f"2..{2**20 - 1}", "--v-range", "1"], r"2\*\*20"),
     ],
 )
@@ -528,6 +530,17 @@ def test_huge_sweep_ranges_fail_fast(capsys, ranges, message):
     captured = capsys.readouterr()
     assert re.search(message, captured.err)
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("systems", ["urn", "quantum"])
+def test_unread_v_range_is_not_refused(capsys, systems):
+    # urns and the quantum reference take no V from --v-range, so a bound
+    # past the stream field reaches no cell's random stream
+    argv = ["sweep", "--systems", systems, "--n-range", "2"]
+    assert cli_main([*argv, "--v-range", f"1..{2**20}"]) == 0
+    wide = capsys.readouterr()
+    assert cli_main([*argv, "--v-range", "1"]) == 0
+    assert wide == capsys.readouterr()
 
 
 def test_huge_sweep_range_is_not_listed(capsys):
@@ -896,11 +909,15 @@ ERROR_CONTRACT = [
              2, "error: unknown system kind 'abc'"),
     _failure("negative-seed", ["rank", "--system", "urn", "--n", "2", "--seed", "-1"],
              2, "error: seed must be non-negative"),
+    _failure("negative-seed-simulate", ["simulate", "--deck", CARDS4, "--plan", "Suit", "--seed", "-1"],
+             2, "error: seed must be non-negative"),
+    _failure("negative-seed-sweep", ["sweep", "--n-range", "2", "--v-range", "1", "--seed", "-1"],
+             2, "error: seed must be non-negative"),
     _failure("degenerate-draw", ["rank", "--system", "quantum", "--n", "2"],
              3, "internal error: no nondegenerate basis draw in 8 attempts",
              patch=("quantum._PIVOT_TOL", float("inf"))),
     _failure("bad-trials", ["simulate", "--deck", CARDS4, "--plan", "Suit", "--trials", "0"],
-             1, "usage error: --trials must be positive"),
+             2, "error: trials must be positive"),
     _failure("empty-plan", ["sequence", "--deck", CARDS4, "--plan", ","],
              1, "usage error: plan must name at least one variable, got ','"),
     _failure("empty-systems", ["sweep", "--systems", ",", "--n-range", "2..2", "--v-range", "1..1"],

@@ -125,15 +125,57 @@ class TestSequenceDistribution:
         assert list(chain.items()) == list(tree_sequence_distribution(huge_deck, plan).items())
 
     def test_support_limit_fails_before_expansion(self, four_card_deck, monkeypatch):
-        # every press's runs come from one nonzero scan; the probe counts them.
-        # Each press doubles the runs, so 18 presses expand 2**18 runs and the
-        # 19th is refused before its scan
-        probe = _CountingNonzero()
-        monkeypatch.setattr("dofcount.sequences.np", probe)
+        # every press's runs come from gathers of the pair counts' rows at the
+        # runs' states; the probe records how many rows each gather takes.  Each
+        # press doubles the runs, so 18 presses gather 1 + 2 + ... + 2**17 rows,
+        # and the 19th is refused before it gathers its 2**18
+        gathered = []
+
+        class Recording(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, tuple) and isinstance(key[0], np.ndarray):
+                    gathered.append(len(key[0]))
+                return super().__getitem__(key)
+
+        pairs = _pair_counts(four_card_deck).view(Recording)
+        monkeypatch.setattr("dofcount.sequences._pair_counts", lambda deck: pairs)
         plan = ("Suit", "Face") * 10  # 2**20 possible runs
         with pytest.raises(ValidationError, match=f"more than {MAX_SEQUENCES:,}"):
             sequence_distribution(four_card_deck, plan)
-        assert probe.calls == 18
+        assert sum(gathered) == 2**18 - 1
+        assert max(gathered) == 2**16 // 2  # no gather holds more than 2**16 counts
+
+    def test_row_blocks_do_not_change_the_law(self, weighted_deck, huge_deck, monkeypatch):
+        plans = [(weighted_deck, ("Face", "Suit", "Face", "Suit", "Face")),
+                 (huge_deck, ("Suit", "Face", "Suit", "Suit", "Face"))]
+        whole = [sequence_distribution(deck, plan) for deck, plan in plans]
+        monkeypatch.setattr("dofcount.sequences._GATHER", 2)  # N = 2: one run per gather
+        for (deck, plan), law in zip(plans, whole):
+            blocked = sequence_distribution(deck, plan)
+            assert list(blocked.items()) == list(law.items())
+            for ours, theirs in zip((*blocked.parents, *blocked.values), (*law.parents, *law.values)):
+                np.testing.assert_array_equal(ours, theirs)
+
+    def test_wide_pair_gather_stays_small(self):
+        # two variables of 512 values, cards (x, x % 4): A,B,A,B has 2**16 runs of
+        # probability 2**-16, and one (runs, N) int64 gather of its last press
+        # would alone take 256 MiB
+        values = tuple(f"v{j}" for j in range(512))
+        spec = SystemSpec((("A", values), ("B", values)))
+        deck = Deck.from_counts(spec, {(x, values[j % 4]): 1 for j, x in enumerate(values)})
+        tracemalloc.start()
+        try:
+            law = sequence_distribution(deck, ("A", "B", "A", "B"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak traced memory {peak:,} bytes"
+        x = np.repeat(np.arange(512), 128)
+        z = (4 * np.arange(128) + np.arange(512)[:, None] % 4).ravel()
+        runs = sequences._runs(law.parents, law.values, np.arange(len(law)))
+        np.testing.assert_array_equal(runs, np.stack([x, x % 4, z, z % 4], axis=1))
+        assert set(law.numerators.tolist()) == {1}
+        assert set(law.denominators.tolist()) == {2**16}
 
     @pytest.mark.parametrize(
         "entry, match",
@@ -369,20 +411,6 @@ class TestSequenceDistribution:
         assert list(dist.items()) == list(tree_sequence_distribution(deck, plan).items())
         assert all(type(x) is int for x in dist.numerators.tolist() + dist.denominators.tolist())
         assert all(type(p.numerator) is int for _, p in dist.items())
-
-
-class _CountingNonzero:
-    """``numpy`` as ``sequences`` sees it, counting the scans that expand runs."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def nonzero(self, *args):
-        self.calls += 1
-        return np.nonzero(*args)
-
-    def __getattr__(self, name):
-        return getattr(np, name)
 
 
 class TestSequenceDistributionContract:
